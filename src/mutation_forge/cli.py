@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 mathematical failure, 2 usage error.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -28,10 +27,22 @@ from .thresholds import ThresholdInput, thm64_ok, equality_dimension_vectors
 
 
 def _frac(s):
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    """An exact "num/den" or integer string; anything else, a zero
+    denominator included, is a ValueError (a usage error)."""
+    if not isinstance(s, str):
+        raise ValueError("expected an exact 'num/den' string, got %r" % (s,))
+    num, sep, den = s.partition("/")
+    num, den = int(num), (int(den) if sep else 1)
+    if den == 0:
+        raise ValueError("zero denominator in %r" % s)
+    return Fraction(num, den)
+
+
+def _positive(s):
+    n = int(s)
+    if n <= 0:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %d" % n)
+    return n
 
 
 def _field(spec):
@@ -49,8 +60,6 @@ def _emit(args, payload, fmt=None):
         "field": args.field_spec,
         "seed": args.seed,
         "budget_subspaces": args.budget_subspaces,
-        "budget_orbit": args.budget_orbit,
-        "threads": int(os.environ.get("MUTATION_FORGE_THREADS", "1")),
     }
     if fmt == "json":
         text = json.dumps({"config": config, "result": payload},
@@ -252,10 +261,8 @@ def build_parser():
                         help="rationals or gf:p")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--budget-subspaces", type=int, default=10 ** 5)
-    common.add_argument("--budget-orbit", type=int, default=10 ** 6)
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=["json", "csv"], default="json")
-    common.add_argument("--verify", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name):
@@ -265,11 +272,13 @@ def build_parser():
     s.set_defaults(func=cmd_validate)
 
     s = add("dual"); s.add_argument("--theta", required=True)
+    s.add_argument("--verify", action="store_true")
     s.set_defaults(func=cmd_dual)
 
     s = add("mutate")
     s.add_argument("--theta", required=True)
     s.add_argument("--point", required=True)
+    s.add_argument("--verify", action="store_true")
     s.set_defaults(func=cmd_mutate)
 
     s = add("stability")
@@ -299,9 +308,9 @@ def build_parser():
 
     s = add("sweep")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--m1", type=int, required=True)
-    s.add_argument("--m2", type=int, required=True)
-    s.add_argument("--n1", type=int, required=True)
+    s.add_argument("--m1", type=_positive, required=True)
+    s.add_argument("--m2", type=_positive, required=True)
+    s.add_argument("--n1", type=_positive, required=True)
     s.add_argument("--grid", type=int, default=24)
     s.set_defaults(func=cmd_sweep)
 

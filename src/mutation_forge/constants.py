@@ -292,12 +292,7 @@ def tau_rs(h):
         raise ValueError("tau is defined for type-(2,1) Hom systems")
     f = h.field
     d11, d12, da = h.dimH[(1, 1)], h.dimH[(1, 2)], h.dimA[(2, 1)]
-    comp = h.comp_HA[(1, 2, 1)]
-    tau = ExactMatrix.zeros(f, d12, d11 * da)
-    for y in range(d12):
-        for x in range(d11):
-            for a in range(da):
-                tau.data[y][x * da + a] = comp.data[x][y * da + a]
+    tau = h.comp_HA[(1, 2, 1)].regroup([d11], [d12, da], [1], [0, 2])
     return TauMap(f, d11, da, d12, tau)
 
 

@@ -8,7 +8,7 @@ There is no floating point anywhere in this package.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt
+from math import isqrt, prod
 
 
 def _is_prime(p):
@@ -246,6 +246,59 @@ class ExactMatrix:
                             trow[base + l] = mul(a, orow[l])
         return out
 
+    # -- tensor index maps --------------------------------------------
+
+    def regroup(self, row_dims, col_dims, rows, cols):
+        """Read self as a tensor with legs row_dims then col_dims (left
+        factor major, as everywhere) and return the matrix whose row legs
+        are the legs numbered in rows and whose column legs are those
+        numbered in cols, in the order given: a reshape, transpose and
+        reshape done as an index map that copies only nonzero entries."""
+        dims = list(row_dims) + list(col_dims)
+        if sorted(list(rows) + list(cols)) != list(range(len(dims))):
+            raise ValueError("rows and cols must name every leg exactly once")
+        if (prod(row_dims), prod(col_dims)) != (self.rows, self.cols):
+            raise ValueError("legs %r x %r do not fit a %dx%d matrix"
+                             % (list(row_dims), list(col_dims), self.rows, self.cols))
+        # stride of every leg in the output row index and column index
+        rstride = [0] * len(dims)
+        cstride = [0] * len(dims)
+        for group, stride in ((rows, rstride), (cols, cstride)):
+            s = 1
+            for leg in reversed(group):
+                stride[leg] = s
+                s *= dims[leg]
+
+        def offsets(legs):
+            r_off, c_off = [0], [0]
+            for leg in legs:
+                d, sr, sc = dims[leg], rstride[leg], cstride[leg]
+                r_off = [o + k * sr for o in r_off for k in range(d)]
+                c_off = [o + k * sc for o in c_off for k in range(d)]
+            return r_off, c_off
+
+        row_r, row_c = offsets(range(len(row_dims)))
+        col_r, col_c = offsets(range(len(row_dims), len(dims)))
+        out = ExactMatrix.zeros(self.field, prod(dims[leg] for leg in rows),
+                                prod(dims[leg] for leg in cols))
+        data = out.data
+        for row, rr, rc in zip(self.data, row_r, row_c):
+            for x, cr, cc in zip(row, col_r, col_c):
+                if x:
+                    data[rr + cr][rc + cc] = x
+        return out
+
+    def apply_leg(self, col_dims, leg, x):
+        """self @ (I (x) x (x) I) with x on column leg number leg of
+        col_dims: that leg is regrouped into the columns of one small
+        product and back, so the Kronecker product is never built."""
+        k = len(col_dims)
+        others = [a for a in range(k + 1) if a != leg + 1]
+        moved = self.regroup([self.rows], col_dims, others, [leg + 1]) @ x
+        dims = [self.rows] + [d for a, d in enumerate(col_dims) if a != leg]
+        return moved.regroup(dims, [x.cols], [0],
+                             list(range(1, leg + 1)) + [k] + list(range(leg + 1, k)))
+
     def hstack(self, other):
         self._check_same_field(other)
         if self.rows != other.rows:
@@ -470,18 +523,6 @@ def quotient_data(ambient_dim, S):
     return projection, section
 
 
-def contract_pair(phi, psi):
-    """Trace contraction <phi, psi>_K for phi in E (x) K, psi in K* (x) F.
-
-    phi is an e-by-k matrix, psi a k-by-f matrix; the result is the e-by-f
-    matrix with entries sum_k phi[e][k] psi[k][f] — bilinear in both slots.
-    """
-    if phi.cols != psi.rows:
-        raise ValueError("contraction dimension mismatch: %d vs %d"
-                         % (phi.cols, psi.rows))
-    return phi @ psi
-
-
 def gaussian_binomial(q, n, d):
     """Number of d-dimensional subspaces of GF(q)^n."""
     if d < 0 or d > n:
@@ -518,19 +559,3 @@ def enumerate_subspaces(q, n, d, budget=10 ** 6):
     assert len(out) == count
     return out
 
-
-def enumerate_vectors(q, n):
-    """All vectors of GF(q)^n as column matrices."""
-    field = GF(q)
-    return [ExactMatrix.column(field, list(t)) for t in product(range(q), repeat=n)]
-
-
-def invertible_matrices(q, n):
-    """All of GL_n(GF(q)). Only sensible for tiny q^(n^2)."""
-    field = GF(q)
-    out = []
-    for entries in product(range(q), repeat=n * n):
-        M = ExactMatrix.from_flat(field, n, n, list(entries))
-        if M.rank() == n:
-            out.append(M)
-    return out

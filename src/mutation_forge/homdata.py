@@ -26,12 +26,12 @@ the polarization bookkeeping.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .exactfield import (ExactMatrix, Subspace, kernel_basis, quotient_data,
                          solve_linear)
-from .theta import (MorphismPoint, ThetaSpace, ValidationReport, in_W0,
+from .theta import (MorphismPoint, ThetaSpace, ValidationReport,
                     matrix_from_json, matrix_to_json)
-from .mutation import swap_matrix
 
 
 class HomData:
@@ -51,124 +51,54 @@ class HomData:
         self.comp_AA = dict(comp_AA)
         self.comp_BB = dict(comp_BB)
 
-    def pairs_A(self):
-        return [(j, i) for i in range(1, self.r + 1) for j in range(i, self.r + 1)]
-
-    def pairs_B(self):
-        return [(m, l) for l in range(1, self.s + 1) for m in range(l, self.s + 1)]
-
-    def pairs_H(self):
-        return [(l, i) for i in range(1, self.r + 1) for l in range(1, self.s + 1)]
-
 
 def validate_hom_data(h):
     """Shape, identity and associativity checks; failures are report
-    entries."""
+    entries.
+
+    The objects E_1 < .. < E_r < F_1 < .. < F_s are totally ordered, and
+    every check runs over the chains of that order: shapes over the
+    chains of three, identities over the pairs and associativity over
+    the chains of four."""
     f = h.field
     rep = ValidationReport()
-    shapes_ok = True
-    for (j, i) in h.pairs_A():
-        if i == j and h.dimA[(j, i)] != 1:
-            shapes_ok = False
-    for (m, l) in h.pairs_B():
-        if m == l and h.dimB[(m, l)] != 1:
-            shapes_ok = False
-    for key, mat, rows, cols in _comp_shapes(h):
-        if (mat.rows, mat.cols) != (rows, cols):
+    objs = _objects(h)
+    shapes_ok = all(_hom_dim(h, o, o) == 1 for o in objs)
+    for o0, o1, o2 in combinations_with_replacement(objs, 3):
+        c = _comp(h, o2, o1, o0)
+        if (c.rows, c.cols) != (_hom_dim(h, o2, o0),
+                                _hom_dim(h, o2, o1) * _hom_dim(h, o1, o0)):
             shapes_ok = False
     rep.add("shapes", shapes_ok)
-
-    ident_ok = True
-    for (l, i) in h.pairs_H():
-        c = h.comp_HA[(l, i, i)]
-        if c != _identity_on_left(f, h.dimH[(l, i)]):
-            ident_ok = False
-        c = h.comp_BH[(l, l, i)]
-        if c != ExactMatrix.identity(f, h.dimH[(l, i)]):
-            ident_ok = False
-    for (j, i) in h.pairs_A():
-        if h.comp_AA[(j, i, i)] != _identity_on_left(f, h.dimA[(j, i)]):
-            ident_ok = False
-        if h.comp_AA[(j, j, i)] != ExactMatrix.identity(f, h.dimA[(j, i)]):
-            ident_ok = False
-    for (m, l) in h.pairs_B():
-        if h.comp_BB[(m, l, l)] != _identity_on_left(f, h.dimB[(m, l)]):
-            ident_ok = False
-        if h.comp_BB[(m, m, l)] != ExactMatrix.identity(f, h.dimB[(m, l)]):
-            ident_ok = False
-    rep.add("identities", ident_ok)
-
-    assoc_ok = True
-    r, s = h.r, h.s
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            for k in range(j, r + 1):
-                for q in range(k, r + 1):
-                    lhs = h.comp_AA[(q, j, i)] @ h.comp_AA[(q, k, j)].kron(
-                        ExactMatrix.identity(f, h.dimA[(j, i)]))
-                    rhs = h.comp_AA[(q, k, i)] @ ExactMatrix.identity(
-                        f, h.dimA[(q, k)]).kron(h.comp_AA[(k, j, i)])
-                    if lhs != rhs:
-                        assoc_ok = False
-                for l in range(1, s + 1):
-                    lhs = h.comp_HA[(l, j, i)] @ h.comp_HA[(l, k, j)].kron(
-                        ExactMatrix.identity(f, h.dimA[(j, i)]))
-                    rhs = h.comp_HA[(l, k, i)] @ ExactMatrix.identity(
-                        f, h.dimH[(l, k)]).kron(h.comp_AA[(k, j, i)])
-                    if lhs != rhs:
-                        assoc_ok = False
-            for l in range(1, s + 1):
-                for m in range(l, s + 1):
-                    lhs = h.comp_HA[(m, j, i)] @ h.comp_BH[(m, l, j)].kron(
-                        ExactMatrix.identity(f, h.dimA[(j, i)]))
-                    rhs = h.comp_BH[(m, l, i)] @ ExactMatrix.identity(
-                        f, h.dimB[(m, l)]).kron(h.comp_HA[(l, j, i)])
-                    if lhs != rhs:
-                        assoc_ok = False
-        for l in range(1, s + 1):
-            for m in range(l, s + 1):
-                for q in range(m, s + 1):
-                    lhs = h.comp_BH[(q, l, i)] @ h.comp_BB[(q, m, l)].kron(
-                        ExactMatrix.identity(f, h.dimH[(l, i)]))
-                    rhs = h.comp_BH[(q, m, i)] @ ExactMatrix.identity(
-                        f, h.dimB[(q, m)]).kron(h.comp_BH[(m, l, i)])
-                    if lhs != rhs:
-                        assoc_ok = False
-    for l in range(1, s + 1):
-        for m in range(l, s + 1):
-            for q in range(m, s + 1):
-                for w in range(q, s + 1):
-                    lhs = h.comp_BB[(w, m, l)] @ h.comp_BB[(w, q, m)].kron(
-                        ExactMatrix.identity(f, h.dimB[(m, l)]))
-                    rhs = h.comp_BB[(w, q, l)] @ ExactMatrix.identity(
-                        f, h.dimB[(w, q)]).kron(h.comp_BB[(q, m, l)])
-                    if lhs != rhs:
-                        assoc_ok = False
-    rep.add("associativity", assoc_ok)
+    rep.add("identities", all(
+        _comp(h, o1, o0, o0) == ExactMatrix.identity(f, _hom_dim(h, o1, o0))
+        and _comp(h, o1, o1, o0) == ExactMatrix.identity(f, _hom_dim(h, o1, o0))
+        for o0, o1 in combinations_with_replacement(objs, 2)))
+    # (o3 <- o2 <- o1) <- o0  ==  o3 <- (o2 <- o1 <- o0)
+    rep.add("associativity", all(
+        _comp(h, o3, o1, o0).apply_leg(
+            [_hom_dim(h, o3, o1), _hom_dim(h, o1, o0)], 0, _comp(h, o3, o2, o1))
+        == _comp(h, o3, o2, o0).apply_leg(
+            [_hom_dim(h, o3, o2), _hom_dim(h, o2, o0)], 1, _comp(h, o2, o1, o0))
+        for o0, o1, o2, o3 in combinations_with_replacement(objs, 4)))
     return rep
 
 
-def _identity_on_left(f, d):
-    """The tensor X (x) <scalar identity> -> X in left-major bases (the
-    identity element sits at basis index 0 of a one-dimensional space)."""
-    return ExactMatrix.identity(f, d)
+def _objects(h):
+    return [("E", i) for i in range(1, h.r + 1)] + [("F", l) for l in range(1, h.s + 1)]
 
 
-def _comp_shapes(h):
-    out = []
-    for (l, j, i), mat in h.comp_HA.items():
-        out.append((("HA", l, j, i), mat, h.dimH[(l, i)],
-                    h.dimH[(l, j)] * h.dimA[(j, i)]))
-    for (m, l, i), mat in h.comp_BH.items():
-        out.append((("BH", m, l, i), mat, h.dimH[(m, i)],
-                    h.dimB[(m, l)] * h.dimH[(l, i)]))
-    for (k, j, i), mat in h.comp_AA.items():
-        out.append((("AA", k, j, i), mat, h.dimA[(k, i)],
-                    h.dimA[(k, j)] * h.dimA[(j, i)]))
-    for (n, m, l), mat in h.comp_BB.items():
-        out.append((("BB", n, m, l), mat, h.dimB[(n, l)],
-                    h.dimB[(n, m)] * h.dimB[(m, l)]))
-    return out
+def _hom_dim(h, b, a):
+    """dim Hom(a, b) for objects a <= b."""
+    dims = {"EE": h.dimA, "FE": h.dimH, "FF": h.dimB}[b[0] + a[0]]
+    return dims[(b[1], a[1])]
+
+
+def _comp(h, c, b, a):
+    """The composition Hom(b, c) (x) Hom(a, b) -> Hom(a, c), a <= b <= c."""
+    comps = {"EEE": h.comp_AA, "FEE": h.comp_HA,
+             "FFE": h.comp_BH, "FFF": h.comp_BB}[c[0] + b[0] + a[0]]
+    return comps[(c[1], b[1], a[1])]
 
 
 # -- projective-space instances ---------------------------------------
@@ -317,139 +247,127 @@ class ThetaInstance:
                                 self.lay_a0.total, self.lay_b0.total,
                                 n(1), rho1, rho2, mu, nu)
 
+    # Each structure map is a sum of blocks: a composition tensor
+    # tensored with the identities of the multiplicity legs it passes
+    # through, regrouped so that each multiplicity leg sits in the
+    # factor it belongs to, and placed at the layout offsets.
+
     def _build_rho(self, lay_m, i_range, lay_n):
-        h, f = self.h, self.h.field
+        h = self.h
         m = lambda i: self.m_mult[i - 1]
         n = lambda l: self.n_mult[l - 1]
-        out = ExactMatrix.zeros(f, lay_m.total, self.lay_b0.total * lay_n.total)
+        out = ExactMatrix.zeros(h.field, lay_m.total, self.lay_b0.total * lay_n.total)
         for i in i_range:
-            dh1 = h.dimH[(1, i)]
             for l in range(2, h.s + 1):
-                comp = h.comp_BH[(l, 1, i)]
-                db = h.dimB[(l, 1)]
-                dhl = h.dimH[(l, i)]
-                for hl in range(dhl):
-                    for b in range(db):
-                        for h1 in range(dh1):
-                            c = comp.data[hl][b * dh1 + h1]
-                            if c == 0:
-                                continue
-                            for t in range(m(i)):
-                                for u in range(n(l)):
-                                    row = lay_m.at((i, l), (hl * m(i) + t) * n(l) + u)
-                                    col = (self.lay_b0.at(l, b * n(l) + u) * lay_n.total
-                                           + lay_n.at(i, h1 * m(i) + t))
-                                    out.data[row][col] = f.add(out.data[row][col], c)
+                # H_li M_i* N_l <- (B_l1 N_l) (H_1i M_i*)
+                blk = _with_identities(h.comp_BH[(l, 1, i)], m(i), n(l)).regroup(
+                    [h.dimH[(l, i)], m(i), n(l)],
+                    [h.dimB[(l, 1)], h.dimH[(1, i)], m(i), n(l)],
+                    [0, 1, 2], [3, 6, 4, 5])
+                _place(out, blk, lay_m.offsets[(i, l)],
+                       self.lay_b0.offsets[l], lay_n, i)
         return out
 
     def _build_nu(self):
-        h, f = self.h, self.h.field
+        h = self.h
         m = lambda i: self.m_mult[i - 1]
-        out = ExactMatrix.zeros(f, self.lay_n1.total,
+        out = ExactMatrix.zeros(h.field, self.lay_n1.total,
                                 self.lay_n2.total * self.lay_a0.total)
         for i in range(1, self.p + 1):
             for j in range(self.p + 1, h.r + 1):
-                comp = h.comp_HA[(1, j, i)]
-                da = h.dimA[(j, i)]
-                dh1j = h.dimH[(1, j)]
-                for h1i in range(h.dimH[(1, i)]):
-                    for h1j in range(dh1j):
-                        for a in range(da):
-                            c = comp.data[h1i][h1j * da + a]
-                            if c == 0:
-                                continue
-                            for t in range(m(i)):
-                                for tj in range(m(j)):
-                                    row = self.lay_n1.at(i, h1i * m(i) + t)
-                                    col = (self.lay_n2.at(j, h1j * m(j) + tj)
-                                           * self.lay_a0.total
-                                           + self.lay_a0.at((i, j), (a * m(i) + t) * m(j) + tj))
-                                    out.data[row][col] = f.add(out.data[row][col], c)
+                # H_1i M_i* <- (H_1j M_j*) (A_ji M_i* M_j)
+                blk = _with_identities(h.comp_HA[(1, j, i)], m(i), m(j)).regroup(
+                    [h.dimH[(1, i)], m(i), m(j)],
+                    [h.dimH[(1, j)], h.dimA[(j, i)], m(i), m(j)],
+                    [0, 1], [3, 2, 4, 5, 6])
+                _place(out, blk, self.lay_n1.offsets[i],
+                       self.lay_n2.offsets[j], self.lay_a0, (i, j))
         return out
 
     def _build_mu(self):
-        h, f = self.h, self.h.field
+        h = self.h
         m = lambda i: self.m_mult[i - 1]
         n = lambda l: self.n_mult[l - 1]
-        out = ExactMatrix.zeros(f, self.lay_m1.total,
+        out = ExactMatrix.zeros(h.field, self.lay_m1.total,
                                 self.lay_m2.total * self.lay_a0.total)
         for i in range(1, self.p + 1):
             for j in range(self.p + 1, h.r + 1):
-                da = h.dimA[(j, i)]
                 for l in range(2, h.s + 1):
-                    comp = h.comp_HA[(l, j, i)]
-                    dhlj = h.dimH[(l, j)]
-                    for hli in range(h.dimH[(l, i)]):
-                        for hlj in range(dhlj):
-                            for a in range(da):
-                                c = comp.data[hli][hlj * da + a]
-                                if c == 0:
-                                    continue
-                                for t in range(m(i)):
-                                    for tj in range(m(j)):
-                                        for u in range(n(l)):
-                                            row = self.lay_m1.at(
-                                                (i, l), (hli * m(i) + t) * n(l) + u)
-                                            col = (self.lay_m2.at(
-                                                (j, l), (hlj * m(j) + tj) * n(l) + u)
-                                                * self.lay_a0.total
-                                                + self.lay_a0.at(
-                                                    (i, j), (a * m(i) + t) * m(j) + tj))
-                                            out.data[row][col] = f.add(out.data[row][col], c)
+                    # H_li M_i* N_l <- (H_lj M_j* N_l) (A_ji M_i* M_j)
+                    blk = _with_identities(h.comp_HA[(l, j, i)], m(i), m(j), n(l)).regroup(
+                        [h.dimH[(l, i)], m(i), m(j), n(l)],
+                        [h.dimH[(l, j)], h.dimA[(j, i)], m(i), m(j), n(l)],
+                        [0, 1, 3], [4, 2, 8, 5, 6, 7])
+                    _place(out, blk, self.lay_m1.offsets[(i, l)],
+                           self.lay_m2.offsets[(j, l)], self.lay_a0, (i, j))
         return out
 
     # -- converters ---------------------------------------------------
 
+    def _slot(self, l, i):
+        """Where x[(l, i)] lives: its index in (psi1, psi2, phi1, phi2),
+        that part's layout and the block key."""
+        k = (0 if l == 1 else 2) + (0 if i <= self.p else 1)
+        lay = (self.lay_n1, self.lay_n2, self.lay_m1, self.lay_m2)[k]
+        return k, lay, (i if l == 1 else (i, l))
+
     def family_from_point(self, w):
         """The family x[(l, i)] : n_l x (dimH_li * m_i) encoded by a
         point of the total space."""
-        h, f = self.h, self.h.field
-        m = lambda i: self.m_mult[i - 1]
-        n = lambda l: self.n_mult[l - 1]
+        h = self.h
+        parts = w.parts()
         x = {}
         for i in range(1, h.r + 1):
-            on_left = i <= self.p
             for l in range(1, h.s + 1):
-                mat = ExactMatrix.zeros(f, n(l), h.dimH[(l, i)] * m(i))
-                for hh in range(h.dimH[(l, i)]):
-                    for t in range(m(i)):
-                        for u in range(n(l)):
-                            if l == 1:
-                                src = w.psi1 if on_left else w.psi2
-                                lay = self.lay_n1 if on_left else self.lay_n2
-                                val = src.data[lay.at(i, hh * m(i) + t)][u]
-                            else:
-                                src = w.phi1 if on_left else w.phi2
-                                lay = self.lay_m1 if on_left else self.lay_m2
-                                val = src.data[lay.at((i, l), (hh * m(i) + t) * n(l) + u)][0]
-                            mat.data[u][hh * m(i) + t] = val
-                x[(l, i)] = mat
+                k, lay, key = self._slot(l, i)
+                off = lay.offsets[key]
+                blk = parts[k].submatrix(range(off, off + lay.dims[key]),
+                                         range(parts[k].cols))
+                # psi blocks are (H M*) x N_1, phi blocks (H M* N_l) x 1
+                x[(l, i)] = (blk.transpose() if l == 1 else blk.regroup(
+                    [h.dimH[(l, i)] * self.m_mult[i - 1], self.n_mult[l - 1]],
+                    [1], [1, 2], [0]))
         return x
 
     def point_from_family(self, x):
-        h, f = self.h, self.h.field
-        m = lambda i: self.m_mult[i - 1]
-        n = lambda l: self.n_mult[l - 1]
-        t0 = self.theta
-        psi1 = ExactMatrix.zeros(f, t0.dim_n1, t0.dim_mult)
-        psi2 = ExactMatrix.zeros(f, t0.dim_n2, t0.dim_mult)
-        phi1 = ExactMatrix.zeros(f, t0.dim_m1, 1)
-        phi2 = ExactMatrix.zeros(f, t0.dim_m2, 1)
+        h, t0 = self.h, self.theta
+        parts = [ExactMatrix.zeros(h.field, t0.dim_n1, t0.dim_mult),
+                 ExactMatrix.zeros(h.field, t0.dim_n2, t0.dim_mult),
+                 ExactMatrix.zeros(h.field, t0.dim_m1, 1),
+                 ExactMatrix.zeros(h.field, t0.dim_m2, 1)]
         for (l, i), mat in x.items():
-            on_left = i <= self.p
-            for hh in range(h.dimH[(l, i)]):
-                for t in range(m(i)):
-                    for u in range(n(l)):
-                        val = mat.data[u][hh * m(i) + t]
-                        if l == 1:
-                            dst = psi1 if on_left else psi2
-                            lay = self.lay_n1 if on_left else self.lay_n2
-                            dst.data[lay.at(i, hh * m(i) + t)][u] = val
-                        else:
-                            dst = phi1 if on_left else phi2
-                            lay = self.lay_m1 if on_left else self.lay_m2
-                            dst.data[lay.at((i, l), (hh * m(i) + t) * n(l) + u)][0] = val
-        return MorphismPoint(self.theta, psi1, psi2, phi1, phi2)
+            k, lay, key = self._slot(l, i)
+            # the psi block (H M*) x N_1 or the phi block (H M* N_l) x 1;
+            # regroup rejects a misshapen mat
+            rows, cols = ([1], [0]) if l == 1 else ([1, 0], [])
+            blk = mat.regroup([self.n_mult[l - 1]], [h.dimH[(l, i)] * self.m_mult[i - 1]],
+                              rows, cols)
+            off = lay.offsets[key]
+            parts[k].data[off:off + blk.rows] = blk.copy_data()
+        return MorphismPoint(self.theta, *parts)
+
+
+def _with_identities(comp, *mults):
+    """comp (x) I_m1 (x) I_m2 ..., the Kronecker product as a result
+    (a factor I_1 changes nothing and is not multiplied in)."""
+    for d in mults:
+        if d != 1:
+            comp = comp.kron(ExactMatrix.identity(comp.field, d))
+    return comp
+
+
+def _place(out, blk, row_off, col_off, lay, key):
+    """Write blk into out at rows row_off + r. The columns of out are a
+    product X (x) Y with Y laid out by lay; blk column (x, y), y inside
+    block key of lay, goes to column (col_off + x) * lay.total +
+    lay.offsets[key] + y."""
+    d, off = lay.dims[key], lay.offsets[key]
+    cols = [(col_off + c // d) * lay.total + off + c % d for c in range(blk.cols)]
+    for r, row in enumerate(blk.data):
+        target = out.data[row_off + r]
+        for c, v in zip(cols, row):
+            if v:
+                target[c] = v
 
 
 def build_theta_p(h, m_mult, n_mult, p):
@@ -460,11 +378,7 @@ def _block_diag(field, layout, per_key):
     """Block-diagonal matrix on a BlockLayout from a dict key -> block."""
     out = ExactMatrix.zeros(field, layout.total, layout.total)
     for k in layout.keys:
-        blk = per_key(k)
-        off = layout.offsets[k]
-        for a in range(blk.rows):
-            for b in range(blk.cols):
-                out.data[off + a][off + b] = blk.data[a][b]
+        _place(out, per_key(k), layout.offsets[k], 0, layout, k)
     return out
 
 
@@ -559,31 +473,6 @@ class MutatedHomData(HomData):
         self.source_p = p
 
 
-def _emb_A(h, k, i):
-    """The embedding A_ki -> H_1i (x) H*_1k adjoint to composition."""
-    f = h.field
-    d1i, dk, da = h.dimH[(1, i)], h.dimH[(1, k)], h.dimA[(k, i)]
-    comp = h.comp_HA[(1, k, i)]
-    out = ExactMatrix.zeros(f, d1i * dk, da)
-    for x in range(d1i):
-        for z in range(dk):
-            for a in range(da):
-                out.data[x * dk + z][a] = comp.data[x][z * da + a]
-    return out
-
-
-def _dual_precomp(comp, xdim, adim, ydim):
-    """From comp : X (x) A -> Y, the map A (x) Y* -> X* of
-    precomposition on functionals."""
-    f = comp.field
-    out = ExactMatrix.zeros(f, xdim, adim * ydim)
-    for x in range(xdim):
-        for a in range(adim):
-            for y in range(ydim):
-                out.data[x][a * ydim + y] = comp.data[y][x * adim + a]
-    return out
-
-
 def mutated_hom_data(h, p):
     """The Hom system of the p-th mutation, of type (p+1, r+s-p-1); all
     induced compositions are computed through the recorded kernel and
@@ -614,7 +503,10 @@ def mutated_hom_data(h, p):
         for i in range(1, rp + 1):
             if l <= q:
                 if i <= p:
-                    emb = _emb_A(h, KK(l), i)
+                    # A_ki -> H_1i (x) H*_1k, adjoint to composition
+                    d1i, dk = h.dimH[(1, i)], h.dimH[(1, KK(l))]
+                    emb = h.comp_HA[(1, KK(l), i)].regroup(
+                        [d1i], [dk, h.dimA[(KK(l), i)]], [0, 1], [2])
                     sub = Subspace(emb.rows, emb)
                     if sub.dim != emb.cols:
                         raise ValueError("canonical map of A into H (x) H* "
@@ -670,17 +562,21 @@ def mutated_hom_data(h, p):
                 else:
                     ds = h.dimH[(1, KK(l))]
                     if j <= p:
-                        da = h.dimA[(j, i)]
+                        da, d1j = h.dimA[(j, i)], h.dimH[(1, j)]
                         _, proj_i, _ = quot[(l, i)]
                         emb_j, _, sec_j = quot[(l, j)]
-                        amb = (h.comp_HA[(1, j, i)].kron(ident(ds))
-                               @ ident(h.dimH[(1, j)]).kron(swap_matrix(f, ds, da)))
-                        if not (proj_i @ amb @ emb_j.kron(ident(da))).is_zero():
+                        # proj_i composed with H_1j A_ji -> H_1i on the
+                        # first leg, on (H_1j (x) H*) (x) A_ji
+                        amb = proj_i.apply_leg([h.dimH[(1, i)], ds], 0,
+                                               h.comp_HA[(1, j, i)]).regroup(
+                            [proj_i.rows], [d1j, da, ds], [0], [1, 3, 2])
+                        if not amb.apply_leg([d1j * ds, da], 0, emb_j).is_zero():
                             raise ValueError("induced H'A' composition ill-defined")
-                        c = proj_i @ amb @ sec_j.kron(ident(da))
+                        c = amb.apply_leg([d1j * ds, da], 0, sec_j)
                     elif i <= p:
                         _, proj_i, _ = quot[(l, i)]
-                        c = proj_i @ swap_matrix(f, ds, h.dimH[(1, i)])
+                        c = proj_i.regroup([proj_i.rows], [h.dimH[(1, i)], ds],
+                                           [0], [2, 1])
                     else:
                         c = ident(ds)
                 comp_HA[(l, j, i)] = c
@@ -695,50 +591,44 @@ def mutated_hom_data(h, p):
                          else h.comp_BB[(M, L, 1)])
                 elif m <= q:
                     Km, Kl = KK(m), KK(l)
-                    da = h.dimA[(Km, Kl)]
-                    D = _dual_precomp(h.comp_HA[(1, Km, Kl)],
-                                      h.dimH[(1, Km)], da, h.dimH[(1, Kl)])
+                    da, dKm, dKl = h.dimA[(Km, Kl)], h.dimH[(1, Km)], h.dimH[(1, Kl)]
+                    # precomposition on functionals: A (x) H*_1Kl -> H*_1Km
+                    D = h.comp_HA[(1, Km, Kl)].regroup([dKl], [dKm, da], [1], [2, 0])
                     if i == rp:
                         c = D
                     else:
                         d1i = h.dimH[(1, i)]
                         _, proj_m, _ = quot[(m, i)]
                         emb_l, _, sec_l = quot[(l, i)]
-                        amb = (ident(d1i).kron(D)
-                               @ swap_matrix(f, da, d1i).kron(ident(h.dimH[(1, Kl)])))
-                        if not (proj_m @ amb @ ident(da).kron(emb_l)).is_zero():
+                        # proj_m composed with D on the second leg, on
+                        # A (x) (H_1i (x) H*_1Kl)
+                        amb = proj_m.apply_leg([d1i, dKm], 1, D).regroup(
+                            [proj_m.rows], [d1i, da, dKl], [0], [2, 1, 3])
+                        if not amb.apply_leg([da, d1i * dKl], 1, emb_l).is_zero():
                             raise ValueError("induced B'H' composition ill-defined")
-                        c = proj_m @ amb @ ident(da).kron(sec_l)
+                        c = amb.apply_leg([da, d1i * dKl], 1, sec_l)
                 else:
                     M, Kl = sig(m), KK(l)
                     kb = ker[(m, l)]
                     dB = h.dimB[(M, 1)]
                     dH = h.dimH[(1, Kl)]
                     if i == rp:
-                        ctr = ExactMatrix.zeros(f, dB, dB * dH * dH)
-                        one = f.one()
-                        for b in range(dB):
-                            for x in range(dH):
-                                ctr.data[b][(b * dH + x) * dH + x] = one
-                        c = ctr @ kb.kron(ident(dH))
+                        # contract the H_1Kl leg of the kernel with H*_1Kl
+                        c = kb.regroup([dB, dH], [kb.cols], [0], [2, 1])
                     else:
                         d1i = h.dimH[(1, i)]
                         bh = h.comp_BH[(M, 1, i)]
-                        e2 = ExactMatrix.zeros(f, h.dimH[(M, i)],
-                                               dB * dH * d1i * dH)
-                        for row in range(h.dimH[(M, i)]):
-                            for b in range(dB):
-                                for x in range(d1i):
-                                    cc = bh.data[row][b * d1i + x]
-                                    if cc == 0:
-                                        continue
-                                    for z in range(dH):
-                                        col = (b * dH + z) * (d1i * dH) + x * dH + z
-                                        e2.data[row][col] = f.add(e2.data[row][col], cc)
                         emb_l, _, sec_l = quot[(l, i)]
-                        if not (e2 @ kb.kron(emb_l)).is_zero():
+
+                        def induced(y):
+                            # B_M1 H_1i -> H_Mi after contracting the
+                            # H_1Kl leg of the kernel with y's H*_1Kl leg
+                            yr = y.regroup([d1i, dH], [y.cols], [0], [1, 2])
+                            return bh.apply_leg([dB, d1i], 1, yr).apply_leg(
+                                [dB * dH, y.cols], 0, kb)
+                        if not induced(emb_l).is_zero():
                             raise ValueError("induced mixed B'H' composition ill-defined")
-                        c = e2 @ kb.kron(sec_l)
+                        c = induced(sec_l)
                 comp_BH[(m, l, i)] = c
 
     comp_BB = {}
@@ -750,16 +640,24 @@ def mutated_hom_data(h, p):
                 elif n_ <= q:
                     c = h.comp_AA[(KK(n_), KK(m), KK(l))]
                 elif m > q:
-                    amb = h.comp_BB[(sig(n_), sig(m), 1)].kron(
-                        ident(h.dimH[(1, KK(l))]))
-                    x = amb @ ident(dimB[(n_, m)]).kron(ker[(m, l)])
+                    # B_{n,m} (x) ker_ml -> B_{n,1} (x) H_1Kl
+                    km, dH = ker[(m, l)], h.dimH[(1, KK(l))]
+                    dBm, dBn = h.dimB[(sig(m), 1)], h.dimB[(sig(n_), 1)]
+                    x = h.comp_BB[(sig(n_), sig(m), 1)].apply_leg(
+                        [dimB[(n_, m)], dBm], 1,
+                        km.regroup([dBm, dH], [km.cols], [0], [1, 2])).regroup(
+                        [dBn], [dimB[(n_, m)], dH, km.cols], [0, 2], [1, 3])
                     c = solve_linear(ker[(n_, l)], x)
                     if c is None:
                         raise ValueError("induced B'B' composition leaves the kernel")
                 else:
-                    amb = ident(h.dimB[(sig(n_), 1)]).kron(
-                        h.comp_HA[(1, KK(m), KK(l))])
-                    x = amb @ ker[(n_, m)].kron(ident(h.dimA[(KK(m), KK(l))]))
+                    # ker_nm (x) A_KmKl -> B_{n,1} (x) H_1Kl
+                    kn, da = ker[(n_, m)], h.dimA[(KK(m), KK(l))]
+                    dB, dHm = h.dimB[(sig(n_), 1)], h.dimH[(1, KK(m))]
+                    comp = h.comp_HA[(1, KK(m), KK(l))]
+                    x = comp.apply_leg(
+                        [dHm, da], 0, kn.regroup([dB, dHm], [kn.cols], [1], [0, 2])).regroup(
+                        [comp.rows], [dB, kn.cols, da], [1, 0], [2, 3])
                     c = solve_linear(ker[(n_, l)], x)
                     if c is None:
                         raise ValueError("induced B'B' composition leaves the kernel")
@@ -787,34 +685,38 @@ def transpose_hom_data(h):
         for b2 in range(b1, r + 1):
             dimB[(b2, b1)] = h.dimA[(r + 1 - b1, r + 1 - b2)]
 
+    def backwards(c, x, y):
+        # c on Y (x) X read on X (x) Y
+        return c.regroup([c.rows], [y, x], [0], [2, 1])
+
     comp_AA = {}
     for a1 in range(1, s + 1):
         for a2 in range(a1, s + 1):
             for a3 in range(a2, s + 1):
-                comp_AA[(a3, a2, a1)] = (
-                    h.comp_BB[(s + 1 - a1, s + 1 - a2, s + 1 - a3)]
-                    @ swap_matrix(f, dimA[(a3, a2)], dimA[(a2, a1)]))
+                comp_AA[(a3, a2, a1)] = backwards(
+                    h.comp_BB[(s + 1 - a1, s + 1 - a2, s + 1 - a3)],
+                    dimA[(a3, a2)], dimA[(a2, a1)])
     comp_BB = {}
     for b1 in range(1, r + 1):
         for b2 in range(b1, r + 1):
             for b3 in range(b2, r + 1):
-                comp_BB[(b3, b2, b1)] = (
-                    h.comp_AA[(r + 1 - b1, r + 1 - b2, r + 1 - b3)]
-                    @ swap_matrix(f, dimB[(b3, b2)], dimB[(b2, b1)]))
+                comp_BB[(b3, b2, b1)] = backwards(
+                    h.comp_AA[(r + 1 - b1, r + 1 - b2, r + 1 - b3)],
+                    dimB[(b3, b2)], dimB[(b2, b1)])
     comp_HA = {}
     for b in range(1, r + 1):
         for a1 in range(1, s + 1):
             for a2 in range(a1, s + 1):
-                comp_HA[(b, a2, a1)] = (
-                    h.comp_BH[(s + 1 - a1, s + 1 - a2, r + 1 - b)]
-                    @ swap_matrix(f, dimH[(b, a2)], dimA[(a2, a1)]))
+                comp_HA[(b, a2, a1)] = backwards(
+                    h.comp_BH[(s + 1 - a1, s + 1 - a2, r + 1 - b)],
+                    dimH[(b, a2)], dimA[(a2, a1)])
     comp_BH = {}
     for b1 in range(1, r + 1):
         for b2 in range(b1, r + 1):
             for a in range(1, s + 1):
-                comp_BH[(b2, b1, a)] = (
-                    h.comp_HA[(s + 1 - a, r + 1 - b1, r + 1 - b2)]
-                    @ swap_matrix(f, dimB[(b2, b1)], dimH[(b1, a)]))
+                comp_BH[(b2, b1, a)] = backwards(
+                    h.comp_HA[(s + 1 - a, r + 1 - b1, r + 1 - b2)],
+                    dimB[(b2, b1)], dimH[(b1, a)])
     return HomData(f, s, r, dimH, dimA, dimB,
                    comp_HA, comp_BH, comp_AA, comp_BB)
 
@@ -846,13 +748,6 @@ def mutated_instance(h, m_mult, n_mult, p):
     m_hat = list(reversed(n_prime))
     n_hat = list(reversed(m_prime))
     return build_theta_p(ht, m_hat, n_hat, h.s - 1)
-
-
-def in_W0_p(inst, w):
-    """Whether the total sum of the second-tier components of the point
-    is surjective; for an instance this is exactly membership in the
-    open locus preserved by mutation."""
-    return in_W0(w)
 
 
 # -- polarizations ----------------------------------------------------
@@ -1034,9 +929,7 @@ def dual_point_to_mutated(inst, inst_hat, z):
             raise ValueError("block dimensions of the two instances disagree")
         src = inst.lay_n2.offsets[j]
         dst = inst_hat.lay_n2.offsets[a_hat]
-        for k in range(d):
-            for c in range(th.dim_mult):
-                psi2_hat.data[dst + k][c] = z.psi2.data[src + k][c]
+        psi2_hat.data[dst:dst + d] = [row[:] for row in z.psi2.data[src:src + d]]
     zero_n1 = ExactMatrix.zeros(f, 0, th.dim_mult)
     zero_m1 = ExactMatrix.zeros(f, 0, 1)
     zero_m2 = ExactMatrix.zeros(f, 0, 1)

@@ -56,44 +56,19 @@ class DualSpace:
         m2p = self.proj.rows
         self.k0 = kernel_basis(t.rho2)
         a0p = self.k0.cols
-        self.swap_n1_b0 = swap_matrix(f, n1, b0)      # N1 (x) B0 -> B0 (x) N1
-        self.swap_n1_n2 = swap_matrix(f, n1, n2)      # N1 (x) N2* -> N2* (x) N1
-        rho1p = t.rho1 @ self.swap_n1_b0
-        rho2p = self.proj @ self.swap_n1_n2
-        nup = ExactMatrix.zeros(f, b0, n2 * a0p)
-        for b in range(b0):
-            for xi in range(n2):
-                for a in range(a0p):
-                    nup.data[b][xi * a0p + a] = self.k0.data[b * n2 + xi][a]
-        mup = ExactMatrix.zeros(f, m1, m2p * a0p)
-        for a in range(a0p):
-            T = self._carry(a)
-            col_block = t.rho1 @ T @ self.section
-            for y in range(m2p):
-                for i in range(m1):
-                    mup.data[i][y * a0p + a] = col_block.data[i][y]
-            # mu' must not depend on the representative in N2* (x) N1
-            if a0 and not (t.rho1 @ T @ nu_bar).is_zero():
-                raise ValueError("dual mu is ill-defined; structure maps inconsistent")
+        rho1p = t.rho1.regroup([m1], [b0, n1], [0], [2, 1])       # on N1 (x) B0
+        rho2p = self.proj.regroup([m2p], [n2, n1], [0], [2, 1])   # on N1 (x) N2*
+        nup = self.k0.regroup([b0, n2], [a0p], [0], [1, 2])
+        # rho1 after contracting each kernel vector of rho2 over the N2
+        # leg, one row block per kernel vector: (M1 (x) A0') x (N2* (x) N1)
+        carried = t.rho1.apply_leg([b0, n1], 0, nup).regroup(
+            [m1], [n2, a0p, n1], [0, 2], [1, 3])
+        # mu' must not depend on the representative in N2* (x) N1
+        if not (carried @ nu_bar).is_zero():
+            raise ValueError("dual mu is ill-defined; structure maps inconsistent")
+        mup = (carried @ self.section).regroup([m1, a0p], [m2p], [0], [2, 1])
         self.prime = ThetaSpace(f, b0, n2, m1, m2p, a0p, n1, t.dim_comult,
                                 rho1p, rho2p, mup, nup)
-
-    def _carry(self, a):
-        """The map N2* (x) N1 -> B0 (x) N1 contracting the a-th kernel
-        basis vector of rho2 over the N2 leg."""
-        t = self.theta
-        f = t.field
-        n1, n2, b0 = t.dim_n1, t.dim_n2, t.dim_b0
-        T = ExactMatrix.zeros(f, b0 * n1, n2 * n1)
-        for xi in range(n2):
-            for b in range(b0):
-                c = self.k0.data[b * n2 + xi][a]
-                if c == 0:
-                    continue
-                for x in range(n1):
-                    T.data[b * n1 + x][xi * n1 + x] = f.add(
-                        T.data[b * n1 + x][xi * n1 + x], c)
-        return T
 
     def validate(self):
         from .theta import validate_theta
@@ -178,10 +153,10 @@ def double_dual_identifications(dual, ddual):
     basis of rho2'.
     """
     t = dual.theta
-    f = t.field
-    iota_m2 = t.rho2 @ swap_matrix(f, t.dim_n2, t.dim_b0) @ ddual.section
-    iota_a0 = solve_linear(t.nu_bar(),
-                           swap_matrix(f, t.dim_n1, t.dim_n2) @ ddual.k0)
+    iota_m2 = (t.rho2.regroup([t.dim_m2], [t.dim_b0, t.dim_n2], [0], [2, 1])
+               @ ddual.section)
+    iota_a0 = solve_linear(t.nu_bar(), ddual.k0.regroup(
+        [t.dim_n1, t.dim_n2], [ddual.k0.cols], [1, 0], [2]))
     if iota_a0 is None:
         raise ValueError("double-dual kernel does not match nu_bar image")
     return iota_m2, iota_a0
@@ -193,7 +168,6 @@ def double_dual_report(theta):
     dual = build_dual(theta)
     ddual = build_dual(dual.prime)
     t = theta
-    f = t.field
     dd = ddual.prime
     rep = ValidationReport()
     rep.add("dims", dd.dims() == t.dims())
@@ -204,9 +178,9 @@ def double_dual_report(theta):
     rep.add("iota_a0 invertible", iota_a0.rank() == t.dim_a0)
     rep.add("rho1 restored", dd.rho1 == t.rho1)
     rep.add("rho2 restored", iota_m2 @ dd.rho2 == t.rho2)
-    I_n2 = ExactMatrix.identity(f, t.dim_n2)
-    rep.add("nu restored", t.nu @ I_n2.kron(iota_a0) == dd.nu)
-    rep.add("mu restored", t.mu @ iota_m2.kron(iota_a0) == dd.mu)
+    rep.add("nu restored", t.nu.apply_leg([t.dim_n2, t.dim_a0], 1, iota_a0) == dd.nu)
+    rep.add("mu restored", t.mu.apply_leg([t.dim_m2, t.dim_a0], 0, iota_m2).apply_leg(
+        [iota_m2.cols, t.dim_a0], 1, iota_a0) == dd.mu)
     return rep
 
 
@@ -269,10 +243,14 @@ def apply_transport(steps, z):
 
 # -- transport of group elements through the mutation -----------------
 
-def _induced_on_kernel(dual, m):
-    """Conjugate an endomorphism of B0 (x) N2 preserving ker(rho2) to an
-    endomorphism of A0' in the k0 basis."""
-    x = solve_linear(dual.k0, m @ dual.k0)
+def _induced_on_kernel(dual, leg, m):
+    """Conjugate the endomorphism of B0 (x) N2 acting by m on the given
+    leg, which must preserve ker(rho2), to an endomorphism of A0' in the
+    k0 basis."""
+    t = dual.theta
+    moved = dual.k0.transpose().apply_leg(
+        [t.dim_b0, t.dim_n2], leg, m.transpose()).transpose()
+    x = solve_linear(dual.k0, moved)
     if x is None:
         raise ValueError("map does not preserve ker(rho2)")
     return x
@@ -303,7 +281,7 @@ def transport_element(dual, w, g, choice):
         v1 = g.r_n1 @ v
         if not (g.r_n1 == I_n1 and g.r_m1 == ExactMatrix.identity(f, t.dim_m1)
                 and g.r_a0 == ExactMatrix.identity(f, t.dim_a0)):
-            l_m2 = dual.proj @ I_n2.kron(g.r_n1) @ dual.section
+            l_m2 = dual.proj.apply_leg([t.dim_n2, t.dim_n1], 1, g.r_n1) @ dual.section
             steps.append(GroupElement(tp, "left", l_m1=g.r_m1, l_m2=l_m2,
                                       l_b0=g.r_n1))
         # (2) unipotent alpha0 part: v absorbs nu_alpha, witness trivial.
@@ -315,9 +293,8 @@ def transport_element(dual, w, g, choice):
         kappa3 = b_n2_inv.transpose() @ kappa
         if g.b_n2 != I_n2 or g.b_m2 != ExactMatrix.identity(f, t.dim_m2):
             bt_inv = b_n2_inv.transpose()
-            b_m2p = dual.proj @ bt_inv.kron(I_n1) @ dual.section
-            b_a0p = _induced_on_kernel(
-                dual, ExactMatrix.identity(f, t.dim_b0).kron(b_n2_inv))
+            b_m2p = dual.proj.apply_leg([t.dim_n2, t.dim_n1], 0, bt_inv) @ dual.section
+            b_a0p = _induced_on_kernel(dual, 1, b_n2_inv)
             steps.append(GroupElement(tp, "right", b_n2=bt_inv, b_m2=b_m2p,
                                       b_a0=b_a0p))
         return MutationChoice(u3, v3, kappa3), steps
@@ -334,8 +311,7 @@ def transport_element(dual, w, g, choice):
     if not (g.l_b0 == ExactMatrix.identity(f, t.dim_b0)
             and g.l_m1 == ExactMatrix.identity(f, t.dim_m1)
             and g.l_m2 == ExactMatrix.identity(f, t.dim_m2)):
-        I_n2 = ExactMatrix.identity(f, t.dim_n2)
-        r_a0p = _induced_on_kernel(dual, g.l_b0.kron(I_n2))
+        r_a0p = _induced_on_kernel(dual, 0, g.l_b0)
         steps.append(GroupElement(tp, "right", r_n1=g.l_b0, r_m1=g.l_m1,
                                   r_a0=r_a0p))
     return MutationChoice(u3, v, kappa), steps

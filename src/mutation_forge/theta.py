@@ -25,16 +25,7 @@ are checked at construction, which turns every equivariance statement
 downstream into a testable matrix identity.
 """
 
-from .exactfield import ExactMatrix, contract_pair, solve_linear
-
-
-def tensor_contract_right(T, x_dim, a_dim, alpha):
-    """Given T : X (x) A -> Y (as a y-by-(x*a) matrix) and alpha in A,
-    return the y-by-x matrix of T(- (x) alpha)."""
-    if T.cols != x_dim * a_dim:
-        raise ValueError("tensor shape mismatch")
-    I = ExactMatrix.identity(T.field, x_dim)
-    return T @ I.kron(alpha)
+from .exactfield import ExactMatrix, solve_linear
 
 
 def vec_row_major(M):
@@ -85,31 +76,23 @@ class ThetaSpace:
     def nu_bar(self):
         """nu as a map A0 -> N2* (x) N1; the (xi, i) coordinate of
         nu_bar(e_a) is nu[i][xi * a0 + a]."""
-        f = self.field
-        out = ExactMatrix.zeros(f, self.dim_n2 * self.dim_n1, self.dim_a0)
-        for i in range(self.dim_n1):
-            for xi in range(self.dim_n2):
-                for a in range(self.dim_a0):
-                    out.data[xi * self.dim_n1 + i][a] = self.nu.data[i][xi * self.dim_a0 + a]
-        return out
+        return self.nu.regroup([self.dim_n1], [self.dim_n2, self.dim_a0], [1, 0], [2])
 
     def nu_alpha(self, alpha0):
         """nu(- (x) alpha0) : N2 -> N1."""
-        return tensor_contract_right(self.nu, self.dim_n2, self.dim_a0, alpha0)
+        return self.nu.apply_leg([self.dim_n2, self.dim_a0], 1, alpha0)
 
     def mu_alpha(self, alpha0):
         """mu(- (x) alpha0) : M2 -> M1."""
-        return tensor_contract_right(self.mu, self.dim_m2, self.dim_a0, alpha0)
+        return self.mu.apply_leg([self.dim_m2, self.dim_a0], 1, alpha0)
 
     def diagram_lhs(self):
         """rho1 o (I_B0 (x) nu) on B0 (x) N2 (x) A0."""
-        I_b0 = ExactMatrix.identity(self.field, self.dim_b0)
-        return self.rho1 @ I_b0.kron(self.nu)
+        return self.rho1.apply_leg([self.dim_b0, self.dim_n1], 1, self.nu)
 
     def diagram_rhs(self):
         """mu o (rho2 (x) I_A0) on B0 (x) N2 (x) A0."""
-        I_a0 = ExactMatrix.identity(self.field, self.dim_a0)
-        return self.mu @ self.rho2.kron(I_a0)
+        return self.mu.apply_leg([self.dim_m2, self.dim_a0], 0, self.rho2)
 
     def __eq__(self, other):
         return (isinstance(other, ThetaSpace) and self.dims() == other.dims()
@@ -243,45 +226,39 @@ class GroupElement:
 
     def _check_right(self):
         t = self.theta
-        f = t.field
         for name, m, n in [("r_n1", self.r_n1, t.dim_n1), ("r_m1", self.r_m1, t.dim_m1),
                            ("r_a0", self.r_a0, t.dim_a0), ("b_n2", self.b_n2, t.dim_n2),
                            ("b_m2", self.b_m2, t.dim_m2), ("b_a0", self.b_a0, t.dim_a0)]:
             if (m.rows, m.cols) != (n, n) or m.rank() != n:
                 raise ValueError("%s must be invertible %dx%d" % (name, n, n))
-        I_b0 = ExactMatrix.identity(f, t.dim_b0)
-        I_n2 = ExactMatrix.identity(f, t.dim_n2)
-        I_m2 = ExactMatrix.identity(f, t.dim_m2)
-        I_a0 = ExactMatrix.identity(f, t.dim_a0)
+        nu_legs = [t.dim_n2, t.dim_a0]
+        mu_legs = [t.dim_m2, t.dim_a0]
         bad = []
-        if self.r_m1 @ t.rho1 != t.rho1 @ I_b0.kron(self.r_n1):
+        if self.r_m1 @ t.rho1 != t.rho1.apply_leg([t.dim_b0, t.dim_n1], 1, self.r_n1):
             bad.append("rho1/r")
-        if self.b_m2 @ t.rho2 != t.rho2 @ I_b0.kron(self.b_n2):
+        if self.b_m2 @ t.rho2 != t.rho2.apply_leg([t.dim_b0, t.dim_n2], 1, self.b_n2):
             bad.append("rho2/b")
-        if self.r_n1 @ t.nu != t.nu @ I_n2.kron(self.r_a0):
+        if self.r_n1 @ t.nu != t.nu.apply_leg(nu_legs, 1, self.r_a0):
             bad.append("nu/r")
-        if t.nu @ self.b_n2.kron(I_a0) != t.nu @ I_n2.kron(self.b_a0):
+        if t.nu.apply_leg(nu_legs, 0, self.b_n2) != t.nu.apply_leg(nu_legs, 1, self.b_a0):
             bad.append("nu/b")
-        if self.r_m1 @ t.mu != t.mu @ I_m2.kron(self.r_a0):
+        if self.r_m1 @ t.mu != t.mu.apply_leg(mu_legs, 1, self.r_a0):
             bad.append("mu/r")
-        if t.mu @ self.b_m2.kron(I_a0) != t.mu @ I_m2.kron(self.b_a0):
+        if t.mu.apply_leg(mu_legs, 0, self.b_m2) != t.mu.apply_leg(mu_legs, 1, self.b_a0):
             bad.append("mu/b")
         if bad:
             raise ValueError("right element violates equivariance: " + ", ".join(bad))
 
     def _check_left(self):
         t = self.theta
-        f = t.field
         for name, m, n in [("g_m", self.g_m, t.dim_mult), ("l_m1", self.l_m1, t.dim_m1),
                            ("l_m2", self.l_m2, t.dim_m2), ("l_b0", self.l_b0, t.dim_b0)]:
             if (m.rows, m.cols) != (n, n) or m.rank() != n:
                 raise ValueError("%s must be invertible %dx%d" % (name, n, n))
-        I_n1 = ExactMatrix.identity(f, t.dim_n1)
-        I_n2 = ExactMatrix.identity(f, t.dim_n2)
         bad = []
-        if self.l_m1 @ t.rho1 != t.rho1 @ self.l_b0.kron(I_n1):
+        if self.l_m1 @ t.rho1 != t.rho1.apply_leg([t.dim_b0, t.dim_n1], 0, self.l_b0):
             bad.append("rho1/l")
-        if self.l_m2 @ t.rho2 != t.rho2 @ self.l_b0.kron(I_n2):
+        if self.l_m2 @ t.rho2 != t.rho2.apply_leg([t.dim_b0, t.dim_n2], 0, self.l_b0):
             bad.append("rho2/l")
         if bad:
             raise ValueError("left element violates equivariance: " + ", ".join(bad))
@@ -388,8 +365,8 @@ def act(g, w):
             g.r_m1 @ w.phi1 + mu_a @ w.phi2,
             g.b_m2 @ w.phi2)
     # left
-    br1 = contract_pair(g.beta, w.psi1.transpose())   # B0 x N1
-    br2 = contract_pair(g.beta, w.psi2.transpose())   # B0 x N2
+    br1 = g.beta @ w.psi1.transpose()   # B0 x N1
+    br2 = g.beta @ w.psi2.transpose()   # B0 x N2
     return MorphismPoint(
         t,
         w.psi1 @ g.g_m.transpose(),
@@ -522,9 +499,17 @@ def scalar_to_str(x):
 
 
 def scalar_from_str(field, s):
+    """Parse an exact "num/den" string into the field. Input that names
+    no field element (not a string, a zero denominator, or one divisible
+    by p over GF(p)) is a ValueError."""
+    if not isinstance(s, str):
+        raise ValueError("scalar %r is not a 'num/den' string" % (s,))
     num, den = s.split("/")
+    num, den = int(num), int(den)
+    if den == 0 or (field.p is not None and den % field.p == 0):
+        raise ValueError("scalar %r is not an element of %r" % (s, field))
     from fractions import Fraction
-    return field.of(Fraction(int(num), int(den)))
+    return field.of(Fraction(num, den))
 
 
 def matrix_to_json(M):

@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from mutation_forge.cli import main
 from mutation_forge.exactfield import Field
 from mutation_forge.theta import (MorphismPoint, point_to_json,
@@ -56,6 +58,38 @@ def test_malformed_json_exit_2(tmp_path, capsys):
 
 def test_missing_file_exit_2(tmp_path):
     assert main(["validate", "--theta", str(tmp_path / "nope.json")]) == 2
+
+
+BAD_INPUTS = {
+    "thresholds t with zero denominator":
+        ["thresholds", "--n", "2", "--m1", "1", "--m2", "1", "--n1", "4",
+         "--t", "1/0", "--case", "1"],
+    "sweep with m1 zero":
+        ["sweep", "--n", "2", "--m1", "0", "--m2", "1", "--n1", "4"],
+    "theta entries as ints": "int",
+    "GF(3) entry with denominator 3": "gf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_is_a_usage_error(name, tmp_path, capsys):
+    argv = BAD_INPUTS[name]
+    if isinstance(argv, str):
+        h = projective_space_hom_data(QQ, 1, [-2, -1], [0, 1])
+        d = theta_to_json(build_theta_p(h, [1, 1], [1, 1], 1).theta)
+        if argv == "int":
+            d["nu"]["entries"] = [1] * len(d["nu"]["entries"])
+        else:
+            d["field"] = "gf:3"
+            d["nu"]["entries"][0] = "1/3"
+        argv = ["validate", "--theta", _write(tmp_path, "theta.json", d)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # rejected by the argument parser
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
 def test_dual_verify(tmp_path, capsys):

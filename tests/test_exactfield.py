@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mutation_forge.exactfield import (ExactMatrix, Field, GF, Subspace,
-                                       column_echelon, contract_pair,
-                                       enumerate_subspaces, gaussian_binomial,
-                                       image_subspace, kernel_basis,
-                                       quotient_data, solve_linear)
+                                       column_echelon, enumerate_subspaces,
+                                       gaussian_binomial, image_subspace,
+                                       kernel_basis, quotient_data,
+                                       solve_linear)
+from mutation_forge.mutation import swap_matrix
 from conftest import rnd_matrix, rnd_invertible
 
 QQ = Field()
@@ -45,6 +48,8 @@ def test_matrix_shapes_and_ops():
     B = rnd_matrix(QQ, rng, 4, 2)
     C = A @ B
     assert (C.rows, C.cols) == (3, 2)
+    with pytest.raises(ValueError):
+        A @ A
     assert (A + A - A) == A
     assert (-A) + A == ExactMatrix.zeros(QQ, 3, 4)
     assert A.transpose().transpose() == A
@@ -116,16 +121,6 @@ def test_quotient_data_is_a_splitting():
     assert (proj @ S.basis).is_zero()
 
 
-def test_contract_pair():
-    rng = random.Random(6)
-    phi = rnd_matrix(QQ, rng, 3, 4)
-    psi = rnd_matrix(QQ, rng, 4, 2)
-    out = contract_pair(phi, psi)
-    assert out == phi @ psi
-    with pytest.raises(ValueError):
-        contract_pair(phi, rnd_matrix(QQ, rng, 3, 2))
-
-
 def test_gaussian_binomial_counts_subspaces():
     for q in (2, 3):
         for n in (2, 3, 4):
@@ -142,3 +137,59 @@ def test_enumerate_subspaces_budget():
 def test_enumerate_subspaces_distinct():
     seen = set(enumerate_subspaces(2, 4, 2))
     assert len(seen) == gaussian_binomial(2, 4, 2) == 35
+
+
+# -- tensor index maps against the dense reference ----------------------
+
+@st.composite
+def tensors(draw, min_legs=1, max_legs=3):
+    """A random matrix over QQ, GF(2) or GF(3) read as a tensor: row legs,
+    column legs (legs of size 0 and 1 included) and the matrix."""
+    f = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    row_dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    col_dims = draw(st.lists(st.integers(0, 3), min_size=min_legs,
+                             max_size=max_legs))
+    rows, cols = prod(row_dims), prod(col_dims)
+    flat = draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
+                         max_size=rows * cols))
+    return row_dims, col_dims, ExactMatrix.from_flat(f, rows, cols, flat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensors(min_legs=2, max_legs=2))
+def test_regroup_matches_swap_matrix(case):
+    row_dims, (x, y), A = case
+    f = A.field
+    assert A.regroup([A.rows], [x, y], [0], [2, 1]) == A @ swap_matrix(f, y, x)
+    assert (A.transpose().regroup([x, y], [A.rows], [1, 0], [2])
+            == swap_matrix(f, x, y) @ A.transpose())
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensors(), st.data())
+def test_apply_leg_matches_kron_with_identity(case, data):
+    _, col_dims, A = case
+    f = A.field
+    leg = data.draw(st.integers(0, len(col_dims) - 1))
+    d = data.draw(st.integers(0, 3))
+    X = ExactMatrix.from_flat(f, col_dims[leg], d, data.draw(st.lists(
+        st.integers(-2, 2), min_size=col_dims[leg] * d, max_size=col_dims[leg] * d)))
+    before = ExactMatrix.identity(f, prod(col_dims[:leg]))
+    after = ExactMatrix.identity(f, prod(col_dims[leg + 1:]))
+    assert A.apply_leg(col_dims, leg, X) == A @ before.kron(X).kron(after)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensors(), st.data())
+def test_regroup_inverse_permutation_is_identity(case, data):
+    row_dims, col_dims, A = case
+    dims = row_dims + col_dims
+    perm = data.draw(st.permutations(range(len(dims))))
+    k = data.draw(st.integers(0, len(dims)))
+    B = A.regroup(row_dims, col_dims, perm[:k], perm[k:])
+    assert (B.rows, B.cols) == (prod(dims[l] for l in perm[:k]),
+                                prod(dims[l] for l in perm[k:]))
+    inv = [perm.index(l) for l in range(len(dims))]
+    moved = [dims[l] for l in perm]
+    assert B.regroup(moved[:k], moved[k:], inv[:len(row_dims)],
+                     inv[len(row_dims):]) == A

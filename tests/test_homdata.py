@@ -12,7 +12,7 @@ from mutation_forge.theta import in_W0
 from mutation_forge.mutation import build_dual, default_choice, mutate
 from mutation_forge.homdata import (BlockLayout, Polarization, build_theta_p,
                                     dual_point_to_mutated, hom_data_from_json,
-                                    hom_data_to_json, in_W0_p,
+                                    hom_data_to_json,
                                     instance_left_element,
                                     instance_right_element, map_polarization,
                                     mutated_hom_data, mutated_instance,
@@ -208,13 +208,6 @@ def test_family_point_round_trip():
     w = random_w0_point(inst.theta, rng)
     fam = inst.family_from_point(w)
     assert inst.point_from_family(fam) == w
-
-
-def test_in_w0_p_matches_in_w0():
-    rng = random.Random(46)
-    inst = full_p1_instance()
-    w = random_w0_point(inst.theta, rng)
-    assert in_W0_p(inst, w) == in_W0(w)
 
 
 def test_instance_elements_are_valid_symmetries():
