@@ -53,8 +53,7 @@ def _field(spec):
     raise argparse.ArgumentTypeError("field must be rationals or gf:p")
 
 
-def _emit(args, payload, fmt=None):
-    fmt = fmt or args.format
+def _emit(args, payload, fmt):
     config = {
         "command": args.command,
         "field": args.field_spec,
@@ -101,7 +100,7 @@ def cmd_dual(args):
     code = 0
     if args.verify:
         rep = validate_theta(dual.prime)
-        dd = double_dual_report(theta)
+        dd = double_dual_report(theta, dual=dual)
         payload["prime_valid"] = rep.ok
         payload["double_dual_ok"] = dd.ok
         if not (rep.ok and dd.ok):
@@ -123,7 +122,7 @@ def cmd_mutate(args):
     payload = {"mutation": point_to_json(z)}
     code = 0
     if args.verify:
-        rep = involution_report(theta, w)
+        rep = involution_report(theta, w, dual=dual)
         payload["involution_ok"] = rep.ok
         if not rep.ok:
             code = 1
@@ -262,7 +261,6 @@ def build_parser():
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--budget-subspaces", type=int, default=10 ** 5)
     common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=["json", "csv"], default="json")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name):

@@ -8,7 +8,7 @@ There is no floating point anywhere in this package.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 
 def _is_prime(p):
@@ -105,7 +105,12 @@ def GF(p):
 
 class ExactMatrix:
     """A dense matrix over a Field. Immutable by convention: no method
-    mutates self; all operations return new matrices."""
+    mutates self; all operations return new matrices.
+
+    Elimination (rref, rank and everything built on them) works on
+    Python ints: over QQ on rows cleared of their denominators, fraction
+    free (Gauss-Jordan for rref, Bareiss for rank), over GF(p) on the
+    residues with the reduction mod p written inline."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -343,35 +348,93 @@ class ExactMatrix:
     # -- elimination --------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form. Returns (R, pivot_columns)."""
-        f = self.field
-        m = self.copy_data()
-        rows, cols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            pr = None
-            for i in range(r, rows):
-                if m[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = f.inv(m[r][c])
-            m[r] = [f.mul(inv, x) for x in m[r]]
-            for i in range(rows):
-                if i != r and m[i][c] != 0:
-                    factor = m[i][c]
-                    m[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return self._new(m, self.cols), pivots
+        """Reduced row echelon form. Returns (R, pivot_columns).
+
+        Over QQ every row is first cleared of its denominators, which
+        changes neither the form nor the pivots; Gauss-Jordan then runs on
+        Python ints, each new row divided by the gcd of its entries, and
+        the pivot rows become Fractions, divided by their pivot, only at
+        the end. Over GF(p) it runs on the ints 0..p-1 with the pivot
+        inverted as pow(pivot, p - 2, p) and every entry reduced mod p in
+        place, no Field call per scalar."""
+        rows, pivots = _eliminate(self.field, self.data, self.cols, True)
+        if self.field.p is None:
+            zero = Fraction(0)
+            rows = ([[Fraction(x, row[c]) if x else zero for x in row]
+                     for row, c in zip(rows, pivots)]
+                    + [[zero] * self.cols for _ in range(self.rows - len(pivots))])
+        return self._new(rows, self.cols), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        """Rank by forward elimination only, with no back-substitution:
+        Bareiss over QQ, mod p over GF(p)."""
+        return len(_eliminate(self.field, self.data, self.cols, False)[1])
+
+
+def _integer_row(row):
+    """A row of Fractions scaled by the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in row))
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _eliminate(field, data, cols, reduce):
+    """Row elimination behind rref (reduce true) and rank (reduce false).
+
+    Returns (rows, pivot_columns). Reduced, the pivot rows come first and
+    every pivot column is zero outside its pivot row; over GF(p) the pivots
+    are 1, over QQ the rows are integer multiples of the reduced ones.
+    Forward only, the rows are in row echelon form: over QQ this is the
+    Bareiss elimination (E. H. Bareiss, Math. Comp. 22, 1968), in which
+    every entry is a minor of the integer input, so the division by the
+    previous pivot is exact and the entries grow no larger than minors.
+    """
+    p = field.p
+    if p is None:
+        rows = [_integer_row(row) for row in data]
+    else:
+        rows = [row[:] for row in data]
+    n = len(rows)
+    pivots = []
+    prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == n:
+            break
+        for pr in range(r, n):
+            if rows[pr][c]:
+                break
+        else:
+            continue
+        prow = rows[pr]
+        rows[pr] = rows[r]
+        rows[r] = prow
+        piv = prow[c]
+        pivots.append(c)
+        if p is None and not reduce:
+            tail = prow[c:]
+            for row in rows[r + 1:]:
+                a = row[c]
+                row[c:] = [(piv * x - a * y) // prev for x, y in zip(row[c:], tail)]
+            prev = piv
+        elif p is None:
+            for i, row in enumerate(rows):
+                a = row[c]
+                if a and i != r:
+                    row = [piv * x - a * y for x, y in zip(row, prow)]
+                    g = gcd(*row)
+                    rows[i] = [x // g for x in row] if g > 1 else row
+        else:
+            if piv != 1:
+                inv = pow(piv, p - 2, p)
+                prow[c:] = [x * inv % p for x in prow[c:]]
+            tail = prow[c:]
+            for row in (rows if reduce else rows[r + 1:]):
+                a = row[c]
+                if a and row is not prow:
+                    row[c:] = [(x - a * y) % p for x, y in zip(row[c:], tail)]
+    return rows, pivots
 
 
 def solve_linear(A, b):

@@ -162,10 +162,11 @@ def double_dual_identifications(dual, ddual):
     return iota_m2, iota_a0
 
 
-def double_dual_report(theta):
+def double_dual_report(theta, dual=None):
     """Exact comparison of the double dual with the original space under
     the canonical identifications."""
-    dual = build_dual(theta)
+    if dual is None:
+        dual = build_dual(theta)
     ddual = build_dual(dual.prime)
     t = theta
     dd = ddual.prime

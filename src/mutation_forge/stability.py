@@ -433,7 +433,6 @@ def unstable_outside_w0_bound(pol, p):
 def compare_stability(inst, w, pol, group="G", budget=DEFAULT_BUDGET):
     """Verdict of w under pol versus verdict of its mutation under the
     transported polarization (Kronecker-type regime p = 0, s = 1)."""
-    fam = _as_family(inst, w)
     point = w if isinstance(w, MorphismPoint) else inst.point_from_family(w)
     hyp_f, hyp_b = compare_hypotheses(pol, inst.p)
     verdict_w = is_semistable_rs(inst, point, pol, group=group, budget=budget)

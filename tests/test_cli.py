@@ -68,6 +68,7 @@ BAD_INPUTS = {
         ["sweep", "--n", "2", "--m1", "0", "--m2", "1", "--n1", "4"],
     "theta entries as ints": "int",
     "GF(3) entry with denominator 3": "gf",
+    "validate with --format csv": "format",
 }
 
 
@@ -79,10 +80,12 @@ def test_bad_input_is_a_usage_error(name, tmp_path, capsys):
         d = theta_to_json(build_theta_p(h, [1, 1], [1, 1], 1).theta)
         if argv == "int":
             d["nu"]["entries"] = [1] * len(d["nu"]["entries"])
-        else:
+        elif argv == "gf":
             d["field"] = "gf:3"
             d["nu"]["entries"][0] = "1/3"
-        argv = ["validate", "--theta", _write(tmp_path, "theta.json", d)]
+        # "format": a valid theta, but no subcommand takes --format
+        flags = ["--format", "csv"] if argv == "format" else []
+        argv = ["validate", "--theta", _write(tmp_path, "theta.json", d)] + flags
     try:
         code = main(argv)
     except SystemExit as exc:   # rejected by the argument parser

@@ -1,6 +1,7 @@
 """Exact linear algebra over the rationals and prime fields."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
 
@@ -193,3 +194,123 @@ def test_regroup_inverse_permutation_is_identity(case, data):
     moved = [dims[l] for l in perm]
     assert B.regroup(moved[:k], moved[k:], inv[:len(row_dims)],
                      inv[len(row_dims):]) == A
+
+
+# -- the elimination kernel against the dense Fraction reference ----------
+
+def reference_rref(A):
+    """The dense reference elimination: Gauss-Jordan on field scalars
+    through the Field methods, one call per scalar."""
+    f = A.field
+    m = A.copy_data()
+    rows, cols = A.rows, A.cols
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pr = None
+        for i in range(r, rows):
+            if m[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = f.inv(m[r][c])
+        m[r] = [f.mul(inv, x) for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return A._new(m, A.cols), pivots
+
+
+@contextmanager
+def reference_elimination():
+    """Run solve_linear, kernel_basis and column_echelon on reference_rref."""
+    fast = ExactMatrix.rref
+    ExactMatrix.rref = reference_rref
+    try:
+        yield
+    finally:
+        ExactMatrix.rref = fast
+
+
+KERNEL_FIELDS = [QQ, GF(2), GF(3), GF(65521)]
+
+
+def _scalars(f):
+    if f.p is None:   # mixed denominators
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+    return st.one_of(st.integers(0, f.p - 1), st.sampled_from([0, 1, f.p - 1]))
+
+
+@st.composite
+def kernel_matrices(draw, max_rows=6, max_cols=7):
+    """A random matrix over QQ, GF(2), GF(3) or GF(65521), with 0xn and
+    nx0 shapes, zero rows and columns, and low rank (a product through a
+    thin middle) all drawn often."""
+    f = draw(st.sampled_from(KERNEL_FIELDS))
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    if draw(st.booleans()):
+        mid = draw(st.integers(0, 3))
+        left = ExactMatrix.from_flat(f, rows, mid, draw(st.lists(
+            _scalars(f), min_size=rows * mid, max_size=rows * mid)))
+        right = ExactMatrix.from_flat(f, mid, cols, draw(st.lists(
+            _scalars(f), min_size=mid * cols, max_size=mid * cols)))
+        A = left @ right
+    else:
+        A = ExactMatrix.from_flat(f, rows, cols, draw(st.lists(
+            _scalars(f), min_size=rows * cols, max_size=rows * cols)))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1))) if rows else set()
+    zero_cols = draw(st.sets(st.integers(0, cols - 1))) if cols else set()
+    data = [[f.zero() if i in zero_rows or j in zero_cols else x
+             for j, x in enumerate(row)] for i, row in enumerate(A.data)]
+    return ExactMatrix.from_flat(f, rows, cols, [x for row in data for x in row])
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_matrices())
+def test_rref_and_rank_match_reference(A):
+    R, pivots = A.rref()
+    ref_R, ref_pivots = reference_rref(A)
+    assert (R, pivots) == (ref_R, ref_pivots)
+    assert (R.rows, R.cols) == (A.rows, A.cols)
+    if A.field.p is None:
+        assert all(type(x) is Fraction for row in R.data for x in row)
+    else:
+        assert all(type(x) is int and 0 <= x < A.field.p
+                   for row in R.data for x in row)
+    assert A.rank() == len(ref_pivots) == A.transpose().rank()
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_matrices())
+def test_kernel_and_column_echelon_match_reference(A):
+    K, E = kernel_basis(A), column_echelon(A)
+    with reference_elimination():
+        assert K == kernel_basis(A)
+        assert E == column_echelon(A)
+    assert (A @ K).is_zero()
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_matrices(), st.data())
+def test_solve_linear_matches_reference(A, data):
+    f = A.field
+    k = data.draw(st.integers(1, 2))
+    X = ExactMatrix.from_flat(f, A.cols, k, data.draw(st.lists(
+        _scalars(f), min_size=A.cols * k, max_size=A.cols * k)))
+    consistent = A @ X
+    B = ExactMatrix.from_flat(f, A.rows, k, data.draw(st.lists(
+        _scalars(f), min_size=A.rows * k, max_size=A.rows * k)))
+    sol, other = solve_linear(A, consistent), solve_linear(A, B)
+    with reference_elimination():
+        assert sol == solve_linear(A, consistent)
+        assert other == solve_linear(A, B)
+    assert sol is not None and A @ sol == consistent
+    assert other is None or A @ other == B
