@@ -46,20 +46,27 @@ def _positive(s):
 
 
 def _field(spec):
+    """The --field argument: "rationals" or "gf:p" for a prime p < 2^16."""
     if spec == "rationals":
         return Field()
     if spec.startswith("gf:"):
-        return Field(int(spec.split(":")[1]))
-    raise argparse.ArgumentTypeError("field must be rationals or gf:p")
+        try:
+            return Field(int(spec[3:]))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError("%r: %s" % (spec, exc))
+    raise argparse.ArgumentTypeError("field must be rationals or gf:p, got %r"
+                                     % spec)
 
 
 def _emit(args, payload, fmt):
     config = {
         "command": args.command,
-        "field": args.field_spec,
         "seed": args.seed,
         "budget_subspaces": args.budget_subspaces,
     }
+    if "field" in args:   # only the subcommands that build over a field
+        config["field"] = ("rationals" if args.field.p is None
+                           else "gf:%d" % args.field.p)
     if fmt == "json":
         text = json.dumps({"config": config, "result": payload},
                           sort_keys=True, separators=(",", ": "),
@@ -172,8 +179,7 @@ def cmd_polarization(args):
 
 
 def cmd_constants(args):
-    field = _field(args.field_spec)
-    t = sigma0(field, args.n) if args.which == 0 else sigma1(field, args.n)
+    t = (sigma0 if args.which == 0 else sigma1)(args.field, args.n)
     closed = c_formula(args.which, args.n, args.m)
     rep = c_tau_search(t, args.m, budget=args.budget_subspaces,
                        seed=args.seed, samples=args.samples,
@@ -241,8 +247,7 @@ def cmd_sweep(args):
 
 
 def cmd_generate(args):
-    field = _field(args.field_spec)
-    h = projective_space_hom_data(field, args.n, args.edeg, args.fdeg)
+    h = projective_space_hom_data(args.field, args.n, args.edeg, args.fdeg)
     payload = {"hom": hom_data_to_json(h)}
     if args.m and args.nmult:
         inst = build_theta_p(h, args.m, args.nmult, args.p)
@@ -256,8 +261,6 @@ def build_parser():
         prog="mutforge",
         description="exact-arithmetic mutations of spaces of morphisms")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", dest="field_spec", default="rationals",
-                        help="rationals or gf:p")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--budget-subspaces", type=int, default=10 ** 5)
     common.add_argument("--out", default=None)
@@ -289,6 +292,8 @@ def build_parser():
     s.set_defaults(func=cmd_polarization)
 
     s = add("constants")
+    s.add_argument("--field", type=_field, default="rationals",
+                   help="rationals or gf:p")
     s.add_argument("--which", type=int, choices=[0, 1], required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--m", type=int, required=True)
@@ -313,6 +318,8 @@ def build_parser():
     s.set_defaults(func=cmd_sweep)
 
     s = add("generate")
+    s.add_argument("--field", type=_field, default="rationals",
+                   help="rationals or gf:p")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--edeg", type=int, nargs="+", required=True)
     s.add_argument("--fdeg", type=int, nargs="+", required=True)

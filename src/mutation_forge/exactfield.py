@@ -104,8 +104,13 @@ def GF(p):
 
 
 class ExactMatrix:
-    """A dense matrix over a Field. Immutable by convention: no method
-    mutates self; all operations return new matrices.
+    """A matrix over a Field, stored densely as lists of rows. Immutable
+    by convention: no method mutates self; all operations return new
+    matrices.
+
+    The product scans each factor once and multiplies only nonzero
+    entries, so the mostly-zero matrices of dual spaces and mutations
+    cost what their nonzeros cost.
 
     Elimination (rref, rank and everything built on them) works on
     Python ints: over QQ on rows cleared of their denominators, fraction
@@ -200,24 +205,38 @@ class ExactMatrix:
         return self._new([[mul(c, a) for a in row] for row in self.data], self.cols)
 
     def __matmul__(self, other):
+        """self @ other, row by row: every nonzero a = self[i][k] adds
+        a * b into entry j of row i for every nonzero b = other[k][j].
+        Over QQ the entries stay Fractions (Fraction(0) where nothing or
+        a cancelling sum lands), over GF(p) each is reduced mod p once."""
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
         f = self.field
+        p = f.p
         zero = f.zero()
-        if self.cols == 0:
-            return ExactMatrix.zeros(f, self.rows, other.cols)
-        ot = [list(col) for col in zip(*other.data)] if other.cols else []
+        n = other.cols
+        # the nonzero (j, b) of every row of other, listed once
+        sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         out = []
-        if f.p is None:
-            for r in self.data:
-                out.append([sum((a * b for a, b in zip(r, c) if a and b), zero)
-                            for c in ot])
-        else:
-            p = f.p
-            for r in self.data:
-                out.append([sum(a * b for a, b in zip(r, c)) % p for c in ot])
+        for r in self.data:
+            acc = {}
+            for a, terms in zip(r, sparse):
+                if terms and a:
+                    for j, b in terms:
+                        if j in acc:
+                            acc[j] += a * b
+                        else:
+                            acc[j] = a * b
+            row = [zero] * n
+            if p is None:
+                for j, x in acc.items():
+                    row[j] = x
+            else:
+                for j, x in acc.items():
+                    row[j] = x % p
+            out.append(row)
         m = ExactMatrix.__new__(ExactMatrix)
         m.field = f
         m.data = out

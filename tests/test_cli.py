@@ -69,6 +69,10 @@ BAD_INPUTS = {
     "theta entries as ints": "int",
     "GF(3) entry with denominator 3": "gf",
     "validate with --format csv": "format",
+    "validate with --field gf:2": "field",
+    "thresholds with --field gf:banana":
+        ["thresholds", "--n", "2", "--m1", "1", "--m2", "1", "--n1", "4",
+         "--t", "1/2", "--case", "1", "--field", "gf:banana"],
 }
 
 
@@ -83,8 +87,10 @@ def test_bad_input_is_a_usage_error(name, tmp_path, capsys):
         elif argv == "gf":
             d["field"] = "gf:3"
             d["nu"]["entries"][0] = "1/3"
-        # "format": a valid theta, but no subcommand takes --format
-        flags = ["--format", "csv"] if argv == "format" else []
+        # "format", "field": a valid rational theta, but no subcommand
+        # takes --format and validate does not take --field
+        flags = {"format": ["--format", "csv"],
+                 "field": ["--field", "gf:2"]}.get(argv, [])
         argv = ["validate", "--theta", _write(tmp_path, "theta.json", d)] + flags
     try:
         code = main(argv)

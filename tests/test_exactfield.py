@@ -314,3 +314,59 @@ def test_solve_linear_matches_reference(A, data):
         assert other == solve_linear(A, B)
     assert sol is not None and A @ sol == consistent
     assert other is None or A @ other == B
+
+
+# -- the sparse product against the dense reference ---------------------
+
+def reference_matmul(A, B):
+    """The dense reference product: each entry is the sum, from zero, of
+    a * b over a row of A and a column of B, reduced mod p over GF(p)."""
+    f = A.field
+    zero = f.zero()
+    data = []
+    for row in A.data:
+        sums = [sum((a * b for a, b in zip(row, B.col(j))), zero)
+                for j in range(B.cols)]
+        data.append(sums if f.p is None else [x % f.p for x in sums])
+    return A._new(data, B.cols)
+
+
+@st.composite
+def product_pairs(draw, max_dim=6):
+    """Factors A (rows x k) and B (k x cols) over QQ, GF(2), GF(3) or
+    GF(65521), with every dimension 0 drawn often, mostly-zero entries,
+    and products whose sums cancel: A = (A0 | A0), B = (B0 ; -B0)."""
+    f = draw(st.sampled_from(KERNEL_FIELDS))
+    rows, k, cols = (draw(st.integers(0, max_dim)) for _ in range(3))
+    if draw(st.booleans()):   # about one entry in four nonzero
+        scalars = st.tuples(st.integers(0, 3), _scalars(f)).map(
+            lambda t: t[1] if t[0] == 0 else f.zero())
+    else:
+        scalars = _scalars(f)
+
+    def matrix(r, c):
+        return ExactMatrix.from_flat(f, r, c, draw(st.lists(
+            scalars, min_size=r * c, max_size=r * c)))
+
+    A, B = matrix(rows, k), matrix(k, cols)
+    cancel = draw(st.booleans())
+    if cancel:
+        A, B = A.hstack(A), B.vstack(-B)
+    return A, B, cancel
+
+
+@settings(max_examples=400, deadline=None)
+@given(product_pairs())
+def test_matmul_matches_reference(case):
+    A, B, cancel = case
+    C = A @ B
+    assert C == reference_matmul(A, B)
+    assert (C.rows, C.cols) == (A.rows, B.cols)
+    assert all(len(row) == B.cols for row in C.data)
+    if cancel:
+        assert C.is_zero()
+    if A.field.p is None:
+        assert all(type(x) is Fraction for row in C.data for x in row)
+    else:
+        assert all(type(x) is int and 0 <= x < A.field.p
+                   for row in C.data for x in row)
