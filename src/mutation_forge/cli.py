@@ -151,9 +151,17 @@ def cmd_stability(args):
                        spec["m"], spec["n"])
     verdict = is_semistable_rs(inst, w, pol, group=args.group,
                                budget=args.budget_subspaces)
+    witness = None
+    if verdict.witness is not None:
+        # G records (translate, Gred witness at the translate)
+        combo, images = (verdict.witness if args.group == "Gred"
+                         else verdict.witness[1])
+        witness = {"m_dims": [sub.dim for sub in combo],
+                   "n_dims": [images[l].dim for l in sorted(images)]}
     payload = {"group": args.group,
                "semistable": verdict.semistable,
-               "stable": verdict.stable}
+               "stable": verdict.stable,
+               "witness": witness}
     _emit(args, payload, fmt="json")
     return 0
 

@@ -9,7 +9,8 @@ decided by exhaustive enumeration over a prime field, exactly.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import lcm
 
 from .exactfield import (ExactMatrix, Subspace, enumerate_subspaces,
                          image_subspace, kernel_basis)
@@ -49,7 +50,7 @@ class KroneckerModule:
 
     def restrict_source(self, basis):
         """The map L (x) M' -> N for a subspace basis M' (m-by-d)."""
-        return self.f @ ExactMatrix.identity(self.field, self.q).kron(basis)
+        return self.f.apply_leg([self.q, self.m], 1, basis)
 
 
 class StabilityVerdict:
@@ -112,7 +113,7 @@ def _all_invertible(field, n, budget=DEFAULT_BUDGET):
         raise ValueError("GL enumeration budget exceeded")
     out = []
     for flat in product(range(p), repeat=n * n):
-        g = ExactMatrix.from_flat(field, n, n, [field.of(v) for v in flat])
+        g = ExactMatrix.from_flat(field, n, n, flat)
         if g.rank() == n:
             out.append(g)
     return out
@@ -124,9 +125,8 @@ def kronecker_orbit_equivalent(k1, k2, budget=DEFAULT_BUDGET):
     if (k1.q, k1.m, k1.n) != (k2.q, k2.m, k2.n):
         return False
     f = k1.field
-    iq = ExactMatrix.identity(f, k1.q)
     for gm in _all_invertible(f, k1.m, budget=budget):
-        middle = k1.f @ iq.kron(gm)
+        middle = k1.f.apply_leg([k1.q, k1.m], 1, gm)
         for gn in _all_invertible(f, k1.n, budget=budget):
             if gn @ middle == k2.f:
                 return True
@@ -150,7 +150,7 @@ def _family_images(inst, fam, bases):
             dh = inst.h.dimH[(l, i)]
             if dh == 0:
                 continue
-            blk = fam[(l, i)] @ ExactMatrix.identity(f, dh).kron(basis)
+            blk = fam[(l, i)].apply_leg([dh, inst.m_mult[i - 1]], 1, basis)
             span = span.sum(image_subspace(blk))
         out[l] = span
     return out
@@ -162,48 +162,112 @@ def _as_family(inst, w):
     return w
 
 
-def gred_semistable(inst, w, pol, budget=DEFAULT_BUDGET):
-    """Exhaustive reductive-group test: over all families of subspaces
-    M'_i with minimal N'_l, families with some N'_l proper must satisfy
-    sum(lam_i dim M'_i) <= sum(mu_l dim N'_l); strictly, excluding the
-    all-zero family, for stability."""
-    p = _require_finite(inst.h.field)
+def _check_polarization(inst, pol):
+    """The checks every reductive verdict makes before anything else."""
+    _require_finite(inst.h.field)
     if list(pol.m_mult) != list(inst.m_mult) or list(pol.n_mult) != list(inst.n_mult):
         raise ValueError("polarization multiplicities do not match the instance")
-    fam = _as_family(inst, w)
-    r = inst.h.r
+
+
+def _subspace_lists(inst, budget):
+    """For each first-tier index i, every subspace of M_i, by dimension;
+    raises when the families they make exceed the budget."""
+    p = inst.h.field.p
     per_index = []
     total = 1
-    for i in range(r):
+    for m in inst.m_mult:
         subs = []
-        for d in range(0, inst.m_mult[i] + 1):
-            subs.extend(enumerate_subspaces(p, inst.m_mult[i], d, budget=budget))
+        for d in range(0, m + 1):
+            subs.extend(enumerate_subspaces(p, m, d, budget=budget))
         per_index.append(subs)
         total *= len(subs)
         if total > budget:
             raise ValueError("subspace family enumeration budget exceeded")
-    semistable, stable = True, True
+    return per_index
+
+
+def _block_image(y, n, sub):
+    """Echelon rows spanning x(H (x) M') for a block x : H (x) M -> N,
+    given as y = x regrouped to M -> H (x) N with dim N = n, and for the
+    subspace M' = sub; None when that image is 0. Row c of
+    sub.basis^T @ y holds the images of h (x) (basis vector c) for every
+    basis vector h of H, n entries each."""
+    if sub.dim == 0 or y.cols == 0:
+        return None
+    rows = (sub.basis.transpose() @ y).data
+    R, pivots = y._new([row[k:k + n] for row in rows
+                        for k in range(0, y.cols, n)], n).rref()
+    if not pivots:
+        return None
+    return R.submatrix(range(len(pivots)), range(n))
+
+
+def _span_dim(blocks):
+    """dim of the sum of the row spans of the given image blocks."""
+    if not blocks:
+        return 0
+    if len(blocks) == 1:
+        return blocks[0].rows
+    stack = blocks[0]
+    for b in blocks[1:]:
+        stack = stack.vstack(b)
+    return stack.rank()
+
+
+def _gred_core(inst, fam, pol, per_index):
+    """The reductive verdict of a family over the subspace lists of
+    _subspace_lists.
+
+    The block image x_(l,i)(H_li (x) M'_i) depends on one index i, so it
+    is computed once per (l, i, M'_i), and a family then costs one rank
+    per l (none when at most one of its blocks is nonzero). The weights
+    are cleared of their common denominator, so the slopes compare as
+    ints. The witness images are built, as Subspaces, for the recorded
+    family only."""
+    h = inst.h
+    den = lcm(*(Fraction(x).denominator for x in chain(pol.lam, pol.mu)))
+    lam = [(Fraction(x) * den).numerator for x in pol.lam]
+    mu = [(Fraction(x) * den).numerator for x in pol.mu]
+    # images[l - 1][i - 1][k]: x_(l,i)(H_li (x) M'_i) for the k-th M'_i
+    images = []
+    for l, n in enumerate(inst.n_mult, 1):
+        images.append([])
+        for i, subs in enumerate(per_index, 1):
+            y = fam[(l, i)].regroup([n], [h.dimH[(l, i)], inst.m_mult[i - 1]],
+                                    [2], [1, 0])
+            images[-1].append([_block_image(y, n, sub) for sub in subs])
+    lhs_of = [[lam_i * sub.dim for sub in subs] for lam_i, subs in zip(lam, per_index)]
+    stable = True
     witness = None
-    for combo in product(*per_index):
-        dims_m = [sub.dim for sub in combo]
-        bases = [sub.basis for sub in combo]
-        images = _family_images(inst, fam, bases)
-        if all(images[l].dim == inst.n_mult[l - 1]
-               for l in range(1, inst.h.s + 1)):
+    for ks in product(*(range(len(subs)) for subs in per_index)):
+        dims_n = [_span_dim([col[k] for col, k in zip(row, ks) if col[k] is not None])
+                  for row in images]
+        if dims_n == inst.n_mult:
             continue
-        lhs = sum(lam * d for lam, d in zip(pol.lam, dims_m))
-        rhs = sum(mu * images[l + 1].dim for l, mu in enumerate(pol.mu))
-        if lhs > rhs:
+        lhs = sum(w[k] for w, k in zip(lhs_of, ks))
+        rhs = sum(u * d for u, d in zip(mu, dims_n))
+        if lhs > rhs or (stable and lhs == rhs
+                         and any(subs[k].dim for subs, k in zip(per_index, ks))):
+            combo = tuple(subs[k] for subs, k in zip(per_index, ks))
+            witness = (combo, _family_images(inst, fam, [sub.basis for sub in combo]))
+            if lhs > rhs:
+                # the first violating family decides the verdict and the witness
+                return StabilityVerdict(False, False, witness)
             stable = False
-            if semistable:
-                semistable = False
-                witness = (combo, images)
-        elif lhs == rhs and any(d > 0 for d in dims_m):
-            if stable:
-                stable = False
-                if witness is None:
-                    witness = (combo, images)
-    return StabilityVerdict(semistable, stable, witness)
+    return StabilityVerdict(True, stable, witness)
+
+
+def gred_semistable(inst, w, pol, budget=DEFAULT_BUDGET):
+    """Exhaustive reductive-group test: over all families of subspaces
+    M'_i with minimal N'_l, families with some N'_l proper must satisfy
+    sum(lam_i dim M'_i) <= sum(mu_l dim N'_l); strictly, excluding the
+    all-zero family, for stability.
+
+    The block images x_(l,i)(H_li (x) M'_i) are computed once per
+    (l, i, M'_i), and a family costs one rank per l."""
+    _check_polarization(inst, pol)
+    fam = _as_family(inst, w)
+    return _gred_core(inst, fam, pol, _subspace_lists(inst, budget))
 
 
 def _unipotent_parameters(inst, budget=DEFAULT_BUDGET):
@@ -238,12 +302,18 @@ def apply_unipotent(inst, fam, params):
     A_ji (x) Hom(M_i, M_j) (matrix (dimA*m_j)-by-m_i) and (False, m, l)
     to an element of B_ml (x) Hom(N_l, N_m) (matrix (dimB*n_m)-by-n_l)."""
     h = inst.h
-    f = h.field
+    p = h.field.p
     m = lambda i: inst.m_mult[i - 1]
     n = lambda l: inst.n_mult[l - 1]
-    out = {}
-    for k, v in fam.items():
-        out[k] = ExactMatrix(f, v.copy_data())
+
+    def copy(mats):
+        # the updates below accumulate unreduced; copies reduce mod p
+        if p is None:
+            return {k: v._new(v.copy_data(), v.cols) for k, v in mats.items()}
+        return {k: v._new([[x % p for x in row] for row in v.data], v.cols)
+                for k, v in mats.items()}
+
+    out = copy(fam)
     # source side: x'_(l,i) += x_(l,j) . u_(j,i) through comp_HA
     for key, U in params.items():
         source, a, b = key
@@ -254,8 +324,8 @@ def apply_unipotent(inst, fam, params):
         for l in range(1, h.s + 1):
             comp = h.comp_HA[(l, j, i)]
             dli, dlj = h.dimH[(l, i)], h.dimH[(l, j)]
-            x_lj = fam[(l, j)]
-            tgt = out[(l, i)]
+            x_lj = fam[(l, j)].data
+            tgt = out[(l, i)].data
             for hp in range(dlj):
                 for alpha in range(da):
                     for hh in range(dli):
@@ -267,19 +337,15 @@ def apply_unipotent(inst, fam, params):
                                 u = U.data[alpha * m(j) + tj][ti]
                                 if u == 0:
                                     continue
-                                cu = f.mul(c, u)
+                                cu = c * u
                                 for v in range(n(l)):
-                                    xv = x_lj.data[v][hp * m(j) + tj]
+                                    xv = x_lj[v][hp * m(j) + tj]
                                     if xv == 0:
                                         continue
-                                    tgt.data[v][hh * m(i) + ti] = f.add(
-                                        tgt.data[v][hh * m(i) + ti],
-                                        f.mul(cu, xv))
+                                    tgt[v][hh * m(i) + ti] += cu * xv
     # target side: x'_(m,i) += v_(m,l) . x'_(l,i) through comp_BH,
     # applied to the source-updated family (covers the cross term)
-    mid = {}
-    for k, v in out.items():
-        mid[k] = ExactMatrix(f, v.copy_data())
+    mid = copy(out)
     for key, V in params.items():
         source, a, b = key
         if source:
@@ -289,8 +355,8 @@ def apply_unipotent(inst, fam, params):
         for i in range(1, h.r + 1):
             comp = h.comp_BH[(mm, l, i)]
             dli, dmi = h.dimH[(l, i)], h.dimH[(mm, i)]
-            x_li = mid[(l, i)]
-            tgt = out[(mm, i)]
+            x_li = mid[(l, i)].data
+            tgt = out[(mm, i)].data
             for beta in range(db):
                 for hh in range(dli):
                     for hpp in range(dmi):
@@ -303,15 +369,13 @@ def apply_unipotent(inst, fam, params):
                                 u = vv[vl]
                                 if u == 0:
                                     continue
-                                cu = f.mul(c, u)
+                                cu = c * u
                                 for t in range(m(i)):
-                                    xv = x_li.data[vl][hh * m(i) + t]
+                                    xv = x_li[vl][hh * m(i) + t]
                                     if xv == 0:
                                         continue
-                                    tgt.data[vm][hpp * m(i) + t] = f.add(
-                                        tgt.data[vm][hpp * m(i) + t],
-                                        f.mul(cu, xv))
-    return out
+                                    tgt[vm][hpp * m(i) + t] += cu * xv
+    return copy(out)
 
 
 def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
@@ -326,8 +390,7 @@ def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
     for combo in product(*ranges):
         params = {}
         for (src, a, b, rows, cols), flat in zip(shapes, combo):
-            params[(src, a, b)] = ExactMatrix.from_flat(
-                f, rows, cols, [f.of(v) for v in flat])
+            params[(src, a, b)] = ExactMatrix.from_flat(f, rows, cols, flat)
         yield apply_unipotent(inst, fam, params)
 
 
@@ -336,16 +399,21 @@ def is_semistable_rs(inst, w, pol, group="Gred", budget=DEFAULT_BUDGET):
 
     group="Gred": the reductive verdict by subspace enumeration.
     group="G": the reductive verdict must hold at every point of the
-    finite unipotent orbit of w."""
+    finite unipotent orbit of w; the subspaces are enumerated once for
+    the whole walk."""
     fam = _as_family(inst, w)
     if group == "Gred":
         return gred_semistable(inst, fam, pol, budget=budget)
     if group != "G":
         raise ValueError("group must be 'Gred' or 'G'")
+    walk = enumerate_unipotent_orbit(inst, fam, budget=budget)
+    first = next(walk)   # the orbit's own checks raise first, as always
+    _check_polarization(inst, pol)
+    per_index = _subspace_lists(inst, budget)
     semistable, stable = True, True
     witness = None
-    for moved in enumerate_unipotent_orbit(inst, fam, budget=budget):
-        v = gred_semistable(inst, moved, pol, budget=budget)
+    for moved in chain([first], walk):
+        v = _gred_core(inst, moved, pol, per_index)
         if not v.semistable and semistable:
             semistable = False
             witness = (moved, v.witness)

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,9 @@ from mutation_forge.cli import main
 from mutation_forge.exactfield import Field
 from mutation_forge.theta import (MorphismPoint, point_to_json,
                                   theta_to_json)
-from mutation_forge.homdata import build_theta_p, projective_space_hom_data
+from mutation_forge.homdata import (Polarization, build_theta_p,
+                                    projective_space_hom_data)
+from mutation_forge.stability import is_semistable_rs
 from conftest import random_w0_point
 
 QQ = Field()
@@ -197,20 +200,47 @@ def test_polarization_command(tmp_path, capsys):
 
 
 def test_stability_command(tmp_path, capsys):
+    """The verdict is the oracle's, and the witness dims of a point that
+    is not stable violate the slope inequality (not semistable) or
+    attain it (semistable)."""
     F2 = Field(2)
     h = projective_space_hom_data(F2, 1, [-2, -1], [0])
     inst = build_theta_p(h, [1, 1], [2], 0)
+    pol = Polarization([Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2)],
+                       [1, 1], [2])
     rng = random.Random(56)
-    w = random_w0_point(inst.theta, rng, lo=0, hi=1)
+    points = [MorphismPoint.zero(inst.theta)]
+    points += [random_w0_point(inst.theta, rng, lo=0, hi=1) for _ in range(100)]
     from mutation_forge.homdata import hom_data_to_json
-    spec = {"hom": hom_data_to_json(h), "m": [1, 1], "n": [2], "p": 0,
-            "point": point_to_json(w),
-            "lam": ["1/2", "1/2"], "mu": ["1/2"]}
-    path = _write(tmp_path, "stab.json", spec)
-    assert main(["stability", "--instance", path, "--group", "G"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["result"]["group"] == "G"
-    assert isinstance(out["result"]["semistable"], bool)
+    every_kind = {(g, ss, st) for g in ("Gred", "G")
+                  for ss, st in ((False, False), (True, False), (True, True))}
+    kinds = set()
+    for k, w in enumerate(points):
+        if kinds == every_kind:
+            break
+        spec = {"hom": hom_data_to_json(h), "m": [1, 1], "n": [2], "p": 0,
+                "point": point_to_json(w),
+                "lam": ["1/2", "1/2"], "mu": ["1/2"]}
+        path = _write(tmp_path, "stab%d.json" % k, spec)
+        for group in ("Gred", "G"):
+            assert main(["stability", "--instance", path, "--group", group]) == 0
+            out = json.loads(capsys.readouterr().out)["result"]
+            v = is_semistable_rs(inst, w, pol, group=group)
+            assert out["group"] == group
+            assert (out["semistable"], out["stable"]) == (v.semistable, v.stable)
+            kinds.add((group, v.semistable, v.stable))
+            if v.stable:
+                assert out["witness"] is None
+                continue
+            m_dims, n_dims = out["witness"]["m_dims"], out["witness"]["n_dims"]
+            lhs = sum(lam * d for lam, d in zip(pol.lam, m_dims))
+            rhs = sum(mu * d for mu, d in zip(pol.mu, n_dims))
+            assert n_dims != pol.n_mult
+            if v.semistable:
+                assert lhs == rhs and any(m_dims)
+            else:
+                assert lhs > rhs
+    assert kinds == every_kind
 
 
 def test_no_floats_in_output(tmp_path):

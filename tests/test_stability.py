@@ -3,16 +3,20 @@ unipotent orbit, and the mutation comparison."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mutation_forge.exactfield import (ExactMatrix, Field,
+from mutation_forge.exactfield import (ExactMatrix, Field, Subspace,
                                        enumerate_subspaces, image_subspace)
 from mutation_forge.theta import MorphismPoint, in_W0
-from mutation_forge.homdata import (Polarization, build_theta_p,
-                                    projective_space_hom_data)
-from mutation_forge.stability import (KroneckerModule,
+from mutation_forge.homdata import (HomData, Polarization, build_theta_p,
+                                    projective_space_hom_data,
+                                    validate_hom_data)
+from mutation_forge.stability import (DEFAULT_BUDGET, KroneckerModule,
+                                      StabilityVerdict, apply_unipotent,
                                       compare_hypotheses, compare_stability,
                                       enumerate_unipotent_orbit,
                                       gred_semistable, is_semistable_rs,
@@ -212,3 +216,237 @@ def test_compare_stability_report():
             seen_w0 += 1
             if seen_w0 >= 5:
                 break
+
+
+# -- the reductive oracle against its per-family reference --------------
+
+def reference_family_images(inst, fam, bases):
+    """N'_l spanned by all blocks x_(l,i)(H_li (x) M'_i), with the
+    blocks formed as dense Kronecker products."""
+    f = inst.h.field
+    out = {}
+    for l in range(1, inst.h.s + 1):
+        span = Subspace.zero(f, inst.n_mult[l - 1])
+        for i in range(1, inst.h.r + 1):
+            basis = bases[i - 1]
+            if basis.cols == 0:
+                continue
+            dh = inst.h.dimH[(l, i)]
+            if dh == 0:
+                continue
+            blk = fam[(l, i)] @ ExactMatrix.identity(f, dh).kron(basis)
+            span = span.sum(image_subspace(blk))
+        out[l] = span
+    return out
+
+
+def reference_gred(inst, fam, pol, budget=DEFAULT_BUDGET):
+    """The reductive oracle family by family: every block image built
+    again for every family, N'_l as a sum of Subspaces and the slopes
+    compared as Fractions."""
+    p = inst.h.field.p
+    if list(pol.m_mult) != list(inst.m_mult) or list(pol.n_mult) != list(inst.n_mult):
+        raise ValueError("polarization multiplicities do not match the instance")
+    r = inst.h.r
+    per_index = []
+    total = 1
+    for i in range(r):
+        subs = []
+        for d in range(0, inst.m_mult[i] + 1):
+            subs.extend(enumerate_subspaces(p, inst.m_mult[i], d, budget=budget))
+        per_index.append(subs)
+        total *= len(subs)
+        if total > budget:
+            raise ValueError("subspace family enumeration budget exceeded")
+    semistable, stable = True, True
+    witness = None
+    for combo in product(*per_index):
+        dims_m = [sub.dim for sub in combo]
+        bases = [sub.basis for sub in combo]
+        images = reference_family_images(inst, fam, bases)
+        if all(images[l].dim == inst.n_mult[l - 1]
+               for l in range(1, inst.h.s + 1)):
+            continue
+        lhs = sum(lam * d for lam, d in zip(pol.lam, dims_m))
+        rhs = sum(mu * images[l + 1].dim for l, mu in enumerate(pol.mu))
+        if lhs > rhs:
+            stable = False
+            if semistable:
+                semistable = False
+                witness = (combo, images)
+        elif lhs == rhs and any(d > 0 for d in dims_m):
+            if stable:
+                stable = False
+                if witness is None:
+                    witness = (combo, images)
+    return StabilityVerdict(semistable, stable, witness)
+
+
+def reference_g(inst, fam, pol, budget=DEFAULT_BUDGET):
+    """The G verdict as the reference walk: reference_gred at every
+    unipotent translate."""
+    semistable, stable = True, True
+    witness = None
+    for moved in enumerate_unipotent_orbit(inst, fam, budget=budget):
+        v = reference_gred(inst, moved, pol, budget=budget)
+        if not v.semistable and semistable:
+            semistable = False
+            witness = (moved, v.witness)
+        if not v.stable:
+            stable = False
+            if witness is None:
+                witness = (moved, v.witness)
+        if not semistable and not stable:
+            break
+    return StabilityVerdict(semistable, stable, witness)
+
+
+def radical_square_zero_hom_data(field, r, s, dims):
+    """HomData on E_1 < .. < E_r < F_1 < .. < F_s in which every
+    composite of two non-identity morphisms is 0 (an associative
+    composition for any dims); dims maps (b, a) to dim Hom(a, b) for
+    the objects a < b, written ("E", i) and ("F", l)."""
+    objs = [("E", i) for i in range(1, r + 1)] + [("F", l) for l in range(1, s + 1)]
+
+    def dim(b, a):
+        return 1 if a == b else dims[(b, a)]
+
+    tables = {"EE": {}, "FE": {}, "FF": {}}
+    comps = {"EEE": {}, "FEE": {}, "FFE": {}, "FFF": {}}
+    for ia, a in enumerate(objs):
+        for ib, b in enumerate(objs[ia:], ia):
+            tables[b[0] + a[0]][(b[1], a[1])] = dim(b, a)
+            for c in objs[ib:]:
+                shape = (dim(c, a), dim(c, b) * dim(b, a))
+                comps[c[0] + b[0] + a[0]][(c[1], b[1], a[1])] = (
+                    ExactMatrix.identity(field, shape[0]) if a == b or b == c
+                    else ExactMatrix.zeros(field, *shape))
+    return HomData(field, r, s, tables["FE"], tables["EE"], tables["FF"],
+                   comps["FEE"], comps["FFE"], comps["EEE"], comps["FFF"])
+
+
+def _hand_built_instance():
+    """r = s = 2 over GF(3) with dim H_21 = 0, the one block image that
+    no projective-space instance leaves empty."""
+    E, F = "E", "F"
+    h = radical_square_zero_hom_data(Field(3), 2, 2, {
+        ((E, 2), (E, 1)): 1, ((F, 1), (E, 1)): 2, ((F, 1), (E, 2)): 1,
+        ((F, 2), (E, 1)): 0, ((F, 2), (E, 2)): 2, ((F, 2), (F, 1)): 1})
+    assert validate_hom_data(h).ok
+    return build_theta_p(h, [1, 1], [1, 1], 0)
+
+
+# (field p, e, f, m, n, walk G too): r and s in {1, 2}; the mid
+# m=(2,2), n=(3) instance has families with two nonzero blocks
+ORACLE_CASES = [
+    (2, (-2, -1), (0,), (1, 1), (2,), True),
+    (3, (-2, -1), (0,), (1, 1), (2,), True),
+    (2, (-2, -1), (0,), (2, 2), (3,), False),
+    (3, (-2, -1), (0, 1), (1, 1), (1, 1), True),
+    (2, (-2, -1), (0, 1), (2, 1), (1, 2), False),
+    (2, (-3, -1), (0,), (1, 2), (2,), True),
+    (2, (-1,), (0,), (2,), (3,), True),
+    (3, (-2,), (0, 1), (1,), (2, 1), True),
+    (3, None, None, (1, 1), (1, 1), True),
+]
+
+
+@lru_cache(maxsize=None)
+def _oracle_instance(case):
+    p, e, f, m, n, _ = case
+    if e is None:
+        return _hand_built_instance()
+    h = projective_space_hom_data(Field(p), 1, list(e), list(f))
+    return build_theta_p(h, list(m), list(n), 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_gred_and_g_match_reference(data):
+    case = data.draw(st.sampled_from(ORACLE_CASES))
+    p, _, _, m, n, walk = case
+    inst = _oracle_instance(case)
+    h = inst.h
+    # uniform entries, and about one block in four left 0
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    fam = {}
+    for l in range(1, h.s + 1):
+        for i in range(1, h.r + 1):
+            rows, cols = n[l - 1], h.dimH[(l, i)] * m[i - 1]
+            zero = data.draw(st.integers(0, 3)) == 0
+            flat = [0 if zero else rng.randrange(p) for _ in range(rows * cols)]
+            fam[(l, i)] = ExactMatrix.from_flat(h.field, rows, cols, flat)
+    # weights a_i / sum(a_i m_i) and b_l / sum(b_l n_l)
+    a = data.draw(st.lists(st.integers(1, 3), min_size=h.r, max_size=h.r))
+    b = data.draw(st.lists(st.integers(1, 3), min_size=h.s, max_size=h.s))
+    pol = Polarization(
+        [Fraction(x, sum(y * k for y, k in zip(a, m))) for x in a],
+        [Fraction(x, sum(y * k for y, k in zip(b, n))) for x in b], m, n)
+    pairs = [(gred_semistable(inst, fam, pol), reference_gred(inst, fam, pol))]
+    if walk:
+        pairs.append((is_semistable_rs(inst, fam, pol, group="G"),
+                      reference_g(inst, fam, pol)))
+    for v, ref in pairs:
+        assert (v.semistable, v.stable) == (ref.semistable, ref.stable)
+        # the same Subspace combo, images dict and (for G) translate
+        assert v.witness == ref.witness
+
+
+def test_oracle_raises_as_before():
+    """Each verdict raises the error it raised when every translate ran
+    the full reductive oracle: the orbit's checks first, then the
+    polarization's, then the subspace budget."""
+    inst, pol = _ac5_instance()
+    w = next(_all_points(inst))
+    other = Polarization([Fraction(1, 3), Fraction(1, 3)], [Fraction(1, 3)],
+                         [1, 2], [3])
+    with pytest.raises(ValueError, match="unipotent orbit enumeration budget"):
+        is_semistable_rs(inst, w, other, group="G", budget=3)
+    with pytest.raises(ValueError, match="multiplicities do not match"):
+        is_semistable_rs(inst, w, other, group="G")
+    with pytest.raises(ValueError, match="multiplicities do not match"):
+        gred_semistable(inst, w, other, budget=1)
+    # r = 1: a unipotent orbit of one point and 5 subspace families
+    kr = _oracle_instance(ORACLE_CASES[6])
+    kpol = Polarization([Fraction(1, 2)], [Fraction(1, 3)], [2], [3])
+    x = {(1, 1): ExactMatrix.zeros(F2, 3, 4)}
+    for group in ("Gred", "G"):
+        with pytest.raises(ValueError, match="subspace family enumeration budget"):
+            is_semistable_rs(kr, x, kpol, group=group, budget=4)
+        assert not is_semistable_rs(kr, x, kpol, group=group, budget=5).semistable
+    h = projective_space_hom_data(Field(), 1, [-2, -1], [0])
+    qq = build_theta_p(h, [1, 1], [2], 0)
+    for group in ("Gred", "G"):
+        with pytest.raises(ValueError, match="prime field"):
+            is_semistable_rs(qq, qq.family_from_point(MorphismPoint.zero(qq.theta)),
+                             other, group=group)
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_apply_unipotent_is_an_action(p):
+    """Over QQ (where no orbit walk goes) and GF(3): with r = s = 2 the
+    off-diagonal blocks commute and square to 0, so acting by U and then
+    by U' is acting by U + U', and -U undoes U."""
+    f = Field(p)
+    h = projective_space_hom_data(f, 1, [-2, -1], [0, 1])
+    inst = build_theta_p(h, [2, 1], [1, 2], 0)
+    rng = random.Random(57)
+
+    def rnd(rows, cols):
+        return ExactMatrix(f, [[f.of(rng.randint(-2, 2)) for _ in range(cols)]
+                               for _ in range(rows)])
+
+    fam = {(l, i): rnd(inst.n_mult[l - 1], h.dimH[(l, i)] * inst.m_mult[i - 1])
+           for l in (1, 2) for i in (1, 2)}
+    shapes = {(True, 2, 1): (h.dimA[(2, 1)] * 1, 2),
+              (False, 2, 1): (h.dimB[(2, 1)] * 2, 1)}
+    u = {k: rnd(*shape) for k, shape in shapes.items()}
+    u2 = {k: rnd(*shape) for k, shape in shapes.items()}
+    once = apply_unipotent(inst, fam, u)
+    assert once != fam
+    for x in once.values():
+        assert all(isinstance(a, Fraction) if p is None else 0 <= a < p
+                   for row in x.data for a in row)
+    twice = apply_unipotent(inst, once, u2)
+    assert twice == apply_unipotent(inst, fam, {k: u[k] + u2[k] for k in u})
+    assert apply_unipotent(inst, once, {k: -x for k, x in u.items()}) == fam
