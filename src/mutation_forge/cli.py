@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .exactfield import Field
+from .exactfield import field_from_tag, field_tag
 from .theta import (theta_from_json, theta_to_json, point_from_json,
                     point_to_json, validate_theta, in_W0, scalar_to_str)
 from .mutation import (build_dual, default_choice, mutate, involution_report,
@@ -47,15 +47,10 @@ def _positive(s):
 
 def _field(spec):
     """The --field argument: "rationals" or "gf:p" for a prime p < 2^16."""
-    if spec == "rationals":
-        return Field()
-    if spec.startswith("gf:"):
-        try:
-            return Field(int(spec[3:]))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError("%r: %s" % (spec, exc))
-    raise argparse.ArgumentTypeError("field must be rationals or gf:p, got %r"
-                                     % spec)
+    try:
+        return field_from_tag(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _emit(args, payload, fmt):
@@ -65,8 +60,7 @@ def _emit(args, payload, fmt):
         "budget_subspaces": args.budget_subspaces,
     }
     if "field" in args:   # only the subcommands that build over a field
-        config["field"] = ("rationals" if args.field.p is None
-                           else "gf:%d" % args.field.p)
+        config["field"] = field_tag(args.field)
     if fmt == "json":
         text = json.dumps({"config": config, "result": payload},
                           sort_keys=True, separators=(",", ": "),

@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 
 from .exactfield import (ExactMatrix, Subspace, enumerate_subspaces,
-                         gaussian_binomial, image_subspace)
+                         gaussian_binomial)
 from .homdata import _monomials
 
 
@@ -46,22 +46,13 @@ def length(u, dim_h, m):
     has length 0 by convention."""
     if u.rows != dim_h * m or u.cols != 1:
         raise ValueError("expected a column vector of H (x) M")
-    U = ExactMatrix(u.field, [[u.data[h * m + t][0] for t in range(m)]
-                              for h in range(dim_h)])
-    return U.rank()
+    return u.regroup([dim_h, m], [1], [0], [1, 2]).rank()
 
 
-def _m_components(K, dim_h, m):
-    """The stacked M-components of a basis of K: the subspace of M
-    spanned by the images of all basis vectors as maps H* -> M."""
-    f = K.field
-    rows = []
-    for j in range(K.basis.cols):
-        for h in range(dim_h):
-            rows.append([K.basis.data[h * m + t][j] for t in range(m)])
-    if not rows:
-        return ExactMatrix.zeros(f, m, 0)
-    return ExactMatrix(f, rows).transpose()
+def _spans_m(B, dim_h, m):
+    """Whether the M-components of the columns of B, read as maps
+    H* -> M, span M: the genericity of the span of B."""
+    return B.regroup([dim_h, m], [B.cols], [1], [2, 0]).rank() == m
 
 
 def is_generic(K, dim_h, m):
@@ -71,42 +62,30 @@ def is_generic(K, dim_h, m):
         raise ValueError("subspace does not live in H (x) M")
     if K.dim >= dim_h * m:
         raise ValueError("genericity is defined for proper subspaces only")
-    return image_subspace(_m_components(K, dim_h, m)).dim == m
+    return _spans_m(K.basis, dim_h, m)
 
 
-def _image_of_tensor(t, K, m):
-    """Basis matrix of tau_m(E (x) K) inside F (x) M."""
-    f = t.field
-    cols = []
-    for e in range(t.dim_e):
-        for j in range(K.basis.cols):
-            vec = [f.zero()] * (t.dim_f * m)
-            for h in range(t.dim_h):
-                c_row = e * t.dim_h + h
-                for tt in range(m):
-                    kv = K.basis.data[h * m + tt][j]
-                    if kv == 0:
-                        continue
-                    for y in range(t.dim_f):
-                        tv = t.tau.data[y][c_row]
-                        if tv == 0:
-                            continue
-                        vec[y * m + tt] = f.add(vec[y * m + tt],
-                                                f.mul(tv, kv))
-            cols.append(vec)
-    if not cols:
-        return ExactMatrix.zeros(f, t.dim_f * m, 0)
-    return ExactMatrix(f, cols).transpose()
+def _tau_by_h(t):
+    """tau regrouped to an (E (x) F)-by-H matrix."""
+    return t.tau.regroup([t.dim_f], [t.dim_e, t.dim_h], [1, 0], [2])
+
+
+def _delta(t, tau_by_h, B, dim_k, m):
+    """delta of the span K of B, given dim_k = dim K. The product of
+    tau_by_h and B regrouped to H-by-(M (x) k), regrouped to
+    (F (x) M)-by-(E (x) k), has column (e, j) = tau_m(e (x) b_j), so
+    its rank is dim tau_m(E (x) K)."""
+    k = B.cols
+    image = (tau_by_h @ B.regroup([t.dim_h, m], [k], [0], [1, 2])).regroup(
+        [t.dim_e, t.dim_f], [m, k], [1, 2], [0, 3])
+    return Fraction(t.dim_f * m - image.rank(), t.dim_h * m - dim_k)
 
 
 def delta(t, K, m):
     """delta(K) = codim(tau_m(E (x) K)) / codim(K), exact."""
     if not is_generic(K, t.dim_h, m):
         raise ValueError("delta is defined for generic subspaces only")
-    img_rank = _image_of_tensor(t, K, m).rank()
-    codim_img = t.dim_f * m - img_rank
-    codim_k = t.dim_h * m - K.dim
-    return Fraction(codim_img, codim_k)
+    return _delta(t, _tau_by_h(t), K.basis, K.dim, m)
 
 
 # -- the maps sigma_0 and sigma_1 -------------------------------------
@@ -223,10 +202,10 @@ class SearchReport:
         return "SearchReport(%s)" % json.dumps(self.to_json(), sort_keys=True)
 
 
-def _random_generic_subspaces(t, m, samples, seed):
-    """Seeded random proper subspaces of H (x) M with entries drawn
-    from {-1, 0, 1}; non-generic draws are skipped (and counted)."""
-    f = t.field
+def _random_generic_spans(t, m, samples, seed):
+    """Seeded random spanning matrices of proper subspaces of H (x) M,
+    with entries drawn from {-1, 0, 1}, each with the dimension of its
+    span; draws whose span is not generic are skipped."""
     rng = random.Random(seed)
     ambient = t.dim_h * m
     produced = 0
@@ -234,53 +213,41 @@ def _random_generic_subspaces(t, m, samples, seed):
     while produced < samples and attempts < 50 * samples:
         attempts += 1
         k = rng.randint(1, ambient - 1)
-        cols = [[f.of(rng.choice((-1, 0, 1))) for _ in range(k)]
-                for _ in range(ambient)]
-        B = ExactMatrix(f, cols)
-        S = image_subspace(B)
-        if S.dim == 0 or S.dim >= ambient:
-            continue
-        if not is_generic(S, t.dim_h, m):
+        B = ExactMatrix(t.field, [[rng.choice((-1, 0, 1)) for _ in range(k)]
+                                  for _ in range(ambient)])
+        if not _spans_m(B, t.dim_h, m):
             continue
         produced += 1
-        yield S
+        yield B, B.rank()
 
 
 def c_tau_search(t, m, budget=10 ** 5, seed=0, samples=1000, reference=None):
     """Search for c_tau(m): certified witness lower bound plus either an
     exhaustive finite-field subspace scan (when the subspace count fits
-    the budget) or a seeded random scan over the rationals."""
+    the budget) or a seeded random scan over the rationals. Genericity
+    is checked once per candidate, and random draws are scored on their
+    spanning matrices, never put in canonical form."""
     wit = witness_subspace(t, m)
     witness_value = delta(t, wit, m) if wit is not None else None
     ambient = t.dim_h * m
-    max_found = None
-    count = 0
-    if t.field.p is not None:
-        total = sum(gaussian_binomial(t.field.p, ambient, d)
-                    for d in range(1, ambient))
+    p = t.field.p
+    if p is not None:
+        total = sum(gaussian_binomial(p, ambient, d) for d in range(1, ambient))
         if total > budget:
             raise ValueError("exhaustive scan budget exceeded: %d > %d"
                              % (total, budget))
-        mode = "exhaustive-gf%d" % t.field.p
-        for d in range(1, ambient):
-            for S in enumerate_subspaces(t.field.p, ambient, d, budget=budget):
-                if not is_generic(S, t.dim_h, m):
-                    continue
-                v = delta(t, S, m)
-                count += 1
-                if max_found is None or v > max_found:
-                    max_found = v
+        mode = "exhaustive-gf%d" % p
+        spans = ((S.basis, d) for d in range(1, ambient)
+                 for S in enumerate_subspaces(p, ambient, d, budget=budget)
+                 if _spans_m(S.basis, t.dim_h, m))
     else:
         mode = "random-rational"
-        for S in _random_generic_subspaces(t, m, samples, seed):
-            v = delta(t, S, m)
-            count += 1
-            if max_found is None or v > max_found:
-                max_found = v
-    empty = max_found is None and witness_value is None
-    if empty:
-        max_found = Fraction(0)
-    return SearchReport(witness_value, max_found, mode, count, seed,
+        spans = _random_generic_spans(t, m, samples, seed)
+    tau_by_h = _tau_by_h(t)
+    values = [_delta(t, tau_by_h, B, d, m) for B, d in spans]
+    empty = not values and witness_value is None
+    max_found = Fraction(0) if empty else max(values, default=None)
+    return SearchReport(witness_value, max_found, mode, len(values), seed,
                         empty_sup=empty, reference=reference)
 
 

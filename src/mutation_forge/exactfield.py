@@ -26,20 +26,20 @@ class Field:
     """A base field: the rationals (p is None) or GF(p) for a prime p < 2^16.
 
     Scalars are plain Fraction values over the rationals and ints in
-    0..p-1 over GF(p); the Field object supplies the arithmetic.
+    0..p-1 over GF(p). The Field object coerces values into the field
+    (of) and names its constants and elements; the arithmetic on scalars
+    is done by ExactMatrix and the elimination below, with the reduction
+    mod p written where it happens.
     """
 
     def __init__(self, p=None):
         if p is not None:
-            if not _is_prime(p):
-                raise ValueError("field characteristic must be prime, got %r" % (p,))
+            # the size first: trial division of a large p would not end
             if p >= 1 << 16:
                 raise ValueError("prime fields require p < 2^16")
+            if not _is_prime(p):
+                raise ValueError("field characteristic must be prime, got %r" % (p,))
         self.p = p
-
-    @property
-    def is_rational(self):
-        return self.p is None
 
     def of(self, v):
         """Coerce an int or Fraction into the field. Over GF(p) a Fraction
@@ -57,28 +57,6 @@ class Field:
 
     def one(self):
         return Fraction(1) if self.p is None else 1
-
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.p is None:
-            return 1 / a
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def elements(self):
         """All field elements (GF(p) only)."""
@@ -101,6 +79,21 @@ QQ = Field()
 
 def GF(p):
     return Field(p)
+
+
+def field_tag(field):
+    """The name of a field in files and configs: "rationals" or "gf:p"."""
+    return "rationals" if field.p is None else "gf:%d" % field.p
+
+
+def field_from_tag(tag):
+    """The field named by a field_tag. Anything other than "rationals" or
+    "gf:p" for a prime p < 2^16 is a ValueError."""
+    if tag == "rationals":
+        return Field()
+    if isinstance(tag, str) and tag.startswith("gf:") and tag[3:].isdigit():
+        return Field(int(tag[3:]))
+    raise ValueError("field must be rationals or gf:p, got %r" % (tag,))
 
 
 class ExactMatrix:
@@ -179,30 +172,35 @@ class ExactMatrix:
         if self.field != other.field:
             raise ValueError("mixed fields: %r vs %r" % (self.field, other.field))
 
-    def __add__(self, other):
+    def _check_same_shape(self, other, what):
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        add = self.field.add
-        return self._new([[add(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)], self.cols)
+            raise ValueError("shape mismatch in " + what)
+
+    def _reduced(self, data):
+        """A matrix of self's shape from entries computed with plain
+        operators, reduced mod p over GF(p)."""
+        p = self.field.p
+        if p is not None:
+            data = [[x % p for x in row] for row in data]
+        return self._new(data, self.cols)
+
+    def __add__(self, other):
+        self._check_same_shape(other, "addition")
+        return self._reduced([[a + b for a, b in zip(r1, r2)]
+                              for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other):
-        self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in subtraction")
-        sub = self.field.sub
-        return self._new([[sub(a, b) for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.data, other.data)], self.cols)
+        self._check_same_shape(other, "subtraction")
+        return self._reduced([[a - b for a, b in zip(r1, r2)]
+                              for r1, r2 in zip(self.data, other.data)])
 
     def __neg__(self):
-        neg = self.field.neg
-        return self._new([[neg(a) for a in row] for row in self.data], self.cols)
+        return self._reduced([[-a for a in row] for row in self.data])
 
     def scale(self, c):
         c = self.field.of(c)
-        mul = self.field.mul
-        return self._new([[mul(c, a) for a in row] for row in self.data], self.cols)
+        return self._reduced([[c * a for a in row] for row in self.data])
 
     def __matmul__(self, other):
         """self @ other, row by row: every nonzero a = self[i][k] adds
@@ -254,7 +252,7 @@ class ExactMatrix:
         tensor basis convention used throughout)."""
         self._check_same_field(other)
         f = self.field
-        mul = f.mul
+        p = f.p
         out = ExactMatrix.zeros(f, self.rows * other.rows, self.cols * other.cols)
         for i in range(self.rows):
             for j in range(self.cols):
@@ -267,7 +265,8 @@ class ExactMatrix:
                     base = j * other.cols
                     for l in range(other.cols):
                         if orow[l] != 0:
-                            trow[base + l] = mul(a, orow[l])
+                            x = a * orow[l]
+                            trow[base + l] = x if p is None else x % p
         return out
 
     # -- tensor index maps --------------------------------------------
@@ -277,7 +276,8 @@ class ExactMatrix:
         factor major, as everywhere) and return the matrix whose row legs
         are the legs numbered in rows and whose column legs are those
         numbered in cols, in the order given: a reshape, transpose and
-        reshape done as an index map that copies only nonzero entries."""
+        reshape done as an index map that copies every entry once, with
+        no test of its value (a Fraction's truth test is a Python call)."""
         dims = list(row_dims) + list(col_dims)
         if sorted(list(rows) + list(cols)) != list(range(len(dims))):
             raise ValueError("rows and cols must name every leg exactly once")
@@ -308,8 +308,7 @@ class ExactMatrix:
         data = out.data
         for row, rr, rc in zip(self.data, row_r, row_c):
             for x, cr, cc in zip(row, col_r, col_c):
-                if x:
-                    data[rr + cr][rc + cc] = x
+                data[rr + cr][rc + cc] = x
         return out
 
     def apply_leg(self, col_dims, leg, x):
@@ -392,7 +391,10 @@ class ExactMatrix:
 
 def _integer_row(row):
     """A row of Fractions scaled by the lcm of its denominators."""
-    den = lcm(*(x.denominator for x in row))
+    den = 1
+    for x in row:
+        if den % x.denominator:
+            den = lcm(den, x.denominator)
     if den == 1:
         return [x.numerator for x in row]
     return [x.numerator * (den // x.denominator) for x in row]
@@ -490,12 +492,13 @@ def kernel_basis(A):
     free = [c for c in range(n) if c not in pivots]
     out = ExactMatrix.zeros(f, n, len(free))
     one = f.one()
-    neg = f.neg
+    p = f.p
     for j, fc in enumerate(free):
         out.data[fc][j] = one
         for r, pc in enumerate(pivots):
-            if R.data[r][fc] != 0:
-                out.data[pc][j] = neg(R.data[r][fc])
+            x = R.data[r][fc]
+            if x != 0:
+                out.data[pc][j] = -x if p is None else -x % p
     return out
 
 
@@ -519,6 +522,15 @@ class Subspace:
         self.field = basis.field
         self.basis = column_echelon(basis)
 
+    @classmethod
+    def _from_canonical(cls, basis):
+        """The Subspace whose canonical basis is basis, taken as it is."""
+        S = cls.__new__(cls)
+        S.ambient_dim = basis.rows
+        S.field = basis.field
+        S.basis = basis
+        return S
+
     @property
     def dim(self):
         return self.basis.cols
@@ -530,11 +542,6 @@ class Subspace:
     @staticmethod
     def full(field, ambient_dim):
         return Subspace(ambient_dim, ExactMatrix.identity(field, ambient_dim))
-
-    def contains_vector(self, v):
-        if not isinstance(v, ExactMatrix):
-            v = ExactMatrix.column(self.field, v)
-        return solve_linear(self.basis, v) is not None
 
     def contains(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -618,26 +625,27 @@ def gaussian_binomial(q, n, d):
 
 def enumerate_subspaces(q, n, d, budget=10 ** 6):
     """All d-dimensional subspaces of GF(q)^n, one canonical representative
-    each (reduced echelon form). Raises when the count exceeds the budget."""
+    each. Each basis is written directly in reduced column echelon form,
+    the canonical form, so no elimination is run. Raises when the count
+    exceeds the budget."""
     field = GF(q)
     count = gaussian_binomial(q, n, d)
     if count > budget:
         raise ValueError("subspace enumeration budget exceeded: %d > %d"
                          % (count, budget))
-    if d == 0:
-        return [Subspace.zero(field, n)]
     out = []
     for pivots in combinations(range(n), d):
-        # free positions of the d-by-n reduced row echelon form with these pivots
-        free = [(r, c) for r in range(d) for c in range(n)
-                if c > pivots[r] and c not in pivots]
+        # free positions (row, column) of the n-by-d reduced column echelon
+        # form with these pivot rows
+        free = [(r, c) for c in range(d) for r in range(n)
+                if r > pivots[c] and r not in pivots]
         for values in product(range(q), repeat=len(free)):
-            R = ExactMatrix.zeros(field, d, n)
-            for r, c in enumerate(pivots):
-                R.data[r][c] = 1
+            B = ExactMatrix.zeros(field, n, d)
+            for c, r in enumerate(pivots):
+                B.data[r][c] = 1
             for (r, c), v in zip(free, values):
-                R.data[r][c] = v
-            out.append(Subspace(n, R.transpose()))
+                B.data[r][c] = v
+            out.append(Subspace._from_canonical(B))
     assert len(out) == count
     return out
 

@@ -28,8 +28,8 @@ the polarization bookkeeping.
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .exactfield import (ExactMatrix, Subspace, kernel_basis, quotient_data,
-                         solve_linear)
+from .exactfield import (ExactMatrix, Subspace, field_from_tag, field_tag,
+                         kernel_basis, quotient_data, solve_linear)
 from .theta import (MorphismPoint, ThetaSpace, ValidationReport,
                     matrix_from_json, matrix_to_json)
 
@@ -877,7 +877,7 @@ def _dim_dict_from_json(obj):
 
 def hom_data_to_json(h):
     return {
-        "field": "rationals" if h.field.p is None else "gf:%d" % h.field.p,
+        "field": field_tag(h.field),
         "r": h.r,
         "s": h.s,
         "dimH": _dim_dict_to_json(h.dimH),
@@ -891,9 +891,7 @@ def hom_data_to_json(h):
 
 
 def hom_data_from_json(obj):
-    from .exactfield import Field
-    tag = obj["field"]
-    f = Field() if tag == "rationals" else Field(int(tag.split(":")[1]))
+    f = field_from_tag(obj["field"])
     return HomData(f, obj["r"], obj["s"],
                    _dim_dict_from_json(obj["dimH"]),
                    _dim_dict_from_json(obj["dimA"]),

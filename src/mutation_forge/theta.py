@@ -25,7 +25,7 @@ are checked at construction, which turns every equivariance statement
 downstream into a testable matrix identity.
 """
 
-from .exactfield import ExactMatrix, solve_linear
+from .exactfield import ExactMatrix, field_from_tag, field_tag, solve_linear
 
 
 def vec_row_major(M):
@@ -265,14 +265,6 @@ class GroupElement:
 
     # -- group structure ---------------------------------------------
 
-    @staticmethod
-    def identity_right(theta):
-        return GroupElement(theta, "right", check=False)
-
-    @staticmethod
-    def identity_left(theta):
-        return GroupElement(theta, "left", check=False)
-
     def is_identity(self):
         t = self.theta
         f = t.field
@@ -431,13 +423,6 @@ class Chart:
             raise ValueError("point outside chart domain")
         return self.m0 @ inv
 
-    def s_m0(self, w):
-        """The retraction s_{M0}(psi2) : N2* -> ker(psi2_bar),
-        x |-> x - r_{M0}(psi2)(psi2_bar(x)), as an n2 x n2 matrix."""
-        f = self.theta.field
-        I = ExactMatrix.identity(f, self.theta.dim_n2)
-        return I - self.r_m0(w) @ w.psi2_bar()
-
     def kernel_iso(self, w):
         """The matrix n2 x dim_N whose columns are the basis of
         ker(psi2_bar) mapped to the standard basis of N by q (that is,
@@ -524,7 +509,7 @@ def matrix_from_json(field, d):
 
 def theta_to_json(t):
     return {
-        "field": "rationals" if t.field.p is None else "gf:%d" % t.field.p,
+        "field": field_tag(t.field),
         "dims": {"n1": t.dim_n1, "n2": t.dim_n2, "m1": t.dim_m1, "m2": t.dim_m2,
                  "a0": t.dim_a0, "b0": t.dim_b0, "mult": t.dim_mult,
                  "comult": t.dim_comult},
@@ -536,9 +521,7 @@ def theta_to_json(t):
 
 
 def theta_from_json(d):
-    from .exactfield import Field
-    tag = d["field"]
-    field = Field() if tag == "rationals" else Field(int(tag.split(":")[1]))
+    field = field_from_tag(d["field"])
     dims = d["dims"]
     return ThetaSpace(field, dims["n1"], dims["n2"], dims["m1"], dims["m2"],
                       dims["a0"], dims["b0"], dims["mult"],

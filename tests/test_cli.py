@@ -11,6 +11,7 @@ from mutation_forge.exactfield import Field
 from mutation_forge.theta import (MorphismPoint, point_to_json,
                                   theta_to_json)
 from mutation_forge.homdata import (Polarization, build_theta_p,
+                                    hom_data_to_json,
                                     projective_space_hom_data)
 from mutation_forge.stability import is_semistable_rs
 from conftest import random_w0_point
@@ -76,16 +77,32 @@ BAD_INPUTS = {
     "thresholds with --field gf:banana":
         ["thresholds", "--n", "2", "--m1", "1", "--m2", "1", "--n1", "4",
          "--t", "1/2", "--case", "1", "--field", "gf:banana"],
+    # rejected by size, before a trial division that would not end
+    "constants with --field gf:(31-digit prime)":
+        ["constants", "--which", "0", "--n", "1", "--m", "1",
+         "--field", "gf:1000000000000000000000000000057"],
+    "theta with field tag rational": "theta-tag:rational",
+    "theta with field tag foo:3": "theta-tag:foo:3",
+    "hom data with field tag rational": "hom-tag:rational",
+    "hom data with field tag foo:3": "hom-tag:foo:3",
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_input_is_a_usage_error(name, tmp_path, capsys):
     argv = BAD_INPUTS[name]
-    if isinstance(argv, str):
+    if isinstance(argv, str) and argv.startswith("hom-tag:"):
+        h = projective_space_hom_data(QQ, 2, [-2, -1], [0])
+        spec = {"hom": hom_data_to_json(h), "m": [1, 1], "n": [2], "p": 0,
+                "lam": ["1/2", "1/2"], "mu": ["1/2"]}
+        spec["hom"]["field"] = argv.partition(":")[2]
+        argv = ["polarization", "--instance", _write(tmp_path, "inst.json", spec)]
+    elif isinstance(argv, str):
         h = projective_space_hom_data(QQ, 1, [-2, -1], [0, 1])
         d = theta_to_json(build_theta_p(h, [1, 1], [1, 1], 1).theta)
-        if argv == "int":
+        if argv.startswith("theta-tag:"):
+            d["field"] = argv.partition(":")[2]
+        elif argv == "int":
             d["nu"]["entries"] = [1] * len(d["nu"]["entries"])
         elif argv == "gf":
             d["field"] = "gf:3"
@@ -188,7 +205,6 @@ def test_constants_command(capsys):
 
 def test_polarization_command(tmp_path, capsys):
     h = projective_space_hom_data(QQ, 2, [-2, -1], [0])
-    from mutation_forge.homdata import hom_data_to_json
     spec = {"hom": hom_data_to_json(h), "m": [1, 1], "n": [2], "p": 0,
             "lam": ["1/2", "1/2"], "mu": ["1/2"]}
     path = _write(tmp_path, "inst.json", spec)
@@ -211,7 +227,6 @@ def test_stability_command(tmp_path, capsys):
     rng = random.Random(56)
     points = [MorphismPoint.zero(inst.theta)]
     points += [random_w0_point(inst.theta, rng, lo=0, hi=1) for _ in range(100)]
-    from mutation_forge.homdata import hom_data_to_json
     every_kind = {(g, ss, st) for g in ("Gred", "G")
                   for ss, st in ((False, False), (True, False), (True, True))}
     kinds = set()

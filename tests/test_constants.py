@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mutation_forge.exactfield import ExactMatrix, Field, Subspace
-from mutation_forge.constants import (SearchReport, TauMap, c_formula,
+from mutation_forge.exactfield import GF, ExactMatrix, Field, Subspace
+from mutation_forge.constants import (SearchReport, TauMap, _delta,
+                                      _spans_m, _tau_by_h, c_formula,
                                       c_tau_rs, c_tau_search, delta,
                                       is_generic, length, sigma0, sigma1,
                                       tau_rs, witness_subspace)
@@ -135,3 +137,93 @@ def test_search_report_json():
     d = rep.to_json()
     assert d["witness_value"] == "1/5"
     assert d["exceeds_reference"] is False
+
+
+# -- delta on raw spans against the per-scalar reference -----------------
+
+def _reduce(f, x):
+    return x if f.p is None else x % f.p
+
+
+def reference_image_of_tensor(t, K, m):
+    """Basis matrix of tau_m(E (x) K) inside F (x) M, one column per
+    e (x) (basis vector of K), summed entry by entry."""
+    f = t.field
+    cols = []
+    for e in range(t.dim_e):
+        for j in range(K.basis.cols):
+            vec = [f.zero()] * (t.dim_f * m)
+            for h in range(t.dim_h):
+                for tt in range(m):
+                    kv = K.basis.data[h * m + tt][j]
+                    for y in range(t.dim_f):
+                        tv = t.tau.data[y][e * t.dim_h + h]
+                        vec[y * m + tt] = _reduce(f, vec[y * m + tt] + tv * kv)
+            cols.append(vec)
+    if not cols:
+        return ExactMatrix.zeros(f, t.dim_f * m, 0)
+    return ExactMatrix(f, cols).transpose()
+
+
+def reference_m_components(K, dim_h, m):
+    """The M-components of a basis of K, one column per basis vector and
+    element of the basis of H."""
+    cols = [[K.basis.data[h * m + tt][j] for tt in range(m)]
+            for j in range(K.basis.cols) for h in range(dim_h)]
+    if not cols:
+        return ExactMatrix.zeros(K.field, m, 0)
+    return ExactMatrix(K.field, cols).transpose()
+
+
+def reference_delta(t, K, m):
+    img = reference_image_of_tensor(t, K, m)
+    return Fraction(t.dim_f * m - img.rank(), t.dim_h * m - K.dim)
+
+
+def _matrix(draw, f, rows, cols):
+    hi = 2 if f.p is None else f.p - 1
+    return ExactMatrix.from_flat(f, rows, cols, draw(st.lists(
+        st.integers(-hi if f.p is None else 0, hi),
+        min_size=rows * cols, max_size=rows * cols)))
+
+
+@st.composite
+def taus_and_spans(draw):
+    """A random tau over QQ, GF(2) or GF(3) (legs of size 1 included), a
+    multiplicity m and a spanning matrix B of a subspace of H (x) M,
+    often with dependent columns (B = L R through a thin middle, or a
+    repeated column)."""
+    f = draw(st.sampled_from([Field(), GF(2), GF(3)]))
+    e, h, y, m = (draw(st.integers(1, 3)) for _ in range(4))
+    t = TauMap(f, e, h, y, _matrix(draw, f, y, e * h))
+    k = draw(st.integers(1, h * m))
+    if draw(st.booleans()):
+        mid = draw(st.integers(0, k))
+        B = _matrix(draw, f, h * m, mid) @ _matrix(draw, f, mid, k)
+    else:
+        B = _matrix(draw, f, h * m, k)
+        if draw(st.booleans()):
+            B = B.hstack(B.submatrix(range(B.rows), [0]))
+    return t, m, B
+
+
+@settings(max_examples=300, deadline=None)
+@given(taus_and_spans())
+def test_delta_on_spans_matches_reference(case):
+    t, m, B = case
+    ambient = t.dim_h * m
+    K = Subspace(ambient, B)
+    assert B.rank() == K.dim
+    generic = reference_m_components(K, t.dim_h, m).rank() == m
+    assert _spans_m(B, t.dim_h, m) == generic
+    if K.dim < ambient:
+        assert is_generic(K, t.dim_h, m) == generic
+    if generic and K.dim < ambient:
+        ref = reference_delta(t, K, m)
+        assert _delta(t, _tau_by_h(t), B, K.dim, m) == ref
+        assert delta(t, K, m) == ref
+    for j in range(B.cols):
+        u = B.submatrix(range(ambient), [j])
+        U = ExactMatrix(t.field, [[u.data[x * m + tt][0] for tt in range(m)]
+                                  for x in range(t.dim_h)])
+        assert length(u, t.dim_h, m) == U.rank()

@@ -21,21 +21,20 @@ QQ = Field()
 
 def test_field_arithmetic_rational():
     f = QQ
-    a, b = f.of(Fraction(2, 3)), f.of(Fraction(-1, 6))
-    assert f.add(a, b) == Fraction(1, 2)
-    assert f.mul(a, b) == Fraction(-1, 9)
-    assert f.inv(a) == Fraction(3, 2)
-    assert f.div(a, b) == -4
+    assert f.of(Fraction(2, 3)) == Fraction(2, 3)
+    assert type(f.of(2)) is Fraction and f.of(2) == 2
+    assert (f.zero(), f.one()) == (0, 1)
+    with pytest.raises(ValueError):
+        f.elements()
 
 
 def test_field_arithmetic_gf():
     f = GF(5)
-    assert f.add(3, 4) == 2
-    assert f.mul(3, 4) == 2
-    assert f.inv(3) == 2
+    assert f.of(7) == 2 and f.of(-1) == 4
+    assert f.of(Fraction(1, 3)) == 2   # 3 * 2 = 1 mod 5
     assert sorted(f.elements()) == [0, 1, 2, 3, 4]
     with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+        f.of(Fraction(1, 5))
 
 
 def test_gf_requires_prime():
@@ -123,11 +122,16 @@ def test_quotient_data_is_a_splitting():
 
 
 def test_gaussian_binomial_counts_subspaces():
+    """The counts match, and each enumerated basis is already canonical:
+    putting it in canonical form again gives the same Subspace."""
     for q in (2, 3):
-        for n in (2, 3, 4):
+        for n in (1, 2, 3, 4):
             for d in range(n + 1):
-                count = sum(1 for _ in enumerate_subspaces(q, n, d))
-                assert count == gaussian_binomial(q, n, d)
+                subspaces = enumerate_subspaces(q, n, d)
+                assert len(subspaces) == gaussian_binomial(q, n, d)
+                for S in subspaces:
+                    assert (S.ambient_dim, S.dim) == (n, d)
+                    assert S == Subspace(n, S.basis)
 
 
 def test_enumerate_subspaces_budget():
@@ -200,8 +204,9 @@ def test_regroup_inverse_permutation_is_identity(case, data):
 
 def reference_rref(A):
     """The dense reference elimination: Gauss-Jordan on field scalars
-    through the Field methods, one call per scalar."""
-    f = A.field
+    with plain operators, Fraction division over QQ and the inverse
+    pow(x, p - 2, p) with every entry reduced mod p over GF(p)."""
+    p = A.field.p
     m = A.copy_data()
     rows, cols = A.rows, A.cols
     pivots = []
@@ -217,12 +222,17 @@ def reference_rref(A):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = f.inv(m[r][c])
-        m[r] = [f.mul(inv, x) for x in m[r]]
+        if p is None:
+            m[r] = [x / m[r][c] for x in m[r]]
+        else:
+            inv = pow(m[r][c], p - 2, p)
+            m[r] = [inv * x % p for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c] != 0:
                 factor = m[i][c]
-                m[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(m[i], m[r])]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+                if p is not None:
+                    m[i] = [x % p for x in m[i]]
         pivots.append(c)
         r += 1
     return A._new(m, A.cols), pivots
@@ -370,3 +380,47 @@ def test_matmul_matches_reference(case):
     else:
         assert all(type(x) is int and 0 <= x < A.field.p
                    for row in C.data for x in row)
+
+
+# -- the entrywise operations against per-entry references ----------------
+
+@st.composite
+def entrywise_cases(draw, max_dim=4):
+    """Two matrices A, B of one shape, a matrix C of another and a
+    scalar, over GF(2), GF(3) or GF(65521), with 0xn and nx0 shapes
+    drawn often."""
+    f = draw(st.sampled_from([GF(2), GF(3), GF(65521)]))
+
+    def matrix(rows, cols):
+        return ExactMatrix.from_flat(f, rows, cols, draw(st.lists(
+            _scalars(f), min_size=rows * cols, max_size=rows * cols)))
+
+    dims = st.integers(0, max_dim)
+    rows, cols = draw(dims), draw(dims)
+    return (matrix(rows, cols), matrix(rows, cols), matrix(draw(dims), draw(dims)),
+            draw(st.integers(-f.p, 2 * f.p)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entrywise_cases())
+def test_entrywise_ops_and_kron_match_reference_mod_p(case):
+    A, B, C, c = case
+    p = A.field.p
+    a, b = A.data, B.data
+
+    def entries(op):
+        return [[op(i, j) % p for j in range(A.cols)] for i in range(A.rows)]
+
+    for got, want in ((A + B, entries(lambda i, j: a[i][j] + b[i][j])),
+                      (A - B, entries(lambda i, j: a[i][j] - b[i][j])),
+                      (-A, entries(lambda i, j: -a[i][j])),
+                      (A.scale(c), entries(lambda i, j: c * a[i][j]))):
+        assert (got.rows, got.cols, got.data) == (A.rows, A.cols, want)
+    K = A.kron(C)
+    assert (K.rows, K.cols) == (A.rows * C.rows, A.cols * C.cols)
+    assert all(K.data[i * C.rows + k][j * C.cols + l] == a[i][j] * C.data[k][l] % p
+               for i in range(A.rows) for j in range(A.cols)
+               for k in range(C.rows) for l in range(C.cols))
+    assert all(type(x) is int and 0 <= x < p
+               for M in (A + B, A - B, -A, A.scale(c), K)
+               for row in M.data for x in row)

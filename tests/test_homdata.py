@@ -50,7 +50,7 @@ def test_hom_data_validates():
 def test_hom_data_detects_corruption():
     h = projective_space_hom_data(QQ, 1, [-2, -1], [0, 1])
     comp = h.comp_BH[(2, 1, 1)]
-    comp.data[0][0] = QQ.add(comp.data[0][0], QQ.one())
+    comp.data[0][0] = comp.data[0][0] + 1
     rep = validate_hom_data(h)
     assert not rep.ok
 
