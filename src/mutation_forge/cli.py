@@ -9,13 +9,15 @@ Exit codes: 0 success, 1 mathematical failure, 2 usage error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from .exactfield import field_from_tag, field_tag
 from .theta import (theta_from_json, theta_to_json, point_from_json,
-                    point_to_json, validate_theta, in_W0, scalar_to_str)
+                    point_to_json, validate_theta, in_W0, scalar_to_str,
+                    json_counts, json_count, json_list, json_object)
 from .mutation import (build_dual, default_choice, mutate, involution_report,
                        double_dual_report)
 from .homdata import (projective_space_hom_data, hom_data_to_json,
@@ -131,18 +133,23 @@ def cmd_mutate(args):
     return code
 
 
-def _instance_from_spec(args):
-    spec = _load(args.instance)
+def _instance_spec(args):
+    """The instance file of stability and polarization: the object, its
+    hom data, multiplicities m and n, p, and the polarization lam, mu
+    given as "num/den" strings, each checked for its shape."""
+    spec = json_object(_load(args.instance), "instance")
     h = hom_data_from_json(spec["hom"])
-    return build_theta_p(h, spec["m"], spec["n"], spec["p"]), spec
+    m, n = json_counts(spec["m"], "m"), json_counts(spec["n"], "n")
+    p = json_count(spec["p"], "p")
+    pol = Polarization([_frac(x) for x in json_list(spec["lam"], "lam")],
+                       [_frac(x) for x in json_list(spec["mu"], "mu")], m, n)
+    return spec, h, p, pol
 
 
 def cmd_stability(args):
-    inst, spec = _instance_from_spec(args)
+    spec, h, p, pol = _instance_spec(args)
+    inst = build_theta_p(h, pol.m_mult, pol.n_mult, p)
     w = point_from_json(inst.theta, spec["point"])
-    pol = Polarization([_frac(x) for x in spec["lam"]],
-                       [_frac(x) for x in spec["mu"]],
-                       spec["m"], spec["n"])
     verdict = is_semistable_rs(inst, w, pol, group=args.group,
                                budget=args.budget_subspaces)
     witness = None
@@ -161,12 +168,8 @@ def cmd_stability(args):
 
 
 def cmd_polarization(args):
-    spec = _load(args.instance)
-    h = hom_data_from_json(spec["hom"])
-    pol = Polarization([_frac(x) for x in spec["lam"]],
-                       [_frac(x) for x in spec["mu"]],
-                       spec["m"], spec["n"])
-    rep = map_polarization(pol, h, spec["p"])
+    _, h, p, pol = _instance_spec(args)
+    rep = map_polarization(pol, h, p)
     payload = {
         "alpha": [scalar_to_str(x) for x in rep.lam],
         "beta": [scalar_to_str(x) for x in rep.mu],
@@ -332,9 +335,14 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser of build_parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

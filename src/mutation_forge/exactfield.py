@@ -22,6 +22,11 @@ def _is_prime(p):
     return True
 
 
+class NotInField(ValueError, ZeroDivisionError):
+    """A quotient whose denominator is zero in the field: bad input (a
+    ValueError) and a division by zero."""
+
+
 class Field:
     """A base field: the rationals (p is None) or GF(p) for a prime p < 2^16.
 
@@ -42,15 +47,30 @@ class Field:
         self.p = p
 
     def of(self, v):
-        """Coerce an int or Fraction into the field. Over GF(p) a Fraction
-        is reduced mod p (its denominator must be prime to p)."""
-        if self.p is None:
-            return Fraction(v)
+        """Coerce an int or Fraction into the field. A field element is
+        passed through: a Fraction over QQ is returned as it is, an int
+        over GF(p) is only reduced mod p. Over GF(p) a Fraction is
+        reduced by ratio, so its denominator must be prime to p."""
+        p = self.p
+        if p is None:
+            return v if type(v) is Fraction else Fraction(v)
+        if type(v) is int:
+            return v % p
         if isinstance(v, Fraction):
-            if v.denominator % self.p == 0:
-                raise ZeroDivisionError("denominator divisible by p")
-            return (v.numerator * pow(v.denominator, self.p - 2, self.p)) % self.p
-        return int(v) % self.p
+            return self.ratio(v.numerator, v.denominator)
+        return int(v) % p
+
+    def ratio(self, num, den):
+        """The element num/den for ints num and den as written. A zero
+        denominator, or over GF(p) one that p divides, names no element
+        and is a NotInField error; den is tested before anything is
+        reduced, so 3/3 is no element of GF(3)."""
+        p = self.p
+        if den == 0 or (p is not None and den % p == 0):
+            raise NotInField("%d/%d is not an element of %r" % (num, den, self))
+        if p is None:
+            return Fraction(num, den)
+        return num * pow(den, p - 2, p) % p
 
     def zero(self):
         return Fraction(0) if self.p is None else 0
@@ -124,14 +144,20 @@ class ExactMatrix:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zeros(field, rows, cols):
-        z = field.zero()
+    def of_rows(field, data, cols):
+        """The matrix whose rows are data, rows of field elements cols
+        long, taken as they are: no entry is coerced again."""
         m = ExactMatrix.__new__(ExactMatrix)
         m.field = field
-        m.rows = rows
+        m.data = data
+        m.rows = len(data)
         m.cols = cols
-        m.data = [[z] * cols for _ in range(rows)]
         return m
+
+    @staticmethod
+    def zeros(field, rows, cols):
+        z = field.zero()
+        return ExactMatrix.of_rows(field, [[z] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(field, n):
@@ -156,12 +182,8 @@ class ExactMatrix:
         return m
 
     def _new(self, data, cols=None):
-        m = ExactMatrix.__new__(ExactMatrix)
-        m.field = self.field
-        m.data = data
-        m.rows = len(data)
-        m.cols = len(data[0]) if data else (0 if cols is None else cols)
-        return m
+        return ExactMatrix.of_rows(self.field, data,
+                                   len(data[0]) if data else (cols or 0))
 
     def copy_data(self):
         return [row[:] for row in self.data]
@@ -235,12 +257,7 @@ class ExactMatrix:
                 for j, x in acc.items():
                     row[j] = x % p
             out.append(row)
-        m = ExactMatrix.__new__(ExactMatrix)
-        m.field = f
-        m.data = out
-        m.rows = self.rows
-        m.cols = other.cols
-        return m
+        return ExactMatrix.of_rows(f, out, n)
 
     def transpose(self):
         if self.rows == 0 or self.cols == 0:
@@ -584,31 +601,37 @@ def quotient_data(ambient_dim, S):
     kernel(projection) = S. The complement is the coordinate complement of
     the echelon pivots of S, recorded so quotient identifications are
     reproducible.
+
+    The canonical basis B of S is the identity on its pivot rows, so the
+    projection is written down with no elimination: its row j is
+    e_c - sum_k B[c][k] e_(pivot k) for the j-th complement coordinate c,
+    which is zero on every column of B and 1 on column j of the section.
     """
     if S.ambient_dim != ambient_dim:
         raise ValueError("subspace not inside the ambient space")
     f = S.field
-    B = S.basis
-    s = B.cols
+    p = f.p
+    B = S.basis.data
     # pivot rows of the reduced column echelon basis
     pivot_rows = []
-    for j in range(s):
+    for j in range(S.dim):
         for i in range(ambient_dim):
-            if B.data[i][j] != 0:
+            if B[i][j]:
                 pivot_rows.append(i)
                 break
-    comp = [i for i in range(ambient_dim) if i not in pivot_rows]
+    pivots = set(pivot_rows)
+    comp = [i for i in range(ambient_dim) if i not in pivots]
     q = len(comp)
     section = ExactMatrix.zeros(f, ambient_dim, q)
+    projection = ExactMatrix.zeros(f, q, ambient_dim)
     one = f.one()
-    for j, i in enumerate(comp):
-        section.data[i][j] = one
-    # T = [B | section] is invertible; projection = last q rows of T^{-1}
-    T = B.hstack(section)
-    Tinv = solve_linear(T, ExactMatrix.identity(f, ambient_dim))
-    if Tinv is None or T.rows != T.cols:
-        raise ValueError("degenerate subspace basis")
-    projection = Tinv.submatrix(range(s, ambient_dim), range(ambient_dim))
+    for j, c in enumerate(comp):
+        section.data[c][j] = one
+        row = projection.data[j]
+        row[c] = one
+        for k, x in zip(pivot_rows, B[c]):
+            if x:
+                row[k] = -x if p is None else -x % p
     return projection, section
 
 

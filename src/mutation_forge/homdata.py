@@ -31,6 +31,7 @@ from itertools import combinations_with_replacement
 from .exactfield import (ExactMatrix, Subspace, field_from_tag, field_tag,
                          kernel_basis, quotient_data, solve_linear)
 from .theta import (MorphismPoint, ThetaSpace, ValidationReport,
+                    json_count, json_counts, json_list, json_object,
                     matrix_from_json, matrix_to_json)
 
 
@@ -209,10 +210,7 @@ class ThetaInstance:
     lexicographic throughout)."""
 
     def __init__(self, h, m_mult, n_mult, p):
-        if len(m_mult) != h.r or len(n_mult) != h.s:
-            raise ValueError("multiplicity lists must have lengths r and s")
-        if not (0 <= p < h.r):
-            raise ValueError("p must satisfy 0 <= p < r")
+        _check_cut(h, m_mult, n_mult, p)
         self.h = h
         self.m_mult = list(m_mult)
         self.n_mult = list(n_mult)
@@ -368,6 +366,14 @@ def _place(out, blk, row_off, col_off, lay, key):
         for c, v in zip(cols, row):
             if v:
                 target[c] = v
+
+
+def _check_cut(h, m_mult, n_mult, p):
+    """Multiplicity lists of lengths r and s, and a cut 0 <= p < r."""
+    if len(m_mult) != h.r or len(n_mult) != h.s:
+        raise ValueError("multiplicity lists must have lengths r and s")
+    if not 0 <= p < h.r:
+        raise ValueError("p must satisfy 0 <= p < r")
 
 
 def build_theta_p(h, m_mult, n_mult, p):
@@ -724,14 +730,13 @@ def transpose_hom_data(h):
 def mutated_multiplicities(h, m_mult, n_mult, p):
     """Multiplicities of the mutated instance in the layout of
     mutated_hom_data(h, p): returns (m', n') of lengths (p+1, r+s-p-1)."""
-    r, s = h.r, h.s
-    q = r - p
+    _check_cut(h, m_mult, n_mult, p)
+    r = h.r
     m_prime = list(m_mult[:p])
     n1p = sum(m_mult[j - 1] * h.dimH[(1, j)] for j in range(p + 1, r + 1))
     m_prime.append(n1p - n_mult[0])
     n_prime = [m_mult[KK - 1] for KK in range(p + 1, r + 1)]
     n_prime += list(n_mult[1:])
-    assert len(n_prime) == r + s - p - 1 and q == r - p
     return m_prime, n_prime
 
 
@@ -862,17 +867,24 @@ def _tensor_dict_to_json(d):
             for k, v in sorted(d.items())]
 
 
-def _tensor_dict_from_json(obj, field):
-    return {tuple(entry["key"]): matrix_from_json(field, entry["matrix"])
-            for entry in obj}
+def _entries_from_json(obj, what):
+    """The (key, entry) pairs of a list of {"key": [ints], ...} objects."""
+    entries = [json_object(e, what) for e in json_list(obj, what)]
+    return [(tuple(json_counts(e["key"], what + " key")), e) for e in entries]
+
+
+def _tensor_dict_from_json(obj, field, what):
+    return {key: matrix_from_json(field, e["matrix"])
+            for key, e in _entries_from_json(obj, what)}
 
 
 def _dim_dict_to_json(d):
     return [{"key": list(k), "dim": v} for k, v in sorted(d.items())]
 
 
-def _dim_dict_from_json(obj):
-    return {tuple(entry["key"]): entry["dim"] for entry in obj}
+def _dim_dict_from_json(obj, what):
+    return {key: json_count(e["dim"], what)
+            for key, e in _entries_from_json(obj, what)}
 
 
 def hom_data_to_json(h):
@@ -891,15 +903,17 @@ def hom_data_to_json(h):
 
 
 def hom_data_from_json(obj):
+    obj = json_object(obj, "hom data")
     f = field_from_tag(obj["field"])
-    return HomData(f, obj["r"], obj["s"],
-                   _dim_dict_from_json(obj["dimH"]),
-                   _dim_dict_from_json(obj["dimA"]),
-                   _dim_dict_from_json(obj["dimB"]),
-                   _tensor_dict_from_json(obj["comp_HA"], f),
-                   _tensor_dict_from_json(obj["comp_BH"], f),
-                   _tensor_dict_from_json(obj["comp_AA"], f),
-                   _tensor_dict_from_json(obj["comp_BB"], f))
+    r, s = json_count(obj["r"], "r"), json_count(obj["s"], "s")
+    if r < 1 or s < 1:
+        raise ValueError("hom data needs r >= 1 and s >= 1, got %d and %d"
+                         % (r, s))
+    return HomData(f, r, s,
+                   *(_dim_dict_from_json(obj[k], k)
+                     for k in ("dimH", "dimA", "dimB")),
+                   *(_tensor_dict_from_json(obj[k], f, k)
+                     for k in ("comp_HA", "comp_BH", "comp_AA", "comp_BB")))
 
 
 def dual_point_to_mutated(inst, inst_hat, z):

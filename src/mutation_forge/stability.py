@@ -135,16 +135,16 @@ def kronecker_orbit_equivalent(k1, k2, budget=DEFAULT_BUDGET):
 
 # -- two-tier instances -----------------------------------------------
 
-def _family_images(inst, fam, bases):
-    """For source subspace bases (one per first-tier index), the minimal
-    admissible second-tier subspaces: N'_l spanned by all blocks
-    x_(l,i)(H_li (x) M'_i)."""
+def _witness(inst, fam, combo):
+    """The Gred witness of a recorded family combo of source subspaces
+    (one per first-tier index): combo and the minimal admissible
+    second-tier subspaces, N'_l spanned by all blocks x_(l,i)(H_li (x) M'_i)."""
     f = inst.h.field
     out = {}
     for l in range(1, inst.h.s + 1):
         span = Subspace.zero(f, inst.n_mult[l - 1])
         for i in range(1, inst.h.r + 1):
-            basis = bases[i - 1]
+            basis = combo[i - 1].basis
             if basis.cols == 0:
                 continue
             dh = inst.h.dimH[(l, i)]
@@ -153,7 +153,7 @@ def _family_images(inst, fam, bases):
             blk = fam[(l, i)].apply_leg([dh, inst.m_mult[i - 1]], 1, basis)
             span = span.sum(image_subspace(blk))
         out[l] = span
-    return out
+    return combo, out
 
 
 def _as_family(inst, w):
@@ -222,8 +222,8 @@ def _gred_core(inst, fam, pol, per_index):
     is computed once per (l, i, M'_i), and a family then costs one rank
     per l (none when at most one of its blocks is nonzero). The weights
     are cleared of their common denominator, so the slopes compare as
-    ints. The witness images are built, as Subspaces, for the recorded
-    family only."""
+    ints. Returns (semistable, stable, combo), combo the recorded family
+    of subspaces M'_i or None; _witness builds its images."""
     h = inst.h
     den = lcm(*(Fraction(x).denominator for x in chain(pol.lam, pol.mu)))
     lam = [(Fraction(x) * den).numerator for x in pol.lam]
@@ -238,7 +238,7 @@ def _gred_core(inst, fam, pol, per_index):
             images[-1].append([_block_image(y, n, sub) for sub in subs])
     lhs_of = [[lam_i * sub.dim for sub in subs] for lam_i, subs in zip(lam, per_index)]
     stable = True
-    witness = None
+    combo = None
     for ks in product(*(range(len(subs)) for subs in per_index)):
         dims_n = [_span_dim([col[k] for col, k in zip(row, ks) if col[k] is not None])
                   for row in images]
@@ -249,12 +249,11 @@ def _gred_core(inst, fam, pol, per_index):
         if lhs > rhs or (stable and lhs == rhs
                          and any(subs[k].dim for subs, k in zip(per_index, ks))):
             combo = tuple(subs[k] for subs, k in zip(per_index, ks))
-            witness = (combo, _family_images(inst, fam, [sub.basis for sub in combo]))
             if lhs > rhs:
                 # the first violating family decides the verdict and the witness
-                return StabilityVerdict(False, False, witness)
+                return False, False, combo
             stable = False
-    return StabilityVerdict(True, stable, witness)
+    return True, stable, combo
 
 
 def gred_semistable(inst, w, pol, budget=DEFAULT_BUDGET):
@@ -267,7 +266,10 @@ def gred_semistable(inst, w, pol, budget=DEFAULT_BUDGET):
     (l, i, M'_i), and a family costs one rank per l."""
     _check_polarization(inst, pol)
     fam = _as_family(inst, w)
-    return _gred_core(inst, fam, pol, _subspace_lists(inst, budget))
+    semistable, stable, combo = _gred_core(inst, fam, pol,
+                                           _subspace_lists(inst, budget))
+    witness = None if combo is None else _witness(inst, fam, combo)
+    return StabilityVerdict(semistable, stable, witness)
 
 
 def _unipotent_parameters(inst, budget=DEFAULT_BUDGET):
@@ -411,18 +413,19 @@ def is_semistable_rs(inst, w, pol, group="Gred", budget=DEFAULT_BUDGET):
     _check_polarization(inst, pol)
     per_index = _subspace_lists(inst, budget)
     semistable, stable = True, True
-    witness = None
+    kept = None   # (translate, recorded family) of the witness
     for moved in chain([first], walk):
-        v = _gred_core(inst, moved, pol, per_index)
-        if not v.semistable and semistable:
+        ss, st, combo = _gred_core(inst, moved, pol, per_index)
+        if not ss and semistable:
             semistable = False
-            witness = (moved, v.witness)
-        if not v.stable:
+            kept = (moved, combo)
+        if not st:
             stable = False
-            if witness is None:
-                witness = (moved, v.witness)
+            if kept is None:
+                kept = (moved, combo)
         if not semistable and not stable:
             break
+    witness = None if kept is None else (kept[0], _witness(inst, *kept))
     return StabilityVerdict(semistable, stable, witness)
 
 

@@ -477,24 +477,44 @@ def chart_for_point(theta, w, r2=None):
 # -- serialization ----------------------------------------------------
 
 def scalar_to_str(x):
-    from fractions import Fraction
-    if isinstance(x, Fraction):
-        return "%d/%d" % (x.numerator, x.denominator)
-    return "%d/1" % x
+    return "%d/%d" % x.as_integer_ratio()
 
 
 def scalar_from_str(field, s):
     """Parse an exact "num/den" string into the field. Input that names
     no field element (not a string, a zero denominator, or one divisible
-    by p over GF(p)) is a ValueError."""
+    by p over GF(p), as written) is a ValueError."""
     if not isinstance(s, str):
         raise ValueError("scalar %r is not a 'num/den' string" % (s,))
     num, den = s.split("/")
-    num, den = int(num), int(den)
-    if den == 0 or (field.p is not None and den % field.p == 0):
-        raise ValueError("scalar %r is not an element of %r" % (s, field))
-    from fractions import Fraction
-    return field.of(Fraction(num, den))
+    return field.ratio(int(num), int(den))
+
+
+# The JSON readers check the shape of what they read, so that input of
+# the wrong shape is a ValueError (a usage error) and not a TypeError
+# deep inside the program.
+
+def json_object(d, what):
+    if not isinstance(d, dict):
+        raise ValueError("%s must be a JSON object, got %.40r" % (what, d))
+    return d
+
+
+def json_list(x, what):
+    if not isinstance(x, list):
+        raise ValueError("%s must be a JSON list, got %.40r" % (what, x))
+    return x
+
+
+def json_count(x, what):
+    """An int >= 0 (a JSON true or false is none)."""
+    if type(x) is not int or x < 0:
+        raise ValueError("%s must be an integer >= 0, got %.40r" % (what, x))
+    return x
+
+
+def json_counts(x, what):
+    return [json_count(v, what) for v in json_list(x, what)]
 
 
 def matrix_to_json(M):
@@ -503,8 +523,17 @@ def matrix_to_json(M):
 
 
 def matrix_from_json(field, d):
-    vals = [scalar_from_str(field, s) for s in d["entries"]]
-    return ExactMatrix.from_flat(field, d["rows"], d["cols"], vals)
+    """The matrix of a {"rows", "cols", "entries"} object: each entry is
+    parsed once into a field element and kept as it is."""
+    d = json_object(d, "matrix")
+    rows, cols = json_count(d["rows"], "rows"), json_count(d["cols"], "cols")
+    entries = json_list(d["entries"], "entries")
+    if len(entries) != rows * cols:
+        raise ValueError("a %dx%d matrix has %d entries, not %d"
+                         % (rows, cols, rows * cols, len(entries)))
+    vals = [scalar_from_str(field, s) for s in entries]
+    return ExactMatrix.of_rows(field, [vals[r * cols:(r + 1) * cols]
+                                       for r in range(rows)], cols)
 
 
 def theta_to_json(t):
@@ -521,10 +550,11 @@ def theta_to_json(t):
 
 
 def theta_from_json(d):
+    d = json_object(d, "theta")
     field = field_from_tag(d["field"])
-    dims = d["dims"]
-    return ThetaSpace(field, dims["n1"], dims["n2"], dims["m1"], dims["m2"],
-                      dims["a0"], dims["b0"], dims["mult"],
+    dims = json_object(d["dims"], "dims")
+    return ThetaSpace(field, *(json_count(dims[k], "dims." + k) for k in
+                               ("n1", "n2", "m1", "m2", "a0", "b0", "mult")),
                       matrix_from_json(field, d["rho1"]),
                       matrix_from_json(field, d["rho2"]),
                       matrix_from_json(field, d["mu"]),
@@ -537,6 +567,7 @@ def point_to_json(w):
 
 
 def point_from_json(theta, d):
+    d = json_object(d, "point")
     return MorphismPoint(theta,
                          matrix_from_json(theta.field, d["psi1"]),
                          matrix_from_json(theta.field, d["psi2"]),

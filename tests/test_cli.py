@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, exact serialization, sweeps."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from mutation_forge.cli import main
 from mutation_forge.exactfield import Field
 from mutation_forge.theta import (MorphismPoint, point_to_json,
-                                  theta_to_json)
+                                  theta_from_json, theta_to_json)
 from mutation_forge.homdata import (Polarization, build_theta_p,
                                     hom_data_to_json,
                                     projective_space_hom_data)
@@ -85,13 +86,56 @@ BAD_INPUTS = {
     "theta with field tag foo:3": "theta-tag:foo:3",
     "hom data with field tag rational": "hom-tag:rational",
     "hom data with field tag foo:3": "hom-tag:foo:3",
+    # JSON of the wrong shape: (command, path into its input file, the
+    # value written there); the empty path replaces the whole file
+    "theta a list": ("validate", (), []),
+    "theta dims null": ("validate", ("dims",), None),
+    "theta dims.n1 null": ("validate", ("dims", "n1"), None),
+    "theta rho1 null": ("validate", ("rho1",), None),
+    "theta rho1.rows null": ("validate", ("rho1", "rows"), None),
+    "theta rho1.entries null": ("validate", ("rho1", "entries"), None),
+    "instance a list": ("polarization", (), []),
+    "instance hom null": ("polarization", ("hom",), None),
+    "instance hom.r null": ("polarization", ("hom", "r"), None),
+    "instance hom.s zero": ("polarization", ("hom", "s"), 0),
+    "instance p not below r": ("polarization", ("p",), 2),
+    "instance hom.dimA null": ("polarization", ("hom", "dimA"), None),
+    "instance hom.dimH key null": ("polarization", ("hom", "dimH", 0, "key"), None),
+    "instance hom.comp_BB null": ("polarization", ("hom", "comp_BB"), None),
+    "instance m null": ("polarization", ("m",), None),
+    "instance m with a string": ("polarization", ("m",), ["1", 1]),
+    "instance lam null": ("polarization", ("lam",), None),
+    "instance point null": ("stability", ("point",), None),
 }
+
+
+def _bad_json_argv(tmp_path, command, where, value):
+    """argv of command on a valid input file with value written at where."""
+    h = projective_space_hom_data(Field(2), 1, [-2, -1], [0])
+    inst = build_theta_p(h, [1, 1], [2], 0)
+    if command == "validate":
+        obj = theta_to_json(inst.theta)
+    else:
+        obj = {"hom": hom_data_to_json(h), "m": [1, 1], "n": [2], "p": 0,
+               "point": point_to_json(MorphismPoint.zero(inst.theta)),
+               "lam": ["1/2", "1/2"], "mu": ["1/2"]}
+    if where:
+        node = obj
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+    else:
+        obj = value
+    flag = "--theta" if command == "validate" else "--instance"
+    return [command, flag, _write(tmp_path, "input.json", obj)]
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_input_is_a_usage_error(name, tmp_path, capsys):
     argv = BAD_INPUTS[name]
-    if isinstance(argv, str) and argv.startswith("hom-tag:"):
+    if isinstance(argv, tuple):
+        argv = _bad_json_argv(tmp_path, *argv)
+    elif isinstance(argv, str) and argv.startswith("hom-tag:"):
         h = projective_space_hom_data(QQ, 2, [-2, -1], [0])
         spec = {"hom": hom_data_to_json(h), "m": [1, 1], "n": [2], "p": 0,
                 "lam": ["1/2", "1/2"], "mu": ["1/2"]}
@@ -274,3 +318,44 @@ def test_no_floats_in_output(tmp_path):
             for v in x:
                 walk(v)
     walk(obj)
+
+
+# (field, n, e, f, p) of the pipeline runs behind GOLDEN_DIGEST: generate,
+# dual --verify and, over QQ, mutate --verify at a seeded point of W0
+GOLDEN_RUNS = [
+    ("rationals", 1, [-2, -1], [0], 0),
+    ("rationals", 2, [-2, -1], [0, 1], 1),
+    ("rationals", 2, [-3, -2, -1], [0], 2),
+    ("rationals", 3, [-2], [0, 1, 2], 0),
+    ("gf:3", 2, [-2, -1], [0, 1], 1),
+]
+# sha256 of the output bytes of every GOLDEN_RUNS command, in order, as
+# the CLI wrote them when it was pinned: a change of this digest is a
+# change of the CLI output
+GOLDEN_DIGEST = "36472e5b417184df4a2ca7845e3e32299d9cd5849a2fd79e909d453989b2ebb3"
+
+
+def test_cli_output_digest(tmp_path):
+    digest = hashlib.sha256()
+    for k, (field, n, e, fl, p) in enumerate(GOLDEN_RUNS):
+        out = {step: tmp_path / ("%s%d.json" % (step, k))
+               for step in ("gen", "theta", "point", "dual", "mutate")}
+        assert main(["generate", "--field", field, "--n", str(n),
+                     "--edeg", *map(str, e), "--fdeg", *map(str, fl),
+                     "--m", *["1"] * len(e), "--nmult", *["1"] * len(fl),
+                     "--p", str(p), "--out", str(out["gen"])]) == 0
+        theta = json.loads(out["gen"].read_text())["result"]["theta"]
+        out["theta"].write_text(json.dumps(theta))
+        assert main(["dual", "--theta", str(out["theta"]), "--verify",
+                     "--out", str(out["dual"])]) == 0
+        steps = ["gen", "dual"]
+        if field == "rationals":
+            w = random_w0_point(theta_from_json(theta), random.Random(70 + k))
+            out["point"].write_text(json.dumps(point_to_json(w)))
+            assert main(["mutate", "--theta", str(out["theta"]),
+                         "--point", str(out["point"]), "--verify",
+                         "--out", str(out["mutate"])]) == 0
+            steps.append("mutate")
+        for step in steps:
+            digest.update(out[step].read_bytes())
+    assert digest.hexdigest() == GOLDEN_DIGEST

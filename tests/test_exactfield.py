@@ -8,6 +8,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mutation_forge import exactfield
 from mutation_forge.exactfield import (ExactMatrix, Field, GF, Subspace,
                                        column_echelon, enumerate_subspaces,
                                        gaussian_binomial, image_subspace,
@@ -35,6 +36,21 @@ def test_field_arithmetic_gf():
     assert sorted(f.elements()) == [0, 1, 2, 3, 4]
     with pytest.raises(ZeroDivisionError):
         f.of(Fraction(1, 5))
+
+
+def test_of_passes_field_elements_through():
+    x = Fraction(-7, 3)
+    assert QQ.of(x) is x
+    for p in (2, 3, 65521):
+        for k in (-p - 1, -1, 0, 1, p, 3 * p + 2, 10 ** 30):
+            assert GF(p).of(k) == k % p and type(GF(p).of(k)) is int
+
+
+def test_ratio_rejects_a_written_zero_denominator():
+    assert GF(3).ratio(2, 4) == 2 and QQ.ratio(3, -6) == Fraction(-1, 2)
+    for f, num, den in ((GF(3), 3, 3), (GF(3), 1, 3), (QQ, 1, 0), (GF(2), 0, 0)):
+        with pytest.raises(ValueError):
+            f.ratio(num, den)
 
 
 def test_gf_requires_prime():
@@ -119,6 +135,73 @@ def test_quotient_data_is_a_splitting():
     q = 5 - S.dim
     assert proj @ section == ExactMatrix.identity(QQ, q)
     assert (proj @ S.basis).is_zero()
+
+
+def reference_quotient_data(ambient_dim, S):
+    """The projection and section of quotient_data by elimination: the
+    section picks the coordinates off the pivots of S, and the
+    projection is the last rows of the inverse of T = [B | section]."""
+    f = S.field
+    B = S.basis
+    s = B.cols
+    pivot_rows = []
+    for j in range(s):
+        for i in range(ambient_dim):
+            if B.data[i][j] != 0:
+                pivot_rows.append(i)
+                break
+    comp = [i for i in range(ambient_dim) if i not in pivot_rows]
+    section = ExactMatrix.zeros(f, ambient_dim, len(comp))
+    for j, i in enumerate(comp):
+        section.data[i][j] = f.one()
+    Tinv = solve_linear(B.hstack(section), ExactMatrix.identity(f, ambient_dim))
+    return Tinv.submatrix(range(s, ambient_dim), range(ambient_dim)), section
+
+
+@st.composite
+def spans(draw, max_dim=7):
+    """A subspace of GF(2)^n, GF(3)^n or QQ^n, n <= 7, spanned by columns
+    that are often dependent or zero; the zero subspace and the whole
+    space are drawn often."""
+    f = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    n = draw(st.integers(0, max_dim))
+    kind = draw(st.sampled_from(["zero", "full", "span"]))
+    if kind == "zero":
+        return n, Subspace.zero(f, n)
+    k = draw(st.integers(0, n + 2))
+    cols = [draw(st.lists(_scalars(f), min_size=n, max_size=n)) for _ in range(k)]
+    for j in draw(st.sets(st.integers(0, k - 1))) if k else ():
+        # zero or, when there is an earlier column, a multiple of it
+        cols[j] = ([draw(_scalars(f)) * x for x in cols[j - 1]]
+                   if j and draw(st.booleans()) else [f.zero()] * n)
+    B = ExactMatrix.from_flat(f, k, n, [x for col in cols for x in col]).transpose()
+    if kind == "full":
+        B = B.hstack(ExactMatrix.identity(f, n)) if k else ExactMatrix.identity(f, n)
+    return n, Subspace(n, B) if B.cols else Subspace.zero(f, n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(spans())
+def test_quotient_data_matches_reference(case):
+    n, S = case
+    proj, section = quotient_data(n, S)
+    ref_proj, ref_section = reference_quotient_data(n, S)
+    assert (proj.rows, proj.cols) == (ref_proj.rows, ref_proj.cols) == (n - S.dim, n)
+    assert (proj.data, section.data) == (ref_proj.data, ref_section.data)
+    assert (section.rows, section.cols) == (n, n - S.dim)
+
+
+def test_quotient_data_runs_no_elimination(monkeypatch):
+    rng = random.Random(6)
+    S = image_subspace(rnd_matrix(QQ, rng, 6, 3))
+
+    def refuse(*args):
+        raise AssertionError("quotient_data eliminated")
+    for name in ("rref", "rank"):
+        monkeypatch.setattr(ExactMatrix, name, refuse)
+    monkeypatch.setattr(exactfield, "solve_linear", refuse)
+    proj, section = quotient_data(6, S)
+    assert (proj.rows, section.cols) == (3, 3)
 
 
 def test_gaussian_binomial_counts_subspaces():

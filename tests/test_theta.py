@@ -129,6 +129,41 @@ def test_scalar_serialization_round_trip():
     assert scalar_from_str(g, scalar_to_str(5)) == 5
 
 
+def test_scalar_to_str_of_integers():
+    from fractions import Fraction
+    for x in (0, 5, -3, Fraction(4), Fraction(-6, 2), 10 ** 20):
+        assert scalar_to_str(x) == "%d/1" % x
+    assert scalar_to_str(Fraction(6, -4)) == "-3/2"
+
+
+def test_scalar_from_str_rejects_a_written_zero_denominator():
+    """Over GF(p) a denominator that p divides is rejected as written,
+    before the quotient is reduced: 3/3 is no element of GF(3)."""
+    for field, s in ((GF(3), "3/3"), (GF(3), "1/3"), (GF(3), "0/6"),
+                     (QQ, "1/0"), (GF(5), "1/0")):
+        with pytest.raises(ValueError):
+            scalar_from_str(field, s)
+    assert scalar_from_str(GF(3), "4/2") == 2
+    assert scalar_from_str(QQ, "3/3") == 1
+
+
+def test_matrix_from_json_coerces_each_entry_at_most_once(monkeypatch):
+    calls = []
+    of = Field.of
+
+    def counted(self, v):
+        calls.append(v)
+        return of(self, v)
+    monkeypatch.setattr(Field, "of", counted)
+    rng = random.Random(31)
+    for field in (QQ, GF(3)):
+        M = rnd_matrix(field, rng, 3, 4)
+        d = json.loads(json.dumps(matrix_to_json(M)))
+        del calls[:]
+        assert matrix_from_json(field, d) == M
+        assert len(calls) <= len(d["entries"])
+
+
 def test_matrix_json_round_trip():
     rng = random.Random(28)
     M = rnd_matrix(QQ, rng, 3, 4)
