@@ -22,7 +22,7 @@ from .mutation import (build_dual, default_choice, mutate, involution_report,
                        double_dual_report)
 from .homdata import (projective_space_hom_data, hom_data_to_json,
                       hom_data_from_json, build_theta_p, Polarization,
-                      map_polarization)
+                      map_polarization, validate_hom_data)
 from .stability import is_semistable_rs
 from .constants import sigma0, sigma1, c_formula, c_tau_search
 from .thresholds import ThresholdInput, thm64_ok, equality_dimension_vectors
@@ -136,9 +136,13 @@ def cmd_mutate(args):
 def _instance_spec(args):
     """The instance file of stability and polarization: the object, its
     hom data, multiplicities m and n, p, and the polarization lam, mu
-    given as "num/den" strings, each checked for its shape."""
+    given as "num/den" strings, each checked for its shape; the hom data
+    must also pass validate_hom_data."""
     spec = json_object(_load(args.instance), "instance")
     h = hom_data_from_json(spec["hom"])
+    failed = validate_hom_data(h).failures()
+    if failed:
+        raise ValueError("hom data fails its checks: " + ", ".join(failed))
     m, n = json_counts(spec["m"], "m"), json_counts(spec["n"], "n")
     p = json_count(spec["p"], "p")
     pol = Polarization([_frac(x) for x in json_list(spec["lam"], "lam")],

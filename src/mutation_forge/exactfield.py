@@ -6,6 +6,7 @@ arithmetic is exact — Fraction for the rationals, ints mod p for GF(p).
 There is no floating point anywhere in this package.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt, lcm, prod
@@ -294,39 +295,19 @@ class ExactMatrix:
         are the legs numbered in rows and whose column legs are those
         numbered in cols, in the order given: a reshape, transpose and
         reshape done as an index map that copies every entry once, with
-        no test of its value (a Fraction's truth test is a Python call)."""
-        dims = list(row_dims) + list(col_dims)
-        if sorted(list(rows) + list(cols)) != list(range(len(dims))):
-            raise ValueError("rows and cols must name every leg exactly once")
-        if (prod(row_dims), prod(col_dims)) != (self.rows, self.cols):
+        no test of its value (a Fraction's truth test is a Python call).
+        The index map is built once per leg signature (_regroup_map)."""
+        shape, (n_rows, n_cols), row_r, row_c, col_r, col_c = _regroup_map(
+            tuple(row_dims), tuple(col_dims), tuple(rows), tuple(cols))
+        if shape != (self.rows, self.cols):
             raise ValueError("legs %r x %r do not fit a %dx%d matrix"
                              % (list(row_dims), list(col_dims), self.rows, self.cols))
-        # stride of every leg in the output row index and column index
-        rstride = [0] * len(dims)
-        cstride = [0] * len(dims)
-        for group, stride in ((rows, rstride), (cols, cstride)):
-            s = 1
-            for leg in reversed(group):
-                stride[leg] = s
-                s *= dims[leg]
-
-        def offsets(legs):
-            r_off, c_off = [0], [0]
-            for leg in legs:
-                d, sr, sc = dims[leg], rstride[leg], cstride[leg]
-                r_off = [o + k * sr for o in r_off for k in range(d)]
-                c_off = [o + k * sc for o in c_off for k in range(d)]
-            return r_off, c_off
-
-        row_r, row_c = offsets(range(len(row_dims)))
-        col_r, col_c = offsets(range(len(row_dims), len(dims)))
-        out = ExactMatrix.zeros(self.field, prod(dims[leg] for leg in rows),
-                                prod(dims[leg] for leg in cols))
-        data = out.data
+        z = self.field.zero()
+        data = [[z] * n_cols for _ in range(n_rows)]
         for row, rr, rc in zip(self.data, row_r, row_c):
             for x, cr, cc in zip(row, col_r, col_c):
                 data[rr + cr][rc + cc] = x
-        return out
+        return ExactMatrix.of_rows(self.field, data, n_cols)
 
     def apply_leg(self, col_dims, leg, x):
         """self @ (I (x) x (x) I) with x on column leg number leg of
@@ -404,6 +385,40 @@ class ExactMatrix:
         """Rank by forward elimination only, with no back-substitution:
         Bareiss over QQ, mod p over GF(p)."""
         return len(_eliminate(self.field, self.data, self.cols, False)[1])
+
+
+@functools.lru_cache(maxsize=None)
+def _regroup_map(row_dims, col_dims, rows, cols):
+    """The index map of ExactMatrix.regroup for one leg signature, given
+    as tuples: the input shape, the output shape, and the offsets that an
+    input row and an input column add to the output row and column
+    index. A signature that does not name every leg once is a ValueError,
+    raised on every call (exceptions are not cached)."""
+    dims = row_dims + col_dims
+    if sorted(rows + cols) != list(range(len(dims))):
+        raise ValueError("rows and cols must name every leg exactly once")
+    # stride of every leg in the output row index and column index
+    rstride = [0] * len(dims)
+    cstride = [0] * len(dims)
+    for group, stride in ((rows, rstride), (cols, cstride)):
+        s = 1
+        for leg in reversed(group):
+            stride[leg] = s
+            s *= dims[leg]
+
+    def offsets(legs):
+        r_off, c_off = [0], [0]
+        for leg in legs:
+            d, sr, sc = dims[leg], rstride[leg], cstride[leg]
+            r_off = [o + k * sr for o in r_off for k in range(d)]
+            c_off = [o + k * sc for o in c_off for k in range(d)]
+        return tuple(r_off), tuple(c_off)
+
+    row_r, row_c = offsets(range(len(row_dims)))
+    col_r, col_c = offsets(range(len(row_dims), len(dims)))
+    return ((prod(row_dims), prod(col_dims)),
+            (prod(dims[leg] for leg in rows), prod(dims[leg] for leg in cols)),
+            row_r, row_c, col_r, col_c)
 
 
 def _integer_row(row):

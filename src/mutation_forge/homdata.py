@@ -60,7 +60,8 @@ def validate_hom_data(h):
     The objects E_1 < .. < E_r < F_1 < .. < F_s are totally ordered, and
     every check runs over the chains of that order: shapes over the
     chains of three, identities over the pairs and associativity over
-    the chains of four."""
+    the chains of four. When the shapes fail the report stops there: the
+    other checks need compositions of the declared shapes."""
     f = h.field
     rep = ValidationReport()
     objs = _objects(h)
@@ -71,6 +72,8 @@ def validate_hom_data(h):
                                 _hom_dim(h, o2, o1) * _hom_dim(h, o1, o0)):
             shapes_ok = False
     rep.add("shapes", shapes_ok)
+    if not shapes_ok:
+        return rep
     rep.add("identities", all(
         _comp(h, o1, o0, o0) == ExactMatrix.identity(f, _hom_dim(h, o1, o0))
         and _comp(h, o1, o1, o0) == ExactMatrix.identity(f, _hom_dim(h, o1, o0))

@@ -68,7 +68,7 @@ class StabilityVerdict:
                    ", witness" if self.witness is not None else ""))
 
 
-def kronecker_semistable(k, strict=False, budget=DEFAULT_BUDGET):
+def kronecker_semistable(k, budget=DEFAULT_BUDGET):
     """Exhaustive slope test: for every nonzero subspace M' of M, the
     minimal admissible N' is f(L (x) M'), and semistability demands
     m * dim N' >= n * dim M' (strictly, for proper M', when stable)."""
@@ -85,10 +85,7 @@ def kronecker_semistable(k, strict=False, budget=DEFAULT_BUDGET):
                     semistable = False
                     witness = (sub, img)
             elif k.m * dn == k.n * d and (d, dn) != (k.m, k.n):
-                if stable:
-                    stable = False
-                    if witness is None and strict:
-                        witness = (sub, img)
+                stable = False
     return StabilityVerdict(semistable, stable, witness)
 
 
@@ -302,82 +299,41 @@ def apply_unipotent(inst, fam, params):
     """Act on a family by the unipotent element with the given
     off-diagonal blocks; params maps (True, j, i) to an element of
     A_ji (x) Hom(M_i, M_j) (matrix (dimA*m_j)-by-m_i) and (False, m, l)
-    to an element of B_ml (x) Hom(N_l, N_m) (matrix (dimB*n_m)-by-n_l)."""
+    to an element of B_ml (x) Hom(N_l, N_m) (matrix (dimB*n_m)-by-n_l).
+
+    The source side acts first, the target side then acts on the
+    source-updated family, which covers the cross term."""
     h = inst.h
-    p = h.field.p
-    m = lambda i: inst.m_mult[i - 1]
-    n = lambda l: inst.n_mult[l - 1]
-
-    def copy(mats):
-        # the updates below accumulate unreduced; copies reduce mod p
-        if p is None:
-            return {k: v._new(v.copy_data(), v.cols) for k, v in mats.items()}
-        return {k: v._new([[x % p for x in row] for row in v.data], v.cols)
-                for k, v in mats.items()}
-
-    out = copy(fam)
-    # source side: x'_(l,i) += x_(l,j) . u_(j,i) through comp_HA
-    for key, U in params.items():
-        source, a, b = key
+    m, n = inst.m_mult, inst.n_mult
+    out = dict(fam)
+    # source side: x'_(l,i) += x_(l,j) . T with T : H_li (x) M_i ->
+    # H_lj (x) M_j, comp_HA contracted with u_(j,i) over A_ji
+    for (source, j, i), u in params.items():
         if not source:
             continue
-        j, i = a, b
         da = h.dimA[(j, i)]
+        u_a = u.regroup([da, m[j - 1]], [m[i - 1]], [0], [1, 2])
         for l in range(1, h.s + 1):
-            comp = h.comp_HA[(l, j, i)]
-            dli, dlj = h.dimH[(l, i)], h.dimH[(l, j)]
-            x_lj = fam[(l, j)].data
-            tgt = out[(l, i)].data
-            for hp in range(dlj):
-                for alpha in range(da):
-                    for hh in range(dli):
-                        c = comp.data[hh][hp * da + alpha]
-                        if c == 0:
-                            continue
-                        for tj in range(m(j)):
-                            for ti in range(m(i)):
-                                u = U.data[alpha * m(j) + tj][ti]
-                                if u == 0:
-                                    continue
-                                cu = c * u
-                                for v in range(n(l)):
-                                    xv = x_lj[v][hp * m(j) + tj]
-                                    if xv == 0:
-                                        continue
-                                    tgt[v][hh * m(i) + ti] += cu * xv
-    # target side: x'_(m,i) += v_(m,l) . x'_(l,i) through comp_BH,
-    # applied to the source-updated family (covers the cross term)
-    mid = copy(out)
-    for key, V in params.items():
-        source, a, b = key
+            dlj, dli = h.dimH[(l, j)], h.dimH[(l, i)]
+            comp = h.comp_HA[(l, j, i)].regroup([dli], [dlj, da], [1, 0], [2])
+            t = (comp @ u_a).regroup([dlj, dli], [m[j - 1], m[i - 1]],
+                                     [0, 2], [1, 3])
+            out[(l, i)] = out[(l, i)] + fam[(l, j)] @ t
+    # target side: x'_(mm,i) += v_(mm,l) . x'_(l,i) through comp_BH:
+    # v @ x'_(l,i) regrouped to (N_mm (x) M_i) x (B_ml (x) H_li), then
+    # times comp_BH transposed, (B_ml (x) H_li) x H_mi
+    mid = dict(out)
+    for (source, mm, l), v in params.items():
         if source:
             continue
-        mm, l = a, b
         db = h.dimB[(mm, l)]
         for i in range(1, h.r + 1):
-            comp = h.comp_BH[(mm, l, i)]
-            dli, dmi = h.dimH[(l, i)], h.dimH[(mm, i)]
-            x_li = mid[(l, i)].data
-            tgt = out[(mm, i)].data
-            for beta in range(db):
-                for hh in range(dli):
-                    for hpp in range(dmi):
-                        c = comp.data[hpp][beta * dli + hh]
-                        if c == 0:
-                            continue
-                        for vm in range(n(mm)):
-                            vv = V.data[beta * n(mm) + vm]
-                            for vl in range(n(l)):
-                                u = vv[vl]
-                                if u == 0:
-                                    continue
-                                cu = c * u
-                                for t in range(m(i)):
-                                    xv = x_li[vl][hh * m(i) + t]
-                                    if xv == 0:
-                                        continue
-                                    tgt[vm][hpp * m(i) + t] += cu * xv
-    return copy(out)
+            y = (v @ mid[(l, i)]).regroup([db, n[mm - 1]], [h.dimH[(l, i)], m[i - 1]],
+                                          [1, 3], [0, 2])
+            z = y @ h.comp_BH[(mm, l, i)].transpose()
+            out[(mm, i)] = out[(mm, i)] + z.regroup(
+                [n[mm - 1], m[i - 1]], [h.dimH[(mm, i)]], [0], [2, 1])
+    return out
 
 
 def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
@@ -392,7 +348,8 @@ def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
     for combo in product(*ranges):
         params = {}
         for (src, a, b, rows, cols), flat in zip(shapes, combo):
-            params[(src, a, b)] = ExactMatrix.from_flat(f, rows, cols, flat)
+            params[(src, a, b)] = ExactMatrix.of_rows(
+                f, [list(flat[r * cols:(r + 1) * cols]) for r in range(rows)], cols)
         yield apply_unipotent(inst, fam, params)
 
 

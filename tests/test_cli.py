@@ -106,6 +106,14 @@ BAD_INPUTS = {
     "instance m with a string": ("polarization", ("m",), ["1", 1]),
     "instance lam null": ("polarization", ("lam",), None),
     "instance point null": ("stability", ("point",), None),
+    # hom data of the right JSON shape that fails validate_hom_data
+    "instance hom.dimH dim 5": ("polarization", ("hom", "dimH", 0, "dim"), 5),
+    "instance hom.comp_HA 1x1 (polarization)":
+        ("polarization", ("hom", "comp_HA", 0, "matrix"),
+         {"rows": 1, "cols": 1, "entries": ["1/1"]}),
+    "instance hom.comp_HA 1x1 (stability)":
+        ("stability", ("hom", "comp_HA", 0, "matrix"),
+         {"rows": 1, "cols": 1, "entries": ["1/1"]}),
 }
 
 

@@ -283,6 +283,36 @@ def test_regroup_inverse_permutation_is_identity(case, data):
                      inv[len(row_dims):]) == A
 
 
+def test_regroup_index_map_cache_checks_every_call():
+    """The index map is built once per leg signature, but each call still
+    checks the matrix's shape and its legs, and no two results, nor a
+    result and the input, share rows."""
+    A = ExactMatrix.from_flat(GF(3), 2, 6, list(range(12)))
+    legs = ([2], [3, 2], [0, 2], [1])
+    B = A.regroup(*legs)
+    assert (B.rows, B.cols) == (4, 3)
+    # the same legs on a matrix of another shape
+    for other in (ExactMatrix.zeros(GF(3), 3, 4), ExactMatrix.zeros(GF(3), 2, 5)):
+        with pytest.raises(ValueError, match="do not fit"):
+            other.regroup(*legs)
+    # bad legs raise on every call, not only the first
+    for _ in range(2):
+        with pytest.raises(ValueError, match="every leg exactly once"):
+            A.regroup([2], [3, 2], [0, 0], [1])
+    # writing into a result reaches neither a later result nor the input;
+    # entry (a, c), b of the result is entry a, (b, c) of the input
+    expected = ExactMatrix.from_flat(GF(3), 4, 3, [
+        A.data[a][2 * b + c] for a in range(2) for c in range(2) for b in range(3)])
+    assert B == expected
+    before = A.copy_data()
+    B.data[0][0] = 2
+    B.data[3][2] = 0
+    C = A.regroup(*legs)
+    assert C == expected and A.data == before
+    C.data[1][1] = 1
+    assert A.regroup(*legs) == expected and B.data[1][1] == expected.data[1][1]
+
+
 # -- the elimination kernel against the dense Fraction reference ----------
 
 def reference_rref(A):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mutation_forge.exactfield import Field
+from mutation_forge.exactfield import ExactMatrix, Field
 from mutation_forge.theta import in_W0
 from mutation_forge.mutation import build_dual, default_choice, mutate
 from mutation_forge.homdata import (BlockLayout, Polarization, build_theta_p,
@@ -53,6 +53,21 @@ def test_hom_data_detects_corruption():
     comp.data[0][0] = comp.data[0][0] + 1
     rep = validate_hom_data(h)
     assert not rep.ok
+
+
+@pytest.mark.parametrize("corrupt", ["comp 1x1", "dim 5"])
+def test_hom_data_reports_misshapen_comp(corrupt):
+    """A composition that does not fit its declared dims is a shapes
+    failure in the report, not an exception; the identity and
+    associativity checks, which need the shapes, are skipped."""
+    h = projective_space_hom_data(Field(2), 1, [-2, -1], [0])
+    if corrupt == "comp 1x1":
+        h.comp_HA[(1, 1, 1)] = ExactMatrix.identity(h.field, 1)
+    else:
+        h.dimH[(1, 1)] = 5
+    rep = validate_hom_data(h)
+    assert repr(rep) == "ValidationReport(shapes=FAIL)"
+    assert rep.failures() == ["shapes"]
 
 
 def test_block_layout():

@@ -450,3 +450,120 @@ def test_apply_unipotent_is_an_action(p):
     twice = apply_unipotent(inst, once, u2)
     assert twice == apply_unipotent(inst, fam, {k: u[k] + u2[k] for k in u})
     assert apply_unipotent(inst, once, {k: -x for k, x in u.items()}) == fam
+
+
+# -- the unipotent action against its per-scalar reference ---------------
+
+def reference_apply_unipotent(inst, fam, params):
+    """The unipotent action entry by entry: every product of a
+    composition coefficient, a parameter entry and a family entry is
+    accumulated unreduced and reduced mod p at the end; the target side
+    reads the source-updated family."""
+    h = inst.h
+    p = h.field.p
+    m = lambda i: inst.m_mult[i - 1]
+    n = lambda l: inst.n_mult[l - 1]
+
+    def copy(mats):
+        if p is None:
+            return {k: v._new(v.copy_data(), v.cols) for k, v in mats.items()}
+        return {k: v._new([[x % p for x in row] for row in v.data], v.cols)
+                for k, v in mats.items()}
+
+    out = copy(fam)
+    for (source, j, i), U in params.items():
+        if not source:
+            continue
+        da = h.dimA[(j, i)]
+        for l in range(1, h.s + 1):
+            comp = h.comp_HA[(l, j, i)]
+            dli, dlj = h.dimH[(l, i)], h.dimH[(l, j)]
+            x_lj = fam[(l, j)].data
+            tgt = out[(l, i)].data
+            for hp in range(dlj):
+                for alpha in range(da):
+                    for hh in range(dli):
+                        c = comp.data[hh][hp * da + alpha]
+                        for tj in range(m(j)):
+                            for ti in range(m(i)):
+                                cu = c * U.data[alpha * m(j) + tj][ti]
+                                for v in range(n(l)):
+                                    tgt[v][hh * m(i) + ti] += cu * x_lj[v][hp * m(j) + tj]
+    mid = copy(out)
+    for (source, mm, l), V in params.items():
+        if source:
+            continue
+        db = h.dimB[(mm, l)]
+        for i in range(1, h.r + 1):
+            comp = h.comp_BH[(mm, l, i)]
+            dli, dmi = h.dimH[(l, i)], h.dimH[(mm, i)]
+            x_li = mid[(l, i)].data
+            tgt = out[(mm, i)].data
+            for beta in range(db):
+                for hh in range(dli):
+                    for hpp in range(dmi):
+                        c = comp.data[hpp][beta * dli + hh]
+                        for vm in range(n(mm)):
+                            for vl in range(n(l)):
+                                cu = c * V.data[beta * n(mm) + vm][vl]
+                                for t in range(m(i)):
+                                    tgt[vm][hpp * m(i) + t] += cu * x_li[vl][hh * m(i) + t]
+    return copy(out)
+
+
+# (n, e, f) of the projective-space hom systems: r = 3 has A_31 blocks,
+# s = 2 has target-side blocks and the cross term, and with s = 3 the
+# target side must read x_(2,i) before v_(2,1) has acted on it
+UNIPOTENT_SYSTEMS = [
+    (1, (-2, -1), (0,)),
+    (1, (-2, -1), (0, 1)),
+    (1, (-3, -2, -1), (0,)),
+    (1, (-3, -2, -1), (0, 1)),
+    (2, (-2, -1), (0,)),
+    (2, (-2, -1), (0, 1)),
+    (1, (-2, -1), (0, 1, 2)),
+]
+
+
+@lru_cache(maxsize=None)
+def _unipotent_instance(p, system, m, n):
+    dim, e, f = system
+    h = projective_space_hom_data(Field(p), dim, list(e), list(f))
+    return build_theta_p(h, list(m), list(n), 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_apply_unipotent_matches_reference(data):
+    """apply_unipotent equals the per-scalar reference, matrix for matrix
+    and entry type for entry type, for any subset of parameter blocks
+    (none included)."""
+    p = data.draw(st.sampled_from([None, 2, 3]))
+    system = data.draw(st.sampled_from(UNIPOTENT_SYSTEMS))
+    r, s = len(system[1]), len(system[2])
+    m = tuple(data.draw(st.lists(st.integers(1, 3), min_size=r, max_size=r)))
+    n = tuple(data.draw(st.lists(st.integers(1, 3), min_size=s, max_size=s)))
+    inst = _unipotent_instance(p, system, m, n)
+    h, f = inst.h, inst.h.field
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+    def rnd(rows, cols):
+        # over QQ with denominators, over GF(p) ints outside 0..p-1
+        den = 1 if p else rng.randint(1, 3)
+        return ExactMatrix(f, [[Fraction(rng.randint(-3, 3), den) if den > 1
+                                else rng.randint(-3, 3) for _ in range(cols)]
+                               for _ in range(rows)])
+
+    fam = {(l, i): rnd(n[l - 1], h.dimH[(l, i)] * m[i - 1])
+           for l in range(1, s + 1) for i in range(1, r + 1)}
+    shapes = {(True, j, i): (h.dimA[(j, i)] * m[j - 1], m[i - 1])
+              for i in range(1, r + 1) for j in range(i + 1, r + 1)}
+    shapes.update({(False, mm, l): (h.dimB[(mm, l)] * n[mm - 1], n[l - 1])
+                   for l in range(1, s + 1) for mm in range(l + 1, s + 1)})
+    keys = data.draw(st.lists(st.sampled_from(sorted(shapes)), unique=True))
+    params = {k: rnd(*shapes[k]) for k in keys}
+    out = apply_unipotent(inst, fam, params)
+    assert out == reference_apply_unipotent(inst, fam, params)
+    for x in out.values():
+        assert all(type(a) is Fraction if p is None else type(a) is int and 0 <= a < p
+                   for row in x.data for a in row)
