@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .exactfield import field_from_tag, field_tag
+from .exactfield import QQ, field_from_tag, field_tag
 from .theta import (theta_from_json, theta_to_json, point_from_json,
                     point_to_json, validate_theta, in_W0, scalar_to_str,
                     json_counts, json_count, json_list, json_object)
@@ -34,10 +34,7 @@ def _frac(s):
     if not isinstance(s, str):
         raise ValueError("expected an exact 'num/den' string, got %r" % (s,))
     num, sep, den = s.partition("/")
-    num, den = int(num), (int(den) if sep else 1)
-    if den == 0:
-        raise ValueError("zero denominator in %r" % s)
-    return Fraction(num, den)
+    return QQ.ratio(int(num), int(den) if sep else 1)
 
 
 def _positive(s):

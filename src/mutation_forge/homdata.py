@@ -545,6 +545,20 @@ def mutated_hom_data(h, p):
     def ident(d):
         return ExactMatrix.identity(f, d)
 
+    def through_quotient(induced, emb, section, what):
+        # a map on an ambient space induces one on its quotient by emb
+        # when it vanishes on emb; section reads it on the quotient
+        if not induced(emb).is_zero():
+            raise ValueError("induced %s composition ill-defined" % what)
+        return induced(section)
+
+    def in_kernel(kb, x):
+        # the coordinates of x in the kernel basis kb
+        c = solve_linear(kb, x)
+        if c is None:
+            raise ValueError("induced B'B' composition leaves the kernel")
+        return c
+
     comp_AA = {}
     for i in range(1, rp + 1):
         for j in range(i, rp + 1):
@@ -579,9 +593,9 @@ def mutated_hom_data(h, p):
                         amb = proj_i.apply_leg([h.dimH[(1, i)], ds], 0,
                                                h.comp_HA[(1, j, i)]).regroup(
                             [proj_i.rows], [d1j, da, ds], [0], [1, 3, 2])
-                        if not amb.apply_leg([d1j * ds, da], 0, emb_j).is_zero():
-                            raise ValueError("induced H'A' composition ill-defined")
-                        c = amb.apply_leg([d1j * ds, da], 0, sec_j)
+                        c = through_quotient(
+                            lambda x: amb.apply_leg([d1j * ds, da], 0, x),
+                            emb_j, sec_j, "H'A'")
                     elif i <= p:
                         _, proj_i, _ = quot[(l, i)]
                         c = proj_i.regroup([proj_i.rows], [h.dimH[(1, i)], ds],
@@ -613,9 +627,9 @@ def mutated_hom_data(h, p):
                         # A (x) (H_1i (x) H*_1Kl)
                         amb = proj_m.apply_leg([d1i, dKm], 1, D).regroup(
                             [proj_m.rows], [d1i, da, dKl], [0], [2, 1, 3])
-                        if not amb.apply_leg([da, d1i * dKl], 1, emb_l).is_zero():
-                            raise ValueError("induced B'H' composition ill-defined")
-                        c = amb.apply_leg([da, d1i * dKl], 1, sec_l)
+                        c = through_quotient(
+                            lambda x: amb.apply_leg([da, d1i * dKl], 1, x),
+                            emb_l, sec_l, "B'H'")
                 else:
                     M, Kl = sig(m), KK(l)
                     kb = ker[(m, l)]
@@ -635,9 +649,7 @@ def mutated_hom_data(h, p):
                             yr = y.regroup([d1i, dH], [y.cols], [0], [1, 2])
                             return bh.apply_leg([dB, d1i], 1, yr).apply_leg(
                                 [dB * dH, y.cols], 0, kb)
-                        if not induced(emb_l).is_zero():
-                            raise ValueError("induced mixed B'H' composition ill-defined")
-                        c = induced(sec_l)
+                        c = through_quotient(induced, emb_l, sec_l, "mixed B'H'")
                 comp_BH[(m, l, i)] = c
 
     comp_BB = {}
@@ -656,9 +668,7 @@ def mutated_hom_data(h, p):
                         [dimB[(n_, m)], dBm], 1,
                         km.regroup([dBm, dH], [km.cols], [0], [1, 2])).regroup(
                         [dBn], [dimB[(n_, m)], dH, km.cols], [0, 2], [1, 3])
-                    c = solve_linear(ker[(n_, l)], x)
-                    if c is None:
-                        raise ValueError("induced B'B' composition leaves the kernel")
+                    c = in_kernel(ker[(n_, l)], x)
                 else:
                     # ker_nm (x) A_KmKl -> B_{n,1} (x) H_1Kl
                     kn, da = ker[(n_, m)], h.dimA[(KK(m), KK(l))]
@@ -667,9 +677,7 @@ def mutated_hom_data(h, p):
                     x = comp.apply_leg(
                         [dHm, da], 0, kn.regroup([dB, dHm], [kn.cols], [1], [0, 2])).regroup(
                         [comp.rows], [dB, kn.cols, da], [1, 0], [2, 3])
-                    c = solve_linear(ker[(n_, l)], x)
-                    if c is None:
-                        raise ValueError("induced B'B' composition leaves the kernel")
+                    c = in_kernel(ker[(n_, l)], x)
                 comp_BB[(n_, m, l)] = c
 
     return MutatedHomData(f, rp, sp, dimH, dimA, dimB,
@@ -765,21 +773,20 @@ class Polarization(object):
     tier) and mu (second tier) with sum(lam_i m_i) = sum(mu_l n_l) = 1
     for the recorded multiplicities."""
 
-    def __init__(self, lam, mu, m_mult, n_mult, check=True):
+    def __init__(self, lam, mu, m_mult, n_mult):
         self.lam = list(lam)
         self.mu = list(mu)
         self.m_mult = list(m_mult)
         self.n_mult = list(n_mult)
-        if check:
-            if len(lam) != len(m_mult) or len(mu) != len(n_mult):
-                raise ValueError("weight/multiplicity length mismatch")
-            for x in list(lam) + list(mu):
-                if x <= 0:
-                    raise ValueError("polarization weights must be positive")
-            if sum(l * m for l, m in zip(lam, m_mult)) != 1:
-                raise ValueError("first-tier weights are not normalized")
-            if sum(u * n for u, n in zip(mu, n_mult)) != 1:
-                raise ValueError("second-tier weights are not normalized")
+        if len(lam) != len(m_mult) or len(mu) != len(n_mult):
+            raise ValueError("weight/multiplicity length mismatch")
+        for x in list(lam) + list(mu):
+            if x <= 0:
+                raise ValueError("polarization weights must be positive")
+        if sum(l * m for l, m in zip(lam, m_mult)) != 1:
+            raise ValueError("first-tier weights are not normalized")
+        if sum(u * n for u, n in zip(mu, n_mult)) != 1:
+            raise ValueError("second-tier weights are not normalized")
 
     def __eq__(self, other):
         return (isinstance(other, Polarization)

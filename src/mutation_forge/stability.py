@@ -5,7 +5,9 @@ for the GL(M) x GL(N) action; two-tier instances carry the weighted
 criterion attached to a polarization, for the reductive group (product
 of the multiplicity GL's) or for the full automorphism group (reductive
 part extended by the unipotent off-diagonal Hom blocks).  Everything is
-decided by exhaustive enumeration over a prime field, exactly.
+decided by exhaustive enumeration over a prime field, exactly, by one
+reductive core: the slope criterion is its case of a single block, and
+the full group's is its verdict along the unipotent orbit.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from itertools import chain, product
 from math import lcm
 
 from .exactfield import (ExactMatrix, Subspace, enumerate_subspaces,
-                         image_subspace, kernel_basis)
+                         kernel_basis)
 from .theta import MorphismPoint, in_W0
 from .homdata import (map_polarization, mutated_instance,
                       dual_point_to_mutated)
@@ -28,29 +30,6 @@ def _require_finite(field):
         raise ValueError("semistability is decided over a prime field only; "
                          "reduce rational data modulo a prime first")
     return field.p
-
-
-class KroneckerModule:
-    """A linear map f : L (x) M -> N with dim L = q, dim M = m,
-    dim N = n, stored as an n-by-(q*m) matrix in the lexicographic
-    basis of L (x) M."""
-
-    def __init__(self, field, q, m, n, f):
-        if f.rows != n or f.cols != q * m:
-            raise ValueError("Kronecker map has shape %dx%d, expected %dx%d"
-                             % (f.rows, f.cols, n, q * m))
-        self.field = field
-        self.q = q
-        self.m = m
-        self.n = n
-        self.f = f
-
-    def __repr__(self):
-        return "KroneckerModule(q=%d, m=%d, n=%d)" % (self.q, self.m, self.n)
-
-    def restrict_source(self, basis):
-        """The map L (x) M' -> N for a subspace basis M' (m-by-d)."""
-        return self.f.apply_leg([self.q, self.m], 1, basis)
 
 
 class StabilityVerdict:
@@ -68,25 +47,149 @@ class StabilityVerdict:
                    ", witness" if self.witness is not None else ""))
 
 
+# -- the reductive core -----------------------------------------------
+
+def _subspace_lists(p, m_mult, budget):
+    """For each first-tier index i, every subspace of GF(p)^(m_i), by
+    dimension; raises when the families they make exceed the budget."""
+    per_index = []
+    total = 1
+    for m in m_mult:
+        subs = []
+        for d in range(0, m + 1):
+            subs.extend(enumerate_subspaces(p, m, d, budget=budget))
+        per_index.append(subs)
+        total *= len(subs)
+        if total > budget:
+            raise ValueError("subspace family enumeration budget exceeded")
+    return per_index
+
+
+def _block_image(y, n, sub):
+    """Echelon rows spanning x(H (x) M') for a block x : H (x) M -> N,
+    given as y = x regrouped to M -> H (x) N with dim N = n, and for the
+    subspace M' = sub; None when that image is 0. Row c of
+    sub.basis^T @ y holds the images of h (x) (basis vector c) for every
+    basis vector h of H, n entries each."""
+    if sub.dim == 0 or y.cols == 0:
+        return None
+    rows = (sub.basis.transpose() @ y).data
+    R, pivots = y._new([row[k:k + n] for row in rows
+                        for k in range(0, y.cols, n)], n).rref()
+    if not pivots:
+        return None
+    return R.submatrix(range(len(pivots)), range(n))
+
+
+def _span_dim(blocks):
+    """dim of the sum of the row spans of the given image blocks."""
+    if not blocks:
+        return 0
+    if len(blocks) == 1:
+        return blocks[0].rows
+    return ExactMatrix.of_rows(blocks[0].field, [row for b in blocks for row in b.data],
+                               blocks[0].cols).rank()
+
+
+def _gred_core(blocks, dimH, m_mult, n_mult, lam, mu, per_index):
+    """The reductive verdict of the blocks x_(l,i) : H_li (x) M_i -> N_l
+    (dim H_li = dimH[(l, i)]) under the integer weights lam, mu, over the
+    subspace lists of _subspace_lists.
+
+    The block image x_(l,i)(H_li (x) M'_i) depends on one index i, so it
+    is computed once per (l, i, M'_i), and a family then costs one rank
+    per l (none when at most one of its blocks is nonzero). Returns
+    (semistable, stable, ks, images): ks indexes the recorded family in
+    per_index, or is None, and images[l - 1][i - 1][k] is the echelon
+    image of the k-th M'_i in N_l, or None when it is 0."""
+    images = []
+    for l, n in enumerate(n_mult, 1):
+        images.append([])
+        for i, (m, subs) in enumerate(zip(m_mult, per_index), 1):
+            y = blocks[(l, i)].regroup([n], [dimH[(l, i)], m], [2], [1, 0])
+            images[-1].append([_block_image(y, n, sub) for sub in subs])
+    lhs_of = [[lam_i * sub.dim for sub in subs] for lam_i, subs in zip(lam, per_index)]
+    stable = True
+    recorded = None
+    for ks in product(*(range(len(subs)) for subs in per_index)):
+        dims_n = [_span_dim([col[k] for col, k in zip(row, ks) if col[k] is not None])
+                  for row in images]
+        if dims_n == n_mult:
+            continue
+        lhs = sum(w[k] for w, k in zip(lhs_of, ks))
+        rhs = sum(u * d for u, d in zip(mu, dims_n))
+        if lhs > rhs or (stable and lhs == rhs
+                         and any(subs[k].dim for subs, k in zip(per_index, ks))):
+            if lhs > rhs:
+                # the first violating family decides the verdict and the witness
+                return False, False, ks, images
+            stable = False
+            recorded = ks
+    return True, stable, recorded, images
+
+
+def _witness(f, per_index, n_mult, images, ks):
+    """The family ks of subspaces M'_i and its minimal N'_l: the echelon
+    rows of its block images in N_l, stacked, as a Subspace."""
+    spans = {}
+    for l, (n, row) in enumerate(zip(n_mult, images), 1):
+        stacked = [v for col, k in zip(row, ks) if col[k] is not None for v in col[k].data]
+        spans[l] = Subspace(n, ExactMatrix.of_rows(f, stacked, n).transpose())
+    return tuple(subs[k] for subs, k in zip(per_index, ks)), spans
+
+
+def _verdict(f, translates, dimH, m_mult, n_mult, lam, mu, budget):
+    """The reductive verdict along translates (families of blocks of one
+    shape): semistable and stable when every translate is. Returns
+    (semistable, stable, kept), kept the pair (translate, witness) of the
+    first translate that is not semistable, or else of the first that is
+    not stable, or None; the walk stops at the first that is not
+    semistable."""
+    per_index = _subspace_lists(f.p, m_mult, budget)
+    stable = True
+    kept = None
+    for moved in translates:
+        ss, st, ks, images = _gred_core(moved, dimH, m_mult, n_mult, lam, mu, per_index)
+        if not st and (kept is None or not ss):
+            kept = (moved, _witness(f, per_index, n_mult, images, ks))
+        if not ss:
+            return False, False, kept
+        stable = stable and st
+    return True, stable, kept
+
+
+# -- Kronecker modules ------------------------------------------------
+
+class KroneckerModule:
+    """A linear map f : L (x) M -> N with dim L = q, dim M = m,
+    dim N = n >= 1, stored as an n-by-(q*m) matrix in the lexicographic
+    basis of L (x) M."""
+
+    def __init__(self, field, q, m, n, f):
+        if n < 1:
+            raise ValueError("Kronecker target dimension n must be positive")
+        if f.rows != n or f.cols != q * m:
+            raise ValueError("Kronecker map has shape %dx%d, expected %dx%d"
+                             % (f.rows, f.cols, n, q * m))
+        self.field = field
+        self.q = q
+        self.m = m
+        self.n = n
+        self.f = f
+
+    def __repr__(self):
+        return "KroneckerModule(q=%d, m=%d, n=%d)" % (self.q, self.m, self.n)
+
+
 def kronecker_semistable(k, budget=DEFAULT_BUDGET):
-    """Exhaustive slope test: for every nonzero subspace M' of M, the
-    minimal admissible N' is f(L (x) M'), and semistability demands
-    m * dim N' >= n * dim M' (strictly, for proper M', when stable)."""
-    p = _require_finite(k.field)
-    semistable, stable = True, True
-    witness = None
-    for d in range(1, k.m + 1):
-        for sub in enumerate_subspaces(p, k.m, d, budget=budget):
-            img = image_subspace(k.restrict_source(sub.basis))
-            dn = img.dim
-            if k.m * dn < k.n * d:
-                stable = False
-                if semistable:
-                    semistable = False
-                    witness = (sub, img)
-            elif k.m * dn == k.n * d and (d, dn) != (k.m, k.n):
-                stable = False
-    return StabilityVerdict(semistable, stable, witness)
+    """The slope test, which is the reductive test of one block with
+    dim H = q and weights n, m: for every subspace M' of M with minimal
+    N' = f(L (x) M') proper, m * dim N' >= n * dim M' (strictly, for
+    nonzero M', when stable). The witness is ((M',), {1: N'})."""
+    _require_finite(k.field)
+    semistable, stable, kept = _verdict(k.field, [{(1, 1): k.f}], {(1, 1): k.q},
+                                        [k.m], [k.n], [k.n], [k.m], budget)
+    return StabilityVerdict(semistable, stable, None if kept is None else kept[1])
 
 
 def kronecker_mutate(k):
@@ -132,27 +235,6 @@ def kronecker_orbit_equivalent(k1, k2, budget=DEFAULT_BUDGET):
 
 # -- two-tier instances -----------------------------------------------
 
-def _witness(inst, fam, combo):
-    """The Gred witness of a recorded family combo of source subspaces
-    (one per first-tier index): combo and the minimal admissible
-    second-tier subspaces, N'_l spanned by all blocks x_(l,i)(H_li (x) M'_i)."""
-    f = inst.h.field
-    out = {}
-    for l in range(1, inst.h.s + 1):
-        span = Subspace.zero(f, inst.n_mult[l - 1])
-        for i in range(1, inst.h.r + 1):
-            basis = combo[i - 1].basis
-            if basis.cols == 0:
-                continue
-            dh = inst.h.dimH[(l, i)]
-            if dh == 0:
-                continue
-            blk = fam[(l, i)].apply_leg([dh, inst.m_mult[i - 1]], 1, basis)
-            span = span.sum(image_subspace(blk))
-        out[l] = span
-    return combo, out
-
-
 def _as_family(inst, w):
     if isinstance(w, MorphismPoint):
         return inst.family_from_point(w)
@@ -166,107 +248,28 @@ def _check_polarization(inst, pol):
         raise ValueError("polarization multiplicities do not match the instance")
 
 
-def _subspace_lists(inst, budget):
-    """For each first-tier index i, every subspace of M_i, by dimension;
-    raises when the families they make exceed the budget."""
-    p = inst.h.field.p
-    per_index = []
-    total = 1
-    for m in inst.m_mult:
-        subs = []
-        for d in range(0, m + 1):
-            subs.extend(enumerate_subspaces(p, m, d, budget=budget))
-        per_index.append(subs)
-        total *= len(subs)
-        if total > budget:
-            raise ValueError("subspace family enumeration budget exceeded")
-    return per_index
-
-
-def _block_image(y, n, sub):
-    """Echelon rows spanning x(H (x) M') for a block x : H (x) M -> N,
-    given as y = x regrouped to M -> H (x) N with dim N = n, and for the
-    subspace M' = sub; None when that image is 0. Row c of
-    sub.basis^T @ y holds the images of h (x) (basis vector c) for every
-    basis vector h of H, n entries each."""
-    if sub.dim == 0 or y.cols == 0:
-        return None
-    rows = (sub.basis.transpose() @ y).data
-    R, pivots = y._new([row[k:k + n] for row in rows
-                        for k in range(0, y.cols, n)], n).rref()
-    if not pivots:
-        return None
-    return R.submatrix(range(len(pivots)), range(n))
-
-
-def _span_dim(blocks):
-    """dim of the sum of the row spans of the given image blocks."""
-    if not blocks:
-        return 0
-    if len(blocks) == 1:
-        return blocks[0].rows
-    stack = blocks[0]
-    for b in blocks[1:]:
-        stack = stack.vstack(b)
-    return stack.rank()
-
-
-def _gred_core(inst, fam, pol, per_index):
-    """The reductive verdict of a family over the subspace lists of
-    _subspace_lists.
-
-    The block image x_(l,i)(H_li (x) M'_i) depends on one index i, so it
-    is computed once per (l, i, M'_i), and a family then costs one rank
-    per l (none when at most one of its blocks is nonzero). The weights
-    are cleared of their common denominator, so the slopes compare as
-    ints. Returns (semistable, stable, combo), combo the recorded family
-    of subspaces M'_i or None; _witness builds its images."""
-    h = inst.h
+def _instance_verdict(inst, translates, pol, budget):
+    """_verdict of the instance's translates under pol, its weights
+    cleared of their common denominator."""
     den = lcm(*(Fraction(x).denominator for x in chain(pol.lam, pol.mu)))
     lam = [(Fraction(x) * den).numerator for x in pol.lam]
     mu = [(Fraction(x) * den).numerator for x in pol.mu]
-    # images[l - 1][i - 1][k]: x_(l,i)(H_li (x) M'_i) for the k-th M'_i
-    images = []
-    for l, n in enumerate(inst.n_mult, 1):
-        images.append([])
-        for i, subs in enumerate(per_index, 1):
-            y = fam[(l, i)].regroup([n], [h.dimH[(l, i)], inst.m_mult[i - 1]],
-                                    [2], [1, 0])
-            images[-1].append([_block_image(y, n, sub) for sub in subs])
-    lhs_of = [[lam_i * sub.dim for sub in subs] for lam_i, subs in zip(lam, per_index)]
-    stable = True
-    combo = None
-    for ks in product(*(range(len(subs)) for subs in per_index)):
-        dims_n = [_span_dim([col[k] for col, k in zip(row, ks) if col[k] is not None])
-                  for row in images]
-        if dims_n == inst.n_mult:
-            continue
-        lhs = sum(w[k] for w, k in zip(lhs_of, ks))
-        rhs = sum(u * d for u, d in zip(mu, dims_n))
-        if lhs > rhs or (stable and lhs == rhs
-                         and any(subs[k].dim for subs, k in zip(per_index, ks))):
-            combo = tuple(subs[k] for subs, k in zip(per_index, ks))
-            if lhs > rhs:
-                # the first violating family decides the verdict and the witness
-                return False, False, combo
-            stable = False
-    return True, stable, combo
+    return _verdict(inst.h.field, translates, inst.h.dimH, inst.m_mult,
+                    inst.n_mult, lam, mu, budget)
 
 
 def gred_semistable(inst, w, pol, budget=DEFAULT_BUDGET):
     """Exhaustive reductive-group test: over all families of subspaces
     M'_i with minimal N'_l, families with some N'_l proper must satisfy
     sum(lam_i dim M'_i) <= sum(mu_l dim N'_l); strictly, excluding the
-    all-zero family, for stability.
+    all-zero family, for stability. The witness is (combo, {l: N'_l}).
 
     The block images x_(l,i)(H_li (x) M'_i) are computed once per
     (l, i, M'_i), and a family costs one rank per l."""
     _check_polarization(inst, pol)
     fam = _as_family(inst, w)
-    semistable, stable, combo = _gred_core(inst, fam, pol,
-                                           _subspace_lists(inst, budget))
-    witness = None if combo is None else _witness(inst, fam, combo)
-    return StabilityVerdict(semistable, stable, witness)
+    semistable, stable, kept = _instance_verdict(inst, [fam], pol, budget)
+    return StabilityVerdict(semistable, stable, None if kept is None else kept[1])
 
 
 def _unipotent_parameters(inst, budget=DEFAULT_BUDGET):
@@ -368,22 +371,7 @@ def is_semistable_rs(inst, w, pol, group="Gred", budget=DEFAULT_BUDGET):
     walk = enumerate_unipotent_orbit(inst, fam, budget=budget)
     first = next(walk)   # the orbit's own checks raise first, as always
     _check_polarization(inst, pol)
-    per_index = _subspace_lists(inst, budget)
-    semistable, stable = True, True
-    kept = None   # (translate, recorded family) of the witness
-    for moved in chain([first], walk):
-        ss, st, combo = _gred_core(inst, moved, pol, per_index)
-        if not ss and semistable:
-            semistable = False
-            kept = (moved, combo)
-        if not st:
-            stable = False
-            if kept is None:
-                kept = (moved, combo)
-        if not semistable and not stable:
-            break
-    witness = None if kept is None else (kept[0], _witness(inst, *kept))
-    return StabilityVerdict(semistable, stable, witness)
+    return StabilityVerdict(*_instance_verdict(inst, chain([first], walk), pol, budget))
 
 
 class ComparisonReport:
@@ -391,22 +379,14 @@ class ComparisonReport:
     polarization, together with which implications the standing
     hypotheses assert and whether they hold."""
 
-    def __init__(self, in_w0, hyp_forward, hyp_backward,
+    def __init__(self, in_w0, forward_asserted, backward_asserted,
                  verdict_w, verdict_z, pol_hat):
         self.in_w0 = in_w0
-        self.hyp_forward = hyp_forward
-        self.hyp_backward = hyp_backward
+        self.forward_asserted = forward_asserted
+        self.backward_asserted = backward_asserted
         self.verdict_w = verdict_w
         self.verdict_z = verdict_z
         self.pol_hat = pol_hat
-
-    @property
-    def forward_asserted(self):
-        return self.hyp_forward
-
-    @property
-    def backward_asserted(self):
-        return self.hyp_backward
 
     @property
     def forward_ok(self):
@@ -432,8 +412,8 @@ class ComparisonReport:
     def __repr__(self):
         return ("ComparisonReport(in_w0=%s, forward=%s/%s, backward=%s/%s, "
                 "w=%r, z=%r)" % (self.in_w0,
-                                 self.hyp_forward, self.forward_ok,
-                                 self.hyp_backward, self.backward_ok,
+                                 self.forward_asserted, self.forward_ok,
+                                 self.backward_asserted, self.backward_ok,
                                  self.verdict_w, self.verdict_z))
 
 

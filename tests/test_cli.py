@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mutation_forge.cli import main
+from mutation_forge.cli import _frac, main
 from mutation_forge.exactfield import Field
 from mutation_forge.theta import (MorphismPoint, point_to_json,
                                   theta_from_json, theta_to_json)
@@ -238,6 +238,13 @@ def test_generate_then_validate(tmp_path, capsys):
     obj = json.loads(gen_path.read_text())
     theta_path = _write(tmp_path, "gtheta.json", obj["result"]["theta"])
     assert main(["validate", "--theta", theta_path]) == 0
+
+
+def test_frac_parses_integers_and_fractions_only():
+    assert _frac("3") == Fraction(3) and _frac("-6/4") == Fraction(-3, 2)
+    for bad in ("1/0", "0/0", "1.5", "", 3):
+        with pytest.raises(ValueError):
+            _frac(bad)
 
 
 def test_thresholds_command(capsys):

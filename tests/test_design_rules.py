@@ -46,3 +46,28 @@ def test_only_exactfield_reduces_mod_p():
     found = {path.stem: mod_p_sites(path.read_text()) for path in SOURCES}
     assert found.pop("exactfield")   # the kernel's own reductions are seen
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def callers_of(source, name):
+    """Names of the functions in source whose bodies call name."""
+    out = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == name):
+                    out.add(fn.name)
+    return out
+
+
+def test_callers_of_sees_nested_calls():
+    src = ("def a():\n    f(g(1))\n\ndef b():\n    return [g(x) for x in y]\n"
+           "\ndef c():\n    h.g(1)\n")
+    assert callers_of(src, "g") == {"a", "b"}
+
+
+def test_stability_enumerates_subspaces_in_one_place():
+    """Every semistability verdict, the Kronecker one included, is decided
+    by the one reductive core over one list of subspaces."""
+    path = Path(mutation_forge.__file__).parent / "stability.py"
+    assert callers_of(path.read_text(), "enumerate_subspaces") == {"_subspace_lists"}

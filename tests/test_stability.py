@@ -92,6 +92,77 @@ def test_kronecker_matches_two_tier_reduction():
             vg = gred_semistable(inst, fam, pol)
             assert vk.semistable == vg.semistable, flat
             assert vk.stable == vg.stable, flat
+            assert vk.witness == vg.witness, flat
+
+
+# -- the Kronecker oracle against its own slope loop ---------------------
+
+def reference_kronecker_semistable(k, budget=DEFAULT_BUDGET):
+    """The slope test as a loop of its own: for every nonzero subspace M'
+    of M, N' = f(L (x) M') as an image Subspace; the witness (M', N') is
+    the first family that violates the slope, none is recorded when the
+    slope is only attained."""
+    p = k.field.p
+    semistable, stable = True, True
+    witness = None
+    for d in range(1, k.m + 1):
+        for sub in enumerate_subspaces(p, k.m, d, budget=budget):
+            img = image_subspace(k.f.apply_leg([k.q, k.m], 1, sub.basis))
+            dn = img.dim
+            if k.m * dn < k.n * d:
+                stable = False
+                if semistable:
+                    semistable = False
+                    witness = (sub, img)
+            elif k.m * dn == k.n * d and (d, dn) != (k.m, k.n):
+                stable = False
+    return StabilityVerdict(semistable, stable, witness)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kronecker_matches_reference(data):
+    p = data.draw(st.sampled_from([2, 3]))
+    q, m, n = (data.draw(st.integers(1, 3)) for _ in range(3))
+    f = ExactMatrix.from_flat(Field(p), n, q * m, data.draw(
+        st.lists(st.integers(0, p - 1), min_size=n * q * m, max_size=n * q * m)))
+    k = KroneckerModule(Field(p), q, m, n, f)
+    v, ref = kronecker_semistable(k), reference_kronecker_semistable(k)
+    assert (v.semistable, v.stable) == (ref.semistable, ref.stable)
+    if not v.semistable:
+        sub, img = ref.witness
+        assert v.witness == ((sub,), {1: img})
+    elif v.stable:
+        assert v.witness is None
+
+
+def test_kronecker_records_the_family_that_attains_the_slope():
+    """A semistable module that is not stable records a nonzero M' with
+    m * dim N' = n * dim M' (N' = f(L (x) M') proper)."""
+    seen = 0
+    for f in _all_f(F2, 2, 4):
+        k = KroneckerModule(F2, 2, 2, 2, f)
+        v = kronecker_semistable(k)
+        if v.semistable and not v.stable:
+            (sub,), images = v.witness
+            assert sub.dim > 0 and images[1].dim < k.n
+            assert k.m * images[1].dim == k.n * sub.dim
+            assert images[1] == image_subspace(f.apply_leg([2, 2], 1, sub.basis))
+            seen += 1
+    assert seen > 0
+
+
+def test_kronecker_rejects_n_zero():
+    with pytest.raises(ValueError, match="must be positive"):
+        KroneckerModule(F2, 2, 2, 0, ExactMatrix.zeros(F2, 0, 4))
+
+
+def test_kronecker_budget_counts_all_subspaces():
+    """GF(2)^2 has 5 subspaces (1 + 3 + 1), counted together."""
+    k = KroneckerModule(F2, 2, 2, 1, ExactMatrix.zeros(F2, 1, 4))
+    with pytest.raises(ValueError, match="subspace family enumeration budget"):
+        kronecker_semistable(k, budget=4)
+    assert not kronecker_semistable(k, budget=5).semistable
 
 
 def test_reduced_equals_exhaustive_family_quantifier():
