@@ -175,8 +175,8 @@ def double_dual_report(theta, dual=None):
     if not rep.ok:
         return rep
     iota_m2, iota_a0 = double_dual_identifications(dual, ddual)
-    rep.add("iota_m2 invertible", iota_m2.rank() == t.dim_m2)
-    rep.add("iota_a0 invertible", iota_a0.rank() == t.dim_a0)
+    rep.add_rank("iota_m2 invertible", iota_m2.rank(), t.dim_m2)
+    rep.add_rank("iota_a0 invertible", iota_a0.rank(), t.dim_a0)
     rep.add("rho1 restored", dd.rho1 == t.rho1)
     rep.add("rho2 restored", iota_m2 @ dd.rho2 == t.rho2)
     rep.add("nu restored", t.nu.apply_leg([t.dim_n2, t.dim_a0], 1, iota_a0) == dd.nu)

@@ -13,6 +13,7 @@ the full group's is its verdict along the unipotent orbit.
 from fractions import Fraction
 from itertools import chain, product
 from math import lcm
+from operator import getitem
 
 from .exactfield import (ExactMatrix, Subspace, enumerate_subspaces,
                          kernel_basis)
@@ -65,20 +66,21 @@ def _subspace_lists(p, m_mult, budget):
     return per_index
 
 
-def _block_image(y, n, sub):
+def _block_images(y, n, subs):
     """Echelon rows spanning x(H (x) M') for a block x : H (x) M -> N,
-    given as y = x regrouped to M -> H (x) N with dim N = n, and for the
-    subspace M' = sub; None when that image is 0. Row c of
-    sub.basis^T @ y holds the images of h (x) (basis vector c) for every
-    basis vector h of H, n entries each."""
-    if sub.dim == 0 or y.cols == 0:
-        return None
-    rows = (sub.basis.transpose() @ y).data
-    R, pivots = y._new([row[k:k + n] for row in rows
-                        for k in range(0, y.cols, n)], n).rref()
-    if not pivots:
-        return None
-    return R.submatrix(range(len(pivots)), range(n))
+    given as y = x regrouped to M -> H (x) N with dim N = n, for each M'
+    in subs (None where that image is 0), from one product of their
+    stacked transposed bases with y: row c of the slice of M' holds the
+    images of h (x) (basis vector c) for every basis vector h of H."""
+    stacked = [row for sub in subs for row in sub.basis.transpose().data]
+    rows = (y._new(stacked, y.rows) @ y).data if stacked and y.cols else []
+    out, start = [], 0
+    for sub in subs:
+        part, start = rows[start:start + sub.dim], start + sub.dim
+        R, pivots = y._new([row[k:k + n] for row in part
+                            for k in range(0, y.cols, n)], n).rref()
+        out.append(R.submatrix(range(len(pivots)), range(n)) if pivots else None)
+    return out
 
 
 def _span_dim(blocks):
@@ -91,29 +93,45 @@ def _span_dim(blocks):
                                blocks[0].cols).rank()
 
 
-def _gred_core(blocks, dimH, m_mult, n_mult, lam, mu, per_index):
+def _gred_core(blocks, dimH, m_mult, n_mult, lam, mu, per_index, memo):
     """The reductive verdict of the blocks x_(l,i) : H_li (x) M_i -> N_l
     (dim H_li = dimH[(l, i)]) under the integer weights lam, mu, over the
     subspace lists of _subspace_lists.
 
-    The block image x_(l,i)(H_li (x) M'_i) depends on one index i, so it
-    is computed once per (l, i, M'_i), and a family then costs one rank
-    per l (none when at most one of its blocks is nonzero). Returns
-    (semistable, stable, ks, images): ks indexes the recorded family in
-    per_index, or is None, and images[l - 1][i - 1][k] is the echelon
-    image of the k-th M'_i in N_l, or None when it is 0."""
-    images = []
+    A block's images x_(l,i)(H_li (x) M'_i) are computed for all M'_i at
+    once, and again only when the block changes. memo = (last, ids, dims)
+    is shared by the translates of one verdict: last[(l, i)] is the last
+    block with its images and their keys (ids interns echelon rows as
+    ints), and dims maps a tuple of keys to the dimension of their span,
+    so a family costs one lookup per l. Returns (semistable, stable, ks,
+    images): ks indexes the recorded family in per_index, or is None,
+    and images[l - 1][i - 1][k] is the echelon image of the k-th M'_i in
+    N_l, or None when it is 0."""
+    last, ids, dims = memo
+    images, keys = [], []
     for l, n in enumerate(n_mult, 1):
-        images.append([])
+        row = []
         for i, (m, subs) in enumerate(zip(m_mult, per_index), 1):
-            y = blocks[(l, i)].regroup([n], [dimH[(l, i)], m], [2], [1, 0])
-            images[-1].append([_block_image(y, n, sub) for sub in subs])
+            x = blocks[(l, i)]
+            if (l, i) not in last or last[(l, i)][0] != x:
+                imgs = _block_images(x.regroup([n], [dimH[(l, i)], m], [2], [1, 0]), n, subs)
+                last[(l, i)] = (x, imgs, [ids.setdefault(
+                    () if b is None else tuple(map(tuple, b.data)), len(ids)) for b in imgs])
+            row.append(last[(l, i)])
+        images.append([cell[1] for cell in row])
+        keys.append([cell[2] for cell in row])
     lhs_of = [[lam_i * sub.dim for sub in subs] for lam_i, subs in zip(lam, per_index)]
     stable = True
     recorded = None
     for ks in product(*(range(len(subs)) for subs in per_index)):
-        dims_n = [_span_dim([col[k] for col, k in zip(row, ks) if col[k] is not None])
-                  for row in images]
+        dims_n = []
+        for row, key_row in zip(images, keys):
+            key = tuple(map(getitem, key_row, ks))
+            d = dims.get(key)
+            if d is None:
+                d = dims[key] = _span_dim([col[k] for col, k in zip(row, ks)
+                                           if col[k] is not None])
+            dims_n.append(d)
         if dims_n == n_mult:
             continue
         lhs = sum(w[k] for w, k in zip(lhs_of, ks))
@@ -146,10 +164,12 @@ def _verdict(f, translates, dimH, m_mult, n_mult, lam, mu, budget):
     not stable, or None; the walk stops at the first that is not
     semistable."""
     per_index = _subspace_lists(f.p, m_mult, budget)
+    memo = ({}, {}, {})
     stable = True
     kept = None
     for moved in translates:
-        ss, st, ks, images = _gred_core(moved, dimH, m_mult, n_mult, lam, mu, per_index)
+        ss, st, ks, images = _gred_core(moved, dimH, m_mult, n_mult, lam, mu,
+                                        per_index, memo)
         if not st and (kept is None or not ss):
             kept = (moved, _witness(f, per_index, n_mult, images, ks))
         if not ss:

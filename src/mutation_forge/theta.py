@@ -107,6 +107,12 @@ class ValidationReport:
     def add(self, name, ok, detail=""):
         self.checks.append((name, bool(ok), detail))
 
+    def add_rank(self, name, rank, expected):
+        """A check that a map has full rank; on failure the detail gives
+        the rank and the expected dimension."""
+        ok = rank == expected
+        self.add(name, ok, "" if ok else "rank %d, expected %d" % (rank, expected))
+
     @property
     def ok(self):
         return all(ok for _, ok, _ in self.checks)
@@ -124,8 +130,8 @@ def validate_theta(t):
     entries, never exceptions."""
     rep = ValidationReport()
     rep.add("diagram D", t.diagram_lhs() == t.diagram_rhs())
-    rep.add("rho2 surjective", t.rho2.rank() == t.dim_m2)
-    rep.add("nu_bar injective", t.nu_bar().rank() == t.dim_a0)
+    rep.add_rank("rho2 surjective", t.rho2.rank(), t.dim_m2)
+    rep.add_rank("nu_bar injective", t.nu_bar().rank(), t.dim_a0)
     rep.add("multiplicity split", 1 <= t.dim_mult < t.dim_n2
             and t.dim_mult + t.dim_comult == t.dim_n2)
     return rep

@@ -55,6 +55,21 @@ def test_validate_names_diagram_d(tmp_path, capsys):
     assert failing == ["diagram D"]
 
 
+def test_validate_reports_the_rank_of_rho2(tmp_path, capsys):
+    h = projective_space_hom_data(QQ, 1, [-2, -1], [0, 1])
+    inst = build_theta_p(h, [1, 1], [1, 1], 1)
+    d = theta_to_json(inst.theta)
+    # zero the first row of rho2 (3 x 4 here): its rank drops to 2
+    d["rho2"]["entries"][:d["rho2"]["cols"]] = ["0/1"] * d["rho2"]["cols"]
+    path = _write(tmp_path, "bad.json", d)
+    assert main(["validate", "--theta", path]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["result"]["checks"]}
+    m2 = inst.theta.dim_m2
+    assert checks["rho2 surjective"] == {"name": "rho2 surjective", "ok": False,
+                                         "detail": "rank %d, expected %d" % (m2 - 1, m2)}
+    assert all(c["detail"] == "" for c in checks.values() if c["ok"])
+
+
 def test_malformed_json_exit_2(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -71,3 +71,55 @@ def test_stability_enumerates_subspaces_in_one_place():
     by the one reductive core over one list of subspaces."""
     path = Path(mutation_forge.__file__).parent / "stability.py"
     assert callers_of(path.read_text(), "enumerate_subspaces") == {"_subspace_lists"}
+
+
+CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _called_name(node):
+    """f for f, f(...), mod.f and mod.f(...); "" for anything else."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def lasting_memos(source):
+    """Line numbers of every memo in source that can outlive a call: a
+    functools cache decorator, bare or called, on any function, and a
+    dict, list or set (a display, a comprehension or a constructor
+    call) bound at module level or in the body of a module-level
+    class."""
+    tree = ast.parse(source)
+    lines = [dec.lineno for fn in ast.walk(tree)
+             for dec in getattr(fn, "decorator_list", [])
+             if _called_name(dec) in CACHE_DECORATORS]
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    for node in tree.body + [stmt for c in classes for stmt in c.body]:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            value = node.value
+            if isinstance(value, CONTAINERS) or (isinstance(value, ast.Call)
+                                                 and _called_name(value) in CONTAINER_CALLS):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_lasting_memo_scan_sees_caches_and_module_containers():
+    src = ("import functools\nfrom functools import lru_cache\n"
+           "@functools.lru_cache(maxsize=None)\ndef a():\n    return {}\n\n"
+           "@lru_cache\ndef b():\n    seen = {}\n    return seen\n\n"
+           "C = {}\nD: list = []\nE = set()\nF = collections.defaultdict(int)\n"
+           "G = {k: 1 for k in 'ab'}\nH = 10 ** 6\nI = (1, 2)\n"
+           "class J:\n    cache = {}\n\n@property\ndef k():\n    pass\n")
+    assert lasting_memos(src) == [3, 7, 12, 13, 14, 15, 16, 20]
+
+
+def test_stability_memos_live_one_verdict():
+    """The work a G walk shares between translates is held by the verdict
+    that makes it: stability.py keeps no cache and no module-level
+    container that would carry it from one verdict to the next."""
+    path = Path(mutation_forge.__file__).parent / "stability.py"
+    assert lasting_memos(path.read_text()) == []

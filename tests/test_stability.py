@@ -16,7 +16,8 @@ from mutation_forge.homdata import (HomData, Polarization, build_theta_p,
                                     projective_space_hom_data,
                                     validate_hom_data)
 from mutation_forge.stability import (DEFAULT_BUDGET, KroneckerModule,
-                                      StabilityVerdict, apply_unipotent,
+                                      StabilityVerdict, _instance_verdict,
+                                      apply_unipotent,
                                       compare_hypotheses, compare_stability,
                                       enumerate_unipotent_orbit,
                                       gred_semistable, is_semistable_rs,
@@ -461,6 +462,64 @@ def test_gred_and_g_match_reference(data):
         assert (v.semistable, v.stable) == (ref.semistable, ref.stable)
         # the same Subspace combo, images dict and (for G) translate
         assert v.witness == ref.witness
+
+
+def reference_walk(inst, translates, pol):
+    """The verdict along a list of translates with nothing shared between
+    them: reference_gred at each, stopping at the first that is not
+    semistable, otherwise keeping the first that is not stable."""
+    stable, kept = True, None
+    for moved in translates:
+        v = reference_gred(inst, moved, pol)
+        if not v.stable and (kept is None or not v.semistable):
+            kept = (moved, v.witness)
+        if not v.semistable:
+            return False, False, kept
+        stable = stable and v.stable
+    return True, stable, kept
+
+
+# walks over the pool (A, B, a copy of A, A with one block changed, the
+# zero family) that the memo must see through: repeated, alternating,
+# equal in value but distinct, one block changed, zero blocks
+MEMO_WALKS = [(0, 0), (0, 1, 0), (0, 2), (2, 0, 2), (0, 3), (3, 0, 3, 0),
+              (4, 0), (0, 4, 0), (1, 3, 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_verdict_memo_matches_memo_free_walk(data):
+    """_verdict shares block images and span dimensions between the
+    translates of a walk; its verdict and witness equal reference_gred
+    run afresh at every translate."""
+    case = data.draw(st.sampled_from(ORACLE_CASES))   # GF(2) and GF(3)
+    p, _, _, m, n, _ = case
+    inst = _oracle_instance(case)
+    h = inst.h
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    shapes = {(l, i): (n[l - 1], h.dimH[(l, i)] * m[i - 1])
+              for l in range(1, h.s + 1) for i in range(1, h.r + 1)}
+
+    def block(key, zero=False):
+        rows, cols = shapes[key]
+        return ExactMatrix.from_flat(h.field, rows, cols,
+                                     [0 if zero else rng.randrange(p) for _ in range(rows * cols)])
+
+    a = {k: block(k, zero=data.draw(st.integers(0, 3)) == 0) for k in shapes}
+    b = {k: block(k) for k in shapes}
+    changed = data.draw(st.sampled_from(sorted(shapes)))
+    pool = [a, b, {k: ExactMatrix(h.field, x.data) for k, x in a.items()},
+            {**a, changed: block(changed)},
+            {k: block(k, zero=True) for k in shapes}]
+    walk = data.draw(st.one_of(st.sampled_from(MEMO_WALKS),
+                               st.lists(st.integers(0, 4), min_size=1, max_size=5)))
+    weights = [data.draw(st.lists(st.integers(1, 3), min_size=len(d), max_size=len(d)))
+               for d in (m, n)]
+    pol = Polarization(*[[Fraction(x, sum(y * k for y, k in zip(w, d))) for x in w]
+                         for w, d in zip(weights, (m, n))], m, n)
+    translates = [pool[k] for k in walk]
+    assert (_instance_verdict(inst, translates, pol, DEFAULT_BUDGET)
+            == reference_walk(inst, translates, pol))
 
 
 def test_oracle_raises_as_before():

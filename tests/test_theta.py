@@ -39,6 +39,24 @@ def test_validate_names_diagram_d_on_corruption():
     assert rep.failures() == ["diagram D"]
 
 
+def _zero_first_row(m):
+    return ExactMatrix(m.field, [[0] * m.cols] + m.data[1:])
+
+
+def test_validate_gives_the_rank_of_a_failed_rank_check():
+    """With a row of rho2 zeroed, rho2 surjective fails with the rank it
+    found and the dimension it expected; passing checks carry no detail."""
+    t = full_p1_instance().theta
+    bad = ThetaSpace(t.field, t.dim_n1, t.dim_n2, t.dim_m1, t.dim_m2,
+                     t.dim_a0, t.dim_b0, t.dim_mult,
+                     t.rho1, _zero_first_row(t.rho2), t.mu, t.nu)
+    checks = {name: (ok, detail) for name, ok, detail in validate_theta(bad).checks}
+    assert checks["rho2 surjective"] == (
+        False, "rank %d, expected %d" % (t.dim_m2 - 1, t.dim_m2))
+    assert all(detail == "" for ok, detail in checks.values() if ok)
+    assert all(detail == "" for _, _, detail in validate_theta(t).checks)
+
+
 def test_zero_point_outside_w0():
     t = full_p1_instance().theta
     assert not in_W0(MorphismPoint.zero(t))
