@@ -307,7 +307,7 @@ def build_parser():
     s.set_defaults(func=cmd_constants)
 
     s = add("thresholds")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_positive, required=True)
     s.add_argument("--m1", type=int, required=True)
     s.add_argument("--m2", type=int, required=True)
     s.add_argument("--n1", type=int, required=True)
@@ -316,7 +316,7 @@ def build_parser():
     s.set_defaults(func=cmd_thresholds)
 
     s = add("sweep")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_positive, required=True)
     s.add_argument("--m1", type=_positive, required=True)
     s.add_argument("--m2", type=_positive, required=True)
     s.add_argument("--n1", type=_positive, required=True)
@@ -326,7 +326,7 @@ def build_parser():
     s = add("generate")
     s.add_argument("--field", type=_field, default="rationals",
                    help="rationals or gf:p")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_positive, required=True)
     s.add_argument("--edeg", type=int, nargs="+", required=True)
     s.add_argument("--fdeg", type=int, nargs="+", required=True)
     s.add_argument("--m", type=int, nargs="*", default=None)

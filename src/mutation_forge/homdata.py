@@ -16,7 +16,9 @@ together with explicit composition tensors (left-major bases):
     comp_BB[(n, m, l)] : B_nm (x) B_ml -> B_nl
 
 All indices are 1-based. The identity axioms pin down distinguished
-basis vectors of A[(i, i)] and B[(l, l)] (index 0).
+basis vectors of A[(i, i)] and B[(l, l)] (index 0). Every Hom system is
+built and read on its chain of objects E_1 < .. < E_r < F_1 < .. < F_s:
+one writer files dim Hom(a, b) and the composition along a <= b <= c.
 
 From such a system, a splitting parameter p and multiplicities m_i, n_l
 one obtains a ThetaSpace whose points are the families of maps
@@ -30,7 +32,7 @@ from itertools import combinations_with_replacement
 
 from .exactfield import (ExactMatrix, Subspace, field_from_tag, field_tag,
                          kernel_basis, quotient_data, solve_linear)
-from .theta import (MorphismPoint, ThetaSpace, ValidationReport,
+from .theta import (GroupElement, MorphismPoint, ThetaSpace, ValidationReport,
                     json_count, json_counts, json_list, json_object,
                     matrix_from_json, matrix_to_json)
 
@@ -57,14 +59,13 @@ def validate_hom_data(h):
     """Shape, identity and associativity checks; failures are report
     entries.
 
-    The objects E_1 < .. < E_r < F_1 < .. < F_s are totally ordered, and
-    every check runs over the chains of that order: shapes over the
-    chains of three, identities over the pairs and associativity over
-    the chains of four. When the shapes fail the report stops there: the
+    Every check runs over the chains of objects: shapes over the chains
+    of three, identities over the pairs and associativity over the
+    chains of four. When the shapes fail the report stops there: the
     other checks need compositions of the declared shapes."""
     f = h.field
     rep = ValidationReport()
-    objs = _objects(h)
+    objs = _objects(h.r, h.s)
     shapes_ok = all(_hom_dim(h, o, o) == 1 for o in objs)
     for o0, o1, o2 in combinations_with_replacement(objs, 3):
         c = _comp(h, o2, o1, o0)
@@ -88,21 +89,39 @@ def validate_hom_data(h):
     return rep
 
 
-def _objects(h):
-    return [("E", i) for i in range(1, h.r + 1)] + [("F", l) for l in range(1, h.s + 1)]
+def _objects(r, s):
+    """The chain E_1 < .. < E_r < F_1 < .. < F_s of type (r, s)."""
+    return [("E", i) for i in range(1, r + 1)] + [("F", l) for l in range(1, s + 1)]
+
+
+# the dict that files a Hom space or a composition, by the kinds of its
+# objects
+_FILED = {"EE": "dimA", "FE": "dimH", "FF": "dimB", "EEE": "comp_AA",
+          "FEE": "comp_HA", "FFE": "comp_BH", "FFF": "comp_BB"}
 
 
 def _hom_dim(h, b, a):
     """dim Hom(a, b) for objects a <= b."""
-    dims = {"EE": h.dimA, "FE": h.dimH, "FF": h.dimB}[b[0] + a[0]]
-    return dims[(b[1], a[1])]
+    return getattr(h, _FILED[b[0] + a[0]])[(b[1], a[1])]
 
 
 def _comp(h, c, b, a):
     """The composition Hom(b, c) (x) Hom(a, b) -> Hom(a, c), a <= b <= c."""
-    comps = {"EEE": h.comp_AA, "FEE": h.comp_HA,
-             "FFE": h.comp_BH, "FFF": h.comp_BB}[c[0] + b[0] + a[0]]
-    return comps[(c[1], b[1], a[1])]
+    return getattr(h, _FILED[c[0] + b[0] + a[0]])[(c[1], b[1], a[1])]
+
+
+def _on_chain(field, r, s, dim, comp, cls=HomData, **extra):
+    """The cls of type (r, s) whose Hom spaces and compositions are
+    dim(b, a) = dim Hom(a, b) and comp(c, b, a) for every chain
+    a <= b <= c of its objects; extra goes to cls as it is. Every built
+    system is filed here."""
+    filed = {name: {} for name in _FILED.values()}
+    objs = _objects(r, s)
+    for a, b in combinations_with_replacement(objs, 2):
+        filed[_FILED[b[0] + a[0]]][(b[1], a[1])] = dim(b, a)
+    for a, b, c in combinations_with_replacement(objs, 3):
+        filed[_FILED[c[0] + b[0] + a[0]]][(c[1], b[1], a[1])] = comp(c, b, a)
+    return cls(field, r, s, **filed, **extra)
 
 
 # -- projective-space instances ---------------------------------------
@@ -140,43 +159,24 @@ def projective_space_hom_data(field, n, e, f_list):
     an n-dimensional projective space, with Hom spaces realized as
     symmetric powers on monomial bases.
 
-    Requires e and f_list strictly increasing and f_1 >= e_r so every
-    H[(l, i)] is nonzero.
+    Requires n >= 1, e and f_list strictly increasing and f_1 >= e_r so
+    every H[(l, i)] is nonzero.
     """
-    r, s = len(e), len(f_list)
+    if n < 1:
+        raise ValueError("need n >= 1 for a projective space, got %d" % n)
     if sorted(set(e)) != list(e) or sorted(set(f_list)) != list(f_list):
         raise ValueError("twists must be strictly increasing")
     if f_list[0] < e[-1]:
         raise ValueError("need f_1 >= e_r so all H spaces are nonzero")
-    nv = n + 1
+    twist = {"E": e, "F": f_list}
 
-    def dim_sym(d):
-        return len(_monomials(nv, d))
+    def deg(b, a):
+        # Hom(O(a), O(b)) = Sym^(b - a)
+        return twist[b[0]][b[1] - 1] - twist[a[0]][a[1] - 1]
 
-    dimH = {(l, i): dim_sym(f_list[l - 1] - e[i - 1])
-            for i in range(1, r + 1) for l in range(1, s + 1)}
-    dimA = {(j, i): dim_sym(e[j - 1] - e[i - 1])
-            for i in range(1, r + 1) for j in range(i, r + 1)}
-    dimB = {(m, l): dim_sym(f_list[m - 1] - f_list[l - 1])
-            for l in range(1, s + 1) for m in range(l, s + 1)}
-    comp_HA = {(l, j, i): _sym_mult(field, nv, f_list[l - 1] - e[j - 1],
-                                    e[j - 1] - e[i - 1])
-               for i in range(1, r + 1) for j in range(i, r + 1)
-               for l in range(1, s + 1)}
-    comp_BH = {(m, l, i): _sym_mult(field, nv, f_list[m - 1] - f_list[l - 1],
-                                    f_list[l - 1] - e[i - 1])
-               for i in range(1, r + 1) for l in range(1, s + 1)
-               for m in range(l, s + 1)}
-    comp_AA = {(k, j, i): _sym_mult(field, nv, e[k - 1] - e[j - 1],
-                                    e[j - 1] - e[i - 1])
-               for i in range(1, r + 1) for j in range(i, r + 1)
-               for k in range(j, r + 1)}
-    comp_BB = {(q, m, l): _sym_mult(field, nv, f_list[q - 1] - f_list[m - 1],
-                                    f_list[m - 1] - f_list[l - 1])
-               for l in range(1, s + 1) for m in range(l, s + 1)
-               for q in range(m, s + 1)}
-    return HomData(field, r, s, dimH, dimA, dimB,
-                   comp_HA, comp_BH, comp_AA, comp_BB)
+    return _on_chain(field, len(e), len(f_list),
+                     lambda b, a: len(_monomials(n + 1, deg(b, a))),
+                     lambda c, b, a: _sym_mult(field, n + 1, deg(c, b), deg(b, a)))
 
 
 # -- Theta instances of a splitting -----------------------------------
@@ -396,7 +396,6 @@ def instance_right_element(inst, c_by_i=None, alpha0=None):
     invertible c_i on each M_i* (i <= p goes into the r-part, i > p into
     the b-part; the M_i leg of A0 carries the contragredient) and a free
     translation alpha0 in A0."""
-    from .theta import GroupElement
     h, f = inst.h, inst.h.field
     c_by_i = dict(c_by_i or {})
     for i in range(1, h.r + 1):
@@ -436,7 +435,6 @@ def instance_right_element(inst, c_by_i=None, alpha0=None):
 def instance_left_element(inst, g_m=None, d_by_l=None, beta=None):
     """The left-side symmetry determined by g_m in GL(N_1) and one
     invertible d_l on each N_l (l >= 2), plus a free beta."""
-    from .theta import GroupElement
     h, f = inst.h, inst.h.field
     d_by_l = dict(d_by_l or {})
     for l in range(2, h.s + 1):
@@ -483,15 +481,20 @@ class MutatedHomData(HomData):
 
 
 def mutated_hom_data(h, p):
-    """The Hom system of the p-th mutation, of type (p+1, r+s-p-1); all
-    induced compositions are computed through the recorded kernel and
-    quotient presentations, asserting well-definedness."""
-    f = h.field
+    """The Hom system of the p-th mutation, of type (p+1, r+s-p-1).
+
+    Each object of its chain stands over an object of h and has a kind:
+    E_1..E_p are kept (E), E_{p+1} is new (X, over F_1), F_l for
+    l <= r-p is reflected (R, over E_{l+p}) and the later F_l are kept
+    (F, over F_{l-r+p+1}). Hom spaces and compositions whose objects keep
+    their order over h, and those on reflected objects alone, are read
+    from h. The others meet a quotient H' (E -> R), a dual H*_{1k}
+    (X -> R) or a kernel B' (R -> F) and are computed through the
+    recorded presentations, asserting well-definedness."""
     r, s = h.r, h.s
     if not 0 <= p < r:
         raise ValueError("p must satisfy 0 <= p < r")
     q = r - p
-    rp, sp = p + 1, r + s - p - 1
 
     def sig(l):
         return l - q + 1
@@ -499,51 +502,36 @@ def mutated_hom_data(h, p):
     def KK(l):
         return l + p
 
-    dimA = {}
-    for i in range(1, p + 1):
-        for j in range(i, p + 1):
-            dimA[(j, i)] = h.dimA[(j, i)]
-        dimA[(rp, i)] = h.dimH[(1, i)]
-    dimA[(rp, rp)] = 1
+    def over(o):
+        kind, i = o
+        if kind == "E":
+            return ("E", o) if i <= p else ("X", ("F", 1))
+        return ("R", ("E", KK(i))) if i <= q else ("F", ("F", sig(i)))
 
     quot = {}
-    dimH = {}
-    for l in range(1, sp + 1):
-        for i in range(1, rp + 1):
-            if l <= q:
-                if i <= p:
-                    # A_ki -> H_1i (x) H*_1k, adjoint to composition
-                    d1i, dk = h.dimH[(1, i)], h.dimH[(1, KK(l))]
-                    emb = h.comp_HA[(1, KK(l), i)].regroup(
-                        [d1i], [dk, h.dimA[(KK(l), i)]], [0, 1], [2])
-                    sub = Subspace(emb.rows, emb)
-                    if sub.dim != emb.cols:
-                        raise ValueError("canonical map of A into H (x) H* "
-                                         "is not injective")
-                    proj, section = quotient_data(emb.rows, sub)
-                    quot[(l, i)] = (emb, proj, section)
-                    dimH[(l, i)] = proj.rows
-                else:
-                    dimH[(l, i)] = h.dimH[(1, KK(l))]
-            else:
-                dimH[(l, i)] = (h.dimH[(sig(l), i)] if i <= p
-                                else h.dimB[(sig(l), 1)])
+    for l in range(1, q + 1):
+        for i in range(1, p + 1):
+            # A_ki -> H_1i (x) H*_1k, adjoint to composition
+            emb = h.comp_HA[(1, KK(l), i)].regroup(
+                [h.dimH[(1, i)]], [h.dimH[(1, KK(l))], h.dimA[(KK(l), i)]], [0, 1], [2])
+            sub = Subspace(emb.rows, emb)
+            if sub.dim != emb.cols:
+                raise ValueError("canonical map of A into H (x) H* "
+                                 "is not injective")
+            proj, section = quotient_data(emb.rows, sub)
+            quot[(l, i)] = (emb, proj, section)
+    ker = {(m, l): kernel_basis(h.comp_BH[(sig(m), 1, KK(l))])
+           for l in range(1, q + 1) for m in range(q + 1, r + s - p)}
 
-    ker = {}
-    dimB = {}
-    for l in range(1, sp + 1):
-        for m in range(l, sp + 1):
-            if m <= q:
-                dimB[(m, l)] = h.dimA[(KK(m), KK(l))]
-            elif l > q:
-                dimB[(m, l)] = h.dimB[(sig(m), sig(l))]
-            else:
-                kb = kernel_basis(h.comp_BH[(sig(m), 1, KK(l))])
-                ker[(m, l)] = kb
-                dimB[(m, l)] = kb.cols
-
-    def ident(d):
-        return ExactMatrix.identity(f, d)
+    def dim(b, a):
+        kinds = over(b)[0] + over(a)[0]
+        if kinds == "RE":
+            return quot[(b[1], a[1])][1].rows
+        if kinds == "RX":   # H*_{1k}
+            return _hom_dim(h, over(a)[1], over(b)[1])
+        if kinds == "FR":
+            return ker[(b[1], a[1])].cols
+        return _hom_dim(h, over(b)[1], over(a)[1])
 
     def through_quotient(induced, emb, section, what):
         # a map on an ambient space induces one on its quotient by emb
@@ -559,183 +547,105 @@ def mutated_hom_data(h, p):
             raise ValueError("induced B'B' composition leaves the kernel")
         return c
 
-    comp_AA = {}
-    for i in range(1, rp + 1):
-        for j in range(i, rp + 1):
-            for k in range(j, rp + 1):
-                if k <= p:
-                    comp_AA[(k, j, i)] = h.comp_AA[(k, j, i)]
-                elif j <= p:
-                    comp_AA[(k, j, i)] = h.comp_HA[(1, j, i)]
-                else:
-                    comp_AA[(k, j, i)] = ident(dimA[(rp, i)])
+    def functionals(m, l):
+        # precomposition on functionals: A (x) H*_1Kl -> H*_1Km
+        Km, Kl = KK(m), KK(l)
+        return h.comp_HA[(1, Km, Kl)].regroup(
+            [h.dimH[(1, Kl)]], [h.dimH[(1, Km)], h.dimA[(Km, Kl)]], [1], [2, 0])
 
-    comp_HA = {}
-    for l in range(1, sp + 1):
-        for i in range(1, rp + 1):
-            for j in range(i, rp + 1):
-                if l > q:
-                    L = sig(l)
-                    if j <= p:
-                        c = h.comp_HA[(L, j, i)]
-                    elif i <= p:
-                        c = h.comp_BH[(L, 1, i)]
-                    else:
-                        c = ident(dimH[(l, rp)])
-                else:
-                    ds = h.dimH[(1, KK(l))]
-                    if j <= p:
-                        da, d1j = h.dimA[(j, i)], h.dimH[(1, j)]
-                        _, proj_i, _ = quot[(l, i)]
-                        emb_j, _, sec_j = quot[(l, j)]
-                        # proj_i composed with H_1j A_ji -> H_1i on the
-                        # first leg, on (H_1j (x) H*) (x) A_ji
-                        amb = proj_i.apply_leg([h.dimH[(1, i)], ds], 0,
-                                               h.comp_HA[(1, j, i)]).regroup(
-                            [proj_i.rows], [d1j, da, ds], [0], [1, 3, 2])
-                        c = through_quotient(
-                            lambda x: amb.apply_leg([d1j * ds, da], 0, x),
-                            emb_j, sec_j, "H'A'")
-                    elif i <= p:
-                        _, proj_i, _ = quot[(l, i)]
-                        c = proj_i.regroup([proj_i.rows], [h.dimH[(1, i)], ds],
-                                           [0], [2, 1])
-                    else:
-                        c = ident(ds)
-                comp_HA[(l, j, i)] = c
+    def comp(c, b, a):
+        kinds = "".join(over(o)[0] for o in (c, b, a))
+        if "R" not in kinds or kinds == "RRR":
+            return _comp(h, *(over(o)[1] for o in (c, b, a)))
+        if kinds == "RXX":
+            return ExactMatrix.identity(h.field, dim(c, b))
+        if kinds == "RXE":
+            _, proj, _ = quot[(c[1], a[1])]
+            return proj.regroup([proj.rows], [dim(b, a), dim(c, b)], [0], [2, 1])
+        if kinds == "REE":
+            l, j, i = c[1], b[1], a[1]
+            ds = h.dimH[(1, KK(l))]
+            da, d1j = h.dimA[(j, i)], h.dimH[(1, j)]
+            _, proj_i, _ = quot[(l, i)]
+            emb_j, _, sec_j = quot[(l, j)]
+            # proj_i composed with H_1j A_ji -> H_1i on the first leg, on
+            # (H_1j (x) H*) (x) A_ji
+            amb = proj_i.apply_leg([h.dimH[(1, i)], ds], 0,
+                                   h.comp_HA[(1, j, i)]).regroup(
+                [proj_i.rows], [d1j, da, ds], [0], [1, 3, 2])
+            return through_quotient(
+                lambda x: amb.apply_leg([d1j * ds, da], 0, x), emb_j, sec_j, "H'A'")
+        if kinds == "RRX":
+            return functionals(c[1], b[1])
+        if kinds == "RRE":
+            m, l, i = c[1], b[1], a[1]
+            Km, Kl = KK(m), KK(l)
+            da, dKm, dKl = h.dimA[(Km, Kl)], h.dimH[(1, Km)], h.dimH[(1, Kl)]
+            d1i = h.dimH[(1, i)]
+            _, proj_m, _ = quot[(m, i)]
+            emb_l, _, sec_l = quot[(l, i)]
+            # proj_m composed with the functionals on the second leg, on
+            # A (x) (H_1i (x) H*_1Kl)
+            amb = proj_m.apply_leg([d1i, dKm], 1, functionals(m, l)).regroup(
+                [proj_m.rows], [d1i, da, dKl], [0], [2, 1, 3])
+            return through_quotient(
+                lambda x: amb.apply_leg([da, d1i * dKl], 1, x), emb_l, sec_l, "B'H'")
+        if kinds == "FRX":
+            # contract the H_1Kl leg of the kernel with H*_1Kl
+            kb = ker[(c[1], b[1])]
+            return kb.regroup([dim(c, a), dim(b, a)], [kb.cols], [0], [2, 1])
+        if kinds == "FRE":
+            m, l, i = c[1], b[1], a[1]
+            kb = ker[(m, l)]
+            dB, dH, d1i = h.dimB[(sig(m), 1)], h.dimH[(1, KK(l))], h.dimH[(1, i)]
+            bh = h.comp_BH[(sig(m), 1, i)]
+            emb_l, _, sec_l = quot[(l, i)]
 
-    comp_BH = {}
-    for l in range(1, sp + 1):
-        for m in range(l, sp + 1):
-            for i in range(1, rp + 1):
-                if l > q:
-                    M, L = sig(m), sig(l)
-                    c = (h.comp_BH[(M, L, i)] if i <= p
-                         else h.comp_BB[(M, L, 1)])
-                elif m <= q:
-                    Km, Kl = KK(m), KK(l)
-                    da, dKm, dKl = h.dimA[(Km, Kl)], h.dimH[(1, Km)], h.dimH[(1, Kl)]
-                    # precomposition on functionals: A (x) H*_1Kl -> H*_1Km
-                    D = h.comp_HA[(1, Km, Kl)].regroup([dKl], [dKm, da], [1], [2, 0])
-                    if i == rp:
-                        c = D
-                    else:
-                        d1i = h.dimH[(1, i)]
-                        _, proj_m, _ = quot[(m, i)]
-                        emb_l, _, sec_l = quot[(l, i)]
-                        # proj_m composed with D on the second leg, on
-                        # A (x) (H_1i (x) H*_1Kl)
-                        amb = proj_m.apply_leg([d1i, dKm], 1, D).regroup(
-                            [proj_m.rows], [d1i, da, dKl], [0], [2, 1, 3])
-                        c = through_quotient(
-                            lambda x: amb.apply_leg([da, d1i * dKl], 1, x),
-                            emb_l, sec_l, "B'H'")
-                else:
-                    M, Kl = sig(m), KK(l)
-                    kb = ker[(m, l)]
-                    dB = h.dimB[(M, 1)]
-                    dH = h.dimH[(1, Kl)]
-                    if i == rp:
-                        # contract the H_1Kl leg of the kernel with H*_1Kl
-                        c = kb.regroup([dB, dH], [kb.cols], [0], [2, 1])
-                    else:
-                        d1i = h.dimH[(1, i)]
-                        bh = h.comp_BH[(M, 1, i)]
-                        emb_l, _, sec_l = quot[(l, i)]
+            def induced(y):
+                # B_M1 H_1i -> H_Mi, M = sig(m), after contracting the
+                # H_1Kl leg of the kernel with y's H*_1Kl leg
+                yr = y.regroup([d1i, dH], [y.cols], [0], [1, 2])
+                return bh.apply_leg([dB, d1i], 1, yr).apply_leg(
+                    [dB * dH, y.cols], 0, kb)
+            return through_quotient(induced, emb_l, sec_l, "mixed B'H'")
+        n_, m, l = c[1], b[1], a[1]
+        if kinds == "FFR":
+            # B_{n,m} (x) ker_ml -> B_{n,1} (x) H_1Kl
+            km, dH = ker[(m, l)], h.dimH[(1, KK(l))]
+            dBm, dBn = h.dimB[(sig(m), 1)], h.dimB[(sig(n_), 1)]
+            x = h.comp_BB[(sig(n_), sig(m), 1)].apply_leg(
+                [dim(c, b), dBm], 1,
+                km.regroup([dBm, dH], [km.cols], [0], [1, 2])).regroup(
+                [dBn], [dim(c, b), dH, km.cols], [0, 2], [1, 3])
+            return in_kernel(ker[(n_, l)], x)
+        # FRR: ker_nm (x) A_KmKl -> B_{n,1} (x) H_1Kl
+        kn, da = ker[(n_, m)], h.dimA[(KK(m), KK(l))]
+        dB, dHm = h.dimB[(sig(n_), 1)], h.dimH[(1, KK(m))]
+        ha = h.comp_HA[(1, KK(m), KK(l))]
+        x = ha.apply_leg(
+            [dHm, da], 0, kn.regroup([dB, dHm], [kn.cols], [1], [0, 2])).regroup(
+            [ha.rows], [dB, kn.cols, da], [1, 0], [2, 3])
+        return in_kernel(ker[(n_, l)], x)
 
-                        def induced(y):
-                            # B_M1 H_1i -> H_Mi after contracting the
-                            # H_1Kl leg of the kernel with y's H*_1Kl leg
-                            yr = y.regroup([d1i, dH], [y.cols], [0], [1, 2])
-                            return bh.apply_leg([dB, d1i], 1, yr).apply_leg(
-                                [dB * dH, y.cols], 0, kb)
-                        c = through_quotient(induced, emb_l, sec_l, "mixed B'H'")
-                comp_BH[(m, l, i)] = c
-
-    comp_BB = {}
-    for l in range(1, sp + 1):
-        for m in range(l, sp + 1):
-            for n_ in range(m, sp + 1):
-                if l > q:
-                    c = h.comp_BB[(sig(n_), sig(m), sig(l))]
-                elif n_ <= q:
-                    c = h.comp_AA[(KK(n_), KK(m), KK(l))]
-                elif m > q:
-                    # B_{n,m} (x) ker_ml -> B_{n,1} (x) H_1Kl
-                    km, dH = ker[(m, l)], h.dimH[(1, KK(l))]
-                    dBm, dBn = h.dimB[(sig(m), 1)], h.dimB[(sig(n_), 1)]
-                    x = h.comp_BB[(sig(n_), sig(m), 1)].apply_leg(
-                        [dimB[(n_, m)], dBm], 1,
-                        km.regroup([dBm, dH], [km.cols], [0], [1, 2])).regroup(
-                        [dBn], [dimB[(n_, m)], dH, km.cols], [0, 2], [1, 3])
-                    c = in_kernel(ker[(n_, l)], x)
-                else:
-                    # ker_nm (x) A_KmKl -> B_{n,1} (x) H_1Kl
-                    kn, da = ker[(n_, m)], h.dimA[(KK(m), KK(l))]
-                    dB, dHm = h.dimB[(sig(n_), 1)], h.dimH[(1, KK(m))]
-                    comp = h.comp_HA[(1, KK(m), KK(l))]
-                    x = comp.apply_leg(
-                        [dHm, da], 0, kn.regroup([dB, dHm], [kn.cols], [1], [0, 2])).regroup(
-                        [comp.rows], [dB, kn.cols, da], [1, 0], [2, 3])
-                    c = in_kernel(ker[(n_, l)], x)
-                comp_BB[(n_, m, l)] = c
-
-    return MutatedHomData(f, rp, sp, dimH, dimA, dimB,
-                          comp_HA, comp_BH, comp_AA, comp_BB, quot, ker, h, p)
+    return _on_chain(h.field, p + 1, r + s - p - 1, dim, comp, MutatedHomData,
+                     quot=quot, ker=ker, source=h, p=p)
 
 
 def transpose_hom_data(h):
     """The opposite Hom system, of type (s, r): exchange the two tiers,
     reverse the orderings, and read every composition backwards."""
-    f = h.field
-    r, s = h.r, h.s
-    dimH = {}
-    for b in range(1, r + 1):
-        for a in range(1, s + 1):
-            dimH[(b, a)] = h.dimH[(s + 1 - a, r + 1 - b)]
-    dimA = {}
-    for a1 in range(1, s + 1):
-        for a2 in range(a1, s + 1):
-            dimA[(a2, a1)] = h.dimB[(s + 1 - a1, s + 1 - a2)]
-    dimB = {}
-    for b1 in range(1, r + 1):
-        for b2 in range(b1, r + 1):
-            dimB[(b2, b1)] = h.dimA[(r + 1 - b1, r + 1 - b2)]
+    def flip(o):
+        return ("F", h.s + 1 - o[1]) if o[0] == "E" else ("E", h.r + 1 - o[1])
 
-    def backwards(c, x, y):
-        # c on Y (x) X read on X (x) Y
-        return c.regroup([c.rows], [y, x], [0], [2, 1])
+    def dim(b, a):
+        return _hom_dim(h, flip(a), flip(b))
 
-    comp_AA = {}
-    for a1 in range(1, s + 1):
-        for a2 in range(a1, s + 1):
-            for a3 in range(a2, s + 1):
-                comp_AA[(a3, a2, a1)] = backwards(
-                    h.comp_BB[(s + 1 - a1, s + 1 - a2, s + 1 - a3)],
-                    dimA[(a3, a2)], dimA[(a2, a1)])
-    comp_BB = {}
-    for b1 in range(1, r + 1):
-        for b2 in range(b1, r + 1):
-            for b3 in range(b2, r + 1):
-                comp_BB[(b3, b2, b1)] = backwards(
-                    h.comp_AA[(r + 1 - b1, r + 1 - b2, r + 1 - b3)],
-                    dimB[(b3, b2)], dimB[(b2, b1)])
-    comp_HA = {}
-    for b in range(1, r + 1):
-        for a1 in range(1, s + 1):
-            for a2 in range(a1, s + 1):
-                comp_HA[(b, a2, a1)] = backwards(
-                    h.comp_BH[(s + 1 - a1, s + 1 - a2, r + 1 - b)],
-                    dimH[(b, a2)], dimA[(a2, a1)])
-    comp_BH = {}
-    for b1 in range(1, r + 1):
-        for b2 in range(b1, r + 1):
-            for a in range(1, s + 1):
-                comp_BH[(b2, b1, a)] = backwards(
-                    h.comp_HA[(s + 1 - a, r + 1 - b1, r + 1 - b2)],
-                    dimB[(b2, b1)], dimH[(b1, a)])
-    return HomData(f, s, r, dimH, dimA, dimB,
-                   comp_HA, comp_BH, comp_AA, comp_BB)
+    def comp(c, b, a):
+        # Hom(a, b) (x) Hom(b, c) of h read on Hom(b, c) (x) Hom(a, b)
+        old = _comp(h, flip(a), flip(b), flip(c))
+        return old.regroup([old.rows], [dim(b, a), dim(c, b)], [0], [2, 1])
+
+    return _on_chain(h.field, h.s, h.r, dim, comp)
 
 
 def mutated_multiplicities(h, m_mult, n_mult, p):
@@ -841,7 +751,6 @@ def map_polarization(pol, h, p):
     second tier of length r+s-p-1 (the reflected objects then the
     retained tail).  Weights that come out non-positive are reported,
     not silently accepted."""
-    from fractions import Fraction
     r, s = h.r, h.s
     q = r - p
     lam, mu = pol.lam, pol.mu

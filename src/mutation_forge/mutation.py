@@ -22,7 +22,8 @@ constructed group elements, never by search.
 from .exactfield import (ExactMatrix, Subspace, kernel_basis, quotient_data,
                          solve_linear)
 from .theta import (GroupElement, MorphismPoint, ThetaSpace,
-                    ValidationReport, act, unvec_row_major, vec_row_major)
+                    ValidationReport, act, unvec_row_major, validate_theta,
+                    vec_row_major)
 
 
 def swap_matrix(field, x, y):
@@ -71,7 +72,6 @@ class DualSpace:
                                 rho1p, rho2p, mup, nup)
 
     def validate(self):
-        from .theta import validate_theta
         return validate_theta(self.prime)
 
 

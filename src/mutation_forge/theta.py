@@ -25,7 +25,8 @@ are checked at construction, which turns every equivariance statement
 downstream into a testable matrix identity.
 """
 
-from .exactfield import ExactMatrix, field_from_tag, field_tag, solve_linear
+from .exactfield import (ExactMatrix, field_from_tag, field_tag, kernel_basis,
+                         solve_linear)
 
 
 def vec_row_major(M):
@@ -433,7 +434,6 @@ class Chart:
         """The matrix n2 x dim_N whose columns are the basis of
         ker(psi2_bar) mapped to the standard basis of N by q (that is,
         the inclusion composed with q^{-1})."""
-        from .exactfield import kernel_basis
         f = self.theta.field
         K = kernel_basis(w.psi2_bar())
         qK = self.q_full @ K

@@ -5,6 +5,7 @@ with denominator n1 - 1 are treated as vacuous (+infinity).
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .constants import c_formula
 
@@ -18,6 +19,8 @@ class ThresholdInput:
     def __init__(self, m1, m2, n1, t, n=None):
         if m1 <= 0 or m2 <= 0 or n1 <= 0:
             raise ValueError("multiplicities must be positive")
+        if n is not None and n < 1:
+            raise ValueError("need n >= 1 for a projective space, got %d" % n)
         t = Fraction(t)
         if not 0 < t < 1:
             raise ValueError("t must lie strictly between 0 and 1")
@@ -233,10 +236,9 @@ def equality_dimension_vectors(lam, mu, m_mult, n_mult):
     sum(lam_i m'_i) = sum(mu_l n'_l).  The existence of such a family
     is necessary for the parameter to be singular; it is a sound
     superset detector for the worked families' singular lists."""
-    from itertools import product as iproduct
     out = []
-    for mv in iproduct(*[range(m + 1) for m in m_mult]):
-        for nv in iproduct(*[range(n + 1) for n in n_mult]):
+    for mv in product(*[range(m + 1) for m in m_mult]):
+        for nv in product(*[range(n + 1) for n in n_mult]):
             if not any(nv[l] < n_mult[l] for l in range(len(n_mult))):
                 continue
             if not any(mv) and not any(nv):

@@ -86,6 +86,14 @@ BAD_INPUTS = {
          "--t", "1/0", "--case", "1"],
     "sweep with m1 zero":
         ["sweep", "--n", "2", "--m1", "0", "--m2", "1", "--n1", "4"],
+    # n is the dimension of a projective space
+    "thresholds with n -2":
+        ["thresholds", "--n", "-2", "--m1", "1", "--m2", "1", "--n1", "1",
+         "--t", "1/2", "--case", "1"],
+    "sweep with n -2":
+        ["sweep", "--n", "-2", "--m1", "1", "--m2", "1", "--n1", "1"],
+    "generate with n -1":
+        ["generate", "--n", "-1", "--edeg", "-2", "-1", "--fdeg", "0"],
     "theta entries as ints": "int",
     "GF(3) entry with denominator 3": "gf",
     "validate with --format csv": "format",

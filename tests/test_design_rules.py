@@ -73,6 +73,17 @@ def test_stability_enumerates_subspaces_in_one_place():
     assert callers_of(path.read_text(), "enumerate_subspaces") == {"_subspace_lists"}
 
 
+def test_every_hom_system_is_built_on_its_chain():
+    """homdata.py files Hom spaces and compositions in one writer,
+    _on_chain, which takes the class to build: each builder goes through
+    it, and only the JSON reader constructs a HomData itself."""
+    source = (Path(mutation_forge.__file__).parent / "homdata.py").read_text()
+    assert callers_of(source, "HomData") == {"hom_data_from_json"}
+    assert callers_of(source, "MutatedHomData") == set()
+    assert callers_of(source, "_on_chain") == {
+        "projective_space_hom_data", "transpose_hom_data", "mutated_hom_data"}
+
+
 CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
 CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)

@@ -1,6 +1,7 @@
 """Hom-composition systems, two-tier instances, mutated systems, and
 polarization transport."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from mutation_forge.exactfield import ExactMatrix, Field
-from mutation_forge.theta import in_W0
+from mutation_forge.theta import in_W0, matrix_to_json, theta_to_json
 from mutation_forge.mutation import build_dual, default_choice, mutate
 from mutation_forge.homdata import (BlockLayout, Polarization, build_theta_p,
                                     dual_point_to_mutated, hom_data_from_json,
@@ -38,6 +39,12 @@ def test_projective_hom_dimensions():
         assert h.dimH[(2, 1)] == _binom(n + 3, n)
         assert h.dimA[(2, 1)] == _binom(n + 1, n)
         assert h.dimB[(2, 1)] == _binom(n + 1, n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_projective_space_needs_n_at_least_one(n):
+    with pytest.raises(ValueError):
+        projective_space_hom_data(QQ, n, [-2, -1], [0])
 
 
 def test_hom_data_validates():
@@ -205,6 +212,45 @@ def test_difference_form_preserved():
             rhs = (sum(rep.lam[i] * m_hat[i] for i in range(len(m_hat)))
                    - sum(rep.mu[l] * n_hat[l] for l in range(len(n_hat))))
             assert lhs == rep.constant * rhs
+
+
+# (n, e, f) of the systems behind BUILDER_DIGEST: the patterns of the CLI
+# golden runs, each over QQ and GF(3) and mutated at every p
+BUILDER_SYSTEMS = [
+    (1, (-2, -1), (0,)),
+    (2, (-2, -1), (0, 1)),
+    (2, (-3, -2, -1), (0,)),
+    (3, (-2,), (0, 1, 2)),
+]
+# sha256 of the builders' JSON as they wrote it when it was pinned: a
+# change of this digest is a change of a built Hom system
+BUILDER_DIGEST = "43baf2b06baec4af897afa7f5f43a536e56eb17ff3fa0e30532ecf6981ec3eeb"
+
+
+def test_builder_output_digest():
+    """The bytes of the projective, transposed and mutated Hom systems,
+    the mutated systems' quotient and kernel presentations and the theta
+    of each mutated instance."""
+    digest = hashlib.sha256()
+
+    def put(obj):
+        digest.update(json.dumps(obj, sort_keys=True).encode())
+
+    for field in (QQ, Field(3)):
+        for n, e, fl in BUILDER_SYSTEMS:
+            h = projective_space_hom_data(field, n, list(e), list(fl))
+            put(hom_data_to_json(h))
+            put(hom_data_to_json(transpose_hom_data(h)))
+            for p in range(h.r):
+                hm = mutated_hom_data(h, p)
+                put(hom_data_to_json(hm))
+                put(hom_data_to_json(transpose_hom_data(hm)))
+                put([[list(k), [matrix_to_json(x) for x in v]]
+                     for k, v in sorted(hm.quot.items())])
+                put([[list(k), matrix_to_json(v)] for k, v in sorted(hm.ker.items())])
+                inst = mutated_instance(h, [1] * h.r, [1] * h.s, p)
+                put(theta_to_json(inst.theta))
+    assert digest.hexdigest() == BUILDER_DIGEST
 
 
 def test_hom_data_json_round_trip_byte_identical():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from mutation_forge.exactfield import (ExactMatrix, Field, Subspace,
                                        enumerate_subspaces, image_subspace)
 from mutation_forge.theta import MorphismPoint, in_W0
-from mutation_forge.homdata import (HomData, Polarization, build_theta_p,
+from mutation_forge.homdata import (Polarization, _on_chain, build_theta_p,
                                     projective_space_hom_data,
                                     validate_hom_data)
 from mutation_forge.stability import (DEFAULT_BUDGET, KroneckerModule,
@@ -378,23 +378,15 @@ def radical_square_zero_hom_data(field, r, s, dims):
     composite of two non-identity morphisms is 0 (an associative
     composition for any dims); dims maps (b, a) to dim Hom(a, b) for
     the objects a < b, written ("E", i) and ("F", l)."""
-    objs = [("E", i) for i in range(1, r + 1)] + [("F", l) for l in range(1, s + 1)]
-
     def dim(b, a):
         return 1 if a == b else dims[(b, a)]
 
-    tables = {"EE": {}, "FE": {}, "FF": {}}
-    comps = {"EEE": {}, "FEE": {}, "FFE": {}, "FFF": {}}
-    for ia, a in enumerate(objs):
-        for ib, b in enumerate(objs[ia:], ia):
-            tables[b[0] + a[0]][(b[1], a[1])] = dim(b, a)
-            for c in objs[ib:]:
-                shape = (dim(c, a), dim(c, b) * dim(b, a))
-                comps[c[0] + b[0] + a[0]][(c[1], b[1], a[1])] = (
-                    ExactMatrix.identity(field, shape[0]) if a == b or b == c
-                    else ExactMatrix.zeros(field, *shape))
-    return HomData(field, r, s, tables["FE"], tables["EE"], tables["FF"],
-                   comps["FEE"], comps["FFE"], comps["EEE"], comps["FFF"])
+    def comp(c, b, a):
+        shape = (dim(c, a), dim(c, b) * dim(b, a))
+        return (ExactMatrix.identity(field, shape[0]) if a == b or b == c
+                else ExactMatrix.zeros(field, *shape))
+
+    return _on_chain(field, r, s, dim, comp)
 
 
 def _hand_built_instance():

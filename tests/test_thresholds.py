@@ -20,6 +20,8 @@ def test_input_validation():
         ThresholdInput(0, 1, 1, Fraction(1, 2))
     with pytest.raises(ValueError):
         ThresholdInput(1, 1, 1, Fraction(3, 2))
+    with pytest.raises(ValueError):   # n is the dimension of P^n
+        ThresholdInput(1, 1, 1, Fraction(1, 2), n=0)
     inp = ThresholdInput(2, 3, 4, Fraction(1, 2))
     assert inp.eta1 == Fraction(1, 2)
     assert inp.eta2 == Fraction(3, 4)
