@@ -303,7 +303,7 @@ def build_parser():
     s.add_argument("--which", type=int, choices=[0, 1], required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--samples", type=int, default=1000)
+    s.add_argument("--samples", type=_positive, default=1000)
     s.set_defaults(func=cmd_constants)
 
     s = add("thresholds")
@@ -320,7 +320,7 @@ def build_parser():
     s.add_argument("--m1", type=_positive, required=True)
     s.add_argument("--m2", type=_positive, required=True)
     s.add_argument("--n1", type=_positive, required=True)
-    s.add_argument("--grid", type=int, default=24)
+    s.add_argument("--grid", type=_positive, default=24)
     s.set_defaults(func=cmd_sweep)
 
     s = add("generate")

@@ -2,8 +2,10 @@
 
 Everything downstream (morphism spaces, mutations, stability oracles) is
 built on the two types defined here: ExactMatrix and Subspace. All
-arithmetic is exact — Fraction for the rationals, ints mod p for GF(p).
-There is no floating point anywhere in this package.
+arithmetic is exact: over the rationals an integral value is an int and
+any other a Fraction, over GF(p) a value is an int mod p. There is no
+floating point anywhere in this package, and no true division in this
+module.
 """
 
 import functools
@@ -31,11 +33,13 @@ class NotInField(ValueError, ZeroDivisionError):
 class Field:
     """A base field: the rationals (p is None) or GF(p) for a prime p < 2^16.
 
-    Scalars are plain Fraction values over the rationals and ints in
-    0..p-1 over GF(p). The Field object coerces values into the field
-    (of) and names its constants and elements; the arithmetic on scalars
-    is done by ExactMatrix and the elimination below, with the reduction
-    mod p written where it happens.
+    Scalars have one form each. Over the rationals an integral value is
+    a plain int and only a non-integral one is a Fraction (its
+    denominator > 1); over GF(p) a scalar is an int in 0..p-1. The Field
+    object coerces values into that form (of) and names its constants
+    and elements; the arithmetic on scalars is done by ExactMatrix and
+    the elimination below, which give their results in the same form,
+    with the reduction mod p written where it happens.
     """
 
     def __init__(self, p=None):
@@ -49,12 +53,15 @@ class Field:
 
     def of(self, v):
         """Coerce an int or Fraction into the field. A field element is
-        passed through: a Fraction over QQ is returned as it is, an int
-        over GF(p) is only reduced mod p. Over GF(p) a Fraction is
-        reduced by ratio, so its denominator must be prime to p."""
+        passed through: an int over QQ is returned as it is, and an int
+        over GF(p) is only reduced mod p. Over QQ an integral Fraction
+        becomes its int; over GF(p) a Fraction is reduced by ratio, so
+        its denominator must be prime to p."""
         p = self.p
         if p is None:
-            return v if type(v) is Fraction else Fraction(v)
+            if type(v) is int:
+                return v
+            return _canonical(v if type(v) is Fraction else Fraction(v))
         if type(v) is int:
             return v % p
         if isinstance(v, Fraction):
@@ -70,14 +77,14 @@ class Field:
         if den == 0 or (p is not None and den % p == 0):
             raise NotInField("%d/%d is not an element of %r" % (num, den, self))
         if p is None:
-            return Fraction(num, den)
+            return _quotient(num, den)
         return num * pow(den, p - 2, p) % p
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def elements(self):
         """All field elements (GF(p) only)."""
@@ -96,6 +103,18 @@ class Field:
 
 
 QQ = Field()
+
+
+def _canonical(x):
+    """The rational x (an int or a Fraction) in its one form: its int
+    when it is integral, else the Fraction itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(num, den):
+    """The rational num/den of ints, den nonzero, in its one form."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def GF(p):
@@ -126,10 +145,16 @@ class ExactMatrix:
     entries, so the mostly-zero matrices of dual spaces and mutations
     cost what their nonzeros cost.
 
+    Every result holds its scalars in the one form that Field.of gives:
+    over QQ an integral entry is an int, so a matrix of integers is
+    multiplied and eliminated as ints, and only a non-integral entry is
+    a Fraction.
+
     Elimination (rref, rank and everything built on them) works on
     Python ints: over QQ on rows cleared of their denominators, fraction
-    free (Gauss-Jordan for rref, Bareiss for rank), over GF(p) on the
-    residues with the reduction mod p written inline."""
+    free (Gauss-Jordan for rref, a Bareiss elimination that updates only
+    the rows it changes for rank), over GF(p) on the residues with the
+    reduction mod p written inline."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -202,9 +227,12 @@ class ExactMatrix:
 
     def _reduced(self, data):
         """A matrix of self's shape from entries computed with plain
-        operators, reduced mod p over GF(p)."""
+        operators: reduced mod p over GF(p), in their one form over QQ."""
         p = self.field.p
-        if p is not None:
+        if p is None:
+            data = [[x if type(x) is int else _canonical(x) for x in row]
+                    for row in data]
+        else:
             data = [[x % p for x in row] for row in data]
         return self._new(data, self.cols)
 
@@ -228,8 +256,8 @@ class ExactMatrix:
     def __matmul__(self, other):
         """self @ other, row by row: every nonzero a = self[i][k] adds
         a * b into entry j of row i for every nonzero b = other[k][j].
-        Over QQ the entries stay Fractions (Fraction(0) where nothing or
-        a cancelling sum lands), over GF(p) each is reduced mod p once."""
+        Over QQ a sum is put in its one form (the int 0 where nothing or
+        a cancelling sum lands), over GF(p) it is reduced mod p once."""
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product: %dx%d @ %dx%d"
@@ -253,7 +281,7 @@ class ExactMatrix:
             row = [zero] * n
             if p is None:
                 for j, x in acc.items():
-                    row[j] = x
+                    row[j] = x if type(x) is int else _canonical(x)
             else:
                 for j, x in acc.items():
                     row[j] = x % p
@@ -284,7 +312,11 @@ class ExactMatrix:
                     for l in range(other.cols):
                         if orow[l] != 0:
                             x = a * orow[l]
-                            trow[base + l] = x if p is None else x % p
+                            if p is not None:
+                                x %= p
+                            elif type(x) is not int:
+                                x = _canonical(x)
+                            trow[base + l] = x
         return out
 
     # -- tensor index maps --------------------------------------------
@@ -369,21 +401,21 @@ class ExactMatrix:
         Over QQ every row is first cleared of its denominators, which
         changes neither the form nor the pivots; Gauss-Jordan then runs on
         Python ints, each new row divided by the gcd of its entries, and
-        the pivot rows become Fractions, divided by their pivot, only at
-        the end. Over GF(p) it runs on the ints 0..p-1 with the pivot
+        the pivot rows are divided by their pivot only at the end, each
+        entry an int where the pivot divides it and a Fraction elsewhere.
+        Over GF(p) it runs on the ints 0..p-1 with the pivot
         inverted as pow(pivot, p - 2, p) and every entry reduced mod p in
         place, no Field call per scalar."""
         rows, pivots = _eliminate(self.field, self.data, self.cols, True)
         if self.field.p is None:
-            zero = Fraction(0)
-            rows = ([[Fraction(x, row[c]) if x else zero for x in row]
+            rows = ([[_quotient(x, row[c]) if x else 0 for x in row]
                      for row, c in zip(rows, pivots)]
-                    + [[zero] * self.cols for _ in range(self.rows - len(pivots))])
+                    + [[0] * self.cols for _ in range(self.rows - len(pivots))])
         return self._new(rows, self.cols), pivots
 
     def rank(self):
         """Rank by forward elimination only, with no back-substitution:
-        Bareiss over QQ, mod p over GF(p)."""
+        the Bareiss elimination of _eliminate over QQ, mod p over GF(p)."""
         return len(_eliminate(self.field, self.data, self.cols, False)[1])
 
 
@@ -422,14 +454,13 @@ def _regroup_map(row_dims, col_dims, rows, cols):
 
 
 def _integer_row(row):
-    """A row of Fractions scaled by the lcm of its denominators."""
-    den = 1
-    for x in row:
-        if den % x.denominator:
-            den = lcm(den, x.denominator)
-    if den == 1:
-        return [x.numerator for x in row]
-    return [x.numerator * (den // x.denominator) for x in row]
+    """A new row of ints: a row of rationals scaled by the lcm of its
+    denominators, so a row of ints is copied as it is."""
+    if Fraction not in set(map(type, row)):
+        return row[:]
+    den = lcm(*{x.denominator for x in row if type(x) is Fraction})
+    return [x * den if type(x) is int else x.numerator * (den // x.denominator)
+            for x in row]
 
 
 def _eliminate(field, data, cols, reduce):
@@ -438,10 +469,21 @@ def _eliminate(field, data, cols, reduce):
     Returns (rows, pivot_columns). Reduced, the pivot rows come first and
     every pivot column is zero outside its pivot row; over GF(p) the pivots
     are 1, over QQ the rows are integer multiples of the reduced ones.
-    Forward only, the rows are in row echelon form: over QQ this is the
-    Bareiss elimination (E. H. Bareiss, Math. Comp. 22, 1968), in which
-    every entry is a minor of the integer input, so the division by the
-    previous pivot is exact and the entries grow no larger than minors.
+    Forward only, the rows are in row echelon form, over QQ each a
+    nonzero multiple of its row in the Bareiss elimination (E. H.
+    Bareiss, Math. Comp. 22, 1968). There every entry is a minor of the
+    integer input, so the division by the previous pivot is exact and
+    the entries grow no larger than minors.
+
+    Bareiss's step with pivot piv after the pivot prev maps a row x to
+    (piv*x - a*y) // prev, a its entry in the pivot column and y the
+    pivot row, so a row with a = 0 is only rescaled by piv/prev. Such a
+    row is left as it is, and every row keeps q, the pivot of its last
+    update (1 at the start): its Bareiss row is the kept row times
+    prev/q. An updated row is (piv*x - a*y) // q on its tail and takes
+    q = piv, which is again its Bareiss row; a pivot row whose q lags is
+    first brought level as x*prev // q. So every division stays exact,
+    and every row that is updated is a Bareiss row.
     """
     p = field.p
     if p is None:
@@ -451,6 +493,7 @@ def _eliminate(field, data, cols, reduce):
     n = len(rows)
     pivots = []
     prev = 1
+    q = [1] * n   # over QQ forward: the pivot of each row's last update
     for c in range(cols):
         r = len(pivots)
         if r == n:
@@ -463,15 +506,25 @@ def _eliminate(field, data, cols, reduce):
         prow = rows[pr]
         rows[pr] = rows[r]
         rows[r] = prow
-        piv = prow[c]
         pivots.append(c)
         if p is None and not reduce:
-            tail = prow[c:]
-            for row in rows[r + 1:]:
+            qr = q[pr]
+            q[pr] = q[r]
+            if qr == prev:
+                tail = prow[c:]
+            else:
+                tail = [x * prev // qr for x in prow[c:]]
+            piv = tail[0]
+            for i in range(r + 1, n):
+                row = rows[i]
                 a = row[c]
-                row[c:] = [(piv * x - a * y) // prev for x, y in zip(row[c:], tail)]
+                if a:
+                    qi = q[i]
+                    row[c:] = [(piv * x - a * y) // qi for x, y in zip(row[c:], tail)]
+                    q[i] = piv
             prev = piv
         elif p is None:
+            piv = prow[c]
             for i, row in enumerate(rows):
                 a = row[c]
                 if a and i != r:
@@ -479,6 +532,7 @@ def _eliminate(field, data, cols, reduce):
                     g = gcd(*row)
                     rows[i] = [x // g for x in row] if g > 1 else row
         else:
+            piv = prow[c]
             if piv != 1:
                 inv = pow(piv, p - 2, p)
                 prow[c:] = [x * inv % p for x in prow[c:]]

@@ -372,9 +372,15 @@ def _place(out, blk, row_off, col_off, lay, key):
 
 
 def _check_cut(h, m_mult, n_mult, p):
-    """Multiplicity lists of lengths r and s, and a cut 0 <= p < r."""
+    """Multiplicity lists of lengths r and s with no negative entry, and
+    a cut 0 <= p < r."""
     if len(m_mult) != h.r or len(n_mult) != h.s:
         raise ValueError("multiplicity lists must have lengths r and s")
+    for name, mult in (("m", m_mult), ("n", n_mult)):
+        for k, x in enumerate(mult, 1):
+            if x < 0:
+                raise ValueError("multiplicity %s_%d of %s = %r is negative"
+                                 % (name, k, name, list(mult)))
     if not 0 <= p < h.r:
         raise ValueError("p must satisfy 0 <= p < r")
 

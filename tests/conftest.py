@@ -2,6 +2,7 @@
 the projective-space instance grid used across the suite."""
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 from mutation_forge.exactfield import ExactMatrix, Field
@@ -11,6 +12,20 @@ from mutation_forge.homdata import (build_theta_p, mutated_instance,
                                     projective_space_hom_data)
 
 QQ = Field()
+
+
+def is_canonical_scalar(field, x):
+    """Whether x is a scalar of field in its one form: over QQ an int or
+    a Fraction whose denominator is above 1, over GF(p) an int in
+    0..p-1; a float, an integral Fraction or a bool never is."""
+    if field.p is None:
+        return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+    return type(x) is int and 0 <= x < field.p
+
+
+def has_canonical_scalars(M):
+    """Whether every entry of the matrix M is in its one form."""
+    return all(is_canonical_scalar(M.field, x) for row in M.data for x in row)
 
 
 def rnd_matrix(field, rng, rows, cols, lo=-2, hi=2):

@@ -94,6 +94,19 @@ BAD_INPUTS = {
         ["sweep", "--n", "-2", "--m1", "1", "--m2", "1", "--n1", "1"],
     "generate with n -1":
         ["generate", "--n", "-1", "--edeg", "-2", "-1", "--fdeg", "0"],
+    # multiplicities are dimensions of multiplicity spaces
+    "generate with --m -1 3":
+        ["generate", "--n", "1", "--edeg", "-2", "-1", "--fdeg", "0",
+         "--m", "-1", "3", "--nmult", "1"],
+    "generate with --nmult 1 -1":
+        ["generate", "--n", "2", "--edeg", "-2", "-1", "--fdeg", "0", "1",
+         "--m", "1", "1", "--nmult", "1", "-1", "--p", "1"],
+    "constants with --samples -1":
+        ["constants", "--which", "0", "--n", "1", "--m", "1", "--samples", "-1"],
+    "sweep with --grid 0":
+        ["sweep", "--n", "2", "--m1", "1", "--m2", "1", "--n1", "4", "--grid", "0"],
+    "sweep with --grid -3":
+        ["sweep", "--n", "2", "--m1", "1", "--m2", "1", "--n1", "4", "--grid", "-3"],
     "theta entries as ints": "int",
     "GF(3) entry with denominator 3": "gf",
     "validate with --format csv": "format",

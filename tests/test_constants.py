@@ -1,5 +1,7 @@
 """Genericity, delta values, closed-form constants, and searches."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -227,3 +229,23 @@ def test_delta_on_spans_matches_reference(case):
         U = ExactMatrix(t.field, [[u.data[x * m + tt][0] for tt in range(m)]
                                   for x in range(t.dim_h)])
         assert length(u, t.dim_h, m) == U.rank()
+
+
+# (which, n, m) of the searches behind C_TAU_DIGEST: sigma_0 and sigma_1
+# over QQ for n = 1..3 and m = 1..n+2, each at its own seed
+C_TAU_SEARCHES = [(which, n, m) for which in (0, 1) for n in (1, 2, 3)
+                  for m in range(1, n + 3)]
+# sha256 of the reports' JSON as they read when it was pinned: a change
+# of this digest is a change of a witness value, a scan maximum or a
+# sample count
+C_TAU_DIGEST = "9ef0780d72833d0d52267dc4e3a9807cd37a9757873400a81a81be561434b8fe"
+
+
+def test_c_tau_search_digest():
+    digest = hashlib.sha256()
+    for which, n, m in C_TAU_SEARCHES:
+        t = (sigma0, sigma1)[which](QQ, n)
+        rep = c_tau_search(t, m, seed=100 * which + 10 * n + m, samples=40,
+                           reference=c_formula(which, n, m))
+        digest.update(json.dumps(rep.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == C_TAU_DIGEST

@@ -134,3 +134,25 @@ def test_stability_memos_live_one_verdict():
     container that would carry it from one verdict to the next."""
     path = Path(mutation_forge.__file__).parent / "stability.py"
     assert lasting_memos(path.read_text()) == []
+
+
+def true_divisions(source):
+    """Line numbers of every true division in source: x / y and x /= y
+    (floor division // is not one)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div))
+
+
+def test_true_division_scan_sees_both_forms():
+    src = ("a = x / y\nb = x // y\nc /= 2\nd = [u / v for u in w]\n"
+           "e = '%d/%d' % (x, y)\nf //= 3\n")
+    assert true_divisions(src) == [1, 3, 4]
+
+
+def test_exact_kernel_has_no_true_division():
+    """An int over an int is a float: the kernel, whose rational scalars
+    are ints where they are integral, divides only exactly (//, divmod
+    or a Fraction it builds)."""
+    path = Path(mutation_forge.__file__).parent / "exactfield.py"
+    assert true_divisions(path.read_text()) == []

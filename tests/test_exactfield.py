@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mutation_forge import exactfield
 from mutation_forge.exactfield import (ExactMatrix, Field, GF, Subspace,
@@ -15,16 +15,24 @@ from mutation_forge.exactfield import (ExactMatrix, Field, GF, Subspace,
                                        kernel_basis, quotient_data,
                                        solve_linear)
 from mutation_forge.mutation import swap_matrix
-from conftest import rnd_matrix, rnd_invertible
+from conftest import (has_canonical_scalars, is_canonical_scalar,
+                      rnd_matrix, rnd_invertible)
 
 QQ = Field()
 
 
 def test_field_arithmetic_rational():
+    """Over QQ an integral value is an int and only a non-integral one a
+    Fraction, whatever it was given as."""
     f = QQ
     assert f.of(Fraction(2, 3)) == Fraction(2, 3)
-    assert type(f.of(2)) is Fraction and f.of(2) == 2
-    assert (f.zero(), f.one()) == (0, 1)
+    for x in (f.of(2), f.of(Fraction(4, 2)), f.of(Fraction(0)), f.ratio(6, -3),
+              f.ratio(0, 5), f.zero(), f.one()):
+        assert type(x) is int and is_canonical_scalar(f, x)
+    assert (f.of(Fraction(4, 2)), f.ratio(6, -3), f.zero(), f.one()) == (2, -2, 0, 1)
+    for x in (f.of(Fraction(2, 3)), f.of(Fraction(-6, 4)), f.ratio(3, -6)):
+        assert type(x) is Fraction and is_canonical_scalar(f, x)
+    assert not is_canonical_scalar(f, Fraction(2)) and not is_canonical_scalar(f, 2.0)
     with pytest.raises(ValueError):
         f.elements()
 
@@ -41,9 +49,11 @@ def test_field_arithmetic_gf():
 def test_of_passes_field_elements_through():
     x = Fraction(-7, 3)
     assert QQ.of(x) is x
+    for k in (-1, 0, 1, 10 ** 30):
+        assert QQ.of(k) is k and is_canonical_scalar(QQ, k)
     for p in (2, 3, 65521):
         for k in (-p - 1, -1, 0, 1, p, 3 * p + 2, 10 ** 30):
-            assert GF(p).of(k) == k % p and type(GF(p).of(k)) is int
+            assert GF(p).of(k) == k % p and is_canonical_scalar(GF(p), GF(p).of(k))
 
 
 def test_ratio_rejects_a_written_zero_denominator():
@@ -188,6 +198,7 @@ def test_quotient_data_matches_reference(case):
     ref_proj, ref_section = reference_quotient_data(n, S)
     assert (proj.rows, proj.cols) == (ref_proj.rows, ref_proj.cols) == (n - S.dim, n)
     assert (proj.data, section.data) == (ref_proj.data, ref_section.data)
+    assert has_canonical_scalars(proj) and has_canonical_scalars(section)
     assert (section.rows, section.cols) == (n, n - S.dim)
 
 
@@ -317,8 +328,9 @@ def test_regroup_index_map_cache_checks_every_call():
 
 def reference_rref(A):
     """The dense reference elimination: Gauss-Jordan on field scalars
-    with plain operators, Fraction division over QQ and the inverse
-    pow(x, p - 2, p) with every entry reduced mod p over GF(p)."""
+    with plain operators, exact Fraction division over QQ (an int over an
+    int would be a float) and the inverse pow(x, p - 2, p) with every
+    entry reduced mod p over GF(p)."""
     p = A.field.p
     m = A.copy_data()
     rows, cols = A.rows, A.cols
@@ -336,7 +348,8 @@ def reference_rref(A):
             continue
         m[r], m[pr] = m[pr], m[r]
         if p is None:
-            m[r] = [x / m[r][c] for x in m[r]]
+            piv = m[r][c]
+            m[r] = [Fraction(x) / piv for x in m[r]]
         else:
             inv = pow(m[r][c], p - 2, p)
             m[r] = [inv * x % p for x in m[r]]
@@ -403,11 +416,7 @@ def test_rref_and_rank_match_reference(A):
     ref_R, ref_pivots = reference_rref(A)
     assert (R, pivots) == (ref_R, ref_pivots)
     assert (R.rows, R.cols) == (A.rows, A.cols)
-    if A.field.p is None:
-        assert all(type(x) is Fraction for row in R.data for x in row)
-    else:
-        assert all(type(x) is int and 0 <= x < A.field.p
-                   for row in R.data for x in row)
+    assert has_canonical_scalars(R)
     assert A.rank() == len(ref_pivots) == A.transpose().rank()
 
 
@@ -415,6 +424,7 @@ def test_rref_and_rank_match_reference(A):
 @given(kernel_matrices())
 def test_kernel_and_column_echelon_match_reference(A):
     K, E = kernel_basis(A), column_echelon(A)
+    assert has_canonical_scalars(K) and has_canonical_scalars(E)
     with reference_elimination():
         assert K == kernel_basis(A)
         assert E == column_echelon(A)
@@ -436,7 +446,95 @@ def test_solve_linear_matches_reference(A, data):
         assert sol == solve_linear(A, consistent)
         assert other == solve_linear(A, B)
     assert sol is not None and A @ sol == consistent
+    assert has_canonical_scalars(sol)
     assert other is None or A @ other == B
+
+
+@st.composite
+def sparse_rational_matrices(draw, max_dim=8):
+    """A mostly-zero matrix over QQ of ints or of Fractions, often of low
+    rank (a product through a thin middle), so that the forward
+    elimination leaves rows alone and later picks pivot rows that lag."""
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    scalars = (st.integers(-9, 9) if draw(st.booleans())
+               else st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
+    sparse = st.tuples(st.integers(0, 3), scalars).map(
+        lambda t: t[1] if t[0] == 0 else 0)
+
+    def matrix(r, c):
+        return ExactMatrix.from_flat(QQ, r, c, draw(st.lists(
+            sparse, min_size=r * c, max_size=r * c)))
+
+    if draw(st.booleans()):
+        mid = draw(st.integers(0, 4))
+        return matrix(rows, mid) @ matrix(mid, cols)
+    return matrix(rows, cols)
+
+
+def reference_bareiss(rows, cols):
+    """The rows of the full forward Bareiss elimination of a matrix of
+    ints, every row below the pivot updated at every step."""
+    rows = [row[:] for row in rows]
+    prev, r = 1, 0
+    for c in range(cols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, len(rows)):
+            a = rows[i][c]
+            rows[i] = [(piv * x - a * y) // prev for x, y in zip(rows[i], rows[r])]
+        prev, r = piv, r + 1
+    return rows
+
+
+# row 1 is left alone at the first pivot and is the lagging pivot row of
+# the second; row 2 is updated at both
+LAGGING_PIVOT_ROW = ExactMatrix(QQ, [[2, 1, 0, 4], [0, 3, 1, 0], [1, 0, 5, 7]])
+# row 2 is left alone at the first pivot and updated at the second, whose
+# pivot row is level
+LAGGING_ROW = ExactMatrix(QQ, [[-4, -1, 0], [-1, 0, 0], [0, 4, 2]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_rational_matrices())
+@example(LAGGING_PIVOT_ROW)
+@example(LAGGING_ROW)
+def test_rational_rank_matches_reference(A):
+    """The lazy forward elimination finds the reference pivots, and each
+    row it leaves is a multiple of that row of the full Bareiss
+    elimination of the integer rows, nonzero where that row is."""
+    _, ref_pivots = reference_rref(A)
+    assert A.rank() == len(ref_pivots) == A.transpose().rank()
+    rows, pivots = exactfield._eliminate(QQ, A.data, A.cols, False)
+    assert pivots == ref_pivots
+    full_rows = reference_bareiss([exactfield._integer_row(row) for row in A.data], A.cols)
+    for row, full in zip(rows, full_rows):
+        k = next((j for j, y in enumerate(full) if y), None)
+        if k is None:
+            assert not any(row)
+        else:
+            assert row[k] and all(x * full[k] == y * row[k] for x, y in zip(row, full))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rational_matrices(), sparse_rational_matrices(), st.data())
+def test_rational_results_are_in_one_form(A, C, data):
+    """Over QQ every operation gives each entry as an int where it is
+    integral, also where Fractions add or multiply to an integer."""
+    B = ExactMatrix.from_flat(QQ, A.rows, A.cols, data.draw(st.lists(
+        _scalars(QQ), min_size=A.rows * A.cols, max_size=A.rows * A.cols)))
+    c = data.draw(_scalars(QQ))
+    results = [A + B, A - B, A - A, -A, A.scale(c), A.scale(1 / c if c else 0),
+               A.kron(C), A @ A.transpose(), A.transpose() @ B]
+    for M in results:
+        assert has_canonical_scalars(M)
+    a, b = A.data, B.data
+    assert all((A + B).data[i][j] == a[i][j] + b[i][j] and
+               (A - B).data[i][j] == a[i][j] - b[i][j]
+               for i in range(A.rows) for j in range(A.cols))
+    assert (A - A).data == [[0] * A.cols for _ in range(A.rows)]
 
 
 # -- the sparse product against the dense reference ---------------------
@@ -488,11 +586,7 @@ def test_matmul_matches_reference(case):
     assert all(len(row) == B.cols for row in C.data)
     if cancel:
         assert C.is_zero()
-    if A.field.p is None:
-        assert all(type(x) is Fraction for row in C.data for x in row)
-    else:
-        assert all(type(x) is int and 0 <= x < A.field.p
-                   for row in C.data for x in row)
+    assert has_canonical_scalars(C)
 
 
 # -- the entrywise operations against per-entry references ----------------
