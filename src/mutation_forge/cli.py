@@ -268,7 +268,7 @@ def build_parser():
         description="exact-arithmetic mutations of spaces of morphisms")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget-subspaces", type=int, default=10 ** 5)
+    common.add_argument("--budget-subspaces", type=_positive, default=10 ** 5)
     common.add_argument("--out", default=None)
     sub = p.add_subparsers(dest="command", required=True)
 

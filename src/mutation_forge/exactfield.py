@@ -5,7 +5,8 @@ built on the two types defined here: ExactMatrix and Subspace. All
 arithmetic is exact: over the rationals an integral value is an int and
 any other a Fraction, over GF(p) a value is an int mod p. There is no
 floating point anywhere in this package, and no true division in this
-module.
+module. Over GF(2) a vector can also be packed into one int, one bit per
+coordinate, and spans and ranks of packed vectors are taken by XOR.
 """
 
 import functools
@@ -544,6 +545,66 @@ def _eliminate(field, data, cols, reduce):
     return rows, pivots
 
 
+# -- GF(2) packed rows ------------------------------------------------
+#
+# Over GF(2) a vector of length n is one int whose bit n - 1 - r is its
+# coordinate r: the first coordinate is the highest bit, so the pivot of
+# a vector is its highest bit and a sum of two vectors is one XOR.
+
+def pack_columns(A):
+    """The columns of a GF(2) matrix as packed vectors, one bit per row."""
+    if A.field.p != 2:
+        raise ValueError("packed vectors are over GF(2), not %r" % (A.field,))
+    cols = [0] * A.cols
+    for row in A.data:
+        cols = [v << 1 | x for v, x in zip(cols, row)]
+    return cols
+
+
+def unpack_rows(vectors, n):
+    """Packed vectors of length n as rows of 0/1 entries, the inverse of
+    pack_columns on one column."""
+    return [[v >> s & 1 for s in range(n - 1, -1, -1)] for v in vectors]
+
+
+def packed_combinations(vectors):
+    """Every GF(2) combination of the packed vectors: entry c is the sum of
+    the vectors whose coefficient in c is 1, for the coefficient vector c
+    packed as an int (the first vector its highest bit)."""
+    sums = [0]
+    for v in vectors:
+        sums = [u for s in sums for u in (s, s ^ v)]
+    return sums
+
+
+def xor_echelon(vectors):
+    """The canonical basis of the span of packed vectors: its reduced
+    echelon basis, first pivot first, as a tuple (() for the zero span).
+    It unpacks to the nonzero rows of rref."""
+    basis = []   # reduced: no vector holds the pivot of another
+    for v in vectors:
+        for b in basis:
+            if v ^ b < v:   # v holds the pivot of b
+                v ^= b
+        if v:
+            basis = [b ^ v if b ^ v < b else b for b in basis]
+            basis.append(v)
+    return tuple(sorted(basis, reverse=True))
+
+
+def xor_rank(vectors):
+    """dim of the span of packed vectors, by forward XOR elimination."""
+    pivots = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
 def solve_linear(A, b):
     """Particular solution x of A x = b, or None when b is not in the image.
 
@@ -629,23 +690,6 @@ class Subspace:
     def full(field, ambient_dim):
         return Subspace(ambient_dim, ExactMatrix.identity(field, ambient_dim))
 
-    def contains(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient mismatch")
-        return all(solve_linear(self.basis, ExactMatrix.column(self.field, other.basis.col(j)))
-                   is not None for j in range(other.dim))
-
-    def sum(self, other):
-        return Subspace(self.ambient_dim, self.basis.hstack(other.basis))
-
-    def intersect(self, other):
-        # x = B1 a = B2 b  <=>  (B1 | -B2)(a;b) = 0
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient_dim)
-        K = kernel_basis(self.basis.hstack(-other.basis))
-        coeffs = K.submatrix(range(self.dim), range(K.cols))
-        return Subspace(self.ambient_dim, self.basis @ coeffs)
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
                 and self.basis == other.basis)
@@ -655,11 +699,6 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim %d of %d over %r)" % (self.dim, self.ambient_dim, self.field)
-
-
-def image_subspace(A):
-    """Column span of A as a Subspace."""
-    return Subspace(A.rows, A)
 
 
 def quotient_data(ambient_dim, S):

@@ -16,7 +16,8 @@ from math import lcm
 from operator import getitem
 
 from .exactfield import (ExactMatrix, Subspace, enumerate_subspaces,
-                         kernel_basis)
+                         kernel_basis, pack_columns, packed_combinations,
+                         unpack_rows, xor_echelon, xor_rank)
 from .theta import MorphismPoint, in_W0
 from .homdata import (map_polarization, mutated_instance,
                       dual_point_to_mutated)
@@ -66,31 +67,80 @@ def _subspace_lists(p, m_mult, budget):
     return per_index
 
 
-def _block_images(y, n, subs):
-    """Echelon rows spanning x(H (x) M') for a block x : H (x) M -> N,
-    given as y = x regrouped to M -> H (x) N with dim N = n, for each M'
-    in subs (None where that image is 0), from one product of their
-    stacked transposed bases with y: row c of the slice of M' holds the
-    images of h (x) (basis vector c) for every basis vector h of H."""
-    stacked = [row for sub in subs for row in sub.basis.transpose().data]
-    rows = (y._new(stacked, y.rows) @ y).data if stacked and y.cols else []
+def _packed_images(x, dim_h, m, bases):
+    """GF(2): the canonical tuple (exactfield.xor_echelon) of
+    x(H (x) M') for a block x : H (x) M -> N, dim H = dim_h, dim M = m,
+    for each M' in bases, given by the packed coefficients of its basis
+    over M. For each basis vector h of H every combination of the columns
+    h (x) M of x is listed once, and x(h (x) b) is read off by the
+    coefficients of b."""
+    cols = pack_columns(x)
+    sums = [packed_combinations(cols[h * m:(h + 1) * m]) for h in range(dim_h)]
+    return [xor_echelon([s[c] for s in sums for c in basis]) for basis in bases]
+
+
+def _block_images(x, dim_h, m, stacked):
+    """GF(p), p > 2: the echelon rows, as a tuple of row tuples, spanning
+    x(H (x) M') for a block x : H (x) M -> N, for each M' given by its
+    transposed basis, from one product of their stack with x regrouped
+    to M -> H (x) N: row c of the slice of M' holds the images of
+    h (x) (basis vector c) for every basis vector h of H. stacked is
+    (the stacked matrix or None, the dimensions of the M')."""
+    n = x.rows
+    matrix, dims = stacked
+    if matrix is None or not dim_h * n:
+        return [()] * len(dims)
+    y = x.regroup([n], [dim_h, m], [2], [1, 0])
+    rows = (matrix @ y).data
     out, start = [], 0
-    for sub in subs:
-        part, start = rows[start:start + sub.dim], start + sub.dim
+    for d in dims:
+        part, start = rows[start:start + d], start + d
+        if not d:   # the zero subspace
+            out.append(())
+            continue
         R, pivots = y._new([row[k:k + n] for row in part
                             for k in range(0, y.cols, n)], n).rref()
-        out.append(R.submatrix(range(len(pivots)), range(n)) if pivots else None)
+        out.append(tuple(map(tuple, R.data[:len(pivots)])))
     return out
 
 
-def _span_dim(blocks):
-    """dim of the sum of the row spans of the given image blocks."""
-    if not blocks:
-        return 0
-    if len(blocks) == 1:
-        return blocks[0].rows
-    return ExactMatrix.of_rows(blocks[0].field, [row for b in blocks for row in b.data],
-                               blocks[0].cols).rank()
+def _span_dim(field, n, images):
+    """dim of the sum of images in N (dim N = n), each a tuple of echelon
+    rows: packed ints over GF(2), row tuples over GF(p)."""
+    nonzero = [img for img in images if img]
+    if len(nonzero) < 2:
+        return len(nonzero[0]) if nonzero else 0
+    if field.p == 2:
+        return xor_rank(chain.from_iterable(nonzero))
+    return ExactMatrix.of_rows(field, [list(v) for img in nonzero for v in img], n).rank()
+
+
+class _WalkMemo:
+    """What the translates of one verdict share; it lives as long as the
+    verdict. bases holds each first-tier index's subspaces in the form
+    that the block images read: over GF(2) the packed coefficients of
+    each basis, over GF(p) the stack of the transposed bases with their
+    dimensions. last[(l, i)] is the last block x_(l,i) seen with its
+    images and their keys (ids interns each image as an int); dims maps
+    a tuple of keys in N_l to the dimension of the span, and verdicts
+    maps a translate's tuple of keys to its (semistable, stable, ks)."""
+
+    __slots__ = ("field", "bases", "last", "ids", "dims", "verdicts")
+
+    def __init__(self, field, per_index):
+        self.field = field
+        if field.p == 2:
+            self.bases = [[pack_columns(sub.basis) for sub in subs] for subs in per_index]
+        else:
+            self.bases = []
+            for subs in per_index:
+                rows = [row for sub in subs for row in sub.basis.transpose().data]
+                self.bases.append((ExactMatrix.of_rows(field, rows, subs[0].ambient_dim)
+                                   if rows else None, [sub.dim for sub in subs]))
+        self.last = {}
+        self.ids = {}
+        self.dims = {}
+        self.verdicts = {}
 
 
 def _gred_core(blocks, dimH, m_mult, n_mult, lam, mu, per_index, memo):
@@ -99,38 +149,52 @@ def _gred_core(blocks, dimH, m_mult, n_mult, lam, mu, per_index, memo):
     subspace lists of _subspace_lists.
 
     A block's images x_(l,i)(H_li (x) M'_i) are computed for all M'_i at
-    once, and again only when the block changes. memo = (last, ids, dims)
-    is shared by the translates of one verdict: last[(l, i)] is the last
-    block with its images and their keys (ids interns echelon rows as
-    ints), and dims maps a tuple of keys to the dimension of their span,
-    so a family costs one lookup per l. Returns (semistable, stable, ks,
-    images): ks indexes the recorded family in per_index, or is None,
-    and images[l - 1][i - 1][k] is the echelon image of the k-th M'_i in
-    N_l, or None when it is 0."""
-    last, ids, dims = memo
+    once, and again only when the block changes; a family costs one
+    lookup per l, and a translate whose images were all seen together
+    before costs one lookup (memo, a _WalkMemo). Returns (semistable,
+    stable, ks, images): ks indexes the recorded family in per_index, or
+    is None, and images[l - 1][i - 1][k] is the image of the k-th M'_i
+    in N_l as a tuple of echelon rows, () when it is 0."""
+    last, ids = memo.last, memo.ids
     images, keys = [], []
     for l, n in enumerate(n_mult, 1):
         row = []
-        for i, (m, subs) in enumerate(zip(m_mult, per_index), 1):
+        for i, (m, bases) in enumerate(zip(m_mult, memo.bases), 1):
             x = blocks[(l, i)]
             if (l, i) not in last or last[(l, i)][0] != x:
-                imgs = _block_images(x.regroup([n], [dimH[(l, i)], m], [2], [1, 0]), n, subs)
-                last[(l, i)] = (x, imgs, [ids.setdefault(
-                    () if b is None else tuple(map(tuple, b.data)), len(ids)) for b in imgs])
+                if (x.rows, x.cols) != (n, dimH[(l, i)] * m):
+                    raise ValueError("block %r is %dx%d, expected %dx%d"
+                                     % ((l, i), x.rows, x.cols, n, dimH[(l, i)] * m))
+                if memo.field.p == 2:
+                    imgs = _packed_images(x, dimH[(l, i)], m, bases)
+                else:
+                    imgs = _block_images(x, dimH[(l, i)], m, bases)
+                last[(l, i)] = (x, imgs, tuple(ids.setdefault(img, len(ids)) for img in imgs))
             row.append(last[(l, i)])
         images.append([cell[1] for cell in row])
         keys.append([cell[2] for cell in row])
+    pattern = tuple(chain.from_iterable(keys))
+    verdict = memo.verdicts.get(pattern)
+    if verdict is None:
+        verdict = memo.verdicts[pattern] = _families(memo, images, keys, n_mult, lam, mu,
+                                                     per_index)
+    return verdict + (images,)
+
+
+def _families(memo, images, keys, n_mult, lam, mu, per_index):
+    """The family loop of _gred_core: (semistable, stable, ks) from the
+    images and their keys."""
+    dims = memo.dims
     lhs_of = [[lam_i * sub.dim for sub in subs] for lam_i, subs in zip(lam, per_index)]
     stable = True
     recorded = None
     for ks in product(*(range(len(subs)) for subs in per_index)):
         dims_n = []
-        for row, key_row in zip(images, keys):
+        for n, row, key_row in zip(n_mult, images, keys):
             key = tuple(map(getitem, key_row, ks))
             d = dims.get(key)
             if d is None:
-                d = dims[key] = _span_dim([col[k] for col, k in zip(row, ks)
-                                           if col[k] is not None])
+                d = dims[key] = _span_dim(memo.field, n, map(getitem, row, ks))
             dims_n.append(d)
         if dims_n == n_mult:
             continue
@@ -140,10 +204,10 @@ def _gred_core(blocks, dimH, m_mult, n_mult, lam, mu, per_index, memo):
                          and any(subs[k].dim for subs, k in zip(per_index, ks))):
             if lhs > rhs:
                 # the first violating family decides the verdict and the witness
-                return False, False, ks, images
+                return False, False, ks
             stable = False
             recorded = ks
-    return True, stable, recorded, images
+    return True, stable, recorded
 
 
 def _witness(f, per_index, n_mult, images, ks):
@@ -151,8 +215,9 @@ def _witness(f, per_index, n_mult, images, ks):
     rows of its block images in N_l, stacked, as a Subspace."""
     spans = {}
     for l, (n, row) in enumerate(zip(n_mult, images), 1):
-        stacked = [v for col, k in zip(row, ks) if col[k] is not None for v in col[k].data]
-        spans[l] = Subspace(n, ExactMatrix.of_rows(f, stacked, n).transpose())
+        stacked = [v for col, k in zip(row, ks) for v in col[k]]
+        rows = unpack_rows(stacked, n) if f.p == 2 else [list(v) for v in stacked]
+        spans[l] = Subspace(n, ExactMatrix.of_rows(f, rows, n).transpose())
     return tuple(subs[k] for subs, k in zip(per_index, ks)), spans
 
 
@@ -164,7 +229,7 @@ def _verdict(f, translates, dimH, m_mult, n_mult, lam, mu, budget):
     not stable, or None; the walk stops at the first that is not
     semistable."""
     per_index = _subspace_lists(f.p, m_mult, budget)
-    memo = ({}, {}, {})
+    memo = _WalkMemo(f, per_index)
     stable = True
     kept = None
     for moved in translates:

@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from mutation_forge.exactfield import ExactMatrix, Field
+from mutation_forge.exactfield import (ExactMatrix, Field, Subspace, kernel_basis,
+                                       solve_linear)
 from mutation_forge.theta import MorphismPoint, ThetaSpace, in_W0
 from mutation_forge.mutation import build_dual
 from mutation_forge.homdata import (build_theta_p, mutated_instance,
@@ -60,6 +61,34 @@ def random_w0_point(theta, rng, tries=200, lo=-2, hi=2):
         if in_W0(w):
             return w
     raise RuntimeError("no point of W0 found")
+
+
+# -- the subspace lattice, as references -------------------------------
+
+def image_subspace(A):
+    """Column span of A as a Subspace."""
+    return Subspace(A.rows, A)
+
+
+def subspace_sum(S, T):
+    return Subspace(S.ambient_dim, S.basis.hstack(T.basis))
+
+
+def subspace_contains(S, T):
+    """Whether T is a subspace of S: every basis vector of T solves
+    S.basis x = t."""
+    if S.ambient_dim != T.ambient_dim:
+        raise ValueError("ambient mismatch")
+    return all(solve_linear(S.basis, ExactMatrix.column(S.field, T.basis.col(j)))
+               is not None for j in range(T.dim))
+
+
+def subspace_intersect(S, T):
+    """S meet T from the kernel of (B_S | -B_T): x = B_S a = B_T b."""
+    if S.dim == 0 or T.dim == 0:
+        return Subspace.zero(S.field, S.ambient_dim)
+    K = kernel_basis(S.basis.hstack(-T.basis))
+    return Subspace(S.ambient_dim, S.basis @ K.submatrix(range(S.dim), range(K.cols)))
 
 
 # -- the seeded pool of small rational instances ----------------------

@@ -209,6 +209,30 @@ def test_bad_input_is_a_usage_error(name, tmp_path, capsys):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_must_be_positive(budget, tmp_path, capsys):
+    """--budget-subspaces below 1 is rejected by the argument parser, before
+    any oracle or search runs (a negative budget used to reach the
+    unipotent orbit and fail there with "p^2 > -5")."""
+    h = projective_space_hom_data(Field(2), 1, [-2, -1], [0])
+    inst = build_theta_p(h, [1, 1], [2], 0)
+    spec = {"hom": hom_data_to_json(h), "m": [1, 1], "n": [2], "p": 0,
+            "point": point_to_json(MorphismPoint.zero(inst.theta)),
+            "lam": ["1/2", "1/2"], "mu": ["1/2"]}
+    path = _write(tmp_path, "inst.json", spec)
+    for argv in (["stability", "--instance", path, "--group", "G"],
+                 ["stability", "--instance", path, "--group", "Gred"],
+                 ["constants", "--which", "0", "--n", "1", "--m", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget-subspaces", budget])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "mutforge %s: error: argument --budget-subspaces: must be a positive "
+            "integer, got %s" % (argv[0], budget)]
+        assert "enumeration budget" not in err
+
+
 def test_dual_verify(tmp_path, capsys):
     _, theta_path = _p2_theta(tmp_path)
     assert main(["dual", "--theta", theta_path, "--verify"]) == 0

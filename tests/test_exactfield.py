@@ -11,12 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 from mutation_forge import exactfield
 from mutation_forge.exactfield import (ExactMatrix, Field, GF, Subspace,
                                        column_echelon, enumerate_subspaces,
-                                       gaussian_binomial, image_subspace,
-                                       kernel_basis, quotient_data,
-                                       solve_linear)
+                                       gaussian_binomial, kernel_basis,
+                                       pack_columns, packed_combinations,
+                                       quotient_data, solve_linear,
+                                       unpack_rows, xor_echelon, xor_rank)
 from mutation_forge.mutation import swap_matrix
-from conftest import (has_canonical_scalars, is_canonical_scalar,
-                      rnd_matrix, rnd_invertible)
+from conftest import (has_canonical_scalars, image_subspace,
+                      is_canonical_scalar, rnd_matrix, rnd_invertible,
+                      subspace_contains, subspace_intersect, subspace_sum)
 
 QQ = Field()
 
@@ -130,11 +132,11 @@ def test_subspace_operations():
     S = image_subspace(e(0).hstack(e(1)))
     T = image_subspace(e(1).hstack(e(2)))
     assert S.dim == 2 and T.dim == 2
-    assert S.sum(T).dim == 3
-    assert S.intersect(T).dim == 1
-    assert S.contains(S.intersect(T))
-    assert Subspace.full(f, 4).contains(S)
-    assert S.contains(Subspace.zero(f, 4))
+    assert subspace_sum(S, T).dim == 3
+    assert subspace_intersect(S, T).dim == 1
+    assert subspace_contains(S, subspace_intersect(S, T))
+    assert subspace_contains(Subspace.full(f, 4), S)
+    assert subspace_contains(S, Subspace.zero(f, 4))
 
 
 def test_quotient_data_is_a_splitting():
@@ -385,11 +387,11 @@ def _scalars(f):
 
 
 @st.composite
-def kernel_matrices(draw, max_rows=6, max_cols=7):
-    """A random matrix over QQ, GF(2), GF(3) or GF(65521), with 0xn and
-    nx0 shapes, zero rows and columns, and low rank (a product through a
-    thin middle) all drawn often."""
-    f = draw(st.sampled_from(KERNEL_FIELDS))
+def kernel_matrices(draw, max_rows=6, max_cols=7, fields=KERNEL_FIELDS):
+    """A random matrix over QQ, GF(2), GF(3) or GF(65521) (or over one of
+    fields), with 0xn and nx0 shapes, zero rows and columns, and low rank
+    (a product through a thin middle) all drawn often."""
+    f = draw(st.sampled_from(fields))
     rows = draw(st.integers(0, max_rows))
     cols = draw(st.integers(0, max_cols))
     if draw(st.booleans()):
@@ -418,6 +420,36 @@ def test_rref_and_rank_match_reference(A):
     assert (R.rows, R.cols) == (A.rows, A.cols)
     assert has_canonical_scalars(R)
     assert A.rank() == len(ref_pivots) == A.transpose().rank()
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_matrices(fields=[GF(2)]), st.data())
+def test_packed_rows_match_reference(A, data):
+    """Over GF(2) the rows of A packed into ints (pack_columns of the
+    transpose): unpacking gives them back, their XOR rank is the rank,
+    and their canonical basis, in any order of the rows and with zero
+    vectors added, unpacks to the nonzero rows of the reference rref. A
+    packed combination of the columns of A is A times the coefficient
+    vector."""
+    vectors = pack_columns(A.transpose())
+    assert unpack_rows(vectors, A.cols) == A.data
+    R, pivots = reference_rref(A)
+    assert xor_rank(vectors) == A.rank() == len(pivots)
+    basis = xor_echelon(vectors)
+    assert unpack_rows(basis, A.cols) == R.data[:len(pivots)]
+    order = data.draw(st.permutations(range(len(vectors))))
+    assert xor_echelon([vectors[k] for k in order] + [0]) == basis == xor_echelon(basis)
+    sums = packed_combinations(pack_columns(A))
+    assert len(sums) == 2 ** A.cols
+    c = data.draw(st.integers(0, len(sums) - 1))
+    x = ExactMatrix.from_flat(GF(2), A.cols, 1, unpack_rows([c], A.cols)[0])
+    assert sums[c] == pack_columns(A @ x)[0]
+
+
+def test_packed_rows_are_over_gf2_only():
+    for f in (QQ, GF(3)):
+        with pytest.raises(ValueError, match="over GF\\(2\\)"):
+            pack_columns(ExactMatrix.identity(f, 2))
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mutation_forge.exactfield import (ExactMatrix, Field, Subspace,
-                                       enumerate_subspaces, image_subspace)
+                                       enumerate_subspaces)
 from mutation_forge.theta import MorphismPoint, in_W0
 from mutation_forge.homdata import (Polarization, _on_chain, build_theta_p,
                                     projective_space_hom_data,
@@ -25,7 +25,8 @@ from mutation_forge.stability import (DEFAULT_BUDGET, KroneckerModule,
                                       kronecker_orbit_equivalent,
                                       kronecker_semistable,
                                       unstable_outside_w0_bound)
-from conftest import has_canonical_scalars
+from conftest import (has_canonical_scalars, image_subspace, rnd_invertible,
+                      subspace_contains, subspace_sum)
 
 F2 = Field(2)
 
@@ -187,7 +188,7 @@ def test_reduced_equals_exhaustive_family_quantifier():
                 img = image_subspace(blk)
                 for dn in range(img.dim, n + 1):
                     for nsub in enumerate_subspaces(2, n, dn):
-                        if not nsub.contains(img):
+                        if not subspace_contains(nsub, img):
                             continue
                         if dn == n:
                             continue
@@ -308,7 +309,7 @@ def reference_family_images(inst, fam, bases):
             if dh == 0:
                 continue
             blk = fam[(l, i)] @ ExactMatrix.identity(f, dh).kron(basis)
-            span = span.sum(image_subspace(blk))
+            span = subspace_sum(span, image_subspace(blk))
         out[l] = span
     return out
 
@@ -473,18 +474,22 @@ def reference_walk(inst, translates, pol):
 
 
 # walks over the pool (A, B, a copy of A, A with one block changed, the
-# zero family) that the memo must see through: repeated, alternating,
-# equal in value but distinct, one block changed, zero blocks
+# zero family, A moved by GL(H)) that the memo must see through:
+# repeated, alternating, equal in value but distinct, one block changed,
+# zero blocks, and other blocks with the same images as A
 MEMO_WALKS = [(0, 0), (0, 1, 0), (0, 2), (2, 0, 2), (0, 3), (3, 0, 3, 0),
-              (4, 0), (0, 4, 0), (1, 3, 1)]
+              (4, 0), (0, 4, 0), (1, 3, 1), (0, 5), (5, 0, 1), (3, 5, 3), (1, 5, 0)]
 
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_verdict_memo_matches_memo_free_walk(data):
-    """_verdict shares block images and span dimensions between the
-    translates of a walk; its verdict and witness equal reference_gred
-    run afresh at every translate."""
+    """_verdict shares block images, span dimensions and whole verdicts
+    between the translates of a walk; its verdict and witness equal
+    reference_gred run afresh at every translate. A with every block
+    x_(l,i) moved to x_(l,i) (g (x) I_(m_i)), g invertible on H_li, has
+    other blocks but the same images x_(l,i)(H_li (x) M'_i) as A, so its
+    verdict is looked up from A's."""
     case = data.draw(st.sampled_from(ORACLE_CASES))   # GF(2) and GF(3)
     p, _, _, m, n, _ = case
     inst = _oracle_instance(case)
@@ -503,9 +508,11 @@ def test_verdict_memo_matches_memo_free_walk(data):
     changed = data.draw(st.sampled_from(sorted(shapes)))
     pool = [a, b, {k: ExactMatrix(h.field, x.data) for k, x in a.items()},
             {**a, changed: block(changed)},
-            {k: block(k, zero=True) for k in shapes}]
+            {k: block(k, zero=True) for k in shapes},
+            {(l, i): x @ rnd_invertible(h.field, rng, h.dimH[(l, i)]).kron(
+                ExactMatrix.identity(h.field, m[i - 1])) for (l, i), x in a.items()}]
     walk = data.draw(st.one_of(st.sampled_from(MEMO_WALKS),
-                               st.lists(st.integers(0, 4), min_size=1, max_size=5)))
+                               st.lists(st.integers(0, 5), min_size=1, max_size=5)))
     weights = [data.draw(st.lists(st.integers(1, 3), min_size=len(d), max_size=len(d)))
                for d in (m, n)]
     pol = Polarization(*[[Fraction(x, sum(y * k for y, k in zip(w, d))) for x in w]
