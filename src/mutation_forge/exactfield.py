@@ -12,7 +12,7 @@ coordinate, and spans and ranks of packed vectors are taken by XOR.
 import functools
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, isqrt, lcm, prod
+from math import isqrt, lcm, prod
 
 
 def _is_prime(p):
@@ -152,10 +152,9 @@ class ExactMatrix:
     a Fraction.
 
     Elimination (rref, rank and everything built on them) works on
-    Python ints: over QQ on rows cleared of their denominators, fraction
-    free (Gauss-Jordan for rref, a Bareiss elimination that updates only
-    the rows it changes for rank), over GF(p) on the residues with the
-    reduction mod p written inline."""
+    Python ints, in one fraction-free Gauss-Jordan loop: over QQ on rows
+    cleared of their denominators, updating only the rows it changes,
+    over GF(p) on the residues with the reduction mod p written inline."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -371,9 +370,6 @@ class ExactMatrix:
         return self._new([[self.data[i][j] for j in col_idx] for i in row_idx],
                          len(col_idx))
 
-    def col(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
     def flat(self):
         """Row-major flattening."""
         return [x for row in self.data for x in row]
@@ -399,24 +395,26 @@ class ExactMatrix:
     def rref(self):
         """Reduced row echelon form. Returns (R, pivot_columns).
 
-        Over QQ every row is first cleared of its denominators, which
-        changes neither the form nor the pivots; Gauss-Jordan then runs on
-        Python ints, each new row divided by the gcd of its entries, and
-        the pivot rows are divided by their pivot only at the end, each
-        entry an int where the pivot divides it and a Fraction elsewhere.
-        Over GF(p) it runs on the ints 0..p-1 with the pivot
-        inverted as pow(pivot, p - 2, p) and every entry reduced mod p in
-        place, no Field call per scalar."""
+        The fraction-free Gauss-Jordan of _eliminate, forward and back,
+        leaves each pivot row a multiple of its reduced row, which is
+        then finished once: over QQ divided by its pivot, each entry an
+        int where the pivot divides it and a Fraction elsewhere, over
+        GF(p) multiplied by pow(pivot, p - 2, p)."""
+        p = self.field.p
         rows, pivots = _eliminate(self.field, self.data, self.cols, True)
-        if self.field.p is None:
-            rows = ([[_quotient(x, row[c]) if x else 0 for x in row]
-                     for row, c in zip(rows, pivots)]
-                    + [[0] * self.cols for _ in range(self.rows - len(pivots))])
+        for i, c in enumerate(pivots):
+            row = rows[i]
+            piv = row[c]
+            if p is None:
+                rows[i] = [_quotient(x, piv) if x else 0 for x in row]
+            elif piv != 1:
+                inv = pow(piv, p - 2, p)
+                rows[i] = [x * inv % p for x in row]
         return self._new(rows, self.cols), pivots
 
     def rank(self):
-        """Rank by forward elimination only, with no back-substitution:
-        the Bareiss elimination of _eliminate over QQ, mod p over GF(p)."""
+        """Rank by the forward half of _eliminate, with no
+        back-substitution."""
         return len(_eliminate(self.field, self.data, self.cols, False)[1])
 
 
@@ -465,26 +463,28 @@ def _integer_row(row):
 
 
 def _eliminate(field, data, cols, reduce):
-    """Row elimination behind rref (reduce true) and rank (reduce false).
+    """Row elimination behind rref (reduce true) and rank (reduce false):
+    one fraction-free Gauss-Jordan loop over QQ and GF(p).
 
-    Returns (rows, pivot_columns). Reduced, the pivot rows come first and
-    every pivot column is zero outside its pivot row; over GF(p) the pivots
-    are 1, over QQ the rows are integer multiples of the reduced ones.
-    Forward only, the rows are in row echelon form, over QQ each a
-    nonzero multiple of its row in the Bareiss elimination (E. H.
-    Bareiss, Math. Comp. 22, 1968). There every entry is a minor of the
-    integer input, so the division by the previous pivot is exact and
-    the entries grow no larger than minors.
+    Returns (rows, pivot_columns), the pivot rows first. Forward only,
+    the rows are in row echelon form; reduced, every pivot column is also
+    zero outside its pivot row. Each row is a nonzero multiple of its row
+    in the Bareiss elimination (E. H. Bareiss, Math. Comp. 22, 1968),
+    which applied also to the rows above the pivot is fraction-free
+    Gauss-Jordan (Nakos, Turner and Williams, SIGSAM Bull. 31, 1997).
 
-    Bareiss's step with pivot piv after the pivot prev maps a row x to
-    (piv*x - a*y) // prev, a its entry in the pivot column and y the
-    pivot row, so a row with a = 0 is only rescaled by piv/prev. Such a
-    row is left as it is, and every row keeps q, the pivot of its last
-    update (1 at the start): its Bareiss row is the kept row times
-    prev/q. An updated row is (piv*x - a*y) // q on its tail and takes
-    q = piv, which is again its Bareiss row; a pivot row whose q lags is
-    first brought level as x*prev // q. So every division stays exact,
-    and every row that is updated is a Bareiss row.
+    At the pivot piv in column c, with pivot row y, an updated row x
+    becomes piv*x - a*y, a its entry in column c, and a row with a = 0 is
+    left as it is. Forward, the rows below the pivot are updated from
+    column c on; reduced, every other row is updated whole. Over GF(p)
+    the new row is reduced mod p. Over QQ the rows are cleared of their
+    denominators first, and the new row is divided by q, the pivot of the
+    row's last update (1 at the start): Bareiss's step divides by the
+    previous pivot prev and rescales a row with a = 0 by piv/prev, so the
+    Bareiss row is the kept row times prev/q, and every entry a minor of
+    the integer input, the division exact. A pivot row whose q lags is
+    first stored level as x*prev // q, and its q becomes its pivot, since
+    later pivots update it as a row above.
     """
     p = field.p
     if p is None:
@@ -494,7 +494,7 @@ def _eliminate(field, data, cols, reduce):
     n = len(rows)
     pivots = []
     prev = 1
-    q = [1] * n   # over QQ forward: the pivot of each row's last update
+    q = [1] * n   # over QQ: the pivot of each row's last update
     for c in range(cols):
         r = len(pivots)
         if r == n:
@@ -505,43 +505,25 @@ def _eliminate(field, data, cols, reduce):
         else:
             continue
         prow = rows[pr]
-        rows[pr] = rows[r]
-        rows[r] = prow
+        rows[pr], rows[r] = rows[r], prow
+        q[pr], q[r] = q[r], q[pr]
         pivots.append(c)
-        if p is None and not reduce:
-            qr = q[pr]
-            q[pr] = q[r]
-            if qr == prev:
-                tail = prow[c:]
-            else:
-                tail = [x * prev // qr for x in prow[c:]]
-            piv = tail[0]
-            for i in range(r + 1, n):
-                row = rows[i]
-                a = row[c]
-                if a:
+        qr = q[r]
+        if p is None and qr != prev:
+            prow[c:] = [x * prev // qr for x in prow[c:]]
+        piv = q[r] = prev = prow[c]
+        lo = 0 if reduce else c
+        tail = prow[lo:]
+        for i in (range(n) if reduce else range(r + 1, n)):
+            row = rows[i]
+            a = row[c]
+            if a and i != r:
+                if p is None:
                     qi = q[i]
-                    row[c:] = [(piv * x - a * y) // qi for x, y in zip(row[c:], tail)]
-                    q[i] = piv
-            prev = piv
-        elif p is None:
-            piv = prow[c]
-            for i, row in enumerate(rows):
-                a = row[c]
-                if a and i != r:
-                    row = [piv * x - a * y for x, y in zip(row, prow)]
-                    g = gcd(*row)
-                    rows[i] = [x // g for x in row] if g > 1 else row
-        else:
-            piv = prow[c]
-            if piv != 1:
-                inv = pow(piv, p - 2, p)
-                prow[c:] = [x * inv % p for x in prow[c:]]
-            tail = prow[c:]
-            for row in (rows if reduce else rows[r + 1:]):
-                a = row[c]
-                if a and row is not prow:
-                    row[c:] = [(x - a * y) % p for x, y in zip(row[c:], tail)]
+                    row[lo:] = [(piv * x - a * y) // qi for x, y in zip(row[lo:], tail)]
+                else:
+                    row[lo:] = [(piv * x - a * y) % p for x, y in zip(row[lo:], tail)]
+                q[i] = piv
     return rows, pivots
 
 
@@ -685,10 +667,6 @@ class Subspace:
     @staticmethod
     def zero(field, ambient_dim):
         return Subspace(ambient_dim, ExactMatrix.zeros(field, ambient_dim, 0))
-
-    @staticmethod
-    def full(field, ambient_dim):
-        return Subspace(ambient_dim, ExactMatrix.identity(field, ambient_dim))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim

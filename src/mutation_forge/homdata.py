@@ -194,9 +194,6 @@ class BlockLayout:
             off += d
         self.total = off
 
-    def at(self, key, inner):
-        return self.offsets[key] + inner
-
 
 class ThetaInstance:
     """The ThetaSpace attached to a HomData, a splitting index p

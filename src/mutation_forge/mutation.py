@@ -22,8 +22,8 @@ constructed group elements, never by search.
 from .exactfield import (ExactMatrix, Subspace, kernel_basis, quotient_data,
                          solve_linear)
 from .theta import (GroupElement, MorphismPoint, ThetaSpace,
-                    ValidationReport, act, unvec_row_major, validate_theta,
-                    vec_row_major)
+                    ValidationReport, act, right_inverse, unvec_row_major,
+                    validate_theta, vec_row_major)
 
 
 def swap_matrix(field, x, y):
@@ -276,7 +276,7 @@ def transport_element(dual, w, g, choice):
         I_n2 = ExactMatrix.identity(f, t.dim_n2)
         # apply g as (r, 0, 1) then (1, alpha0, 1) then (1, 0, b): the
         # composite has exactly the action of g.
-        b_n2_inv = solve_linear(g.b_n2, ExactMatrix.identity(f, t.dim_n2))
+        b_n2_inv = right_inverse(g.b_n2)
         alpha_mid = g.alpha0
         # (1) pure r part: v |-> r_n1 v, witness is a left element.
         v1 = g.r_n1 @ v
@@ -301,8 +301,8 @@ def transport_element(dual, w, g, choice):
         return MutationChoice(u3, v3, kappa3), steps
     # left side: apply g as (g_m, 0, 1) then (1, beta_mid, 1) then
     # (1, 0, l) with beta_mid = l^{-1} beta g_m^{-1}.
-    l_b0_inv = solve_linear(g.l_b0, ExactMatrix.identity(f, t.dim_b0))
-    g_m_inv = solve_linear(g.g_m, ExactMatrix.identity(f, t.dim_mult))
+    l_b0_inv = right_inverse(g.l_b0)
+    g_m_inv = right_inverse(g.g_m)
     beta_mid = l_b0_inv @ g.beta @ g_m_inv
     # (1) g_m part: nothing moves (the choice is insensitive to it).
     # (2) unipotent part: u absorbs -beta_mid (psi2 g_m^T)^T, witness trivial.

@@ -322,27 +322,22 @@ class GroupElement:
 
     def inverse(self):
         t = self.theta
-        f = t.field
-
-        def inv(m):
-            return solve_linear(m, ExactMatrix.identity(f, m.rows))
-
         if self.side == "right":
-            r_n1 = inv(self.r_n1)
-            r_m1 = inv(self.r_m1)
-            r_a0 = inv(self.r_a0)
-            b_n2 = inv(self.b_n2)
-            b_m2 = inv(self.b_m2)
-            b_a0 = inv(self.b_a0)
+            r_n1 = right_inverse(self.r_n1)
+            r_m1 = right_inverse(self.r_m1)
+            r_a0 = right_inverse(self.r_a0)
+            b_n2 = right_inverse(self.b_n2)
+            b_m2 = right_inverse(self.b_m2)
+            b_a0 = right_inverse(self.b_a0)
             # (r, a0, b)^{-1} = (r^{-1}, -b^{-1} a0 r^{-1}, b^{-1})
             alpha0 = -(b_a0 @ (r_a0 @ self.alpha0))
             return GroupElement(t, "right", r_n1=r_n1, r_m1=r_m1, r_a0=r_a0,
                                 b_n2=b_n2, b_m2=b_m2, b_a0=b_a0, alpha0=alpha0,
                                 check=False)
-        g_m = inv(self.g_m)
-        l_m1 = inv(self.l_m1)
-        l_m2 = inv(self.l_m2)
-        l_b0 = inv(self.l_b0)
+        g_m = right_inverse(self.g_m)
+        l_m1 = right_inverse(self.l_m1)
+        l_m2 = right_inverse(self.l_m2)
+        l_b0 = right_inverse(self.l_b0)
         # (g, beta, l)^{-1} = (g^{-1}, -l^{-1} beta g^{-1}, l^{-1})
         beta = -(l_b0 @ (self.beta @ g_m))
         return GroupElement(t, "left", g_m=g_m, l_m1=l_m1, l_m2=l_m2, l_b0=l_b0,
@@ -464,7 +459,8 @@ def standard_chart(theta, pivot_cols, r2=None):
 
 
 def right_inverse(A):
-    """Deterministic right inverse of a surjective matrix."""
+    """Deterministic right inverse of a surjective matrix, so the inverse
+    of an invertible square one; a ValueError when there is none."""
     X = solve_linear(A, ExactMatrix.identity(A.field, A.rows))
     if X is None:
         raise ValueError("matrix is not surjective")

@@ -79,8 +79,8 @@ def subspace_contains(S, T):
     S.basis x = t."""
     if S.ambient_dim != T.ambient_dim:
         raise ValueError("ambient mismatch")
-    return all(solve_linear(S.basis, ExactMatrix.column(S.field, T.basis.col(j)))
-               is not None for j in range(T.dim))
+    return all(solve_linear(S.basis, ExactMatrix.column(
+        S.field, [row[j] for row in T.basis.data])) is not None for j in range(T.dim))
 
 
 def subspace_intersect(S, T):

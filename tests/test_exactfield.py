@@ -135,7 +135,7 @@ def test_subspace_operations():
     assert subspace_sum(S, T).dim == 3
     assert subspace_intersect(S, T).dim == 1
     assert subspace_contains(S, subspace_intersect(S, T))
-    assert subspace_contains(Subspace.full(f, 4), S)
+    assert subspace_contains(Subspace(4, ExactMatrix.identity(f, 4)), S)
     assert subspace_contains(S, Subspace.zero(f, 4))
 
 
@@ -550,6 +550,40 @@ def test_rational_rank_matches_reference(A):
             assert row[k] and all(x * full[k] == y * row[k] for x, y in zip(row, full))
 
 
+# reduced: row 0 is left alone at the second pivot and updated at the
+# third, so its q lags the previous pivot
+ROW_ABOVE_UPDATED_LATER = ExactMatrix(QQ, [[-2, 0, 2], [-1, 5, 0], [0, -1, 0]])
+# reduced: row 2 is left alone at the first pivot, is the lagging pivot
+# row of the second and is back-substituted at the third
+LAGGING_PIVOT_ROW_ABOVE = ExactMatrix(QQ, [[-2, 0, -1], [-1, 0, 0], [0, 1, 3]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(sparse_rational_matrices(),
+                 kernel_matrices(fields=[GF(3), GF(65521)])))
+@example(ROW_ABOVE_UPDATED_LATER)
+@example(LAGGING_PIVOT_ROW_ABOVE)
+def test_reduced_elimination_matches_reference(A):
+    """Forward and back, the elimination finds the reference pivots, and
+    each row it leaves is a nonzero multiple of that row of the reduced
+    echelon form, zero where that row is zero."""
+    p = A.field.p
+    ref_R, ref_pivots = reference_rref(A)
+    rows, pivots = exactfield._eliminate(A.field, A.data, A.cols, True)
+    assert pivots == ref_pivots
+    for row, ref in zip(rows, ref_R.data):
+        assert all(type(x) is int for x in row)
+        k = next((j for j, y in enumerate(ref) if y), None)
+        if k is None:
+            assert not any(row)
+            continue
+        c = row[k]   # ref[k] is 1
+        if p is None:
+            assert c and all(x == c * y for x, y in zip(row, ref))
+        else:
+            assert c % p and all((x - c * y) % p == 0 for x, y in zip(row, ref))
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_rational_matrices(), sparse_rational_matrices(), st.data())
 def test_rational_results_are_in_one_form(A, C, data):
@@ -578,7 +612,7 @@ def reference_matmul(A, B):
     zero = f.zero()
     data = []
     for row in A.data:
-        sums = [sum((a * b for a, b in zip(row, B.col(j))), zero)
+        sums = [sum((a * b[j] for a, b in zip(row, B.data)), zero)
                 for j in range(B.cols)]
         data.append(sums if f.p is None else [x % f.p for x in sums])
     return A._new(data, B.cols)

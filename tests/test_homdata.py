@@ -81,7 +81,6 @@ def test_block_layout():
     lay = BlockLayout([("a", 2), ("b", 3)])
     assert lay.total == 5
     assert lay.offsets["a"] == 0 and lay.offsets["b"] == 2
-    assert lay.at("b", 1) == 3
 
 
 def test_mutated_hom_data_validates_p2():

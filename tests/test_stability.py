@@ -474,11 +474,18 @@ def reference_walk(inst, translates, pol):
 
 
 # walks over the pool (A, B, a copy of A, A with one block changed, the
-# zero family, A moved by GL(H)) that the memo must see through:
-# repeated, alternating, equal in value but distinct, one block changed,
-# zero blocks, and other blocks with the same images as A
+# zero family, A moved by GL(H), A with every block of N_1 redrawn, A
+# with every block of N_l, l >= 2, redrawn) that the memo must see
+# through: repeated, alternating, equal in value but distinct, one block
+# changed, zero blocks, other blocks with the same images as A, and
+# images that differ from A's in N_1 alone or in the N_l, l >= 2, alone
 MEMO_WALKS = [(0, 0), (0, 1, 0), (0, 2), (2, 0, 2), (0, 3), (3, 0, 3, 0),
-              (4, 0), (0, 4, 0), (1, 3, 1), (0, 5), (5, 0, 1), (3, 5, 3), (1, 5, 0)]
+              (4, 0), (0, 4, 0), (1, 3, 1), (0, 5), (5, 0, 1), (3, 5, 3), (1, 5, 0),
+              (6, 0, 7), (7, 6, 0)]
+# run by every example besides its drawn walk: a walk stops at its first
+# unstable translate, so a memo hit on the second is seen only where the
+# first is semistable
+SPLIT_WALKS = [(0, 6), (6, 0), (0, 7), (7, 0)]
 
 
 @settings(max_examples=120, deadline=None)
@@ -489,7 +496,9 @@ def test_verdict_memo_matches_memo_free_walk(data):
     reference_gred run afresh at every translate. A with every block
     x_(l,i) moved to x_(l,i) (g (x) I_(m_i)), g invertible on H_li, has
     other blocks but the same images x_(l,i)(H_li (x) M'_i) as A, so its
-    verdict is looked up from A's."""
+    verdict is looked up from A's. A with the blocks of N_1, or of every
+    N_l with l >= 2, redrawn differs from A in those images alone, which
+    a memo keyed by part of the image pattern would not see."""
     case = data.draw(st.sampled_from(ORACLE_CASES))   # GF(2) and GF(3)
     p, _, _, m, n, _ = case
     inst = _oracle_instance(case)
@@ -510,16 +519,19 @@ def test_verdict_memo_matches_memo_free_walk(data):
             {**a, changed: block(changed)},
             {k: block(k, zero=True) for k in shapes},
             {(l, i): x @ rnd_invertible(h.field, rng, h.dimH[(l, i)]).kron(
-                ExactMatrix.identity(h.field, m[i - 1])) for (l, i), x in a.items()}]
+                ExactMatrix.identity(h.field, m[i - 1])) for (l, i), x in a.items()},
+            {(l, i): block((l, i)) if l == 1 else x for (l, i), x in a.items()},
+            {(l, i): x if l == 1 else block((l, i)) for (l, i), x in a.items()}]
     walk = data.draw(st.one_of(st.sampled_from(MEMO_WALKS),
-                               st.lists(st.integers(0, 5), min_size=1, max_size=5)))
+                               st.lists(st.integers(0, 7), min_size=1, max_size=5)))
     weights = [data.draw(st.lists(st.integers(1, 3), min_size=len(d), max_size=len(d)))
                for d in (m, n)]
     pol = Polarization(*[[Fraction(x, sum(y * k for y, k in zip(w, d))) for x in w]
                          for w, d in zip(weights, (m, n))], m, n)
-    translates = [pool[k] for k in walk]
-    assert (_instance_verdict(inst, translates, pol, DEFAULT_BUDGET)
-            == reference_walk(inst, translates, pol))
+    for walk in [walk] + SPLIT_WALKS:
+        translates = [pool[k] for k in walk]
+        assert (_instance_verdict(inst, translates, pol, DEFAULT_BUDGET)
+                == reference_walk(inst, translates, pol)), walk
 
 
 def test_oracle_raises_as_before():

@@ -111,6 +111,19 @@ def test_group_inverse():
             assert g.then(g.inverse()).is_identity()
 
 
+def test_inverse_of_a_singular_element_raises():
+    """An element built unchecked with a singular component has no
+    inverse, and inverse says so at once."""
+    t = full_p1_instance().theta
+    f = t.field
+    for g in (GroupElement(t, "right", b_n2=ExactMatrix.zeros(f, t.dim_n2, t.dim_n2),
+                           check=False),
+              GroupElement(t, "left", g_m=ExactMatrix.zeros(f, t.dim_mult, t.dim_mult),
+                           check=False)):
+        with pytest.raises(ValueError, match="not surjective"):
+            g.inverse()
+
+
 def test_act_pair_order():
     rng = random.Random(25)
     t = full_p1_instance().theta
