@@ -177,11 +177,13 @@ def double_dual_report(theta, dual=None):
     iota_m2, iota_a0 = double_dual_identifications(dual, ddual)
     rep.add_rank("iota_m2 invertible", iota_m2.rank(), t.dim_m2)
     rep.add_rank("iota_a0 invertible", iota_a0.rank(), t.dim_a0)
-    rep.add("rho1 restored", dd.rho1 == t.rho1)
-    rep.add("rho2 restored", iota_m2 @ dd.rho2 == t.rho2)
-    rep.add("nu restored", t.nu.apply_leg([t.dim_n2, t.dim_a0], 1, iota_a0) == dd.nu)
-    rep.add("mu restored", t.mu.apply_leg([t.dim_m2, t.dim_a0], 0, iota_m2).apply_leg(
-        [iota_m2.cols, t.dim_a0], 1, iota_a0) == dd.mu)
+    rep.add_equal("rho1 restored", dd.rho1, t.rho1, "rho1")
+    rep.add_equal("rho2 restored", iota_m2 @ dd.rho2, t.rho2, "rho2")
+    rep.add_equal("nu restored", dd.nu,
+                  t.nu.apply_leg([t.dim_n2, t.dim_a0], 1, iota_a0), "nu")
+    mu_back = t.mu.apply_leg([t.dim_m2, t.dim_a0], 0, iota_m2).apply_leg(
+        [iota_m2.cols, t.dim_a0], 1, iota_a0)
+    rep.add_equal("mu restored", dd.mu, mu_back, "mu")
     return rep
 
 
@@ -198,10 +200,10 @@ def involution_report(theta, w, choice=None, dual=None, ddual=None):
     zz = mutate(ddual, z, opposite_choice(w, choice))
     iota_m2, _ = double_dual_identifications(dual, ddual)
     rep = ValidationReport()
-    rep.add("psi1 negated", zz.psi1 == -w.psi1)
-    rep.add("psi2 restored", zz.psi2 == w.psi2)
-    rep.add("phi1 restored", zz.phi1 == w.phi1)
-    rep.add("phi2 negated", iota_m2 @ zz.phi2 == -w.phi2)
+    rep.add_equal("psi1 negated", zz.psi1, -w.psi1, "psi1")
+    rep.add_equal("psi2 restored", zz.psi2, w.psi2, "psi2")
+    rep.add_equal("phi1 restored", zz.phi1, w.phi1, "phi1")
+    rep.add_equal("phi2 negated", iota_m2 @ zz.phi2, -w.phi2, "phi2")
     return rep
 
 
@@ -217,7 +219,6 @@ def choice_transport(dual, w, c1, c2):
     basis.
     """
     t = dual.theta
-    f = t.field
     du = vec_row_major(c2.u - c1.u)
     alpha0 = solve_linear(dual.k0, du)
     if alpha0 is None:
@@ -267,21 +268,17 @@ def transport_element(dual, w, g, choice):
     right. The identity is exact; callers may verify it directly.
     """
     t = dual.theta
-    f = t.field
     u, v, kappa = choice.u, choice.v, choice.kappa
     tp = dual.prime
     steps = []
     if g.side == "right":
-        I_n1 = ExactMatrix.identity(f, t.dim_n1)
-        I_n2 = ExactMatrix.identity(f, t.dim_n2)
         # apply g as (r, 0, 1) then (1, alpha0, 1) then (1, 0, b): the
         # composite has exactly the action of g.
         b_n2_inv = right_inverse(g.b_n2)
         alpha_mid = g.alpha0
         # (1) pure r part: v |-> r_n1 v, witness is a left element.
         v1 = g.r_n1 @ v
-        if not (g.r_n1 == I_n1 and g.r_m1 == ExactMatrix.identity(f, t.dim_m1)
-                and g.r_a0 == ExactMatrix.identity(f, t.dim_a0)):
+        if not g.is_identity("r_n1", "r_m1", "r_a0"):
             l_m2 = dual.proj.apply_leg([t.dim_n2, t.dim_n1], 1, g.r_n1) @ dual.section
             steps.append(GroupElement(tp, "left", l_m1=g.r_m1, l_m2=l_m2,
                                       l_b0=g.r_n1))
@@ -292,7 +289,7 @@ def transport_element(dual, w, g, choice):
         u3 = u @ g.b_n2.transpose()
         v3 = v2 @ b_n2_inv
         kappa3 = b_n2_inv.transpose() @ kappa
-        if g.b_n2 != I_n2 or g.b_m2 != ExactMatrix.identity(f, t.dim_m2):
+        if not g.is_identity("b_n2", "b_m2"):
             bt_inv = b_n2_inv.transpose()
             b_m2p = dual.proj.apply_leg([t.dim_n2, t.dim_n1], 0, bt_inv) @ dual.section
             b_a0p = _induced_on_kernel(dual, 1, b_n2_inv)
@@ -309,9 +306,7 @@ def transport_element(dual, w, g, choice):
     u2 = u - beta_mid @ (w.psi2 @ g.g_m.transpose()).transpose()
     # (3) pure l part: u |-> l_b0 u, witness is a right element.
     u3 = g.l_b0 @ u2
-    if not (g.l_b0 == ExactMatrix.identity(f, t.dim_b0)
-            and g.l_m1 == ExactMatrix.identity(f, t.dim_m1)
-            and g.l_m2 == ExactMatrix.identity(f, t.dim_m2)):
+    if not g.is_identity("l_b0", "l_m1", "l_m2"):
         r_a0p = _induced_on_kernel(dual, 0, g.l_b0)
         steps.append(GroupElement(tp, "right", r_n1=g.l_b0, r_m1=g.l_m1,
                                   r_a0=r_a0p))
@@ -331,5 +326,5 @@ def transport_report(dual, w, g, choice=None):
         return rep
     zg = mutate(dual, wg, choice_g)
     z = apply_transport(steps, mutate(dual, w, choice))
-    rep.add("transport identity", zg == z)
+    rep.add_equal("transport identity", zg, z)
     return rep

@@ -114,6 +114,14 @@ class ValidationReport:
         ok = rank == expected
         self.add(name, ok, "" if ok else "rank %d, expected %d" % (rank, expected))
 
+    def add_equal(self, name, got, want, matrix=""):
+        """A check that two matrices, or two points part by part, are
+        equal; on failure the detail names the first entry that differs:
+        the matrix (or the part of the point), its (row, column) and both
+        values, e.g. `mu[0, 2] = 1/1, expected 0/1`."""
+        ok = got == want
+        self.add(name, ok, "" if ok else _first_difference(matrix, got, want))
+
     @property
     def ok(self):
         return all(ok for _, ok, _ in self.checks)
@@ -126,11 +134,29 @@ class ValidationReport:
             "%s=%s" % (name, "ok" if ok else "FAIL") for name, ok, _ in self.checks)
 
 
+def _first_difference(matrix, got, want):
+    """The detail of a failed add_equal."""
+    if isinstance(got, MorphismPoint):
+        pairs = zip(("psi1", "psi2", "phi1", "phi2"), got.parts(), want.parts())
+    else:
+        pairs = [(matrix, got, want)]
+    for label, a, b in pairs:
+        if (a.rows, a.cols) != (b.rows, b.cols):
+            return "%s is %dx%d, expected %dx%d" % (label, a.rows, a.cols, b.rows, b.cols)
+        for r, (row_a, row_b) in enumerate(zip(a.data, b.data)):
+            for c, (x, y) in enumerate(zip(row_a, row_b)):
+                if x != y:
+                    return "%s[%d, %d] = %s, expected %s" % (
+                        label, r, c, scalar_to_str(x), scalar_to_str(y))
+    return "equal entries over another field"
+
+
 def validate_theta(t):
     """Check the structural axioms of a ThetaSpace; failures are report
     entries, never exceptions."""
     rep = ValidationReport()
-    rep.add("diagram D", t.diagram_lhs() == t.diagram_rhs())
+    # the detail compares the mu side of the square with the rho1 side
+    rep.add_equal("diagram D", t.diagram_rhs(), t.diagram_lhs(), "mu o (rho2 (x) I)")
     rep.add_rank("rho2 surjective", t.rho2.rank(), t.dim_m2)
     rep.add_rank("nu_bar injective", t.nu_bar().rank(), t.dim_a0)
     rep.add("multiplicity split", 1 <= t.dim_mult < t.dim_n2
@@ -187,6 +213,25 @@ def in_W0(w):
     return w.psi2.rank() == w.theta.dim_mult
 
 
+# The parts of each side of the symmetry groups: the linear parts, each
+# with the dimension of the space it acts on; the translation part, with
+# the dimensions of its rows and columns (None for one column); and the
+# translation of "act g, then h", the part of the group law that is not
+# a product of linear parts.
+PARTS = {
+    "right": ((("r_n1", "dim_n1"), ("r_m1", "dim_m1"), ("r_a0", "dim_a0"),
+               ("b_n2", "dim_n2"), ("b_m2", "dim_m2"), ("b_a0", "dim_a0")),
+              ("alpha0", "dim_a0", None),
+              # (r, a0, b)(r', a0', b') = (r r', a0 r' + b a0', b b')
+              lambda g, h: h.r_a0 @ g.alpha0 + g.b_a0 @ h.alpha0),
+    "left": ((("g_m", "dim_mult"), ("l_m1", "dim_m1"), ("l_m2", "dim_m2"),
+              ("l_b0", "dim_b0")),
+             ("beta", "dim_b0", "dim_mult"),
+             # (g', beta', l')(g, beta, l) = (g' g, beta' g + l' beta, l' l)
+             lambda g, h: h.beta @ g.g_m + h.l_b0 @ g.beta),
+}
+
+
 class GroupElement:
     """One element of either symmetry group of a ThetaSpace, represented by
     its linear action on every space it touches.
@@ -195,153 +240,112 @@ class GroupElement:
     N1, M1, A0 and b acts invertibly on N2, M2, A0, with alpha0 in A0.
     side "left": components (g_m, beta, l) where g_m in GL(M), l acts
     invertibly on M1, M2, B0, and beta is a map M -> B0.
+
+    The parts are keyword arguments named as in PARTS; a linear part left
+    out (or None) is the identity and a translation part left out is zero.
+    A part of the other side, or one of the wrong shape, is a ValueError;
+    check=True also checks invertibility and the equivariance axioms.
     """
 
-    def __init__(self, theta, side, *, r_n1=None, r_m1=None, r_a0=None,
-                 b_n2=None, b_m2=None, b_a0=None, alpha0=None,
-                 g_m=None, l_m1=None, l_m2=None, l_b0=None, beta=None,
-                 check=True):
+    def __init__(self, theta, side, *, check=True, **parts):
+        if side not in PARTS:
+            raise ValueError("side must be 'right' or 'left'")
         self.theta = theta
         self.side = side
         f = theta.field
+        linear, (tname, rows, cols), _ = PARTS[side]
+        unknown = set(parts) - {name for name, _ in linear} - {tname}
+        if unknown:
+            raise ValueError("a %s element has no part %s"
+                             % (side, ", ".join(sorted(unknown))))
+        for name, dim in linear:
+            n = getattr(theta, dim)
+            m = parts.get(name)
+            if m is None:
+                m = ExactMatrix.identity(f, n)
+            elif (m.rows, m.cols) != (n, n):
+                raise ValueError("%s must be invertible %dx%d" % (name, n, n))
+            setattr(self, name, m)
+        shape = (getattr(theta, rows), getattr(theta, cols) if cols else 1)
+        x = parts.get(tname)
+        if x is None:
+            x = ExactMatrix.zeros(f, *shape)
+        elif (x.rows, x.cols) != shape:
+            raise ValueError("%s must be %dx%d" % ((tname,) + shape))
+        setattr(self, tname, x)
+        if check:
+            self._check()
 
-        def default(mat, n):
-            return ExactMatrix.identity(f, n) if mat is None else mat
-
-        if side == "right":
-            self.r_n1 = default(r_n1, theta.dim_n1)
-            self.r_m1 = default(r_m1, theta.dim_m1)
-            self.r_a0 = default(r_a0, theta.dim_a0)
-            self.b_n2 = default(b_n2, theta.dim_n2)
-            self.b_m2 = default(b_m2, theta.dim_m2)
-            self.b_a0 = default(b_a0, theta.dim_a0)
-            self.alpha0 = alpha0 if alpha0 is not None else ExactMatrix.zeros(f, theta.dim_a0, 1)
-            if check:
-                self._check_right()
-        elif side == "left":
-            self.g_m = default(g_m, theta.dim_mult)
-            self.l_m1 = default(l_m1, theta.dim_m1)
-            self.l_m2 = default(l_m2, theta.dim_m2)
-            self.l_b0 = default(l_b0, theta.dim_b0)
-            self.beta = beta if beta is not None else ExactMatrix.zeros(f, theta.dim_b0, theta.dim_mult)
-            if check:
-                self._check_left()
+    def _check(self):
+        """Every linear part invertible, and the equivariance axioms."""
+        t = self.theta
+        for name, dim in PARTS[self.side][0]:
+            n = getattr(t, dim)
+            if getattr(self, name).rank() != n:
+                raise ValueError("%s must be invertible %dx%d" % (name, n, n))
+        legs1, legs2 = [t.dim_b0, t.dim_n1], [t.dim_b0, t.dim_n2]
+        if self.side == "right":
+            nu_legs = [t.dim_n2, t.dim_a0]
+            mu_legs = [t.dim_m2, t.dim_a0]
+            identities = [
+                ("rho1/r", self.r_m1 @ t.rho1, t.rho1.apply_leg(legs1, 1, self.r_n1)),
+                ("rho2/b", self.b_m2 @ t.rho2, t.rho2.apply_leg(legs2, 1, self.b_n2)),
+                ("nu/r", self.r_n1 @ t.nu, t.nu.apply_leg(nu_legs, 1, self.r_a0)),
+                ("nu/b", t.nu.apply_leg(nu_legs, 0, self.b_n2),
+                 t.nu.apply_leg(nu_legs, 1, self.b_a0)),
+                ("mu/r", self.r_m1 @ t.mu, t.mu.apply_leg(mu_legs, 1, self.r_a0)),
+                ("mu/b", t.mu.apply_leg(mu_legs, 0, self.b_m2),
+                 t.mu.apply_leg(mu_legs, 1, self.b_a0))]
         else:
-            raise ValueError("side must be 'right' or 'left'")
-
-    # -- compatibility axioms ----------------------------------------
-
-    def _check_right(self):
-        t = self.theta
-        for name, m, n in [("r_n1", self.r_n1, t.dim_n1), ("r_m1", self.r_m1, t.dim_m1),
-                           ("r_a0", self.r_a0, t.dim_a0), ("b_n2", self.b_n2, t.dim_n2),
-                           ("b_m2", self.b_m2, t.dim_m2), ("b_a0", self.b_a0, t.dim_a0)]:
-            if (m.rows, m.cols) != (n, n) or m.rank() != n:
-                raise ValueError("%s must be invertible %dx%d" % (name, n, n))
-        nu_legs = [t.dim_n2, t.dim_a0]
-        mu_legs = [t.dim_m2, t.dim_a0]
-        bad = []
-        if self.r_m1 @ t.rho1 != t.rho1.apply_leg([t.dim_b0, t.dim_n1], 1, self.r_n1):
-            bad.append("rho1/r")
-        if self.b_m2 @ t.rho2 != t.rho2.apply_leg([t.dim_b0, t.dim_n2], 1, self.b_n2):
-            bad.append("rho2/b")
-        if self.r_n1 @ t.nu != t.nu.apply_leg(nu_legs, 1, self.r_a0):
-            bad.append("nu/r")
-        if t.nu.apply_leg(nu_legs, 0, self.b_n2) != t.nu.apply_leg(nu_legs, 1, self.b_a0):
-            bad.append("nu/b")
-        if self.r_m1 @ t.mu != t.mu.apply_leg(mu_legs, 1, self.r_a0):
-            bad.append("mu/r")
-        if t.mu.apply_leg(mu_legs, 0, self.b_m2) != t.mu.apply_leg(mu_legs, 1, self.b_a0):
-            bad.append("mu/b")
+            identities = [
+                ("rho1/l", self.l_m1 @ t.rho1, t.rho1.apply_leg(legs1, 0, self.l_b0)),
+                ("rho2/l", self.l_m2 @ t.rho2, t.rho2.apply_leg(legs2, 0, self.l_b0))]
+        bad = [name for name, lhs, rhs in identities if lhs != rhs]
         if bad:
-            raise ValueError("right element violates equivariance: " + ", ".join(bad))
-
-    def _check_left(self):
-        t = self.theta
-        for name, m, n in [("g_m", self.g_m, t.dim_mult), ("l_m1", self.l_m1, t.dim_m1),
-                           ("l_m2", self.l_m2, t.dim_m2), ("l_b0", self.l_b0, t.dim_b0)]:
-            if (m.rows, m.cols) != (n, n) or m.rank() != n:
-                raise ValueError("%s must be invertible %dx%d" % (name, n, n))
-        bad = []
-        if self.l_m1 @ t.rho1 != t.rho1.apply_leg([t.dim_b0, t.dim_n1], 0, self.l_b0):
-            bad.append("rho1/l")
-        if self.l_m2 @ t.rho2 != t.rho2.apply_leg([t.dim_b0, t.dim_n2], 0, self.l_b0):
-            bad.append("rho2/l")
-        if bad:
-            raise ValueError("left element violates equivariance: " + ", ".join(bad))
+            raise ValueError("%s element violates equivariance: %s"
+                             % (self.side, ", ".join(bad)))
 
     # -- group structure ---------------------------------------------
 
-    def is_identity(self):
-        t = self.theta
-        f = t.field
-        if self.side == "right":
-            return (self.r_n1 == ExactMatrix.identity(f, t.dim_n1)
-                    and self.r_m1 == ExactMatrix.identity(f, t.dim_m1)
-                    and self.r_a0 == ExactMatrix.identity(f, t.dim_a0)
-                    and self.b_n2 == ExactMatrix.identity(f, t.dim_n2)
-                    and self.b_m2 == ExactMatrix.identity(f, t.dim_m2)
-                    and self.b_a0 == ExactMatrix.identity(f, t.dim_a0)
-                    and self.alpha0.is_zero())
-        return (self.g_m == ExactMatrix.identity(f, t.dim_mult)
-                and self.l_m1 == ExactMatrix.identity(f, t.dim_m1)
-                and self.l_m2 == ExactMatrix.identity(f, t.dim_m2)
-                and self.l_b0 == ExactMatrix.identity(f, t.dim_b0)
-                and self.beta.is_zero())
+    def is_identity(self, *names):
+        """True when the named parts, by default all of them, are those of
+        the identity: identity linear parts and a zero translation."""
+        linear, (tname, _, _), _ = PARTS[self.side]
+        dims = dict(linear)
+        for name in names:
+            if name not in dims and name != tname:
+                raise ValueError("a %s element has no part %s" % (self.side, name))
+        f = self.theta.field
+        return all(getattr(self, name).is_zero() if name == tname else
+                   getattr(self, name) == ExactMatrix.identity(
+                       f, getattr(self.theta, dims[name]))
+                   for name in names or list(dims) + [tname])
 
     def then(self, other):
         """For two same-side elements, the element whose action equals
         "act self first, then other".
 
-        Right side: this is the group product self * other of the law
-        (r, a0, b)(r', a0', b') = (r r', a0 r' + b a0', b b') because the
+        Right side: this is the group product self * other, because the
         action is a right action. Left side: it is other * self.
         """
         if self.side != other.side or self.theta is not other.theta and self.theta != other.theta:
             raise ValueError("cannot compose: different side or space")
-        t = self.theta
-        if self.side == "right":
-            return GroupElement(
-                t, "right",
-                r_n1=other.r_n1 @ self.r_n1,
-                r_m1=other.r_m1 @ self.r_m1,
-                r_a0=other.r_a0 @ self.r_a0,
-                b_n2=other.b_n2 @ self.b_n2,
-                b_m2=other.b_m2 @ self.b_m2,
-                b_a0=other.b_a0 @ self.b_a0,
-                alpha0=other.r_a0 @ self.alpha0 + self.b_a0 @ other.alpha0,
-                check=False)
-        return GroupElement(
-            t, "left",
-            g_m=other.g_m @ self.g_m,
-            l_m1=other.l_m1 @ self.l_m1,
-            l_m2=other.l_m2 @ self.l_m2,
-            l_b0=other.l_b0 @ self.l_b0,
-            beta=other.beta @ self.g_m + other.l_b0 @ self.beta,
-            check=False)
+        linear, (tname, _, _), law = PARTS[self.side]
+        parts = {name: getattr(other, name) @ getattr(self, name) for name, _ in linear}
+        parts[tname] = law(self, other)
+        return GroupElement(self.theta, self.side, check=False, **parts)
 
     def inverse(self):
-        t = self.theta
-        if self.side == "right":
-            r_n1 = right_inverse(self.r_n1)
-            r_m1 = right_inverse(self.r_m1)
-            r_a0 = right_inverse(self.r_a0)
-            b_n2 = right_inverse(self.b_n2)
-            b_m2 = right_inverse(self.b_m2)
-            b_a0 = right_inverse(self.b_a0)
-            # (r, a0, b)^{-1} = (r^{-1}, -b^{-1} a0 r^{-1}, b^{-1})
-            alpha0 = -(b_a0 @ (r_a0 @ self.alpha0))
-            return GroupElement(t, "right", r_n1=r_n1, r_m1=r_m1, r_a0=r_a0,
-                                b_n2=b_n2, b_m2=b_m2, b_a0=b_a0, alpha0=alpha0,
-                                check=False)
-        g_m = right_inverse(self.g_m)
-        l_m1 = right_inverse(self.l_m1)
-        l_m2 = right_inverse(self.l_m2)
-        l_b0 = right_inverse(self.l_b0)
-        # (g, beta, l)^{-1} = (g^{-1}, -l^{-1} beta g^{-1}, l^{-1})
-        beta = -(l_b0 @ (self.beta @ g_m))
-        return GroupElement(t, "left", g_m=g_m, l_m1=l_m1, l_m2=l_m2, l_b0=l_b0,
-                            beta=beta, check=False)
+        """The inverse linear parts, followed by the pure translation that
+        undoes "self, then those inverse linear parts": on the right
+        (r, a0, b)^{-1} = (r^{-1}, -b^{-1} a0 r^{-1}, b^{-1}), on the left
+        (g, beta, l)^{-1} = (g^{-1}, -l^{-1} beta g^{-1}, l^{-1})."""
+        linear, (tname, _, _), _ = PARTS[self.side]
+        undo = GroupElement(self.theta, self.side, check=False, **{
+            name: right_inverse(getattr(self, name)) for name, _ in linear})
+        shift = getattr(self.then(undo), tname)
+        return undo.then(GroupElement(self.theta, self.side, check=False,
+                                      **{tname: -shift}))
 
 
 def act(g, w):
@@ -380,82 +384,57 @@ def act_pair(g_right, g_left, w):
 
 
 class Chart:
-    """A local splitting used to make the mutation deterministic.
+    """A coordinate chart, which makes the mutation deterministic.
 
-    m0: n2 x dim_M matrix, columns a basis of a subspace M0 of N2*;
-    epsilon0: n2 x dim_N matrix, columns a basis of a complement N0,
-    recording the isomorphism N -> N0; r2: a right inverse of rho2.
-    The chart domain is the set of points with ker(psi2_bar) meeting M0
-    trivially, equivalently psi2_bar restricted to M0 invertible.
+    pivots: dim_M coordinates of N2*. M0 is spanned by the coordinate
+    vectors at the pivots, and the complement N0 by the other coordinate
+    vectors, which it identifies in order with the basis of N; r2 is the
+    right inverse of rho2. The chart domain is the set of points with
+    ker(psi2_bar) meeting M0 trivially, equivalently psi2_bar restricted
+    to M0 (the rows of psi2 at the pivots) invertible.
     """
 
-    def __init__(self, theta, m0, epsilon0, r2):
+    def __init__(self, theta, pivots):
         self.theta = theta
-        f = theta.field
-        if (m0.rows, m0.cols) != (theta.dim_n2, theta.dim_mult):
-            raise ValueError("m0 shape mismatch")
-        if (epsilon0.rows, epsilon0.cols) != (theta.dim_n2, theta.dim_comult):
-            raise ValueError("epsilon0 shape mismatch")
-        T = m0.hstack(epsilon0)
-        Tinv = solve_linear(T, ExactMatrix.identity(f, theta.dim_n2))
-        if T.rows != T.cols or Tinv is None:
-            raise ValueError("m0 and epsilon0 do not split N2*")
-        self.m0 = m0
-        self.epsilon0 = epsilon0
-        # q_full: N2* -> N, the projection onto N0 along M0 followed by
-        # epsilon0^{-1}; restricted to ker(psi2_bar) it is the chart's q.
-        self.q_full = Tinv.submatrix(range(theta.dim_mult, theta.dim_n2),
-                                     range(theta.dim_n2))
-        if (r2.rows, r2.cols) != (theta.dim_b0 * theta.dim_n2, theta.dim_m2):
-            raise ValueError("r2 shape mismatch")
-        if theta.rho2 @ r2 != ExactMatrix.identity(f, theta.dim_m2):
-            raise ValueError("r2 is not a right inverse of rho2")
-        self.r2 = r2
+        self.pivots = list(pivots)
+        if (len(set(self.pivots)) != theta.dim_mult
+                or not set(self.pivots) <= set(range(theta.dim_n2))):
+            raise ValueError("need dim_M distinct coordinates of N2*")
+        self.others = [i for i in range(theta.dim_n2) if i not in self.pivots]
+        self.r2 = right_inverse(theta.rho2)
+
+    def _on_m0(self, w):
+        """psi2_bar restricted to M0."""
+        return w.psi2.submatrix(self.pivots, range(self.theta.dim_mult)).transpose()
 
     def in_domain(self, w):
         return (self.theta.dim_mult == 0
-                or (w.psi2_bar() @ self.m0).rank() == self.theta.dim_mult)
+                or self._on_m0(w).rank() == self.theta.dim_mult)
 
     def r_m0(self, w):
-        """The section r_{M0}(psi2) : M -> N2* with image M0."""
-        f = self.theta.field
-        restricted = w.psi2_bar() @ self.m0
-        inv = solve_linear(restricted, ExactMatrix.identity(f, self.theta.dim_mult))
+        """The section r_{M0}(psi2) : M -> N2* with image M0: the inverse
+        of psi2_bar on M0, its rows placed at the pivots."""
+        t = self.theta
+        inv = solve_linear(self._on_m0(w), ExactMatrix.identity(t.field, t.dim_mult))
         if inv is None:
             raise ValueError("point outside chart domain")
-        return self.m0 @ inv
+        out = ExactMatrix.zeros(t.field, t.dim_n2, t.dim_mult)
+        for row, i in zip(inv.data, self.pivots):
+            out.data[i] = row
+        return out
 
     def kernel_iso(self, w):
         """The matrix n2 x dim_N whose columns are the basis of
-        ker(psi2_bar) mapped to the standard basis of N by q (that is,
-        the inclusion composed with q^{-1})."""
+        ker(psi2_bar) mapped to the standard basis of N by q, the
+        projection onto N0 along M0 (that is, the inclusion composed with
+        q^{-1}); q selects the coordinates other than the pivots."""
         f = self.theta.field
         K = kernel_basis(w.psi2_bar())
-        qK = self.q_full @ K
+        qK = K.submatrix(self.others, range(K.cols))
         inv = solve_linear(qK, ExactMatrix.identity(f, self.theta.dim_comult))
         if inv is None:
             raise ValueError("point outside chart domain")
         return K @ inv
-
-
-def standard_chart(theta, pivot_cols, r2=None):
-    """Chart whose M0 is spanned by the given coordinate vectors of N2*
-    and whose N0 is the complementary coordinate subspace (identity
-    epsilon0 on those coordinates)."""
-    f = theta.field
-    n2 = theta.dim_n2
-    if len(pivot_cols) != theta.dim_mult:
-        raise ValueError("need dim_M pivot coordinates")
-    m0 = ExactMatrix.zeros(f, n2, theta.dim_mult)
-    for j, i in enumerate(pivot_cols):
-        m0.data[i][j] = f.one()
-    rest = [i for i in range(n2) if i not in pivot_cols]
-    eps = ExactMatrix.zeros(f, n2, theta.dim_comult)
-    for j, i in enumerate(rest):
-        eps.data[i][j] = f.one()
-    if r2 is None:
-        r2 = right_inverse(theta.rho2)
-    return Chart(theta, m0, eps, r2)
 
 
 def right_inverse(A):
@@ -467,13 +446,13 @@ def right_inverse(A):
     return X
 
 
-def chart_for_point(theta, w, r2=None):
-    """A standard chart containing w: picks the pivot coordinates of
-    psi2_bar by elimination."""
+def chart_for_point(theta, w):
+    """The coordinate chart at the pivot coordinates of psi2_bar, found
+    by elimination; it contains w."""
     _, pivots = w.psi2_bar().rref()
     if len(pivots) != theta.dim_mult:
         raise ValueError("point is not in W0")
-    return standard_chart(theta, list(pivots), r2=r2)
+    return Chart(theta, pivots)
 
 
 # -- serialization ----------------------------------------------------

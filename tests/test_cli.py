@@ -10,7 +10,8 @@ import pytest
 from mutation_forge.cli import _frac, main
 from mutation_forge.exactfield import Field
 from mutation_forge.theta import (MorphismPoint, point_to_json,
-                                  theta_from_json, theta_to_json)
+                                  theta_from_json, theta_to_json,
+                                  validate_theta)
 from mutation_forge.homdata import (Polarization, build_theta_p,
                                     hom_data_to_json,
                                     projective_space_hom_data)
@@ -53,6 +54,25 @@ def test_validate_names_diagram_d(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     failing = [c["name"] for c in out["result"]["checks"] if not c["ok"]]
     assert failing == ["diagram D"]
+
+
+def test_validate_names_the_changed_mu_entry(tmp_path, capsys):
+    """A p = 1, s = 2 instance with one nonzero entry of mu zeroed: the
+    diagram D detail is validate_theta's, on the row of that entry."""
+    h = projective_space_hom_data(QQ, 1, [-2, -1], [0, 1])
+    inst = build_theta_p(h, [1, 1], [1, 1], 1)
+    d = theta_to_json(inst.theta)
+    entries = d["mu"]["entries"]
+    k = next(k for k, x in enumerate(entries) if x != "0/1")
+    entries[k] = "0/1"
+    path = _write(tmp_path, "bad.json", d)
+    assert main(["validate", "--theta", path]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["result"]["checks"]}
+    detail = checks["diagram D"]["detail"]
+    assert checks["diagram D"]["ok"] is False
+    assert detail.startswith("mu o (rho2 (x) I)[%d, " % (k // d["mu"]["cols"]))
+    assert detail == dict((n, x) for n, _, x in validate_theta(theta_from_json(d)).checks)[
+        "diagram D"]
 
 
 def test_validate_reports_the_rank_of_rho2(tmp_path, capsys):

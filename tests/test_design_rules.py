@@ -156,3 +156,19 @@ def test_exact_kernel_has_no_true_division():
     or a Fraction it builds)."""
     path = Path(mutation_forge.__file__).parent / "exactfield.py"
     assert true_divisions(path.read_text()) == []
+
+
+def test_group_parts_are_named_in_one_table():
+    """GroupElement reads its parts from theta.PARTS: of its methods only
+    the one _check, which writes out the equivariance identities, names
+    a linear part."""
+    from mutation_forge.theta import PARTS
+    names = {name for linear, _, _ in PARTS.values() for name, _ in linear}
+    tree = ast.parse((Path(mutation_forge.__file__).parent / "theta.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "GroupElement")
+    methods = [fn for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    assert [fn.name for fn in methods if fn.name.startswith("_check")] == ["_check"]
+    assert {fn.name for fn in methods for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, ast.Constant) and node.value in names} == {"_check"}

@@ -7,8 +7,9 @@ import random
 import pytest
 
 from mutation_forge.exactfield import ExactMatrix, Field, GF
-from mutation_forge.theta import (GroupElement, MorphismPoint, ThetaSpace,
-                                  act, act_pair, chart_for_point, in_W0,
+from mutation_forge.theta import (Chart, GroupElement, MorphismPoint,
+                                  ThetaSpace, ValidationReport, act,
+                                  act_pair, chart_for_point, in_W0,
                                   matrix_from_json, matrix_to_json,
                                   point_from_json, point_to_json,
                                   scalar_from_str, scalar_to_str,
@@ -37,6 +38,51 @@ def test_validate_names_diagram_d_on_corruption():
     rep = validate_theta(bad)
     assert not rep.ok
     assert rep.failures() == ["diagram D"]
+
+
+def _with_mu_entry(t, i, j, x):
+    mu = ExactMatrix(t.field, [[x if (r, c) == (i, j) else y
+                                for c, y in enumerate(row)]
+                               for r, row in enumerate(t.mu.data)])
+    return ThetaSpace(t.field, t.dim_n1, t.dim_n2, t.dim_m1, t.dim_m2,
+                      t.dim_a0, t.dim_b0, t.dim_mult, t.rho1, t.rho2, mu, t.nu)
+
+
+def test_diagram_d_detail_names_the_changed_entry():
+    """Changing the nonzero entry mu[i][j] changes row i of
+    mu o (rho2 (x) I) only; the detail names the first entry of that row
+    which differs from rho1 o (I (x) nu), with both values."""
+    t = full_p1_instance().theta
+    i, j = next((i, j) for i, row in enumerate(t.mu.data)
+                for j, x in enumerate(row) if x != 0)
+    bad = _with_mu_entry(t, i, j, t.mu.data[i][j] + 1)
+    rhs, lhs = bad.diagram_rhs(), bad.diagram_lhs()
+    c = next(c for c in range(rhs.cols) if rhs.data[i][c] != lhs.data[i][c])
+    assert all(rhs.data[r] == lhs.data[r] for r in range(i))
+    checks = {name: (ok, detail) for name, ok, detail in validate_theta(bad).checks}
+    assert checks["diagram D"] == (False, "mu o (rho2 (x) I)[%d, %d] = %s, expected %s" % (
+        i, c, scalar_to_str(rhs.data[i][c]), scalar_to_str(lhs.data[i][c])))
+
+
+def test_equality_detail_names_the_first_differing_entry():
+    """A point names its part; a matrix of another shape gives both
+    shapes; a passing check has no detail."""
+    t = full_p1_instance().theta
+    w = random_point(t, random.Random(5))
+    moved = MorphismPoint(t, w.psi1, w.psi2, w.phi1,
+                          w.phi2 + ExactMatrix.column(QQ, [0] * (t.dim_m2 - 1) + [3]))
+    rep = ValidationReport()
+    rep.add_equal("same", w, w)
+    rep.add_equal("moved", moved, w)
+    rep.add_equal("shape", w.psi1, w.psi1.transpose(), "psi1")
+    last = t.dim_m2 - 1
+    assert rep.checks == [
+        ("same", True, ""),
+        ("moved", False, "phi2[%d, 0] = %s, expected %s" % (
+            last, scalar_to_str(moved.phi2.data[last][0]),
+            scalar_to_str(w.phi2.data[last][0]))),
+        ("shape", False, "psi1 is %dx%d, expected %dx%d" % (
+            t.dim_n1, t.dim_mult, t.dim_mult, t.dim_n1))]
 
 
 def _zero_first_row(m):
@@ -124,6 +170,42 @@ def test_inverse_of_a_singular_element_raises():
             g.inverse()
 
 
+def test_a_part_of_the_other_side_or_a_misshapen_translation_raises():
+    """Each side takes only its own parts, and a translation part must
+    have the shape of A0 (right) or of Hom(M, B0) (left)."""
+    t = full_p1_instance().theta
+    f = t.field
+    assert t.dim_a0 == 2
+    for side, part in (("left", {"r_n1": ExactMatrix.identity(f, t.dim_n1)}),
+                       ("left", {"alpha0": ExactMatrix.zeros(f, t.dim_a0, 1)}),
+                       ("right", {"l_b0": ExactMatrix.identity(f, t.dim_b0)}),
+                       ("right", {"beta": ExactMatrix.zeros(f, t.dim_b0, t.dim_mult)}),
+                       ("right", {"alpha0": ExactMatrix.zeros(f, 4, 5)}),
+                       ("right", {"alpha0": ExactMatrix.zeros(f, t.dim_a0, 2)}),
+                       ("left", {"beta": ExactMatrix.zeros(f, t.dim_mult, t.dim_b0 + 1)})):
+        for check in (True, False):
+            with pytest.raises(ValueError):
+                GroupElement(t, side, check=check, **part)
+
+
+def test_is_identity_of_named_parts():
+    t = full_p1_instance().theta
+    f = t.field
+    I = ExactMatrix.identity
+    c = f.of(2)
+    pure_b = GroupElement(t, "right", b_n2=I(f, t.dim_n2).scale(c),
+                          b_m2=I(f, t.dim_m2).scale(c), b_a0=I(f, t.dim_a0).scale(c))
+    assert pure_b.is_identity("r_n1", "r_m1", "r_a0")
+    assert not pure_b.is_identity("b_n2", "b_m2")
+    assert not pure_b.is_identity()
+    assert not _scalar_right(t, c).is_identity("r_n1", "r_m1", "r_a0")
+    assert _scalar_right(t, c).is_identity("b_n2", "b_m2", "b_a0", "alpha0")
+    for g, name in ((pure_b, "l_b0"), (pure_b, "beta"), (pure_b, "r"),
+                    (GroupElement(t, "left"), "r_n1")):
+        with pytest.raises(ValueError):
+            g.is_identity(name)
+
+
 def test_act_pair_order():
     rng = random.Random(25)
     t = full_p1_instance().theta
@@ -150,6 +232,26 @@ def test_chart_contains_its_point():
         iso = chart.kernel_iso(w)
         assert (w.psi2.transpose() @ iso).is_zero()
         assert iso.rank() == t.dim_comult
+
+
+def test_coordinate_chart_section_and_pivots():
+    """r_M0 is a section of psi2_bar with image in the coordinate span of
+    the pivots; pivots that are not dim_M distinct coordinates of N2*
+    are rejected."""
+    rng = random.Random(32)
+    for t in theta_pool(33, 6):
+        w = random_w0_point(t, rng)
+        chart = chart_for_point(t, w)
+        r = chart.r_m0(w)
+        assert w.psi2_bar() @ r == ExactMatrix.identity(t.field, t.dim_mult)
+        assert all(not any(r.data[i]) for i in chart.others)
+        assert t.rho2 @ chart.r2 == ExactMatrix.identity(t.field, t.dim_m2)
+        bad = [list(range(t.dim_mult + 1)), [t.dim_n2] + list(range(t.dim_mult - 1))]
+        if t.dim_mult > 1:
+            bad.append([0] * t.dim_mult)
+        for pivots in bad:
+            with pytest.raises(ValueError):
+                Chart(t, pivots)
 
 
 def test_scalar_serialization_round_trip():
