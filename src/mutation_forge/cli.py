@@ -93,6 +93,15 @@ def cmd_validate(args):
     return 0 if rep.ok else 1
 
 
+def _write_failures(label, rep):
+    """One stderr line per failing check of a ValidationReport, with its
+    detail when it has one."""
+    for name, ok, detail in rep.checks:
+        if not ok:
+            sys.stderr.write("check failed: %s: %s%s\n"
+                             % (label, name, ": " + detail if detail else ""))
+
+
 def cmd_dual(args):
     theta = theta_from_json(_load(args.theta))
     dual = build_dual(theta)
@@ -105,6 +114,8 @@ def cmd_dual(args):
         payload["double_dual_ok"] = dd.ok
         if not (rep.ok and dd.ok):
             code = 1
+            _write_failures("dual prime", rep)
+            _write_failures("double dual", dd)
     _emit(args, payload, fmt="json")
     return code
 
@@ -126,6 +137,7 @@ def cmd_mutate(args):
         payload["involution_ok"] = rep.ok
         if not rep.ok:
             code = 1
+            _write_failures("involution", rep)
     _emit(args, payload, fmt="json")
     return code
 

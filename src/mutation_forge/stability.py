@@ -161,7 +161,8 @@ def _gred_core(blocks, dimH, m_mult, n_mult, lam, mu, per_index, memo):
         row = []
         for i, (m, bases) in enumerate(zip(m_mult, memo.bases), 1):
             x = blocks[(l, i)]
-            if (l, i) not in last or last[(l, i)][0] != x:
+            cell = last.get((l, i))
+            if cell is None or (cell[0] is not x and cell[0] != x):
                 if (x.rows, x.cols) != (n, dimH[(l, i)] * m):
                     raise ValueError("block %r is %dx%d, expected %dx%d"
                                      % ((l, i), x.rows, x.cols, n, dimH[(l, i)] * m))
@@ -169,8 +170,9 @@ def _gred_core(blocks, dimH, m_mult, n_mult, lam, mu, per_index, memo):
                     imgs = _packed_images(x, dimH[(l, i)], m, bases)
                 else:
                     imgs = _block_images(x, dimH[(l, i)], m, bases)
-                last[(l, i)] = (x, imgs, tuple(ids.setdefault(img, len(ids)) for img in imgs))
-            row.append(last[(l, i)])
+                cell = last[(l, i)] = (x, imgs, tuple(ids.setdefault(img, len(ids))
+                                                      for img in imgs))
+            row.append(cell)
         images.append([cell[1] for cell in row])
         keys.append([cell[2] for cell in row])
     pattern = tuple(chain.from_iterable(keys))
@@ -424,21 +426,66 @@ def apply_unipotent(inst, fam, params):
     return out
 
 
-def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
-    """All images of the family under the unipotent group, enumerated
-    as parameter tuples over the prime field."""
-    p = _require_finite(inst.h.field)
+def _carry_sums(inst, fam, units):
+    """For each unit parameter k of units ((key, rows, cols, entry)), the
+    change C_k = D_k + sum_{j > k} D_j of the family, D_j the change
+    that unit j alone makes (apply_unipotent on it): raising digit k and
+    resetting every later one from p - 1 to 0 adds C_k, as
+    -(p - 1) = 1 mod p. Each C_k maps a block key to a nonzero change."""
     f = inst.h.field
+    sums, later = [], {}
+    for key, rows, cols, entry in reversed(units):
+        unit = ExactMatrix.zeros(f, rows, cols)
+        unit.data[entry // cols][entry % cols] = f.one()
+        moved = apply_unipotent(inst, fam, {key: unit})
+        change = dict(later)
+        for k, x in moved.items():
+            if x is not fam[k]:
+                d = x - fam[k]
+                change[k] = change[k] + d if k in change else d
+        later = {k: x for k, x in change.items() if not x.is_zero()}
+        sums.append(later)
+    return sums[::-1]
+
+
+def _walk(fam, sums, p):
+    """fam, then the family at each next tuple of GF(p)^len(sums) in
+    lexicographic order: raising digit k adds the carry sum sums[k]. The
+    blocks that a sum does not name stay the same objects."""
+    yield fam
+    digits = [0] * len(sums)
+    while True:
+        k = len(sums) - 1
+        while k >= 0 and digits[k] == p - 1:
+            digits[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        digits[k] += 1
+        fam = dict(fam)
+        for key, x in sums[k].items():
+            fam[key] = fam[key] + x
+        yield fam
+
+
+def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
+    """All images of the family under the unipotent group, in the
+    lexicographic order of their parameter tuples over the prime field
+    (flat entries, source parameters first), walked by additions.
+
+    The translate of (u, v) is (I + V_v) mid_u with mid_u = (I + S_u) x:
+    mid_u is affine in u, and the translate affine in v for a fixed
+    mid_u. So the source carry sums (_carry_sums) walk mid_u, and at
+    each mid_u the target carry sums, built again on it, walk the
+    translates."""
+    p = _require_finite(inst.h.field)
     shapes, _ = _unipotent_parameters(inst, budget=budget)
-    ranges = []
-    for (src, a, b, rows, cols) in shapes:
-        ranges.append(list(product(range(p), repeat=rows * cols)))
-    for combo in product(*ranges):
-        params = {}
-        for (src, a, b, rows, cols), flat in zip(shapes, combo):
-            params[(src, a, b)] = ExactMatrix.of_rows(
-                f, [list(flat[r * cols:(r + 1) * cols]) for r in range(rows)], cols)
-        yield apply_unipotent(inst, fam, params)
+    units = [((src, a, b), rows, cols, entry) for src, a, b, rows, cols in shapes
+             for entry in range(rows * cols)]
+    source = [u for u in units if u[0][0]]
+    target = [u for u in units if not u[0][0]]
+    for mid in _walk(dict(fam), _carry_sums(inst, fam, source), p):
+        yield from _walk(mid, _carry_sums(inst, mid, target), p)
 
 
 def is_semistable_rs(inst, w, pol, group="Gred", budget=DEFAULT_BUDGET):

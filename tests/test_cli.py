@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from mutation_forge import cli
 from mutation_forge.cli import _frac, main
 from mutation_forge.exactfield import Field
-from mutation_forge.theta import (MorphismPoint, point_to_json,
-                                  theta_from_json, theta_to_json,
-                                  validate_theta)
+from mutation_forge.theta import (MorphismPoint, ValidationReport,
+                                  point_to_json, theta_from_json,
+                                  theta_to_json, validate_theta)
 from mutation_forge.homdata import (Polarization, build_theta_p,
                                     hom_data_to_json,
                                     projective_space_hom_data)
@@ -256,9 +257,33 @@ def test_budget_must_be_positive(budget, tmp_path, capsys):
 def test_dual_verify(tmp_path, capsys):
     _, theta_path = _p2_theta(tmp_path)
     assert main(["dual", "--theta", theta_path, "--verify"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
     assert out["result"]["prime_valid"] is True
     assert out["result"]["double_dual_ok"] is True
+    assert captured.err == ""
+
+
+def test_dual_verify_names_the_failing_checks(tmp_path, capsys):
+    """A p = 1, s = 2 theta with one nonzero entry of mu zeroed: its dual
+    prime is valid but the double dual does not restore mu. Each failing
+    check is one stderr line with its detail; stdout is the one that
+    dual without --verify prints, plus the two booleans."""
+    h = projective_space_hom_data(QQ, 1, [-2, -1], [0, 1])
+    inst = build_theta_p(h, [1, 1], [1, 1], 1)
+    d = theta_to_json(inst.theta)
+    entries = d["mu"]["entries"]
+    entries[next(k for k, x in enumerate(entries) if x != "0/1")] = "0/1"
+    path = _write(tmp_path, "bad.json", d)
+    assert main(["dual", "--theta", path, "--verify"]) == 1
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)["result"]
+    assert (out["prime_valid"], out["double_dual_ok"]) == (True, False)
+    assert captured.err.splitlines() == [
+        "check failed: double dual: mu restored: mu[0, 0] = 1/1, expected 0/1"]
+    assert main(["dual", "--theta", path]) == 0
+    plain = json.loads(capsys.readouterr().out)["result"]
+    assert plain == {"prime": out["prime"]}
 
 
 def test_mutate_verify(tmp_path, capsys):
@@ -268,8 +293,30 @@ def test_mutate_verify(tmp_path, capsys):
     point_path = _write(tmp_path, "point.json", point_to_json(w))
     assert main(["mutate", "--theta", theta_path,
                  "--point", point_path, "--verify"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
     assert out["result"]["involution_ok"] is True
+    assert captured.err == ""
+
+
+def test_mutate_verify_names_the_failing_checks(tmp_path, capsys, monkeypatch):
+    """A failing involution report gives exit 1 and one stderr line per
+    failing check, with its detail when it has one."""
+    inst, theta_path = _p2_theta(tmp_path)
+    w = random_w0_point(inst.theta, random.Random(55))
+    point_path = _write(tmp_path, "point.json", point_to_json(w))
+    rep = ValidationReport()
+    rep.add("psi1 negated", True)
+    rep.add("psi2 restored", False, "psi2[1, 0] = 1/1, expected 0/1")
+    rep.add("phi2 negated", False)
+    monkeypatch.setattr(cli, "involution_report", lambda *args, **kwargs: rep)
+    assert main(["mutate", "--theta", theta_path,
+                 "--point", point_path, "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["result"]["involution_ok"] is False
+    assert captured.err.splitlines() == [
+        "check failed: involution: psi2 restored: psi2[1, 0] = 1/1, expected 0/1",
+        "check failed: involution: phi2 negated"]
 
 
 def test_mutate_rejects_zero_psi2(tmp_path, capsys):

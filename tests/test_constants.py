@@ -127,6 +127,31 @@ def test_search_exhaustive_gf2():
     assert not rep.exceeds_reference
 
 
+# (which, n, m) for m in 1..n+2: the ten whose GF(2) scan fits a budget
+# of 2 * 10**5 subspaces (n = 1, m = 3 has m > dim H), and the four that
+# do not
+GF2_SCANNED = ([(w, 1, m) for w in (0, 1) for m in (1, 2, 3)]
+               + [(w, 2, m) for w in (0, 1) for m in (1, 2)])
+GF2_OVER_BUDGET = [(w, 2, m) for w in (0, 1) for m in (3, 4)]
+
+
+@pytest.mark.parametrize("which, n, m", GF2_SCANNED)
+def test_search_exhaustive_gf2_attains_closed_form(which, n, m):
+    """Over GF(2) the exhaustive scan attains c_formula exactly: a
+    certificate of the supremum over the prime field, not only a bound."""
+    t = (sigma0, sigma1)[which](Field(2), n)
+    rep = c_tau_search(t, m, budget=2 * 10 ** 5)
+    assert rep.mode == "exhaustive-gf2"
+    assert rep.max_found == c_formula(which, n, m)
+
+
+@pytest.mark.parametrize("which, n, m", GF2_OVER_BUDGET)
+def test_search_exhaustive_gf2_over_budget(which, n, m):
+    t = (sigma0, sigma1)[which](Field(2), n)
+    with pytest.raises(ValueError, match="exhaustive scan budget exceeded"):
+        c_tau_search(t, m, budget=2 * 10 ** 5)
+
+
 def test_search_budget_enforced():
     t = sigma0(Field(2), 2)
     with pytest.raises(ValueError):

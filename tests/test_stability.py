@@ -17,7 +17,7 @@ from mutation_forge.homdata import (Polarization, _on_chain, build_theta_p,
                                     validate_hom_data)
 from mutation_forge.stability import (DEFAULT_BUDGET, KroneckerModule,
                                       StabilityVerdict, _instance_verdict,
-                                      apply_unipotent,
+                                      _unipotent_parameters, apply_unipotent,
                                       compare_hypotheses, compare_stability,
                                       enumerate_unipotent_orbit,
                                       gred_semistable, is_semistable_rs,
@@ -356,12 +356,26 @@ def reference_gred(inst, fam, pol, budget=DEFAULT_BUDGET):
     return StabilityVerdict(semistable, stable, witness)
 
 
+def reference_orbit(inst, fam, budget=DEFAULT_BUDGET):
+    """The unipotent orbit tuple by tuple: every parameter tuple over the
+    prime field, in lexicographic order of the flat entries with the
+    source parameters first, acted on the family by apply_unipotent
+    afresh."""
+    f = inst.h.field
+    shapes, _ = _unipotent_parameters(inst, budget=budget)
+    ranges = [product(range(f.p), repeat=rows * cols) for _, _, _, rows, cols in shapes]
+    for combo in product(*ranges):
+        yield apply_unipotent(inst, fam, {
+            (src, a, b): ExactMatrix.from_flat(f, rows, cols, list(flat))
+            for (src, a, b, rows, cols), flat in zip(shapes, combo)})
+
+
 def reference_g(inst, fam, pol, budget=DEFAULT_BUDGET):
     """The G verdict as the reference walk: reference_gred at every
-    unipotent translate."""
+    translate of reference_orbit."""
     semistable, stable = True, True
     witness = None
-    for moved in enumerate_unipotent_orbit(inst, fam, budget=budget):
+    for moved in reference_orbit(inst, fam, budget=budget):
         v = reference_gred(inst, moved, pol, budget=budget)
         if not v.semistable and semistable:
             semistable = False
@@ -498,7 +512,9 @@ def test_verdict_memo_matches_memo_free_walk(data):
     other blocks but the same images x_(l,i)(H_li (x) M'_i) as A, so its
     verdict is looked up from A's. A with the blocks of N_1, or of every
     N_l with l >= 2, redrawn differs from A in those images alone, which
-    a memo keyed by part of the image pattern would not see."""
+    a memo keyed by part of the image pattern would not see. Where the
+    case walks G, the unipotent orbit of A is walked too: its translates
+    share every block that a step leaves alone, as the same object."""
     case = data.draw(st.sampled_from(ORACLE_CASES))   # GF(2) and GF(3)
     p, _, _, m, n, _ = case
     inst = _oracle_instance(case)
@@ -532,6 +548,9 @@ def test_verdict_memo_matches_memo_free_walk(data):
         translates = [pool[k] for k in walk]
         assert (_instance_verdict(inst, translates, pol, DEFAULT_BUDGET)
                 == reference_walk(inst, translates, pol)), walk
+    if case[-1]:
+        assert (_instance_verdict(inst, enumerate_unipotent_orbit(inst, a), pol, DEFAULT_BUDGET)
+                == reference_walk(inst, reference_orbit(inst, a), pol))
 
 
 def test_oracle_raises_as_before():
@@ -667,10 +686,10 @@ UNIPOTENT_SYSTEMS = [
 
 
 @lru_cache(maxsize=None)
-def _unipotent_instance(p, system, m, n):
+def _unipotent_instance(p, system, m, n, q=0):
     dim, e, f = system
     h = projective_space_hom_data(Field(p), dim, list(e), list(f))
-    return build_theta_p(h, list(m), list(n), 0)
+    return build_theta_p(h, list(m), list(n), q)
 
 
 @settings(max_examples=150, deadline=None)
@@ -706,3 +725,52 @@ def test_apply_unipotent_matches_reference(data):
     out = apply_unipotent(inst, fam, params)
     assert out == reference_apply_unipotent(inst, fam, params)
     assert all(has_canonical_scalars(x) for x in out.values())
+
+
+# -- the orbit walk against its tuple-by-tuple reference -----------------
+
+# (field p, (n, e, f) or None for _hand_built_instance, m, n, p of the
+# instance): source parameters only, target parameters only, and both
+# with the cross term, for r = 1 to 3 and s = 1 to 3; orbits of 9 to
+# 729 points
+WALK_CASES = [
+    (2, (1, (-2, -1), (0,)), (2, 2), (2,), 1),
+    (2, (1, (-2,), (0, 1)), (1,), (1, 2), 0),
+    (2, (1, (-2, -1), (0, 1)), (1, 2), (1, 2), 1),
+    (2, (1, (-2, -1), (0, 1)), (2, 1), (1, 1), 0),
+    (2, (1, (-3, -2, -1), (0,)), (1, 1, 1), (1,), 1),
+    (2, (1, (-2, -1), (0, 1, 2)), (1, 1), (1, 1, 1), 0),
+    (3, (1, (-2, -1), (0,)), (1, 2), (1,), 1),
+    (3, (1, (-2,), (0, 1)), (2,), (2, 1), 0),
+    (3, (1, (-2, -1), (0, 1)), (1, 1), (1, 1), 1),
+    (3, (1, (-2, -1), (0, 1)), (1, 1), (1, 2), 0),
+    (3, None, (1, 1), (1, 1), 0),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_orbit_walk_matches_reference_orbit(data):
+    """enumerate_unipotent_orbit walks the orbit by adding carry sums;
+    it gives the translates of reference_orbit (one apply_unipotent per
+    parameter tuple), translate for translate and in the same order,
+    with every entry in its one form. About one block in four is 0, so
+    that some unit parameters change nothing."""
+    p, system, m, n, q = data.draw(st.sampled_from(WALK_CASES))
+    inst = (_hand_built_instance() if system is None
+            else _unipotent_instance(p, system, m, n, q))
+    h = inst.h
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    fam = {}
+    for l in range(1, h.s + 1):
+        for i in range(1, h.r + 1):
+            rows, cols = inst.n_mult[l - 1], h.dimH[(l, i)] * inst.m_mult[i - 1]
+            zero = data.draw(st.integers(0, 3)) == 0
+            fam[(l, i)] = ExactMatrix.from_flat(
+                h.field, rows, cols, [0 if zero else rng.randrange(p) for _ in range(rows * cols)])
+    walk = list(enumerate_unipotent_orbit(inst, fam))
+    want = list(reference_orbit(inst, fam))
+    assert len(walk) == len(want) == p ** _unipotent_parameters(inst)[1]
+    for k, (moved, ref) in enumerate(zip(walk, want)):
+        assert moved == ref, k
+        assert all(has_canonical_scalars(x) for x in moved.values())
