@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .exactfield import QQ, field_from_tag, field_tag
 from .theta import (theta_from_json, theta_to_json, point_from_json,
@@ -52,6 +53,33 @@ def _field(spec):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _json_text(obj, indent="\n"):
+    """The text json.dumps(obj, sort_keys=True, separators=(",", ": "),
+    indent=2) gives for a JSON value whose keys are strings, built here
+    because indent turns off json's C encoder: a list of strings (the
+    entries of a matrix) is one C call, and any other leaf is written by
+    json.dumps. indent is the newline and indentation of obj's line."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(obj.items())) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        try:
+            items = list(map(encode_basestring_ascii, obj))
+        except TypeError:   # an item that is no string
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(obj)
+
+
 def _emit(args, payload, fmt):
     config = {
         "command": args.command,
@@ -61,9 +89,7 @@ def _emit(args, payload, fmt):
     if "field" in args:   # only the subcommands that build over a field
         config["field"] = field_tag(args.field)
     if fmt == "json":
-        text = json.dumps({"config": config, "result": payload},
-                          sort_keys=True, separators=(",", ": "),
-                          indent=2) + "\n"
+        text = _json_text({"config": config, "result": payload}) + "\n"
     else:
         lines = ["# " + json.dumps(config, sort_keys=True,
                                    separators=(",", ":"))]

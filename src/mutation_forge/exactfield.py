@@ -11,7 +11,7 @@ coordinate, and spans and ranks of packed vectors are taken by XOR.
 
 import functools
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import isqrt, lcm, prod
 
 
@@ -326,9 +326,11 @@ class ExactMatrix:
         factor major, as everywhere) and return the matrix whose row legs
         are the legs numbered in rows and whose column legs are those
         numbered in cols, in the order given: a reshape, transpose and
-        reshape done as an index map that copies every entry once, with
-        no test of its value (a Fraction's truth test is a Python call).
-        The index map is built once per leg signature (_regroup_map)."""
+        reshape done as an index map that copies only the nonzero entries,
+        found by compress, into a fresh zero matrix, so the Python work on
+        the mostly-zero structure matrices is per nonzero entry. The index
+        map is built once per leg signature (_regroup_map); the shape is
+        checked on every call."""
         shape, (n_rows, n_cols), row_r, row_c, col_r, col_c = _regroup_map(
             tuple(row_dims), tuple(col_dims), tuple(rows), tuple(cols))
         if shape != (self.rows, self.cols):
@@ -336,9 +338,10 @@ class ExactMatrix:
                              % (list(row_dims), list(col_dims), self.rows, self.cols))
         z = self.field.zero()
         data = [[z] * n_cols for _ in range(n_rows)]
+        columns = range(self.cols)
         for row, rr, rc in zip(self.data, row_r, row_c):
-            for x, cr, cc in zip(row, col_r, col_c):
-                data[rr + cr][rc + cc] = x
+            for j in compress(columns, row):
+                data[rr + col_r[j]][rc + col_c[j]] = row[j]
         return ExactMatrix.of_rows(self.field, data, n_cols)
 
     def apply_leg(self, col_dims, leg, x):

@@ -21,7 +21,7 @@ constructed group elements, never by search.
 
 from .exactfield import (ExactMatrix, Subspace, kernel_basis, quotient_data,
                          solve_linear)
-from .theta import (GroupElement, MorphismPoint, ThetaSpace,
+from .theta import (DIMS, GroupElement, MorphismPoint, ThetaSpace,
                     ValidationReport, act, right_inverse, unvec_row_major,
                     validate_theta, vec_row_major)
 
@@ -164,14 +164,17 @@ def double_dual_identifications(dual, ddual):
 
 def double_dual_report(theta, dual=None):
     """Exact comparison of the double dual with the original space under
-    the canonical identifications."""
+    the canonical identifications. When the dimensions differ, the dims
+    check names the first that does, e.g. `m2 is 3, expected 4`, and no
+    other check is made."""
     if dual is None:
         dual = build_dual(theta)
     ddual = build_dual(dual.prime)
     t = theta
     dd = ddual.prime
     rep = ValidationReport()
-    rep.add("dims", dd.dims() == t.dims())
+    differ = [(k, a, b) for k, a, b in zip(DIMS, dd.dims(), t.dims()) if a != b]
+    rep.add("dims", not differ, "%s is %d, expected %d" % differ[0] if differ else "")
     if not rep.ok:
         return rep
     iota_m2, iota_a0 = double_dual_identifications(dual, ddual)

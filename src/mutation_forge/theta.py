@@ -39,6 +39,11 @@ def unvec_row_major(v, rows, cols):
     return ExactMatrix.from_flat(v.field, rows, cols, [v.data[i][0] for i in range(rows * cols)])
 
 
+# The names of the dimensions of a ThetaSpace, in the order of dims(), as
+# its JSON "dims" object and the reports name them.
+DIMS = ("n1", "n2", "m1", "m2", "a0", "b0", "mult", "comult")
+
+
 class ThetaSpace:
     """An abstract morphism space; see the module docstring."""
 
@@ -71,6 +76,7 @@ class ThetaSpace:
         self.nu = nu
 
     def dims(self):
+        """The eight dimensions, in the order of DIMS."""
         return (self.dim_n1, self.dim_n2, self.dim_m1, self.dim_m2,
                 self.dim_a0, self.dim_b0, self.dim_mult, self.dim_comult)
 
@@ -499,20 +505,32 @@ def json_counts(x, what):
 
 
 def matrix_to_json(M):
+    """The {"rows", "cols", "entries"} object of a matrix; each distinct
+    value is formatted once (equal values have equal strings)."""
+    text = {x: scalar_to_str(x) for x in set().union(*M.data)}
     return {"rows": M.rows, "cols": M.cols,
-            "entries": [scalar_to_str(x) for x in M.flat()]}
+            "entries": [text[x] for row in M.data for x in row]}
 
 
 def matrix_from_json(field, d):
-    """The matrix of a {"rows", "cols", "entries"} object: each entry is
-    parsed once into a field element and kept as it is."""
+    """The matrix of a {"rows", "cols", "entries"} object: each distinct
+    entry string is parsed once into a field element, which every cell
+    that holds it shares."""
     d = json_object(d, "matrix")
     rows, cols = json_count(d["rows"], "rows"), json_count(d["cols"], "cols")
     entries = json_list(d["entries"], "entries")
     if len(entries) != rows * cols:
         raise ValueError("a %dx%d matrix has %d entries, not %d"
                          % (rows, cols, rows * cols, len(entries)))
-    vals = [scalar_from_str(field, s) for s in entries]
+    try:
+        distinct = dict.fromkeys(entries)
+    except TypeError:
+        # a list or dict entry cannot be hashed: parsing the entries in
+        # order stops at the first one that is no string, a ValueError,
+        # before the memo below would hash it
+        distinct = entries
+    value = {s: scalar_from_str(field, s) for s in distinct}
+    vals = [value[s] for s in entries]
     return ExactMatrix.of_rows(field, [vals[r * cols:(r + 1) * cols]
                                        for r in range(rows)], cols)
 
@@ -520,9 +538,7 @@ def matrix_from_json(field, d):
 def theta_to_json(t):
     return {
         "field": field_tag(t.field),
-        "dims": {"n1": t.dim_n1, "n2": t.dim_n2, "m1": t.dim_m1, "m2": t.dim_m2,
-                 "a0": t.dim_a0, "b0": t.dim_b0, "mult": t.dim_mult,
-                 "comult": t.dim_comult},
+        "dims": dict(zip(DIMS, t.dims())),
         "rho1": matrix_to_json(t.rho1),
         "rho2": matrix_to_json(t.rho2),
         "mu": matrix_to_json(t.mu),
@@ -534,8 +550,8 @@ def theta_from_json(d):
     d = json_object(d, "theta")
     field = field_from_tag(d["field"])
     dims = json_object(d["dims"], "dims")
-    return ThetaSpace(field, *(json_count(dims[k], "dims." + k) for k in
-                               ("n1", "n2", "m1", "m2", "a0", "b0", "mult")),
+    # comult is dim N2 - dim M, so it is not read
+    return ThetaSpace(field, *(json_count(dims[k], "dims." + k) for k in DIMS[:-1]),
                       matrix_from_json(field, d["rho1"]),
                       matrix_from_json(field, d["rho2"]),
                       matrix_from_json(field, d["mu"]),

@@ -6,13 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mutation_forge import cli
 from mutation_forge.cli import _frac, main
 from mutation_forge.exactfield import Field
 from mutation_forge.theta import (MorphismPoint, ValidationReport,
-                                  point_to_json, theta_from_json,
-                                  theta_to_json, validate_theta)
+                                  matrix_from_json, point_to_json,
+                                  theta_from_json, theta_to_json,
+                                  validate_theta)
 from mutation_forge.homdata import (Polarization, build_theta_p,
                                     hom_data_to_json,
                                     projective_space_hom_data)
@@ -228,6 +230,28 @@ def test_bad_input_is_a_usage_error(name, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
+# entries that name no element of GF(3), each a ValueError of the reader
+BAD_ENTRIES = {"int": 1, "list": ["1/1"], "dict": {"num": 1}, "null": None,
+               "zero denominator": "1/0", "no denominator": "1",
+               "not a number": "x/1", "denominator 3 over GF(3)": "1/3"}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ENTRIES))
+def test_bad_matrix_entry_is_a_usage_error(name, tmp_path, capsys):
+    """A bad entry after good ones, some repeated: matrix_from_json raises
+    ValueError, and a theta file holding it is exit 2 with one error
+    line and no traceback."""
+    h = projective_space_hom_data(Field(3), 1, [-2, -1], [0, 1])
+    d = theta_to_json(build_theta_p(h, [1, 1], [1, 1], 1).theta)
+    d["nu"]["entries"][len(d["nu"]["entries"]) // 2] = BAD_ENTRIES[name]
+    with pytest.raises(ValueError):
+        matrix_from_json(Field(3), d["nu"])
+    assert main(["validate", "--theta", _write(tmp_path, "theta.json", d)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -501,3 +525,121 @@ def test_cli_output_digest(tmp_path):
         for step in steps:
             digest.update(out[step].read_bytes())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def _subcommand_runs(tmp_path):
+    """(argv, exit code) of the runs behind SUBCOMMAND_DIGEST: every
+    subcommand that GOLDEN_RUNS leaves out, on fixed inputs, each
+    writing its output with --out."""
+    h = projective_space_hom_data(QQ, 1, [-2, -1], [0, 1])
+    d = theta_to_json(build_theta_p(h, [1, 1], [1, 1], 1).theta)
+    good = _write(tmp_path, "good.json", d)
+    entries = d["mu"]["entries"]
+    entries[next(k for k, x in enumerate(entries) if x != "0/1")] = "0/1"
+    bad = _write(tmp_path, "bad.json", d)
+    runs = [(["validate", "--theta", good], 0), (["validate", "--theta", bad], 1)]
+    F2 = Field(2)
+    h2 = projective_space_hom_data(F2, 1, [-2, -1], [0])
+    inst = build_theta_p(h2, [1, 1], [2], 0)
+    rng = random.Random(81)
+    points = [MorphismPoint.zero(inst.theta)]
+    points += [random_w0_point(inst.theta, rng, lo=0, hi=1) for _ in range(4)]
+    for k, w in enumerate(points):
+        spec = {"hom": hom_data_to_json(h2), "m": [1, 1], "n": [2], "p": 0,
+                "point": point_to_json(w), "lam": ["1/2", "1/2"], "mu": ["1/2"]}
+        path = _write(tmp_path, "stab%d.json" % k, spec)
+        runs += [(["stability", "--instance", path, "--group", g], 0)
+                 for g in ("Gred", "G")]
+    for k, (n, e, fl, p, m, nm, lam, mu, code) in enumerate([
+            (2, [-2, -1], [0], 0, [1, 1], [2], ["1/2", "1/2"], ["1/2"], 0),
+            (1, [-2, -1], [0, 1], 1, [1, 1], [1, 1], ["1/3", "2/3"], ["2/3", "1/3"], 0),
+            (1, [-1], [0, 1], 0, [1], [1, 1], ["1/1"], ["1/3", "2/3"], 1)]):
+        spec = {"hom": hom_data_to_json(projective_space_hom_data(QQ, n, e, fl)),
+                "m": m, "n": nm, "p": p, "lam": lam, "mu": mu}
+        path = _write(tmp_path, "pol%d.json" % k, spec)
+        runs.append((["polarization", "--instance", path], code))
+    runs += [(["constants", "--which", "0", "--n", "2", "--m", "2",
+               "--samples", "10", "--seed", "3"], 0),
+             (["constants", "--which", "1", "--n", "2", "--m", "3",
+               "--samples", "5", "--seed", "4"], 0),
+             (["constants", "--field", "gf:3", "--which", "0", "--n", "1",
+               "--m", "2", "--samples", "5", "--seed", "5"], 0)]
+    runs += [(["thresholds", "--n", "2", "--m1", "1", "--m2", m2, "--n1", n1,
+               "--t", t, "--case", case], 0)
+             for m2, n1, t, case in [("1", "4", "7/8", "1"), ("1", "4", "1/3", "2"),
+                                     ("2", "5", "4/5", "2"), ("2", "5", "1/10", "1")]]
+    runs += [(["sweep", "--n", "2", "--m1", "1", "--m2", m2, "--n1", n1,
+               "--grid", grid], 0)
+             for m2, n1, grid in [("1", "4", "3"), ("2", "5", "6")]]
+    return runs
+
+
+# sha256 of the output bytes of every _subcommand_runs command, in order,
+# as the CLI wrote them when it was pinned
+SUBCOMMAND_DIGEST = "56d43627e53370213b9f845b255d24614786cc8476d9db28b4c0ff1da409536d"
+
+
+def test_every_subcommand_output_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for k, (argv, code) in enumerate(_subcommand_runs(tmp_path)):
+        out = tmp_path / ("out%d" % k)
+        assert main(argv + ["--out", str(out)]) == code, argv
+        digest.update(out.read_bytes())
+    capsys.readouterr()
+    assert digest.hexdigest() == SUBCOMMAND_DIGEST
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=2)
+
+
+# JSON values as the CLI's payloads hold them, and the corners of the
+# encoder: keys with non-ASCII, quote, backslash and control characters,
+# empty and nested containers, tuples, big ints and the constants
+json_text = st.text(st.characters(codec="utf-8"), max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\n\t", "\u00e9\u2603", "\ud83d\ude00"])
+json_leaves = (st.none() | st.booleans() | st.integers() | json_text
+               | st.integers(-(10 ** 40), 10 ** 40) | st.just([]) | st.just({}))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(json_text, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == _dumps(obj)
+
+
+def test_json_writer_on_every_subcommand_payload(tmp_path, capsys, monkeypatch):
+    """The whole document each JSON subcommand writes, as _emit hands it
+    to the writer, is written as json.dumps writes it."""
+    seen = []
+    writer = cli._json_text
+
+    def recorded(obj, *indent):
+        if not indent:
+            seen.append(obj)
+        return writer(obj, *indent)
+    monkeypatch.setattr(cli, "_json_text", recorded)
+    runs = [argv for argv, _ in _subcommand_runs(tmp_path) if argv[0] != "sweep"]
+    gen = tmp_path / "gen.json"
+    main(["generate", "--n", "2", "--edeg", "-2", "-1", "--fdeg", "0", "1",
+          "--m", "1", "1", "--nmult", "1", "1", "--p", "1", "--out", str(gen)])
+    theta = json.loads(gen.read_text())["result"]["theta"]
+    theta_path = _write(tmp_path, "theta.json", theta)
+    w = random_w0_point(theta_from_json(theta), random.Random(90))
+    runs += [["dual", "--theta", theta_path, "--verify"],
+             ["mutate", "--theta", theta_path, "--verify",
+              "--point", _write(tmp_path, "point.json", point_to_json(w))]]
+    for argv in runs:
+        main(argv)
+    capsys.readouterr()
+    assert {obj["config"]["command"] for obj in seen} == {
+        "validate", "dual", "mutate", "stability", "polarization",
+        "constants", "thresholds", "generate"}
+    for obj in seen:
+        assert writer(obj) == _dumps(obj)

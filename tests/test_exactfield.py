@@ -296,6 +296,53 @@ def test_regroup_inverse_permutation_is_identity(case, data):
                      inv[len(row_dims):]) == A
 
 
+def reference_regroup(A, row_dims, col_dims, rows, cols):
+    """regroup as a dense copy: every entry, zero or not, written to its
+    place in the regrouped matrix."""
+    shape, (n_rows, n_cols), row_r, row_c, col_r, col_c = exactfield._regroup_map(
+        tuple(row_dims), tuple(col_dims), tuple(rows), tuple(cols))
+    assert shape == (A.rows, A.cols)
+    data = [[A.field.zero()] * n_cols for _ in range(n_rows)]
+    for row, rr, rc in zip(A.data, row_r, row_c):
+        for x, cr, cc in zip(row, col_r, col_c):
+            data[rr + cr][rc + cc] = x
+    return ExactMatrix.of_rows(A.field, data, n_cols)
+
+
+@st.composite
+def regroup_cases(draw):
+    """1 to 4 legs of sizes 0 to 3, split into row and column legs, a
+    matrix over QQ (Fraction entries), GF(2) or GF(3) with zeros drawn
+    often, and the legs of the result: a permutation and a split."""
+    f = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    k = draw(st.integers(0, len(dims)))
+    rows, cols = prod(dims[:k]), prod(dims[k:])
+    scalar = (st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+              if f.p is None else st.integers(0, f.p - 1))
+    flat = draw(st.lists(st.just(0) | scalar, min_size=rows * cols,
+                         max_size=rows * cols))
+    perm = draw(st.permutations(range(len(dims))))
+    j = draw(st.integers(0, len(dims)))
+    legs = (dims[:k], dims[k:], perm[:j], perm[j:])
+    return ExactMatrix.from_flat(f, rows, cols, flat), legs
+
+
+@settings(max_examples=400, deadline=None)
+@given(regroup_cases())
+def test_regroup_matches_dense_reference(case):
+    """regroup copies only the nonzero entries, into rows of its own."""
+    A, legs = case
+    B = A.regroup(*legs)
+    assert B == reference_regroup(A, *legs)
+    assert has_canonical_scalars(B)
+    ids = [id(row) for row in B.data]
+    assert len(set(ids)) == len(ids) and not set(ids) & {id(row) for row in A.data}
+    for rows, cols in ((A.rows, A.cols + 1), (A.rows + 1, A.cols)):
+        with pytest.raises(ValueError, match="do not fit"):
+            ExactMatrix.zeros(A.field, rows, cols).regroup(*legs)
+
+
 def test_regroup_index_map_cache_checks_every_call():
     """The index map is built once per leg signature, but each call still
     checks the matrix's shape and its legs, and no two results, nor a

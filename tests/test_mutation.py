@@ -4,6 +4,7 @@ import random
 
 from mutation_forge.exactfield import ExactMatrix, Field
 from mutation_forge.theta import GroupElement, act, chart_for_point, validate_theta
+from mutation_forge.homdata import build_theta_p, projective_space_hom_data
 from mutation_forge.mutation import (build_dual, chart_choice,
                                      choice_transport, default_choice,
                                      double_dual_report, involution_report,
@@ -41,6 +42,19 @@ def test_double_dual_on_pool():
     for t in theta_pool(33, 8):
         rep = double_dual_report(t)
         assert rep.ok, rep.failures()
+
+
+def test_double_dual_names_the_first_differing_dimension():
+    """The double dual of another space's dual fails the dims check,
+    whose detail names the first dimension that differs; a passing dims
+    check has no detail."""
+    h = projective_space_hom_data(QQ, 1, [-2, -1], [0, 1])
+    theta = build_theta_p(h, [1, 1], [1, 1], 1).theta
+    other = build_theta_p(h, [1, 1], [1, 1], 0).theta
+    assert (theta.dims()[:2], other.dims()[:2]) == ((3, 2), (0, 5))
+    rep = double_dual_report(theta, dual=build_dual(other))
+    assert rep.checks == [("dims", False, "n1 is 0, expected 3")]
+    assert double_dual_report(theta).checks[0] == ("dims", True, "")
 
 
 def test_mutated_point_lands_in_dual_w0():

@@ -3,6 +3,7 @@ serialization."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -302,6 +303,21 @@ def test_matrix_json_round_trip():
     M = rnd_matrix(QQ, rng, 3, 4)
     d = json.loads(json.dumps(matrix_to_json(M)))
     assert matrix_from_json(QQ, d) == M
+
+
+def test_matrix_json_parses_each_string_to_its_value():
+    """Two strings of one value give equal entries, and matrices with no
+    rows or no columns round-trip."""
+    M = matrix_from_json(QQ, {"rows": 2, "cols": 2,
+                              "entries": ["2/4", "1/2", "1/2", "-4/2"]})
+    assert M.data == [[Fraction(1, 2)] * 2, [Fraction(1, 2), -2]]
+    assert matrix_to_json(M)["entries"] == ["1/2", "1/2", "1/2", "-2/1"]
+    for field in (QQ, GF(3)):
+        for rows, cols in ((0, 3), (3, 0), (0, 0)):
+            Z = ExactMatrix.zeros(field, rows, cols)
+            d = json.loads(json.dumps(matrix_to_json(Z)))
+            assert d == {"rows": rows, "cols": cols, "entries": []}
+            assert matrix_from_json(field, d) == Z
 
 
 def test_theta_and_point_json_round_trip():
