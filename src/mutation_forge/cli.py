@@ -26,7 +26,7 @@ from .homdata import (projective_space_hom_data, hom_data_to_json,
                       map_polarization, validate_hom_data)
 from .stability import is_semistable_rs
 from .constants import sigma0, sigma1, c_formula, c_tau_search
-from .thresholds import ThresholdInput, thm64_ok, equality_dimension_vectors
+from .thresholds import ThresholdInput, singular_flag, singular_ts, thm64_ok
 
 
 def _frac(s):
@@ -245,42 +245,14 @@ def cmd_thresholds(args):
     return 0
 
 
-def _singular_flag(t, m1, m2, n1):
-    lam1 = (1 - t) / m1
-    lam2 = t / m2
-    mu1 = Fraction(1, n1)
-    fams = equality_dimension_vectors([lam1, lam2], [mu1], [m1, m2], [n1])
-    return 1 if fams else 0
-
-
-def _singular_ts(m1, m2, n1):
-    """Exact parameters t in (0,1) where some integer dimension family
-    achieves the equality (1-t)/m1 * m' + t/m2 * m'' = n'/n1."""
-    out = set()
-    for mp1 in range(m1 + 1):
-        for mp2 in range(m2 + 1):
-            for np1 in range(n1):
-                if mp1 == 0 and mp2 == 0 and np1 == 0:
-                    continue
-                # (1-t)*mp1/m1 + t*mp2/m2 = np1/n1, linear in t
-                a = Fraction(mp2, m2) - Fraction(mp1, m1)
-                b = Fraction(np1, n1) - Fraction(mp1, m1)
-                if a == 0:
-                    continue
-                t = b / a
-                if 0 < t < 1:
-                    out.add(t)
-    return sorted(out)
-
-
 def cmd_sweep(args):
     header = ["t_num", "t_den", "case", "verdict", "failing_condition",
               "singular_flag"]
     rows = []
     grid = {Fraction(i, args.grid) for i in range(1, args.grid)}
-    grid.update(_singular_ts(args.m1, args.m2, args.n1))
+    grid.update(singular_ts(args.m1, args.m2, args.n1))
     for t in sorted(grid):
-        flag = _singular_flag(t, args.m1, args.m2, args.n1)
+        flag = singular_flag(t, args.m1, args.m2, args.n1)
         for case in (1, 2):
             inp = ThresholdInput(args.m1, args.m2, args.n1, t, n=args.n)
             rep = thm64_ok(inp, case)
@@ -293,8 +265,9 @@ def cmd_sweep(args):
 def cmd_generate(args):
     h = projective_space_hom_data(args.field, args.n, args.edeg, args.fdeg)
     payload = {"hom": hom_data_to_json(h)}
-    if args.m and args.nmult:
-        inst = build_theta_p(h, args.m, args.nmult, args.p)
+    if args.m is not None or args.nmult is not None:
+        # a list left out is empty, which _check_cut refuses
+        inst = build_theta_p(h, args.m or [], args.nmult or [], args.p)
         payload["theta"] = theta_to_json(inst.theta)
     _emit(args, payload, fmt="json")
     return 0

@@ -90,12 +90,19 @@ def delta(t, K, m):
 
 # -- the maps sigma_0 and sigma_1 -------------------------------------
 
+def _quadrics(n):
+    """The monomial basis of S^2 V for dim V = n+1, n >= 1."""
+    if n < 1:
+        raise ValueError("n must be positive, got %d" % n)
+    return _monomials(n + 1, 2)
+
+
 def sigma0(field, n):
     """sigma_0 : S^2 V (x) V* -> V for dim V = n+1, in the coefficient-
     one monomial-division convention (conjugate to the derivative
     convention by a diagonal change of basis, which leaves every rank
     and codimension unchanged)."""
-    deg2 = _monomials(n + 1, 2)
+    deg2 = _quadrics(n)
     deg1 = _monomials(n + 1, 1)
     f = field
     tau = ExactMatrix.zeros(f, n + 1, len(deg2) * (n + 1))
@@ -114,7 +121,7 @@ def sigma0(field, n):
 def sigma1(field, n):
     """sigma_1 : V (x) V -> S^2 V for dim V = n+1 (monomial
     multiplication)."""
-    deg2 = _monomials(n + 1, 2)
+    deg2 = _quadrics(n)
     f = field
     tau = ExactMatrix.zeros(f, len(deg2), (n + 1) * (n + 1))
     one = f.one()

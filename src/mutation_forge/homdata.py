@@ -28,7 +28,7 @@ the polarization bookkeeping.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from .exactfield import (ExactMatrix, Subspace, field_from_tag, field_tag,
                          kernel_basis, quotient_data, solve_linear)
@@ -182,17 +182,33 @@ def projective_space_hom_data(field, n, e, f_list):
 # -- Theta instances of a splitting -----------------------------------
 
 class BlockLayout:
-    """Offsets of an ordered direct sum of labelled blocks."""
+    """An ordered direct sum of blocks Hom (x) X_1 (x) .. (x) X_k. Each
+    block has a key, the dimension of its Hom space and its multiplicity
+    legs X_1..X_k, whose dimensions size gives; inside a block the index
+    order is Hom-major, then the legs in order (left-major lexicographic)."""
 
-    def __init__(self, blocks):
-        self.keys = [k for k, _ in blocks]
-        self.dims = {k: d for k, d in blocks}
-        self.offsets = {}
+    def __init__(self, blocks, size):
+        self.size = size
+        self.keys, self.homs, self.legs, self.dims, self.offsets = [], {}, {}, {}, {}
         off = 0
-        for k, d in blocks:
-            self.offsets[k] = off
+        for k, d, legs in blocks:
+            self.keys.append(k)
+            self.homs[k], self.legs[k], self.offsets[k] = d, legs, off
+            for leg in legs:
+                d *= size[leg]
+            self.dims[k] = d
             off += d
         self.total = off
+
+    def origin(self, key, index):
+        """Where block key holds its Hom basis vector 0 at the
+        multiplicity indices index (a dict leg -> index), and the stride
+        of its Hom index."""
+        at, stride = 0, 1
+        for leg in self.legs[key]:
+            at = at * self.size[leg] + index[leg]
+            stride *= self.size[leg]
+        return self.offsets[key] + at, stride
 
 
 class ThetaInstance:
@@ -205,9 +221,12 @@ class ThetaInstance:
         A0 = sum_{i <= p < j} A_ji (x) M_i* (x) M_j,
         B0 = sum_{l >= 2} B_l1 (x) N_l,
 
-    with the multiplicity space M = N_1 of dimension n_1. Inside each
-    block the index order is Hom-major, then M*, then N (left-major
-    lexicographic throughout)."""
+    with the multiplicity space M = N_1 of dimension n_1. Each space is
+    one BlockLayout, whose blocks name their multiplicity legs ("M", i)
+    (M_i* and, in A0, M_j) and ("N", l). The structure maps are the
+    compositions of the Hom system written at these blocks by one index
+    map, _write, and the instance symmetries act on one leg at a time
+    (_acting): no Kronecker product with an identity is built."""
 
     def __init__(self, h, m_mult, n_mult, p):
         _check_cut(h, m_mult, n_mult, p)
@@ -215,90 +234,51 @@ class ThetaInstance:
         self.m_mult = list(m_mult)
         self.n_mult = list(n_mult)
         self.p = p
-        f = h.field
         r, s = h.r, h.s
-        m = lambda i: m_mult[i - 1]
-        n = lambda l: n_mult[l - 1]
-        self.lay_n1 = BlockLayout([(i, h.dimH[(1, i)] * m(i))
-                                   for i in range(1, p + 1)])
-        self.lay_n2 = BlockLayout([(j, h.dimH[(1, j)] * m(j))
-                                   for j in range(p + 1, r + 1)])
-        self.lay_m1 = BlockLayout([((i, l), h.dimH[(l, i)] * m(i) * n(l))
-                                   for i in range(1, p + 1)
-                                   for l in range(2, s + 1)])
-        self.lay_m2 = BlockLayout([((j, l), h.dimH[(l, j)] * m(j) * n(l))
-                                   for j in range(p + 1, r + 1)
-                                   for l in range(2, s + 1)])
-        self.lay_a0 = BlockLayout([((i, j), h.dimA[(j, i)] * m(i) * m(j))
-                                   for i in range(1, p + 1)
-                                   for j in range(p + 1, r + 1)])
-        self.lay_b0 = BlockLayout([(l, h.dimB[(l, 1)] * n(l))
-                                   for l in range(2, s + 1)])
-        if not 1 <= n(1) < self.lay_n2.total:
+        size = {("M", i): m for i, m in enumerate(m_mult, 1)}
+        size.update((("N", l), n) for l, n in enumerate(n_mult, 1))
+        sides = (range(1, p + 1), range(p + 1, r + 1))
+        self.lay_n1, self.lay_n2 = (
+            BlockLayout([(i, h.dimH[(1, i)], (("M", i),)) for i in side], size)
+            for side in sides)
+        self.lay_m1, self.lay_m2 = (
+            BlockLayout([((i, l), h.dimH[(l, i)], (("M", i), ("N", l)))
+                         for i in side for l in range(2, s + 1)], size)
+            for side in sides)
+        self.lay_a0 = BlockLayout([((i, j), h.dimA[(j, i)], (("M", i), ("M", j)))
+                                   for i in sides[0] for j in sides[1]], size)
+        self.lay_b0 = BlockLayout([(l, h.dimB[(l, 1)], (("N", l),))
+                                   for l in range(2, s + 1)], size)
+        if not 1 <= n_mult[0] < self.lay_n2.total:
             raise ValueError("need 1 <= n_1 < dim N2")
-        rho1 = self._build_rho(self.lay_m1, range(1, p + 1), self.lay_n1)
-        rho2 = self._build_rho(self.lay_m2, range(p + 1, r + 1), self.lay_n2)
-        nu = self._build_nu()
-        mu = self._build_mu()
-        self.theta = ThetaSpace(f, self.lay_n1.total, self.lay_n2.total,
+        rho1, rho2, nu, mu = self._structure_maps()
+        self.theta = ThetaSpace(h.field, self.lay_n1.total, self.lay_n2.total,
                                 self.lay_m1.total, self.lay_m2.total,
                                 self.lay_a0.total, self.lay_b0.total,
-                                n(1), rho1, rho2, mu, nu)
+                                n_mult[0], rho1, rho2, mu, nu)
 
-    # Each structure map is a sum of blocks: a composition tensor
-    # tensored with the identities of the multiplicity legs it passes
-    # through, regrouped so that each multiplicity leg sits in the
-    # factor it belongs to, and placed at the layout offsets.
-
-    def _build_rho(self, lay_m, i_range, lay_n):
-        h = self.h
-        m = lambda i: self.m_mult[i - 1]
-        n = lambda l: self.n_mult[l - 1]
-        out = ExactMatrix.zeros(h.field, lay_m.total, self.lay_b0.total * lay_n.total)
-        for i in i_range:
+    def _structure_maps(self):
+        """rho1, rho2, nu and mu: each a sum of compositions of the Hom
+        system, written at the blocks of the family x_(l, i)."""
+        h, p = self.h, self.p
+        n1, n2, m1, m2, a0, b0 = (lay.total for lay in (
+            self.lay_n1, self.lay_n2, self.lay_m1, self.lay_m2, self.lay_a0, self.lay_b0))
+        rho = [ExactMatrix.zeros(h.field, m1, b0 * n1),
+               ExactMatrix.zeros(h.field, m2, b0 * n2)]
+        nu_mu = [ExactMatrix.zeros(h.field, n1, n2 * a0),
+                 ExactMatrix.zeros(h.field, m1, m2 * a0)]
+        for i in range(1, h.r + 1):
             for l in range(2, h.s + 1):
-                # H_li M_i* N_l <- (B_l1 N_l) (H_1i M_i*)
-                blk = _with_identities(h.comp_BH[(l, 1, i)], m(i), n(l)).regroup(
-                    [h.dimH[(l, i)], m(i), n(l)],
-                    [h.dimB[(l, 1)], h.dimH[(1, i)], m(i), n(l)],
-                    [0, 1, 2], [3, 6, 4, 5])
-                _place(out, blk, lay_m.offsets[(i, l)],
-                       self.lay_b0.offsets[l], lay_n, i)
-        return out
-
-    def _build_nu(self):
-        h = self.h
-        m = lambda i: self.m_mult[i - 1]
-        out = ExactMatrix.zeros(h.field, self.lay_n1.total,
-                                self.lay_n2.total * self.lay_a0.total)
-        for i in range(1, self.p + 1):
-            for j in range(self.p + 1, h.r + 1):
-                # H_1i M_i* <- (H_1j M_j*) (A_ji M_i* M_j)
-                blk = _with_identities(h.comp_HA[(1, j, i)], m(i), m(j)).regroup(
-                    [h.dimH[(1, i)], m(i), m(j)],
-                    [h.dimH[(1, j)], h.dimA[(j, i)], m(i), m(j)],
-                    [0, 1], [3, 2, 4, 5, 6])
-                _place(out, blk, self.lay_n1.offsets[i],
-                       self.lay_n2.offsets[j], self.lay_a0, (i, j))
-        return out
-
-    def _build_mu(self):
-        h = self.h
-        m = lambda i: self.m_mult[i - 1]
-        n = lambda l: self.n_mult[l - 1]
-        out = ExactMatrix.zeros(h.field, self.lay_m1.total,
-                                self.lay_m2.total * self.lay_a0.total)
-        for i in range(1, self.p + 1):
-            for j in range(self.p + 1, h.r + 1):
-                for l in range(2, h.s + 1):
-                    # H_li M_i* N_l <- (H_lj M_j* N_l) (A_ji M_i* M_j)
-                    blk = _with_identities(h.comp_HA[(l, j, i)], m(i), m(j), n(l)).regroup(
-                        [h.dimH[(l, i)], m(i), m(j), n(l)],
-                        [h.dimH[(l, j)], h.dimA[(j, i)], m(i), m(j), n(l)],
-                        [0, 1, 3], [4, 2, 8, 5, 6, 7])
-                    _place(out, blk, self.lay_m1.offsets[(i, l)],
-                           self.lay_m2.offsets[(j, l)], self.lay_a0, (i, j))
-        return out
+                # rho: B_l1 N_l (x) x_(1, i) -> x_(l, i)
+                _write(rho[i > p], h.comp_BH[(l, 1, i)], self._slot(l, i)[1:],
+                       (self.lay_b0, l), self._slot(1, i)[1:])
+        for l in range(1, h.s + 1):
+            for i in range(1, p + 1):
+                for j in range(p + 1, h.r + 1):
+                    # nu (l = 1), mu (l >= 2): x_(l, j) (x) A_ji M_i* M_j -> x_(l, i)
+                    _write(nu_mu[l > 1], h.comp_HA[(l, j, i)], self._slot(l, i)[1:],
+                           self._slot(l, j)[1:], (self.lay_a0, (i, j)))
+        return rho + nu_mu
 
     # -- converters ---------------------------------------------------
 
@@ -345,29 +325,6 @@ class ThetaInstance:
         return MorphismPoint(self.theta, *parts)
 
 
-def _with_identities(comp, *mults):
-    """comp (x) I_m1 (x) I_m2 ..., the Kronecker product as a result
-    (a factor I_1 changes nothing and is not multiplied in)."""
-    for d in mults:
-        if d != 1:
-            comp = comp.kron(ExactMatrix.identity(comp.field, d))
-    return comp
-
-
-def _place(out, blk, row_off, col_off, lay, key):
-    """Write blk into out at rows row_off + r. The columns of out are a
-    product X (x) Y with Y laid out by lay; blk column (x, y), y inside
-    block key of lay, goes to column (col_off + x) * lay.total +
-    lay.offsets[key] + y."""
-    d, off = lay.dims[key], lay.offsets[key]
-    cols = [(col_off + c // d) * lay.total + off + c % d for c in range(blk.cols)]
-    for r, row in enumerate(blk.data):
-        target = out.data[row_off + r]
-        for c, v in zip(cols, row):
-            if v:
-                target[c] = v
-
-
 def _check_cut(h, m_mult, n_mult, p):
     """Multiplicity lists of lengths r and s with no negative entry, and
     a cut 0 <= p < r."""
@@ -386,11 +343,56 @@ def build_theta_p(h, m_mult, n_mult, p):
     return ThetaInstance(h, m_mult, n_mult, p)
 
 
-def _block_diag(field, layout, per_key):
-    """Block-diagonal matrix on a BlockLayout from a dict key -> block."""
-    out = ExactMatrix.zeros(field, layout.total, layout.total)
+def _write(out, comp, row, left, right):
+    """Write the composition comp : left (x) right -> row into out, whose
+    columns are the product of left's and right's layouts. row, left and
+    right are (layout, key) blocks; each nonzero entry of comp is written
+    once per assignment of the multiplicity indices, with a Kronecker
+    delta on every leg that two of the three blocks share (the identity
+    of each multiplicity space the composition passes through)."""
+    (lay_r, kr), (lay_l, kl), (lay_x, kx) = row, left, right
+    legs = list(dict.fromkeys(lay_r.legs[kr] + lay_l.legs[kl] + lay_x.legs[kx]))
+    hx, width = lay_x.homs[kx], lay_x.total
+    entries = [(t, c // hx, c % hx, v) for t, line in enumerate(comp.data)
+               for c, v in enumerate(line) if v]
+    for idx in product(*(range(lay_r.size[leg]) for leg in legs)):
+        index = dict(zip(legs, idx))
+        r0, rs = lay_r.origin(kr, index)
+        l0, ls = lay_l.origin(kl, index)
+        x0, xs = lay_x.origin(kx, index)
+        for t, a, b, v in entries:
+            out.data[r0 + t * rs][(l0 + a * ls) * width + x0 + b * xs] = v
+
+
+def _acting(inst, layout, action):
+    """The block-diagonal matrix on layout that acts on each block by
+    action[leg] on the leg of the block that action names, and by the
+    identity on its Hom space and its other legs (on the whole block
+    when action names none of its legs). Every action of the instance
+    symmetries names at most one leg of a block: c_i or c_j^T on an
+    ("M", i) leg, d_l on ("N", l)."""
+    f = inst.h.field
+    out = ExactMatrix.zeros(f, layout.total, layout.total)
     for k in layout.keys:
-        _place(out, per_key(k), layout.offsets[k], 0, layout, k)
+        named = [leg for leg in layout.legs[k] if leg in action]
+        # leg None, which origin does not read, stands for no leg
+        leg = named[0] if named else None
+        mat = action[leg] if named else ExactMatrix.identity(f, 1)
+        n = layout.size[leg] if named else 1
+        if (mat.rows, mat.cols) != (n, n):
+            raise ValueError("the action on %r must be %dx%d" % (leg, n, n))
+        cells = [(a, b, v) for a, line in enumerate(mat.data)
+                 for b, v in enumerate(line) if v]
+        others = [x for x in layout.legs[k] if x != leg]
+        for idx in product(*(range(layout.size[x]) for x in others)):
+            index = dict(zip(others, idx))
+            for a, b, v in cells:
+                index[leg] = a
+                row, stride = layout.origin(k, index)
+                index[leg] = b
+                col = layout.origin(k, index)[0]
+                for t in range(layout.homs[k]):
+                    out.data[row + t * stride][col + t * stride] = v
     return out
 
 
@@ -398,64 +400,30 @@ def instance_right_element(inst, c_by_i=None, alpha0=None):
     """The right-side symmetry of a ThetaInstance determined by one
     invertible c_i on each M_i* (i <= p goes into the r-part, i > p into
     the b-part; the M_i leg of A0 carries the contragredient) and a free
-    translation alpha0 in A0."""
-    h, f = inst.h, inst.h.field
-    c_by_i = dict(c_by_i or {})
-    for i in range(1, h.r + 1):
-        c_by_i.setdefault(i, ExactMatrix.identity(f, inst.m_mult[i - 1]))
-    def r_n1_block(i):
-        return ExactMatrix.identity(f, h.dimH[(1, i)]).kron(c_by_i[i])
-
-    def r_m1_block(key):
-        i, l = key
-        return ExactMatrix.identity(f, h.dimH[(l, i)]).kron(c_by_i[i]).kron(
-            ExactMatrix.identity(f, inst.n_mult[l - 1]))
-
-    def r_a0_block(key):
-        # the i-leg of A0 is the same M_i* as in N1 and M1
-        i, j = key
-        return ExactMatrix.identity(f, h.dimA[(j, i)]).kron(c_by_i[i]).kron(
-            ExactMatrix.identity(f, inst.m_mult[j - 1]))
-
-    def b_a0_block(key):
-        # the contraction <M_j*, M_j> turns c_j on M_j* into its
-        # transpose on the M_j leg
-        i, j = key
-        return ExactMatrix.identity(f, h.dimA[(j, i)] * inst.m_mult[i - 1]).kron(
-            c_by_i[j].transpose())
-
+    translation alpha0 in A0. An M_i* given no c_i keeps the identity."""
+    c_by_i = c_by_i or {}
+    r = {("M", i): c for i, c in c_by_i.items() if i <= inst.p}
+    b = {("M", j): c for j, c in c_by_i.items() if j > inst.p}
+    # the contraction <M_j*, M_j> turns c_j on M_j* into its transpose on
+    # the M_j leg of A0; r acts on A0 through its M_i leg, the same M_i*
+    # as in N1 and M1
+    b_a0 = {leg: c.transpose() for leg, c in b.items()}
     return GroupElement(
         inst.theta, "right",
-        r_n1=_block_diag(f, inst.lay_n1, r_n1_block),
-        r_m1=_block_diag(f, inst.lay_m1, r_m1_block),
-        r_a0=_block_diag(f, inst.lay_a0, r_a0_block),
-        b_n2=_block_diag(f, inst.lay_n2, r_n1_block),
-        b_m2=_block_diag(f, inst.lay_m2, r_m1_block),
-        b_a0=_block_diag(f, inst.lay_a0, b_a0_block),
+        r_n1=_acting(inst, inst.lay_n1, r), r_m1=_acting(inst, inst.lay_m1, r),
+        r_a0=_acting(inst, inst.lay_a0, r), b_n2=_acting(inst, inst.lay_n2, b),
+        b_m2=_acting(inst, inst.lay_m2, b), b_a0=_acting(inst, inst.lay_a0, b_a0),
         alpha0=alpha0)
 
 
 def instance_left_element(inst, g_m=None, d_by_l=None, beta=None):
     """The left-side symmetry determined by g_m in GL(N_1) and one
-    invertible d_l on each N_l (l >= 2), plus a free beta."""
-    h, f = inst.h, inst.h.field
-    d_by_l = dict(d_by_l or {})
-    for l in range(2, h.s + 1):
-        d_by_l.setdefault(l, ExactMatrix.identity(f, inst.n_mult[l - 1]))
-
-    def m_block(key):
-        i, l = key
-        return ExactMatrix.identity(
-            f, h.dimH[(l, i)] * inst.m_mult[i - 1]).kron(d_by_l[l])
-
-    def b0_block(l):
-        return ExactMatrix.identity(f, h.dimB[(l, 1)]).kron(d_by_l[l])
-
+    invertible d_l on each N_l (l >= 2), plus a free beta. An N_l given
+    no d_l keeps the identity."""
+    d = {("N", l): x for l, x in (d_by_l or {}).items()}
     return GroupElement(
-        inst.theta, "left", g_m=g_m,
-        l_m1=_block_diag(f, inst.lay_m1, m_block),
-        l_m2=_block_diag(f, inst.lay_m2, m_block),
-        l_b0=_block_diag(f, inst.lay_b0, b0_block),
+        inst.theta, "left", g_m=g_m, l_m1=_acting(inst, inst.lay_m1, d),
+        l_m2=_acting(inst, inst.lay_m2, d), l_b0=_acting(inst, inst.lay_b0, d),
         beta=beta)
 
 

@@ -230,21 +230,46 @@ def singular_values_ex2(n, k):
     return Ex2Report(n, k, sorted(vals), t1, t2, t_max)
 
 
+def dimension_families(m_mult, n_mult):
+    """Every integer family (m'_i, n'_l) with 0 <= m'_i <= m_i,
+    0 <= n'_l <= n_l, some n'_l < n_l, not all zero: the dimension
+    vectors of the proper nonzero subobjects that a polarization weighs."""
+    for mv in product(*[range(m + 1) for m in m_mult]):
+        for nv in product(*[range(n + 1) for n in n_mult]):
+            if any(x < n for x, n in zip(nv, n_mult)) and (any(mv) or any(nv)):
+                yield mv, nv
+
+
 def equality_dimension_vectors(lam, mu, m_mult, n_mult):
-    """All integer families (m'_i, n'_l) with 0 <= m'_i <= m_i,
-    0 <= n'_l <= n_l, some n'_l < n_l, not all zero, achieving
+    """All families of dimension_families achieving
     sum(lam_i m'_i) = sum(mu_l n'_l).  The existence of such a family
     is necessary for the parameter to be singular; it is a sound
     superset detector for the worked families' singular lists."""
-    out = []
-    for mv in product(*[range(m + 1) for m in m_mult]):
-        for nv in product(*[range(n + 1) for n in n_mult]):
-            if not any(nv[l] < n_mult[l] for l in range(len(n_mult))):
-                continue
-            if not any(mv) and not any(nv):
-                continue
-            lhs = sum(Fraction(lam[i]) * mv[i] for i in range(len(mv)))
-            rhs = sum(Fraction(mu[l]) * nv[l] for l in range(len(nv)))
-            if lhs == rhs:
-                out.append((mv, nv))
-    return out
+    return [(mv, nv) for mv, nv in dimension_families(m_mult, n_mult)
+            if sum(Fraction(x) * m for x, m in zip(lam, mv))
+            == sum(Fraction(y) * n for y, n in zip(mu, nv))]
+
+
+def singular_ts(m1, m2, n1):
+    """The chamber walls of m1 E1 + m2 E2 -> n1 F1 under the
+    polarization lam = ((1-t)/m1, t/m2), mu = 1/n1: the exact t in
+    (0, 1) at which some family of dimension_families achieves the
+    equality (1-t) m'_1/m1 + t m'_2/m2 = n'_1/n1, sorted."""
+    out = set()
+    for (a, b), (c,) in dimension_families([m1, m2], [n1]):
+        # linear in t: t (b/m2 - a/m1) = c/n1 - a/m1
+        slope = Fraction(b, m2) - Fraction(a, m1)
+        if slope:
+            t = (Fraction(c, n1) - Fraction(a, m1)) / slope
+            if 0 < t < 1:
+                out.add(t)
+    return sorted(out)
+
+
+def singular_flag(t, m1, m2, n1):
+    """1 when some family achieves the equality of singular_ts at t
+    (at a wall, or at every t for a family with a/m1 = b/m2 = c/n1),
+    else 0."""
+    t = Fraction(t)
+    return int(bool(equality_dimension_vectors(
+        [(1 - t) / m1, t / m2], [Fraction(1, n1)], [m1, m2], [n1])))

@@ -124,6 +124,12 @@ BAD_INPUTS = {
     "generate with --nmult 1 -1":
         ["generate", "--n", "2", "--edeg", "-2", "-1", "--fdeg", "0", "1",
          "--m", "1", "1", "--nmult", "1", "-1", "--p", "1"],
+    "generate with --m and no --nmult":
+        ["generate", "--n", "1", "--edeg", "-2", "-1", "--fdeg", "0",
+         "--m", "1", "1"],
+    # n + 1 is the dimension of V in sigma_0 and sigma_1
+    "constants with n -1":
+        ["constants", "--which", "0", "--n", "-1", "--m", "1"],
     "constants with --samples -1":
         ["constants", "--which", "0", "--n", "1", "--m", "1", "--samples", "-1"],
     "sweep with --grid 0":

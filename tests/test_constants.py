@@ -23,6 +23,15 @@ def test_tau_shape_checked():
         TauMap(QQ, 2, 2, 2, ExactMatrix.zeros(QQ, 2, 3))
 
 
+@pytest.mark.parametrize("build", [sigma0, sigma1])
+@pytest.mark.parametrize("n", [0, -1])
+def test_sigma_needs_n_at_least_one(build, n):
+    """n + 1 is the dimension of V: for n < 1 there is no S^2 V to build
+    on (n = -1 would ask for monomials in no variables)."""
+    with pytest.raises(ValueError):
+        build(QQ, n)
+
+
 def test_length_of_split_vectors():
     t = sigma0(QQ, 2)
     m = 2

@@ -84,6 +84,17 @@ def test_every_hom_system_is_built_on_its_chain():
         "projective_space_hom_data", "transpose_hom_data", "mutated_hom_data"}
 
 
+def test_instance_maps_are_index_maps():
+    """The instance builders write the compositions and the symmetries at
+    their blocks: nothing in homdata.py, so no method of ThetaInstance,
+    calls kron, and the structure maps are written by the one _write,
+    which _structure_maps alone calls."""
+    source = (Path(mutation_forge.__file__).parent / "homdata.py").read_text()
+    assert not [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Attribute) and node.attr == "kron"]
+    assert callers_of(source, "_write") == {"_structure_maps"}
+
+
 CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
 CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)

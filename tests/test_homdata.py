@@ -5,11 +5,12 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from mutation_forge.exactfield import ExactMatrix, Field
-from mutation_forge.theta import in_W0, matrix_to_json, theta_to_json
+from mutation_forge.theta import PARTS, in_W0, matrix_to_json, theta_to_json
 from mutation_forge.mutation import build_dual, default_choice, mutate
 from mutation_forge.homdata import (BlockLayout, Polarization, build_theta_p,
                                     dual_point_to_mutated, hom_data_from_json,
@@ -78,9 +79,10 @@ def test_hom_data_reports_misshapen_comp(corrupt):
 
 
 def test_block_layout():
-    lay = BlockLayout([("a", 2), ("b", 3)])
-    assert lay.total == 5
+    lay = BlockLayout([("a", 2, ()), ("b", 3, (("M", 1),))], {("M", 1): 2})
+    assert lay.total == 8
     assert lay.offsets["a"] == 0 and lay.offsets["b"] == 2
+    assert lay.legs["b"] == (("M", 1),) and lay.dims["b"] == 6
 
 
 def test_mutated_hom_data_validates_p2():
@@ -250,6 +252,64 @@ def test_builder_output_digest():
                 inst = mutated_instance(h, [1] * h.r, [1] * h.s, p)
                 put(theta_to_json(inst.theta))
     assert digest.hexdigest() == BUILDER_DIGEST
+
+
+# (n, e, f) of the systems behind INSTANCE_DIGEST, each over QQ and GF(3)
+# at every cut p and every multiplicity up to 2, m_i = 0 included
+INSTANCE_SYSTEMS = [
+    (1, (-2, -1), (0, 1)),
+    (2, (-2, -1), (0, 1)),
+    (1, (-3, -2, -1), (0, 1)),
+    (1, (-1,), (0, 1, 2)),
+]
+# sha256 of the instances as they were built when it was pinned: a change
+# of this digest is a change of a theta, a refusal or a symmetry
+INSTANCE_DIGEST = "51b903bd870f532754f3eb961f612735baca6023646d4af479d5c8165d1d2cf2"
+
+
+def _symmetry_parts(inst, rng):
+    """The linear parts of a seeded right and left symmetry of inst."""
+    f, t = inst.h.field, inst.theta
+    right = instance_right_element(
+        inst, c_by_i={i: rnd_invertible(f, rng, m)
+                      for i, m in enumerate(inst.m_mult, 1)},
+        alpha0=rnd_matrix(f, rng, t.dim_a0, 1))
+    left = instance_left_element(
+        inst, g_m=rnd_invertible(f, rng, t.dim_mult),
+        d_by_l={l: rnd_invertible(f, rng, inst.n_mult[l - 1])
+                for l in range(2, inst.h.s + 1)},
+        beta=rnd_matrix(f, rng, t.dim_b0, t.dim_mult))
+    return [matrix_to_json(getattr(g, name))
+            for g in (right, left) for name, _ in PARTS[g.side][0]]
+
+
+def test_instance_output_digest():
+    """The theta of every instance of the systems above, or the text of
+    the ValueError that refuses it; the theta of its mutated instance
+    where no m_i is 0; the parts of a seeded right and left symmetry."""
+    digest = hashlib.sha256()
+
+    def put(obj):
+        digest.update(json.dumps(obj, sort_keys=True).encode())
+
+    rng = random.Random(50)
+    for field in (QQ, Field(3)):
+        for n, e, fl in INSTANCE_SYSTEMS:
+            h = projective_space_hom_data(field, n, list(e), list(fl))
+            for p in range(h.r):
+                for m in product(range(3), repeat=h.r):
+                    for nm in product((1, 2), repeat=h.s):
+                        try:
+                            inst = build_theta_p(h, list(m), list(nm), p)
+                        except ValueError as exc:
+                            put(str(exc))
+                            continue
+                        put(theta_to_json(inst.theta))
+                        if all(m):
+                            put(theta_to_json(mutated_instance(
+                                h, list(m), list(nm), p).theta))
+                        put(_symmetry_parts(inst, rng))
+    assert digest.hexdigest() == INSTANCE_DIGEST
 
 
 def test_hom_data_json_round_trip_byte_identical():

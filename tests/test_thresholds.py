@@ -9,6 +9,7 @@ from mutation_forge.constants import c_formula
 from mutation_forge.thresholds import (ConditionReport, Ex2Report,
                                        ThresholdInput,
                                        equality_dimension_vectors, ex1_data,
+                                       singular_flag, singular_ts,
                                        singular_values_ex1,
                                        singular_values_ex2, thm53_ok,
                                        thm56_range, thm64_ok,
@@ -140,6 +141,26 @@ def test_equality_detector_is_a_superset():
                                       [1, 2], [3])
     assert fams
     assert t not in singular_values_ex2(1, 2).values
+
+
+def test_singular_flag_is_one_exactly_at_the_walls():
+    """On the sweep grid and the walls of every m1, m2 <= 4, n1 <= 5 the
+    flag is 1 at a wall of singular_ts, and elsewhere only when some
+    family holds the equality at every t: a/m1 = b/m2 = c/n1."""
+    t_free = 0
+    for m1 in range(1, 5):
+        for m2 in range(1, 5):
+            for n1 in range(1, 6):
+                walls = singular_ts(m1, m2, n1)
+                assert walls == sorted(set(walls))
+                assert all(0 < t < 1 for t in walls)
+                free = any(c * m1 % n1 == 0 and c * m2 % n1 == 0
+                           for c in range(1, n1))
+                t_free += free
+                for t in set(walls) | {Fraction(i, 24) for i in range(1, 24)}:
+                    assert singular_flag(t, m1, m2, n1) == int(
+                        t in walls or free), (m1, m2, n1, t)
+    assert t_free == 9
 
 
 def test_reduced_bound_matches_case2_constant():
