@@ -267,8 +267,10 @@ def cmd_generate(args):
     payload = {"hom": hom_data_to_json(h)}
     if args.m is not None or args.nmult is not None:
         # a list left out is empty, which _check_cut refuses
-        inst = build_theta_p(h, args.m or [], args.nmult or [], args.p)
+        inst = build_theta_p(h, args.m or [], args.nmult or [], args.p or 0)
         payload["theta"] = theta_to_json(inst.theta)
+    elif args.p is not None:
+        raise ValueError("--p cuts the instance of --m and --nmult, which are not given")
     _emit(args, payload, fmt="json")
     return 0
 
@@ -342,7 +344,7 @@ def build_parser():
     s.add_argument("--fdeg", type=int, nargs="+", required=True)
     s.add_argument("--m", type=int, nargs="*", default=None)
     s.add_argument("--nmult", type=int, nargs="*", default=None)
-    s.add_argument("--p", type=int, default=0)
+    s.add_argument("--p", type=int, default=None)
     s.set_defaults(func=cmd_generate)
     return p
 

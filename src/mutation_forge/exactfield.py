@@ -616,6 +616,15 @@ def solve_linear(A, b):
     return out
 
 
+def solve(A, B, failure):
+    """The solution X of A X = B that solve_linear gives; a
+    ValueError(failure) when there is none."""
+    X = solve_linear(A, B)
+    if X is None:
+        raise ValueError(failure)
+    return X
+
+
 def kernel_basis(A):
     """Basis matrix (cols = basis vectors) of the null space of A."""
     R, pivots = A.rref()

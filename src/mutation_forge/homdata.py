@@ -31,10 +31,16 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .exactfield import (ExactMatrix, Subspace, field_from_tag, field_tag,
-                         kernel_basis, quotient_data, solve_linear)
+                         kernel_basis, quotient_data, solve)
 from .theta import (GroupElement, MorphismPoint, ThetaSpace, ValidationReport,
                     json_count, json_counts, json_list, json_object,
-                    matrix_from_json, matrix_to_json)
+                    matrix_from_json, matrix_to_json, zero_parts)
+
+
+# The dicts of a HomData, in the order of its constructor and its JSON
+# object: the dimensions of the Hom spaces, then the compositions.
+_DIM_DICTS = ("dimH", "dimA", "dimB")
+_COMP_DICTS = ("comp_HA", "comp_BH", "comp_AA", "comp_BB")
 
 
 class HomData:
@@ -110,18 +116,17 @@ def _comp(h, c, b, a):
     return getattr(h, _FILED[c[0] + b[0] + a[0]])[(c[1], b[1], a[1])]
 
 
-def _on_chain(field, r, s, dim, comp, cls=HomData, **extra):
-    """The cls of type (r, s) whose Hom spaces and compositions are
+def _on_chain(field, r, s, dim, comp):
+    """The HomData of type (r, s) whose Hom spaces and compositions are
     dim(b, a) = dim Hom(a, b) and comp(c, b, a) for every chain
-    a <= b <= c of its objects; extra goes to cls as it is. Every built
-    system is filed here."""
+    a <= b <= c of its objects. Every built system is filed here."""
     filed = {name: {} for name in _FILED.values()}
     objs = _objects(r, s)
     for a, b in combinations_with_replacement(objs, 2):
         filed[_FILED[b[0] + a[0]]][(b[1], a[1])] = dim(b, a)
     for a, b, c in combinations_with_replacement(objs, 3):
         filed[_FILED[c[0] + b[0] + a[0]]][(c[1], b[1], a[1])] = comp(c, b, a)
-    return cls(field, r, s, **filed, **extra)
+    return HomData(field, r, s, **filed)
 
 
 # -- projective-space instances ---------------------------------------
@@ -308,11 +313,8 @@ class ThetaInstance:
         return x
 
     def point_from_family(self, x):
-        h, t0 = self.h, self.theta
-        parts = [ExactMatrix.zeros(h.field, t0.dim_n1, t0.dim_mult),
-                 ExactMatrix.zeros(h.field, t0.dim_n2, t0.dim_mult),
-                 ExactMatrix.zeros(h.field, t0.dim_m1, 1),
-                 ExactMatrix.zeros(h.field, t0.dim_m2, 1)]
+        h = self.h
+        parts = zero_parts(self.theta)
         for (l, i), mat in x.items():
             k, lay, key = self._slot(l, i)
             # the psi block (H M*) x N_1 or the phi block (H M* N_l) x 1;
@@ -429,28 +431,6 @@ def instance_left_element(inst, g_m=None, d_by_l=None, beta=None):
 
 # -- the mutated Hom system -------------------------------------------
 
-class MutatedHomData(HomData):
-    """A HomData of type (p+1, r+s-p-1) together with the presentation
-    data of its kernel and quotient spaces:
-
-    quot[(l, i)] = (emb, proj, section) presenting
-        H'[(l, i)] = (H_1i (x) H*_{1,l+p}) / emb(A_{l+p,i}),
-    ker[(m, l)]  = basis matrix of
-        B'[(m, l)] = ker(B_{sigma(m),1} (x) H_{1,l+p} -> H_{sigma(m),l+p})
-
-    for the regimes where those descriptions apply (i <= p, l <= r-p for
-    the quotients; l <= r-p < m for the kernels)."""
-
-    def __init__(self, field, r, s, dimH, dimA, dimB,
-                 comp_HA, comp_BH, comp_AA, comp_BB, quot, ker, source, p):
-        HomData.__init__(self, field, r, s, dimH, dimA, dimB,
-                         comp_HA, comp_BH, comp_AA, comp_BB)
-        self.quot = quot
-        self.ker = ker
-        self.source = source
-        self.source_p = p
-
-
 def mutated_hom_data(h, p):
     """The Hom system of the p-th mutation, of type (p+1, r+s-p-1).
 
@@ -461,7 +441,17 @@ def mutated_hom_data(h, p):
     their order over h, and those on reflected objects alone, are read
     from h. The others meet a quotient H' (E -> R), a dual H*_{1k}
     (X -> R) or a kernel B' (R -> F) and are computed through the
-    recorded presentations, asserting well-definedness."""
+    recorded presentations, asserting well-definedness.
+
+    The system returned also records those presentations:
+
+    quot[(l, i)] = (emb, proj, section) presenting
+        H'[(l, i)] = (H_1i (x) H*_{1,l+p}) / emb(A_{l+p,i}),
+    ker[(m, l)]  = basis matrix of
+        B'[(m, l)] = ker(B_{sigma(m),1} (x) H_{1,l+p} -> H_{sigma(m),l+p})
+
+    for the regimes where those descriptions apply (i <= p, l <= r-p for
+    the quotients; l <= r-p < m for the kernels)."""
     r, s = h.r, h.s
     if not 0 <= p < r:
         raise ValueError("p must satisfy 0 <= p < r")
@@ -513,10 +503,7 @@ def mutated_hom_data(h, p):
 
     def in_kernel(kb, x):
         # the coordinates of x in the kernel basis kb
-        c = solve_linear(kb, x)
-        if c is None:
-            raise ValueError("induced B'B' composition leaves the kernel")
-        return c
+        return solve(kb, x, "induced B'B' composition leaves the kernel")
 
     def functionals(m, l):
         # precomposition on functionals: A (x) H*_1Kl -> H*_1Km
@@ -598,8 +585,9 @@ def mutated_hom_data(h, p):
             [ha.rows], [dB, kn.cols, da], [1, 0], [2, 3])
         return in_kernel(ker[(n_, l)], x)
 
-    return _on_chain(h.field, p + 1, r + s - p - 1, dim, comp, MutatedHomData,
-                     quot=quot, ker=ker, source=h, p=p)
+    hm = _on_chain(h.field, p + 1, r + s - p - 1, dim, comp)
+    hm.quot, hm.ker = quot, ker
+    return hm
 
 
 def transpose_hom_data(h):
@@ -778,18 +766,10 @@ def _dim_dict_from_json(obj, what):
 
 
 def hom_data_to_json(h):
-    return {
-        "field": field_tag(h.field),
-        "r": h.r,
-        "s": h.s,
-        "dimH": _dim_dict_to_json(h.dimH),
-        "dimA": _dim_dict_to_json(h.dimA),
-        "dimB": _dim_dict_to_json(h.dimB),
-        "comp_HA": _tensor_dict_to_json(h.comp_HA),
-        "comp_BH": _tensor_dict_to_json(h.comp_BH),
-        "comp_AA": _tensor_dict_to_json(h.comp_AA),
-        "comp_BB": _tensor_dict_to_json(h.comp_BB),
-    }
+    d = {"field": field_tag(h.field), "r": h.r, "s": h.s}
+    d.update((k, _dim_dict_to_json(getattr(h, k))) for k in _DIM_DICTS)
+    d.update((k, _tensor_dict_to_json(getattr(h, k))) for k in _COMP_DICTS)
+    return d
 
 
 def hom_data_from_json(obj):
@@ -799,11 +779,8 @@ def hom_data_from_json(obj):
     if r < 1 or s < 1:
         raise ValueError("hom data needs r >= 1 and s >= 1, got %d and %d"
                          % (r, s))
-    return HomData(f, r, s,
-                   *(_dim_dict_from_json(obj[k], k)
-                     for k in ("dimH", "dimA", "dimB")),
-                   *(_tensor_dict_from_json(obj[k], f, k)
-                     for k in ("comp_HA", "comp_BH", "comp_AA", "comp_BB")))
+    return HomData(f, r, s, *(_dim_dict_from_json(obj[k], k) for k in _DIM_DICTS),
+                   *(_tensor_dict_from_json(obj[k], f, k) for k in _COMP_DICTS))
 
 
 def dual_point_to_mutated(inst, inst_hat, z):
@@ -816,14 +793,13 @@ def dual_point_to_mutated(inst, inst_hat, z):
     if inst.p != 0 or inst.h.s != 1:
         raise ValueError("point-level identification is implemented "
                          "only for p = 0, s = 1")
-    f = inst.h.field
     th = inst_hat.theta
     if (th.dim_n1, th.dim_m1, th.dim_m2) != (0, 0, 0):
         raise ValueError("mutated instance is not of Kronecker type")
     if z.psi2.rows != th.dim_n2 or z.psi2.cols != th.dim_mult:
         raise ValueError("point does not match the mutated instance")
     r = inst.h.r
-    psi2_hat = ExactMatrix.zeros(f, th.dim_n2, th.dim_mult)
+    psi1_hat, psi2_hat, phi1_hat, phi2_hat = zero_parts(th)
     for j in inst.lay_n2.keys:
         a_hat = r + 1 - j
         d = inst.lay_n2.dims[j]
@@ -832,7 +808,4 @@ def dual_point_to_mutated(inst, inst_hat, z):
         src = inst.lay_n2.offsets[j]
         dst = inst_hat.lay_n2.offsets[a_hat]
         psi2_hat.data[dst:dst + d] = [row[:] for row in z.psi2.data[src:src + d]]
-    zero_n1 = ExactMatrix.zeros(f, 0, th.dim_mult)
-    zero_m1 = ExactMatrix.zeros(f, 0, 1)
-    zero_m2 = ExactMatrix.zeros(f, 0, 1)
-    return MorphismPoint(th, zero_n1, psi2_hat, zero_m1, zero_m2)
+    return MorphismPoint(th, psi1_hat, psi2_hat, phi1_hat, phi2_hat)

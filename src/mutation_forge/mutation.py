@@ -20,7 +20,7 @@ constructed group elements, never by search.
 """
 
 from .exactfield import (ExactMatrix, Subspace, kernel_basis, quotient_data,
-                         solve_linear)
+                         solve, solve_linear)
 from .theta import (DIMS, GroupElement, MorphismPoint, ThetaSpace,
                     ValidationReport, act, right_inverse, unvec_row_major,
                     validate_theta, vec_row_major)
@@ -50,10 +50,9 @@ class DualSpace:
         f = t.field
         self.theta = t
         n1, n2, m1 = t.dim_n1, t.dim_n2, t.dim_m1
-        a0, b0 = t.dim_a0, t.dim_b0
+        b0 = t.dim_b0
         nu_bar = t.nu_bar()
-        self.proj, self.section = quotient_data(
-            n2 * n1, Subspace(n2 * n1, nu_bar) if a0 else Subspace.zero(f, n2 * n1))
+        self.proj, self.section = quotient_data(n2 * n1, Subspace(n2 * n1, nu_bar))
         m2p = self.proj.rows
         self.k0 = kernel_basis(t.rho2)
         a0p = self.k0.cols
@@ -105,13 +104,9 @@ def default_choice(w):
     """Deterministic choice at a point of W0: minimal-support solutions
     for u and v, echelon kernel basis for kappa."""
     t = w.theta
-    uvec = solve_linear(t.rho2, -w.phi2)
-    if uvec is None:
-        raise ValueError("rho2 is not surjective")
-    u = unvec_row_major(uvec, t.dim_b0, t.dim_n2)
-    vt = solve_linear(w.psi2_bar(), w.psi1.transpose())
-    if vt is None:
-        raise ValueError("point is not in W0")
+    u = unvec_row_major(solve(t.rho2, -w.phi2, "rho2 is not surjective"),
+                        t.dim_b0, t.dim_n2)
+    vt = solve(w.psi2_bar(), w.psi1.transpose(), "point is not in W0")
     return MutationChoice(u, vt.transpose(), kernel_basis(w.psi2_bar()))
 
 
@@ -155,10 +150,9 @@ def double_dual_identifications(dual, ddual):
     t = dual.theta
     iota_m2 = (t.rho2.regroup([t.dim_m2], [t.dim_b0, t.dim_n2], [0], [2, 1])
                @ ddual.section)
-    iota_a0 = solve_linear(t.nu_bar(), ddual.k0.regroup(
-        [t.dim_n1, t.dim_n2], [ddual.k0.cols], [1, 0], [2]))
-    if iota_a0 is None:
-        raise ValueError("double-dual kernel does not match nu_bar image")
+    iota_a0 = solve(t.nu_bar(), ddual.k0.regroup(
+        [t.dim_n1, t.dim_n2], [ddual.k0.cols], [1, 0], [2]),
+        "double-dual kernel does not match nu_bar image")
     return iota_m2, iota_a0
 
 
@@ -223,18 +217,14 @@ def choice_transport(dual, w, c1, c2):
     """
     t = dual.theta
     du = vec_row_major(c2.u - c1.u)
-    alpha0 = solve_linear(dual.k0, du)
-    if alpha0 is None:
-        raise ValueError("u difference is not a kernel vector of rho2")
+    alpha0 = solve(dual.k0, du, "u difference is not a kernel vector of rho2")
     g_right = GroupElement(dual.prime, "right", alpha0=alpha0, check=False)
     # change of kernel basis: c2.kappa = c1.kappa g
     g = solve_linear(c1.kappa, c2.kappa)
     if g is None or g.rank() != t.dim_comult:
         raise ValueError("kernel bases do not span the same space")
     dvt = c2.v.transpose() - c1.v.transpose()
-    bpt = solve_linear(c1.kappa, dvt)
-    if bpt is None:
-        raise ValueError("v difference is not a family of kernel vectors")
+    bpt = solve(c1.kappa, dvt, "v difference is not a family of kernel vectors")
     g_left = GroupElement(dual.prime, "left", g_m=g.transpose(),
                           beta=bpt.transpose(), check=False)
     return g_right, g_left
@@ -255,10 +245,7 @@ def _induced_on_kernel(dual, leg, m):
     t = dual.theta
     moved = dual.k0.transpose().apply_leg(
         [t.dim_b0, t.dim_n2], leg, m.transpose()).transpose()
-    x = solve_linear(dual.k0, moved)
-    if x is None:
-        raise ValueError("map does not preserve ker(rho2)")
-    return x
+    return solve(dual.k0, moved, "map does not preserve ker(rho2)")
 
 
 def transport_element(dual, w, g, choice):

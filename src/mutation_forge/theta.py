@@ -25,8 +25,9 @@ are checked at construction, which turns every equivariance statement
 downstream into a testable matrix identity.
 """
 
-from .exactfield import (ExactMatrix, field_from_tag, field_tag, kernel_basis,
-                         solve_linear)
+from operator import attrgetter
+
+from .exactfield import ExactMatrix, field_from_tag, field_tag, kernel_basis, solve
 
 
 def vec_row_major(M):
@@ -43,6 +44,36 @@ def unvec_row_major(v, rows, cols):
 # its JSON "dims" object and the reports name them.
 DIMS = ("n1", "n2", "m1", "m2", "a0", "b0", "mult", "comult")
 
+# The structure maps of a ThetaSpace, in the order of its constructor and
+# its JSON object: each with the dimension of its rows and the two legs
+# of its columns.
+MAPS = (("rho1", "dim_m1", ("dim_b0", "dim_n1")),
+        ("rho2", "dim_m2", ("dim_b0", "dim_n2")),
+        ("mu", "dim_m1", ("dim_m2", "dim_a0")),
+        ("nu", "dim_n1", ("dim_n2", "dim_a0")))
+
+# The parts of a point of the total space, in the order of its
+# constructor, parts() and its JSON object: each with the dimensions of
+# its rows and its columns (None for one column).
+POINT = (("psi1", "dim_n1", "dim_mult"), ("psi2", "dim_n2", "dim_mult"),
+         ("phi1", "dim_m1", None), ("phi2", "dim_m2", None))
+
+_dims_of = attrgetter(*("dim_" + k for k in DIMS))
+_maps_of = attrgetter(*(name for name, _, _ in MAPS))
+_parts_of = attrgetter(*(name for name, _, _ in POINT))
+
+
+def part_shape(theta, rows, cols):
+    """The shape of a part whose rows and columns are the named dimensions
+    of theta (cols None for one column)."""
+    return getattr(theta, rows), getattr(theta, cols) if cols else 1
+
+
+def zero_parts(theta):
+    """The parts of the zero point of theta's total space, in POINT order."""
+    return [ExactMatrix.zeros(theta.field, *part_shape(theta, rows, cols))
+            for _, rows, cols in POINT]
+
 
 class ThetaSpace:
     """An abstract morphism space; see the module docstring."""
@@ -58,15 +89,10 @@ class ThetaSpace:
         self.dim_b0 = dim_b0
         self.dim_mult = dim_mult          # dim M
         self.dim_comult = dim_n2 - dim_mult   # dim N
-        shapes = [
-            ("rho1", rho1, dim_m1, dim_b0 * dim_n1),
-            ("rho2", rho2, dim_m2, dim_b0 * dim_n2),
-            ("mu", mu, dim_m1, dim_m2 * dim_a0),
-            ("nu", nu, dim_n1, dim_n2 * dim_a0),
-        ]
-        for name, mat, r, c in shapes:
+        for (name, rows, (left, right)), mat in zip(MAPS, (rho1, rho2, mu, nu)):
             if mat.field != field:
                 raise ValueError("%s over wrong field" % name)
+            r, c = getattr(self, rows), getattr(self, left) * getattr(self, right)
             if (mat.rows, mat.cols) != (r, c):
                 raise ValueError("%s has shape %dx%d, expected %dx%d"
                                  % (name, mat.rows, mat.cols, r, c))
@@ -77,8 +103,7 @@ class ThetaSpace:
 
     def dims(self):
         """The eight dimensions, in the order of DIMS."""
-        return (self.dim_n1, self.dim_n2, self.dim_m1, self.dim_m2,
-                self.dim_a0, self.dim_b0, self.dim_mult, self.dim_comult)
+        return _dims_of(self)
 
     def nu_bar(self):
         """nu as a map A0 -> N2* (x) N1; the (xi, i) coordinate of
@@ -103,8 +128,7 @@ class ThetaSpace:
 
     def __eq__(self, other):
         return (isinstance(other, ThetaSpace) and self.dims() == other.dims()
-                and self.rho1 == other.rho1 and self.rho2 == other.rho2
-                and self.mu == other.mu and self.nu == other.nu)
+                and _maps_of(self) == _maps_of(other))
 
 
 class ValidationReport:
@@ -143,7 +167,7 @@ class ValidationReport:
 def _first_difference(matrix, got, want):
     """The detail of a failed add_equal."""
     if isinstance(got, MorphismPoint):
-        pairs = zip(("psi1", "psi2", "phi1", "phi2"), got.parts(), want.parts())
+        pairs = zip((name for name, _, _ in POINT), got.parts(), want.parts())
     else:
         pairs = [(matrix, got, want)]
     for label, a, b in pairs:
@@ -177,14 +201,9 @@ class MorphismPoint:
 
     def __init__(self, theta, psi1, psi2, phi1, phi2):
         self.theta = theta
-        if (psi1.rows, psi1.cols) != (theta.dim_n1, theta.dim_mult):
-            raise ValueError("psi1 shape mismatch")
-        if (psi2.rows, psi2.cols) != (theta.dim_n2, theta.dim_mult):
-            raise ValueError("psi2 shape mismatch")
-        if (phi1.rows, phi1.cols) != (theta.dim_m1, 1):
-            raise ValueError("phi1 shape mismatch")
-        if (phi2.rows, phi2.cols) != (theta.dim_m2, 1):
-            raise ValueError("phi2 shape mismatch")
+        for (name, rows, cols), x in zip(POINT, (psi1, psi2, phi1, phi2)):
+            if x.rows != getattr(theta, rows) or x.cols != (getattr(theta, cols) if cols else 1):
+                raise ValueError("%s shape mismatch" % name)
         self.psi1 = psi1
         self.psi2 = psi2
         self.phi1 = phi1
@@ -195,23 +214,14 @@ class MorphismPoint:
         return self.psi2.transpose()
 
     def parts(self):
-        return (self.psi1, self.psi2, self.phi1, self.phi2)
+        return _parts_of(self)
 
     def __eq__(self, other):
-        return (isinstance(other, MorphismPoint) and self.psi1 == other.psi1
-                and self.psi2 == other.psi2 and self.phi1 == other.phi1
-                and self.phi2 == other.phi2)
+        return isinstance(other, MorphismPoint) and _parts_of(self) == _parts_of(other)
 
     @staticmethod
     def zero(theta):
-        f = theta.field
-        return MorphismPoint(
-            theta,
-            ExactMatrix.zeros(f, theta.dim_n1, theta.dim_mult),
-            ExactMatrix.zeros(f, theta.dim_n2, theta.dim_mult),
-            ExactMatrix.zeros(f, theta.dim_m1, 1),
-            ExactMatrix.zeros(f, theta.dim_m2, 1),
-        )
+        return MorphismPoint(theta, *zero_parts(theta))
 
 
 def in_W0(w):
@@ -272,7 +282,7 @@ class GroupElement:
             elif (m.rows, m.cols) != (n, n):
                 raise ValueError("%s must be invertible %dx%d" % (name, n, n))
             setattr(self, name, m)
-        shape = (getattr(theta, rows), getattr(theta, cols) if cols else 1)
+        shape = part_shape(theta, rows, cols)
         x = parts.get(tname)
         if x is None:
             x = ExactMatrix.zeros(f, *shape)
@@ -421,9 +431,8 @@ class Chart:
         """The section r_{M0}(psi2) : M -> N2* with image M0: the inverse
         of psi2_bar on M0, its rows placed at the pivots."""
         t = self.theta
-        inv = solve_linear(self._on_m0(w), ExactMatrix.identity(t.field, t.dim_mult))
-        if inv is None:
-            raise ValueError("point outside chart domain")
+        inv = solve(self._on_m0(w), ExactMatrix.identity(t.field, t.dim_mult),
+                    "point outside chart domain")
         out = ExactMatrix.zeros(t.field, t.dim_n2, t.dim_mult)
         for row, i in zip(inv.data, self.pivots):
             out.data[i] = row
@@ -437,19 +446,14 @@ class Chart:
         f = self.theta.field
         K = kernel_basis(w.psi2_bar())
         qK = K.submatrix(self.others, range(K.cols))
-        inv = solve_linear(qK, ExactMatrix.identity(f, self.theta.dim_comult))
-        if inv is None:
-            raise ValueError("point outside chart domain")
-        return K @ inv
+        return K @ solve(qK, ExactMatrix.identity(f, self.theta.dim_comult),
+                         "point outside chart domain")
 
 
 def right_inverse(A):
     """Deterministic right inverse of a surjective matrix, so the inverse
     of an invertible square one; a ValueError when there is none."""
-    X = solve_linear(A, ExactMatrix.identity(A.field, A.rows))
-    if X is None:
-        raise ValueError("matrix is not surjective")
-    return X
+    return solve(A, ExactMatrix.identity(A.field, A.rows), "matrix is not surjective")
 
 
 def chart_for_point(theta, w):
@@ -536,14 +540,9 @@ def matrix_from_json(field, d):
 
 
 def theta_to_json(t):
-    return {
-        "field": field_tag(t.field),
-        "dims": dict(zip(DIMS, t.dims())),
-        "rho1": matrix_to_json(t.rho1),
-        "rho2": matrix_to_json(t.rho2),
-        "mu": matrix_to_json(t.mu),
-        "nu": matrix_to_json(t.nu),
-    }
+    d = {"field": field_tag(t.field), "dims": dict(zip(DIMS, t.dims()))}
+    d.update((name, matrix_to_json(getattr(t, name))) for name, _, _ in MAPS)
+    return d
 
 
 def theta_from_json(d):
@@ -552,21 +551,14 @@ def theta_from_json(d):
     dims = json_object(d["dims"], "dims")
     # comult is dim N2 - dim M, so it is not read
     return ThetaSpace(field, *(json_count(dims[k], "dims." + k) for k in DIMS[:-1]),
-                      matrix_from_json(field, d["rho1"]),
-                      matrix_from_json(field, d["rho2"]),
-                      matrix_from_json(field, d["mu"]),
-                      matrix_from_json(field, d["nu"]))
+                      *(matrix_from_json(field, d[name]) for name, _, _ in MAPS))
 
 
 def point_to_json(w):
-    return {"psi1": matrix_to_json(w.psi1), "psi2": matrix_to_json(w.psi2),
-            "phi1": matrix_to_json(w.phi1), "phi2": matrix_to_json(w.phi2)}
+    return {name: matrix_to_json(getattr(w, name)) for name, _, _ in POINT}
 
 
 def point_from_json(theta, d):
     d = json_object(d, "point")
-    return MorphismPoint(theta,
-                         matrix_from_json(theta.field, d["psi1"]),
-                         matrix_from_json(theta.field, d["psi2"]),
-                         matrix_from_json(theta.field, d["phi1"]),
-                         matrix_from_json(theta.field, d["phi2"]))
+    return MorphismPoint(theta, *(matrix_from_json(theta.field, d[name])
+                                  for name, _, _ in POINT))

@@ -10,8 +10,8 @@ from fractions import Fraction
 from itertools import product
 
 from mutation_forge.exactfield import ExactMatrix, Field
-from mutation_forge.theta import (GroupElement, MorphismPoint, in_W0,
-                                  validate_theta)
+from mutation_forge.theta import (POINT, GroupElement, MorphismPoint, in_W0,
+                                  part_shape, validate_theta)
 from mutation_forge.mutation import (build_dual, chart_choice,
                                      choice_transport, default_choice,
                                      double_dual_report, involution_report,
@@ -23,7 +23,8 @@ from mutation_forge.homdata import (Polarization, build_theta_p,
                                     instance_right_element, map_polarization,
                                     mutated_instance,
                                     projective_space_hom_data)
-from mutation_forge.stability import (KroneckerModule, is_semistable_rs,
+from mutation_forge.stability import (KroneckerModule, _unipotent_parameters,
+                                      compare_hypotheses, is_semistable_rs,
                                       kronecker_mutate,
                                       kronecker_orbit_equivalent,
                                       kronecker_semistable)
@@ -232,6 +233,67 @@ def test_criterion_05_stability_comparison_sweep():
     assert checked > 0
     elapsed = time.monotonic() - start
     assert elapsed < 600, "stability sweep took %.1fs" % elapsed
+
+
+def _all_points(theta):
+    """Every point of the total space of a ThetaSpace over GF(2)."""
+    shapes = [part_shape(theta, rows, cols) for _, rows, cols in POINT]
+    for bits in product((0, 1), repeat=sum(a * b for a, b in shapes)):
+        parts, at = [], 0
+        for a, b in shapes:
+            parts.append(ExactMatrix.from_flat(F2, a, b, list(bits[at:at + a * b])))
+            at += a * b
+        yield MorphismPoint(theta, *parts)
+
+
+def _stacky_counts(inst, pol, group):
+    """|W0| / |G| and |W0^ss| / |G| over GF(2), with |G| the product of
+    the |GL| of every multiplicity space times 2^(dim U)."""
+    order = 2 ** _unipotent_parameters(inst)[1]
+    for m in inst.m_mult + inst.n_mult:
+        for k in range(m):
+            order *= 2 ** m - 2 ** k
+    w0 = semistable = 0
+    for w in _all_points(inst.theta):
+        if in_W0(w):
+            w0 += 1
+            semistable += is_semistable_rs(inst, w, pol, group=group).semistable
+    return Fraction(w0, order), Fraction(semistable, order)
+
+
+# (e, f, n, mu, the G counts of W0 and of W0^ss) of P^1 instances over
+# GF(2) with m = (1), lam = 1/m and p = 0
+G_COUNT_CASES = [
+    ((-1,), (0, 1), (1, 1), (Fraction(2, 3), Fraction(1, 3)), (6, 3)),
+    ((-2,), (0, 1), (2, 1), (Fraction(3, 8), Fraction(1, 4)), (7, Fraction(3, 2))),
+]
+
+
+def test_criterion_05_G_counts_agree_with_the_mutation(record_property):
+    """Past the Kronecker regime (s = 2), the stacky counts of W0 and of
+    its G-semistable points, with every point enumerated, are those of
+    the mutated instance under the transported polarization. The Gred
+    counts are recorded, not asserted: they differ outside p = 0,
+    s = 1."""
+    for e, fl, n_mult, mu, want in G_COUNT_CASES:
+        h = projective_space_hom_data(F2, 1, list(e), list(fl))
+        pol = Polarization([Fraction(1)], list(mu), [1], list(n_mult))
+        assert compare_hypotheses(pol, 0) == (True, True)
+        inst = build_theta_p(h, [1], list(n_mult), 0)
+        inst_hat = mutated_instance(h, [1], list(n_mult), 0)
+        pol_hat = map_polarization(pol, h, 0).polarization().transpose()
+        assert _stacky_counts(inst, pol, "G") == want
+        assert _stacky_counts(inst_hat, pol_hat, "G") == want
+        record_property("Gred counts e=%r n=%r" % (e, n_mult), (
+            _stacky_counts(inst, pol, "Gred"),
+            _stacky_counts(inst_hat, pol_hat, "Gred")))
+    # the named skip: these weights transport to non-positive ones
+    for e, n_mult, mu in (((-1,), (1, 1), (Fraction(1, 3), Fraction(2, 3))),
+                          ((-2,), (2, 1), (Fraction(1, 4), Fraction(1, 2)))):
+        h = projective_space_hom_data(F2, 1, list(e), [0, 1])
+        rep = map_polarization(Polarization([Fraction(1)], list(mu), [1],
+                                            list(n_mult)), h, 0)
+        assert not rep.ok and rep.mu == [-1, 2]
 
 
 # -- criterion 6: polarization transport normalization -----------------

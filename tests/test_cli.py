@@ -127,6 +127,9 @@ BAD_INPUTS = {
     "generate with --m and no --nmult":
         ["generate", "--n", "1", "--edeg", "-2", "-1", "--fdeg", "0",
          "--m", "1", "1"],
+    # --p cuts the instance that --m and --nmult describe
+    "generate with --p and no --m or --nmult":
+        ["generate", "--n", "1", "--edeg", "-2", "-1", "--fdeg", "0", "--p", "5"],
     # n + 1 is the dimension of V in sigma_0 and sigma_1
     "constants with n -1":
         ["constants", "--which", "0", "--n", "-1", "--m", "1"],

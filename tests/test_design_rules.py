@@ -75,13 +75,45 @@ def test_stability_enumerates_subspaces_in_one_place():
 
 def test_every_hom_system_is_built_on_its_chain():
     """homdata.py files Hom spaces and compositions in one writer,
-    _on_chain, which takes the class to build: each builder goes through
-    it, and only the JSON reader constructs a HomData itself."""
+    _on_chain: each builder goes through it, and only it and the JSON
+    reader construct a HomData."""
     source = (Path(mutation_forge.__file__).parent / "homdata.py").read_text()
-    assert callers_of(source, "HomData") == {"hom_data_from_json"}
-    assert callers_of(source, "MutatedHomData") == set()
+    assert callers_of(source, "HomData") == {"hom_data_from_json", "_on_chain"}
     assert callers_of(source, "_on_chain") == {
         "projective_space_hom_data", "transpose_hom_data", "mutated_hom_data"}
+
+
+def test_maps_and_point_parts_are_named_in_two_tables():
+    """theta.py names the structure maps and the parts of a point once
+    each, in its tables MAPS and POINT: every other place reads them."""
+    names = {"rho1", "rho2", "mu", "nu", "psi1", "psi2", "phi1", "phi2"}
+    tree = ast.parse((Path(mutation_forge.__file__).parent / "theta.py").read_text())
+    tables = {node.targets[0].id: node.value for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("MAPS", "POINT")}
+    assert sorted(tables) == ["MAPS", "POINT"]
+
+    def named(node):
+        return {n.value for n in ast.walk(node)
+                if isinstance(n, ast.Constant) and n.value in names}
+
+    assert named(tables["MAPS"]) | named(tables["POINT"]) == names
+    inside = {id(n) for table in tables.values() for n in ast.walk(table)}
+    assert [(n.lineno, n.value) for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and n.value in names
+            and id(n) not in inside] == []
+
+
+def test_missing_solutions_raise_in_one_place():
+    """A linear system that must be solvable is solved by exactfield.solve,
+    which raises the caller's error text when it is not: outside the
+    kernel only choice_transport, whose kernel-basis change also checks a
+    rank, calls solve_linear itself."""
+    callers = set()
+    for path in SOURCES:
+        if path.stem != "exactfield":
+            callers |= callers_of(path.read_text(), "solve_linear")
+    assert callers == {"choice_transport"}
 
 
 def test_instance_maps_are_index_maps():
