@@ -155,11 +155,12 @@ def cmd_mutate(args):
                          "psi2 rank deficit %d\n" % deficit)
         return 1
     dual = build_dual(theta)
-    z = mutate(dual, w, default_choice(w))
+    choice = default_choice(w)
+    z = mutate(dual, w, choice)
     payload = {"mutation": point_to_json(z)}
     code = 0
     if args.verify:
-        rep = involution_report(theta, w, dual=dual)
+        rep = involution_report(theta, w, choice=choice, dual=dual)
         payload["involution_ok"] = rep.ok
         if not rep.ok:
             code = 1

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .exactfield import (ExactMatrix, Subspace, enumerate_subspaces,
                          gaussian_binomial)
 from .homdata import _monomials
+from .theta import scalar_to_str, vec_row_major
 
 
 class TauMap:
@@ -158,16 +159,13 @@ def c_formula(which, n, m):
 
 def witness_subspace(t, m):
     """The length-min(m, dim H) rank-one-sum witness: the span of
-    h_1 (x) x_1 + ... + h_d (x) x_d.  Generic exactly when d = m,
-    i.e. m <= dim H; returns None otherwise."""
+    h_1 (x) x_1 + ... + h_d (x) x_d, the vec of the first d columns of
+    the identity of H.  Generic exactly when d = m, i.e. m <= dim H;
+    returns None otherwise."""
     if m > t.dim_h:
         return None
-    f = t.field
-    vec = ExactMatrix.zeros(f, t.dim_h * m, 1)
-    one = f.one()
-    for i in range(m):
-        vec.data[i * m + i][0] = one
-    return Subspace(t.dim_h * m, vec)
+    h = ExactMatrix.identity(t.field, t.dim_h).submatrix(range(t.dim_h), range(m))
+    return Subspace(t.dim_h * m, vec_row_major(h))
 
 
 class SearchReport:
@@ -193,7 +191,7 @@ class SearchReport:
 
     def to_json(self):
         def frac(x):
-            return None if x is None else "%d/%d" % (x.numerator, x.denominator)
+            return None if x is None else scalar_to_str(x)
         return {
             "witness_value": frac(self.witness_value),
             "max_found": frac(self.max_found),

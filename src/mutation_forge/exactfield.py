@@ -295,29 +295,12 @@ class ExactMatrix:
 
     def kron(self, other):
         """Kronecker product, left factor major (matches the lexicographic
-        tensor basis convention used throughout)."""
-        self._check_same_field(other)
-        f = self.field
-        p = f.p
-        out = ExactMatrix.zeros(f, self.rows * other.rows, self.cols * other.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.data[i][j]
-                if a == 0:
-                    continue
-                for k in range(other.rows):
-                    orow = other.data[k]
-                    trow = out.data[i * other.rows + k]
-                    base = j * other.cols
-                    for l in range(other.cols):
-                        if orow[l] != 0:
-                            x = a * orow[l]
-                            if p is not None:
-                                x %= p
-                            elif type(x) is not int:
-                                x = _canonical(x)
-                            trow[base + l] = x
-        return out
+        tensor basis convention used throughout): self's entries as one
+        column times other's as one row, regrouped to rows (i, k) and
+        columns (j, l)."""
+        (r1, c1), (r2, c2) = (self.rows, self.cols), (other.rows, other.cols)
+        outer = self.regroup([r1], [c1], [0, 1], []) @ other.regroup([r2], [c2], [], [0, 1])
+        return outer.regroup([r1, c1], [r2, c2], [0, 2], [1, 3])
 
     # -- tensor index maps --------------------------------------------
 
@@ -372,10 +355,6 @@ class ExactMatrix:
         col_idx = list(col_idx)
         return self._new([[self.data[i][j] for j in col_idx] for i in row_idx],
                          len(col_idx))
-
-    def flat(self):
-        """Row-major flattening."""
-        return [x for row in self.data for x in row]
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.field == other.field
@@ -593,11 +572,9 @@ def xor_rank(vectors):
 def solve_linear(A, b):
     """Particular solution x of A x = b, or None when b is not in the image.
 
-    b may be an ExactMatrix column or a list; a multi-column b is solved
-    column-by-column (returns the matrix X with A X = B, or None).
+    b is an ExactMatrix; a multi-column b is solved column-by-column
+    (returns the matrix X with A X = B, or None).
     """
-    if not isinstance(b, ExactMatrix):
-        b = ExactMatrix.column(A.field, b)
     A._check_same_field(b)
     if b.rows != A.rows:
         raise ValueError("shape mismatch: A has %d rows, b has %d" % (A.rows, b.rows))

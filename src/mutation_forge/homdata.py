@@ -372,29 +372,24 @@ def _acting(inst, layout, action):
     identity on its Hom space and its other legs (on the whole block
     when action names none of its legs). Every action of the instance
     symmetries names at most one leg of a block: c_i or c_j^T on an
-    ("M", i) leg, d_l on ("N", l)."""
+    ("M", i) leg, d_l on ("N", l). A block is the identity with the
+    action applied at its leg (apply_leg), copied onto the diagonal."""
     f = inst.h.field
     out = ExactMatrix.zeros(f, layout.total, layout.total)
     for k in layout.keys:
-        named = [leg for leg in layout.legs[k] if leg in action]
-        # leg None, which origin does not read, stands for no leg
-        leg = named[0] if named else None
-        mat = action[leg] if named else ExactMatrix.identity(f, 1)
-        n = layout.size[leg] if named else 1
-        if (mat.rows, mat.cols) != (n, n):
-            raise ValueError("the action on %r must be %dx%d" % (leg, n, n))
-        cells = [(a, b, v) for a, line in enumerate(mat.data)
-                 for b, v in enumerate(line) if v]
-        others = [x for x in layout.legs[k] if x != leg]
-        for idx in product(*(range(layout.size[x]) for x in others)):
-            index = dict(zip(others, idx))
-            for a, b, v in cells:
-                index[leg] = a
-                row, stride = layout.origin(k, index)
-                index[leg] = b
-                col = layout.origin(k, index)[0]
-                for t in range(layout.homs[k]):
-                    out.data[row + t * stride][col + t * stride] = v
+        legs = layout.legs[k]
+        block = ExactMatrix.identity(f, layout.dims[k])
+        named = [a for a, leg in enumerate(legs) if leg in action]
+        if named:
+            leg = legs[named[0]]
+            mat, n = action[leg], layout.size[leg]
+            if (mat.rows, mat.cols) != (n, n):
+                raise ValueError("the action on %r must be %dx%d" % (leg, n, n))
+            block = block.apply_leg([layout.homs[k]] + [layout.size[x] for x in legs],
+                                    named[0] + 1, mat)
+        off = layout.offsets[k]
+        for i, row in enumerate(block.data, off):
+            out.data[i][off:off + block.cols] = row
     return out
 
 
@@ -779,8 +774,14 @@ def hom_data_from_json(obj):
     if r < 1 or s < 1:
         raise ValueError("hom data needs r >= 1 and s >= 1, got %d and %d"
                          % (r, s))
-    return HomData(f, r, s, *(_dim_dict_from_json(obj[k], k) for k in _DIM_DICTS),
-                   *(_tensor_dict_from_json(obj[k], f, k) for k in _COMP_DICTS))
+    h = HomData(f, r, s, *(_dim_dict_from_json(obj[k], k) for k in _DIM_DICTS),
+                *(_tensor_dict_from_json(obj[k], f, k) for k in _COMP_DICTS))
+    # each object has its own A_ii or B_ll, so a file lists at least r
+    # spaces A and s spaces B: a larger r or s names objects it lacks
+    if r > len(h.dimA) or s > len(h.dimB):
+        raise ValueError("hom data of type (%d, %d) lists %d spaces A and %d "
+                         "spaces B" % (r, s, len(h.dimA), len(h.dimB)))
+    return h
 
 
 def dual_point_to_mutated(inst, inst_hat, z):

@@ -28,13 +28,9 @@ from .theta import (DIMS, GroupElement, MorphismPoint, ThetaSpace,
 
 def swap_matrix(field, x, y):
     """The coordinate matrix of X (x) Y -> Y (x) X, e_i (x) f_j |->
-    f_j (x) e_i, with the left-major index convention."""
-    m = ExactMatrix.zeros(field, y * x, x * y)
-    one = field.one()
-    for i in range(x):
-        for j in range(y):
-            m.data[j * x + i][i * y + j] = one
-    return m
+    f_j (x) e_i, with the left-major index convention: the identity
+    with its row legs exchanged."""
+    return ExactMatrix.identity(field, x * y).regroup([x, y], [x * y], [1, 0], [2])
 
 
 class DualSpace:
@@ -118,13 +114,11 @@ def chart_choice(w, chart):
     return MutationChoice(u, v, chart.kernel_iso(w))
 
 
-def mutate(dual, w, choice=None):
-    """The mutation z(w) as a point of the dual total space."""
+def mutate(dual, w, choice):
+    """The mutation z(w, choice) as a point of the dual total space."""
     t = dual.theta
     if w.theta != t:
         raise ValueError("point does not live over the dualized space")
-    if choice is None:
-        choice = default_choice(w)
     u, v, kappa = choice.u, choice.v, choice.kappa
     psi2p = kappa
     psi1p = u @ kappa
@@ -230,12 +224,6 @@ def choice_transport(dual, w, c1, c2):
     return g_right, g_left
 
 
-def apply_transport(steps, z):
-    for g in steps:
-        z = act(g, z)
-    return z
-
-
 # -- transport of group elements through the mutation -----------------
 
 def _induced_on_kernel(dual, leg, m):
@@ -315,6 +303,8 @@ def transport_report(dual, w, g, choice=None):
     if not cval.ok:
         return rep
     zg = mutate(dual, wg, choice_g)
-    z = apply_transport(steps, mutate(dual, w, choice))
+    z = mutate(dual, w, choice)
+    for step in steps:
+        z = act(step, z)
     rep.add_equal("transport identity", zg, z)
     return rep

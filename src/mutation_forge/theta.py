@@ -33,11 +33,13 @@ from .exactfield import ExactMatrix, field_from_tag, field_tag, kernel_basis, so
 def vec_row_major(M):
     """Flatten an x-by-y matrix to the column vector of X (x) Y coordinates
     (row index major)."""
-    return ExactMatrix.column(M.field, M.flat())
+    return M.regroup([M.rows], [M.cols], [0, 1], [])
 
 
 def unvec_row_major(v, rows, cols):
-    return ExactMatrix.from_flat(v.field, rows, cols, [v.data[i][0] for i in range(rows * cols)])
+    """The rows-by-cols matrix whose vec_row_major is the column v; a v
+    of any other shape is a ValueError."""
+    return v.regroup([rows, cols], [1], [0], [1, 2])
 
 
 # The names of the dimensions of a ThetaSpace, in the order of dims(), as

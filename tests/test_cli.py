@@ -1,12 +1,14 @@
 """Command-line front end: exit codes, exact serialization, sweeps."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mutation_forge import cli
 from mutation_forge.cli import _frac, main
@@ -166,6 +168,9 @@ BAD_INPUTS = {
     "instance hom null": ("polarization", ("hom",), None),
     "instance hom.r null": ("polarization", ("hom", "r"), None),
     "instance hom.s zero": ("polarization", ("hom", "s"), 0),
+    # more objects than the file has identity Hom spaces
+    "instance hom.r 2**64": ("stability", ("hom", "r"), 2 ** 64),
+    "instance hom.s 2**64": ("polarization", ("hom", "s"), 2 ** 64),
     "instance p not below r": ("polarization", ("p",), 2),
     "instance hom.dimA null": ("polarization", ("hom", "dimA"), None),
     "instance hom.dimH key null": ("polarization", ("hom", "dimH", 0, "key"), None),
@@ -652,3 +657,120 @@ def test_json_writer_on_every_subcommand_payload(tmp_path, capsys, monkeypatch):
         "constants", "thresholds", "generate"}
     for obj in seen:
         assert writer(obj) == _dumps(obj)
+
+
+# -- a fuzz of every subcommand ---------------------------------------
+
+# the bad values of the fuzz: each is written in place of one node of a
+# valid input file, or given as the value of one flag
+FUZZ_VALUES = [None, -1, 1.5, "x", [], {}, True, "1/0", 2 ** 64]
+# the subcommands that exit 1 on a failed check; the others exit 0 or 2
+CHECKING = {"validate", "dual", "mutate", "polarization", "constants"}
+# the flags whose value is a size of the work: a large int there is a
+# valid request that runs out of time or memory, not bad input
+SIZES = {("generate", "--n"), ("generate", "--fdeg"), ("constants", "--n"),
+         ("constants", "--m"), ("constants", "--samples"), ("sweep", "--m1"),
+         ("sweep", "--m2"), ("sweep", "--n1"), ("sweep", "--grid")}
+
+
+def _json_paths(obj, path=()):
+    """The path of obj and of every node inside it, a list read at its
+    first item only."""
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _json_paths(value, path + (key,))
+    elif isinstance(obj, list) and obj:
+        yield from _json_paths(obj[0], path + (0,))
+
+
+def _fuzz_runs(root):
+    """A valid run of every subcommand, with its input files in the
+    directory root, as (argv, files, targets): files
+    maps each input file named in argv to its JSON object, and a target
+    is (file, path) for a node of a file or (None, i) for the value
+    argv[i] of a flag. The theta space and its point are over QQ with
+    every structure map nonzero; the instance is the GF(2) instance of
+    the README."""
+    h = projective_space_hom_data(QQ, 1, [-2, -1], [0, 1])
+    theta = build_theta_p(h, [1, 1], [1, 1], 1).theta
+    point = point_to_json(random_w0_point(theta, random.Random(3)))
+
+    def m(rows, cols, entries):
+        return {"rows": rows, "cols": cols, "entries": entries}
+    instance = {"hom": hom_data_to_json(projective_space_hom_data(
+                    Field(2), 1, [-2, -1], [0])),
+                "m": [1, 1], "n": [2], "p": 0,
+                "point": {"psi1": m(0, 2, []), "phi1": m(0, 1, []),
+                          "psi2": m(5, 2, ["1/1", "0/1", "0/1", "1/1"] + ["0/1"] * 6),
+                          "phi2": m(0, 1, [])},
+                "lam": ["1/2", "1/2"], "mu": ["1/2"]}
+    T, P, I = (str(root / name) for name in ("theta.json", "point.json", "instance.json"))
+    objects = {T: theta_to_json(theta), P: point, I: instance}
+    common = ["--seed", "0", "--budget-subspaces", "100000"]
+    runs = []
+    for argv in (
+            ["validate", "--theta", T],
+            ["dual", "--theta", T, "--verify"],
+            ["mutate", "--theta", T, "--point", P, "--verify"],
+            ["stability", "--instance", I, "--group", "G"],
+            ["polarization", "--instance", I],
+            ["constants", "--which", "0", "--n", "1", "--m", "2", "--samples", "5"],
+            ["thresholds", "--n", "2", "--m1", "1", "--m2", "1", "--n1", "4",
+             "--t", "7/8", "--case", "1"],
+            ["sweep", "--n", "2", "--m1", "1", "--m2", "1", "--n1", "4", "--grid", "3"],
+            ["generate", "--n", "1", "--edeg", "-2", "-1", "--fdeg", "0",
+             "--m", "1", "1", "--nmult", "2", "--p", "0"]):
+        argv = argv + common
+        files = {path: objects[path] for path in argv if path in objects}
+        targets = [(None, i) for i in range(1, len(argv))
+                   if not argv[i].startswith("--") and argv[i] not in files]
+        targets += [(path, where) for path, obj in files.items()
+                    for where in _json_paths(obj)]
+        runs.append((argv, files, targets))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def fuzz_runs(tmp_path_factory):
+    return _fuzz_runs(tmp_path_factory.mktemp("fuzz"))
+
+
+def _with_value(obj, where, value):
+    """A copy of the JSON object obj with value at the path where (the
+    empty path replaces the whole object)."""
+    if not where:
+        return value
+    obj = json.loads(json.dumps(obj))
+    node = obj
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_fuzz_every_subcommand(fuzz_runs, data):
+    """One node of a valid input file, or one flag value, set to a bad
+    value: the exit code is 0, 1 or 2, no exception leaves main, and exit
+    1 comes only from a subcommand that runs a check."""
+    argv, files, targets = data.draw(st.sampled_from(fuzz_runs))
+    target, where = data.draw(st.sampled_from(targets))
+    value = data.draw(st.sampled_from(FUZZ_VALUES))
+    argv = list(argv)
+    if target is None:
+        flag = next(a for a in reversed(argv[:where]) if a.startswith("--"))
+        assume(value != 2 ** 64 or (argv[0], flag) not in SIZES)
+        argv[where] = value if isinstance(value, str) else json.dumps(value)
+    for path, obj in files.items():
+        with open(path, "w") as fh:
+            json.dump(_with_value(obj, where, value) if path == target else obj, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # rejected by the argument parser
+            code = exc.code
+    assert code in ({0, 1, 2} if argv[0] in CHECKING else {0, 2}), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -127,6 +127,51 @@ def test_instance_maps_are_index_maps():
     assert callers_of(source, "_write") == {"_structure_maps"}
 
 
+def callers_by_name(source, name):
+    """Names of the functions in source whose bodies call name, as
+    name(...) or as a method, obj.name(...)."""
+    return {fn.name for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and _called_name(node) == name}
+
+
+def loops(fn):
+    """Line numbers of the loops and comprehensions in the function fn."""
+    return [node.lineno if hasattr(node, "lineno") else node.target.lineno
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+
+
+RESHAPES = {"kron", "swap_matrix", "vec_row_major", "unvec_row_major",
+            "witness_subspace"}
+
+
+def test_tensor_reshapes_are_index_maps():
+    """Tensor indices are computed by regroup's one index map and by
+    _write: the Kronecker product, the swap, the vectorization and its
+    inverse and the witness of c_tau are regroup or apply_leg calls with
+    no loop of their own, and of the instance builders only _write reads
+    the place of a block's entries (BlockLayout.origin)."""
+    found = {}
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and fn.name in RESHAPES:
+                found[(path.stem, fn.name)] = loops(fn)
+    assert sorted(name for _, name in found) == sorted(RESHAPES)
+    assert {key: lines for key, lines in found.items() if lines} == {}
+    source = (Path(mutation_forge.__file__).parent / "homdata.py").read_text()
+    assert callers_by_name(source, "origin") == {"_write"}
+
+
+def test_loop_scan_sees_loops_and_comprehensions():
+    fns = ast.parse("def a():\n    for x in y:\n        pass\n\n"
+                    "def b():\n    return [x for x in y]\n\n"
+                    "def c():\n    while z:\n        pass\n\n"
+                    "def d():\n    return y.regroup([1], [2], [0, 1], [])\n").body
+    assert [loops(fn) for fn in fns] == [[2], [6], [9], []]
+
+
 CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
 CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter"}
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)

@@ -16,6 +16,7 @@ from mutation_forge.exactfield import (ExactMatrix, Field, GF, Subspace,
                                        quotient_data, solve_linear,
                                        unpack_rows, xor_echelon, xor_rank)
 from mutation_forge.mutation import swap_matrix
+from mutation_forge.theta import unvec_row_major, vec_row_major
 from conftest import (has_canonical_scalars, image_subspace,
                       is_canonical_scalar, rnd_matrix, rnd_invertible,
                       subspace_contains, subspace_intersect, subspace_sum)
@@ -241,6 +242,87 @@ def test_enumerate_subspaces_distinct():
 
 
 # -- tensor index maps against the dense reference ----------------------
+
+def reference_kron(A, B):
+    """The Kronecker product A (x) B written out entry by entry, left
+    factor major, each product put in its one form."""
+    f = A.field
+    out = ExactMatrix.zeros(f, A.rows * B.rows, A.cols * B.cols)
+    for i in range(A.rows):
+        for j in range(A.cols):
+            a = A.data[i][j]
+            if a == 0:
+                continue
+            for k in range(B.rows):
+                for l in range(B.cols):
+                    if B.data[k][l] != 0:
+                        out.data[i * B.rows + k][j * B.cols + l] = f.of(a * B.data[k][l])
+    return out
+
+
+def reference_swap(field, x, y):
+    """The matrix of X (x) Y -> Y (x) X, e_i (x) f_j |-> f_j (x) e_i,
+    written out entry by entry."""
+    m = ExactMatrix.zeros(field, y * x, x * y)
+    for i in range(x):
+        for j in range(y):
+            m.data[j * x + i][i * y + j] = field.one()
+    return m
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two matrices over QQ (Fraction entries), GF(2) or GF(3), each with
+    0 to 3 rows and columns and zeros drawn often."""
+    f = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    scalar = (st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+              if f.p is None else st.integers(0, f.p - 1))
+
+    def matrix():
+        rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        return ExactMatrix.from_flat(f, rows, cols, draw(st.lists(
+            st.just(0) | scalar, min_size=rows * cols, max_size=rows * cols)))
+    return matrix(), matrix()
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_pairs())
+def test_kron_and_swap_match_references(pair):
+    """kron and swap_matrix, both regroups, equal the loops they
+    replace, entry types included, and the swap exchanges the factors
+    of a Kronecker product."""
+    A, B = pair
+    f = A.field
+    K = A.kron(B)
+    assert K == reference_kron(A, B) and has_canonical_scalars(K)
+    S, T = swap_matrix(f, A.rows, B.rows), swap_matrix(f, A.cols, B.cols)
+    assert S == reference_swap(f, A.rows, B.rows) and has_canonical_scalars(S)
+    assert S @ K == B.kron(A) @ T
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_pairs())
+def test_vec_row_major_round_trip(pair):
+    A, _ = pair
+    v = vec_row_major(A)
+    assert (v.rows, v.cols) == (A.rows * A.cols, 1)
+    assert [x for (x,) in v.data] == [x for row in A.data for x in row]
+    assert unvec_row_major(v, A.rows, A.cols) == A
+
+
+def test_vec_row_major_of_empty_matrices_and_misshapen_vectors():
+    for f in (QQ, GF(2)):
+        for rows, cols in ((0, 3), (3, 0), (0, 0)):
+            Z = ExactMatrix.zeros(f, rows, cols)
+            v = vec_row_major(Z)
+            assert (v.rows, v.cols) == (0, 1)
+            assert unvec_row_major(v, rows, cols) == Z
+    v = vec_row_major(ExactMatrix.identity(QQ, 2))
+    for rows, cols in ((1, 3), (3, 2), (2, 1), (0, 4)):
+        with pytest.raises(ValueError):
+            unvec_row_major(v, rows, cols)
+    with pytest.raises(ValueError):   # two columns are no vector
+        unvec_row_major(ExactMatrix.identity(QQ, 2), 2, 2)
 
 @st.composite
 def tensors(draw, min_legs=1, max_legs=3):
