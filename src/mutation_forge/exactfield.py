@@ -377,21 +377,16 @@ class ExactMatrix:
     def rref(self):
         """Reduced row echelon form. Returns (R, pivot_columns).
 
-        The fraction-free Gauss-Jordan of _eliminate, forward and back,
-        leaves each pivot row a multiple of its reduced row, which is
-        then finished once: over QQ divided by its pivot, each entry an
-        int where the pivot divides it and a Fraction elsewhere, over
-        GF(p) multiplied by pow(pivot, p - 2, p)."""
-        p = self.field.p
+        The Gauss-Jordan of _eliminate, forward and back, leaves each
+        pivot row over GF(p) reduced, and over QQ a multiple of its
+        reduced row, which is then divided by its pivot once: each entry
+        an int where the pivot divides it and a Fraction elsewhere."""
         rows, pivots = _eliminate(self.field, self.data, self.cols, True)
-        for i, c in enumerate(pivots):
-            row = rows[i]
-            piv = row[c]
-            if p is None:
+        if self.field.p is None:
+            for i, c in enumerate(pivots):
+                row = rows[i]
+                piv = row[c]
                 rows[i] = [_quotient(x, piv) if x else 0 for x in row]
-            elif piv != 1:
-                inv = pow(piv, p - 2, p)
-                rows[i] = [x * inv % p for x in row]
         return self._new(rows, self.cols), pivots
 
     def rank(self):
@@ -446,20 +441,23 @@ def _integer_row(row):
 
 def _eliminate(field, data, cols, reduce):
     """Row elimination behind rref (reduce true) and rank (reduce false):
-    one fraction-free Gauss-Jordan loop over QQ and GF(p).
+    one Gauss-Jordan loop over QQ and GF(p), fraction-free over QQ.
 
     Returns (rows, pivot_columns), the pivot rows first. Forward only,
     the rows are in row echelon form; reduced, every pivot column is also
-    zero outside its pivot row. Each row is a nonzero multiple of its row
-    in the Bareiss elimination (E. H. Bareiss, Math. Comp. 22, 1968),
-    which applied also to the rows above the pivot is fraction-free
-    Gauss-Jordan (Nakos, Turner and Williams, SIGSAM Bull. 31, 1997).
+    zero outside its pivot row. Over QQ each row is a nonzero multiple of
+    its row in the Bareiss elimination (E. H. Bareiss, Math. Comp. 22,
+    1968), which applied also to the rows above the pivot is
+    fraction-free Gauss-Jordan (Nakos, Turner and Williams, SIGSAM Bull.
+    31, 1997).
 
-    At the pivot piv in column c, with pivot row y, an updated row x
-    becomes piv*x - a*y, a its entry in column c, and a row with a = 0 is
-    left as it is. Forward, the rows below the pivot are updated from
-    column c on; reduced, every other row is updated whole. Over GF(p)
-    the new row is reduced mod p. Over QQ the rows are cleared of their
+    At the pivot in column c, with pivot row y, a row x with entry a in
+    column c is updated, and a row with a = 0 is left as it is; the rows
+    below the pivot are updated, and reduced also the rows above. Over
+    GF(p) the pivot row is first scaled by pow(pivot, p - 2, p), so that
+    its pivot is 1, and x becomes x - a*y mod p from column c on, y being
+    0 before c. Over QQ x becomes piv*x - a*y, piv the pivot, from column
+    c on forward and whole reduced. The rows are cleared of their
     denominators first, and the new row is divided by q, the pivot of the
     row's last update (1 at the start): Bareiss's step divides by the
     previous pivot prev and rescales a row with a = 0 by piv/prev, so the
@@ -490,11 +488,15 @@ def _eliminate(field, data, cols, reduce):
         rows[pr], rows[r] = rows[r], prow
         q[pr], q[r] = q[r], q[pr]
         pivots.append(c)
-        qr = q[r]
-        if p is None and qr != prev:
-            prow[c:] = [x * prev // qr for x in prow[c:]]
-        piv = q[r] = prev = prow[c]
-        lo = 0 if reduce else c
+        if p is None:
+            qr = q[r]
+            if qr != prev:
+                prow[c:] = [x * prev // qr for x in prow[c:]]
+            piv = q[r] = prev = prow[c]
+        elif prow[c] != 1:
+            inv = pow(prow[c], p - 2, p)
+            prow[c:] = [x * inv % p for x in prow[c:]]
+        lo = 0 if reduce and p is None else c
         tail = prow[lo:]
         for i in (range(n) if reduce else range(r + 1, n)):
             row = rows[i]
@@ -503,9 +505,9 @@ def _eliminate(field, data, cols, reduce):
                 if p is None:
                     qi = q[i]
                     row[lo:] = [(piv * x - a * y) // qi for x, y in zip(row[lo:], tail)]
+                    q[i] = piv
                 else:
-                    row[lo:] = [(piv * x - a * y) % p for x, y in zip(row[lo:], tail)]
-                q[i] = piv
+                    row[lo:] = [(x - a * y) % p for x, y in zip(row[lo:], tail)]
     return rows, pivots
 
 

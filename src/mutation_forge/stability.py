@@ -13,7 +13,7 @@ the full group's is its verdict along the unipotent orbit.
 from fractions import Fraction
 from itertools import chain, product
 from math import lcm
-from operator import getitem
+from operator import getitem, mul
 
 from .exactfield import (ExactMatrix, Subspace, enumerate_subspaces,
                          kernel_basis, pack_columns, packed_combinations,
@@ -120,14 +120,20 @@ class _WalkMemo:
     verdict. bases holds each first-tier index's subspaces in the form
     that the block images read: over GF(2) the packed coefficients of
     each basis, over GF(p) the stack of the transposed bases with their
-    dimensions. last[(l, i)] is the last block x_(l,i) seen with its
-    images and their keys (ids interns each image as an int); dims maps
-    a tuple of keys in N_l to the dimension of the span, and verdicts
-    maps a translate's tuple of keys to its (semistable, stable, ks)."""
+    dimensions. heads[k] is the lam-weight and the dimension of the k-th
+    subspace of M_1, and tails lists each choice of subspaces of the
+    other indices, in product order, with its lam-weight and whether one
+    of them is nonzero. last[(l, i)] is the last block x_(l,i) seen with
+    its images and their keys (ids interns each image as an int); dims
+    maps a tuple of keys in N_l to the dimension of the span, rows maps
+    the keys of every index but the first to a dict of the rows of
+    _families, and verdicts maps a translate's tuple of keys to its
+    (semistable, stable, ks)."""
 
-    __slots__ = ("field", "bases", "last", "ids", "dims", "verdicts")
+    __slots__ = ("field", "bases", "heads", "tails", "last", "ids", "dims", "rows",
+                 "verdicts")
 
-    def __init__(self, field, per_index):
+    def __init__(self, field, per_index, lam):
         self.field = field
         if field.p == 2:
             self.bases = [[pack_columns(sub.basis) for sub in subs] for subs in per_index]
@@ -137,24 +143,33 @@ class _WalkMemo:
                 rows = [row for sub in subs for row in sub.basis.transpose().data]
                 self.bases.append((ExactMatrix.of_rows(field, rows, subs[0].ambient_dim)
                                    if rows else None, [sub.dim for sub in subs]))
+        weights = [[(lam_i * sub.dim, sub.dim) for sub in subs]
+                   for lam_i, subs in zip(lam, per_index)]
+        self.heads = weights[0]
+        self.tails = [((), 0, False)]
+        for index in weights[1:]:
+            self.tails = [(tail + (k,), w + w_k, nonzero or d_k > 0)
+                          for tail, w, nonzero in self.tails
+                          for k, (w_k, d_k) in enumerate(index)]
         self.last = {}
         self.ids = {}
         self.dims = {}
+        self.rows = {}
         self.verdicts = {}
 
 
-def _gred_core(blocks, dimH, m_mult, n_mult, lam, mu, per_index, memo):
+def _gred_core(blocks, dimH, m_mult, n_mult, mu, memo):
     """The reductive verdict of the blocks x_(l,i) : H_li (x) M_i -> N_l
-    (dim H_li = dimH[(l, i)]) under the integer weights lam, mu, over the
-    subspace lists of _subspace_lists.
+    (dim H_li = dimH[(l, i)]) under the integer weights of memo (a
+    _WalkMemo) and mu, over the subspace lists of _subspace_lists.
 
     A block's images x_(l,i)(H_li (x) M'_i) are computed for all M'_i at
     once, and again only when the block changes; a family costs one
     lookup per l, and a translate whose images were all seen together
-    before costs one lookup (memo, a _WalkMemo). Returns (semistable,
-    stable, ks, images): ks indexes the recorded family in per_index, or
-    is None, and images[l - 1][i - 1][k] is the image of the k-th M'_i
-    in N_l as a tuple of echelon rows, () when it is 0."""
+    before costs one lookup. Returns (semistable, stable, ks, images):
+    ks indexes the recorded family in the subspace lists, or is None,
+    and images[l - 1][i - 1][k] is the image of the k-th M'_i in N_l as
+    a tuple of echelon rows, () when it is 0."""
     last, ids = memo.last, memo.ids
     images, keys = [], []
     for l, n in enumerate(n_mult, 1):
@@ -178,19 +193,47 @@ def _gred_core(blocks, dimH, m_mult, n_mult, lam, mu, per_index, memo):
     pattern = tuple(chain.from_iterable(keys))
     verdict = memo.verdicts.get(pattern)
     if verdict is None:
-        verdict = memo.verdicts[pattern] = _families(memo, images, keys, n_mult, lam, mu,
-                                                     per_index)
+        verdict = memo.verdicts[pattern] = _families(memo, images, keys, n_mult, mu)
     return verdict + (images,)
 
 
-def _families(memo, images, keys, n_mult, lam, mu, per_index):
+def _families(memo, images, keys, n_mult, mu):
     """The family loop of _gred_core: (semistable, stable, ks) from the
-    images and their keys."""
+    images and their keys, row by row. A row is every family with one
+    subspace M'_1, and families come in product order, so the first
+    violating family is the first violation of the first row that has
+    one, and the first tie (a nonzero family on the line, recorded when
+    no family violates) is the first tie of the first row that has one.
+    A row's outcome depends on M'_1 only through its dimension and the
+    keys of its images, and otherwise on the keys of the other indices
+    alone: each distinct row is scanned once per verdict."""
+    rows = memo.rows.setdefault(tuple(chain.from_iterable(key_row[1:] for key_row in keys)),
+                                {})
+    tie = None
+    for k1, (_, d1) in enumerate(memo.heads):
+        head = (d1,) + tuple(key_row[0][k1] for key_row in keys)
+        row = rows.get(head)
+        if row is None:
+            row = rows[head] = _row(memo, images, keys, k1, n_mult, mu)
+        bad, first = row
+        if bad is not None:
+            # the first violating family decides the verdict and the witness
+            return False, False, (k1,) + bad
+        if tie is None and first is not None:
+            tie = (k1,) + first
+    return True, tie is None, tie
+
+
+def _row(memo, images, keys, k1, n_mult, mu):
+    """One row of _families, the families whose M'_1 is the k1-th
+    subspace: (the first violating choice of the other indices or None,
+    the first tie before it or None). A family with every N'_l = N_l is
+    neither."""
     dims = memo.dims
-    lhs_of = [[lam_i * sub.dim for sub in subs] for lam_i, subs in zip(lam, per_index)]
-    stable = True
-    recorded = None
-    for ks in product(*(range(len(subs)) for subs in per_index)):
+    w1, d1 = memo.heads[k1]
+    tie = None
+    for tail, w, nonzero in memo.tails:
+        ks = (k1,) + tail
         dims_n = []
         for n, row, key_row in zip(n_mult, images, keys):
             key = tuple(map(getitem, key_row, ks))
@@ -200,16 +243,13 @@ def _families(memo, images, keys, n_mult, lam, mu, per_index):
             dims_n.append(d)
         if dims_n == n_mult:
             continue
-        lhs = sum(w[k] for w, k in zip(lhs_of, ks))
-        rhs = sum(u * d for u, d in zip(mu, dims_n))
-        if lhs > rhs or (stable and lhs == rhs
-                         and any(subs[k].dim for subs, k in zip(per_index, ks))):
-            if lhs > rhs:
-                # the first violating family decides the verdict and the witness
-                return False, False, ks
-            stable = False
-            recorded = ks
-    return True, stable, recorded
+        lhs = w1 + w
+        rhs = sum(map(mul, mu, dims_n))
+        if lhs > rhs:
+            return tail, tie
+        if tie is None and lhs == rhs and (d1 or nonzero):
+            tie = tail
+    return None, tie
 
 
 def _witness(f, per_index, n_mult, images, ks):
@@ -231,12 +271,11 @@ def _verdict(f, translates, dimH, m_mult, n_mult, lam, mu, budget):
     not stable, or None; the walk stops at the first that is not
     semistable."""
     per_index = _subspace_lists(f.p, m_mult, budget)
-    memo = _WalkMemo(f, per_index)
+    memo = _WalkMemo(f, per_index, lam)
     stable = True
     kept = None
     for moved in translates:
-        ss, st, ks, images = _gred_core(moved, dimH, m_mult, n_mult, lam, mu,
-                                        per_index, memo)
+        ss, st, ks, images = _gred_core(moved, dimH, m_mult, n_mult, mu, memo)
         if not st and (kept is None or not ss):
             kept = (moved, _witness(f, per_index, n_mult, images, ks))
         if not ss:
@@ -426,6 +465,20 @@ def apply_unipotent(inst, fam, params):
     return out
 
 
+def _plus(change, other):
+    """The sum of two changes, each a dict from block keys to nonzero
+    changes; a key whose sum is 0 is dropped."""
+    out = dict(change)
+    for k, x in other.items():
+        if k in out:
+            x = out[k] + x
+        if x.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = x
+    return out
+
+
 def _carry_sums(inst, fam, units):
     """For each unit parameter k of units ((key, rows, cols, entry)), the
     change C_k = D_k + sum_{j > k} D_j of the family, D_j the change
@@ -438,33 +491,41 @@ def _carry_sums(inst, fam, units):
         unit = ExactMatrix.zeros(f, rows, cols)
         unit.data[entry // cols][entry % cols] = f.one()
         moved = apply_unipotent(inst, fam, {key: unit})
-        change = dict(later)
-        for k, x in moved.items():
-            if x is not fam[k]:
-                d = x - fam[k]
-                change[k] = change[k] + d if k in change else d
-        later = {k: x for k, x in change.items() if not x.is_zero()}
+        later = _plus(later, {k: x - fam[k] for k, x in moved.items() if x is not fam[k]})
         sums.append(later)
     return sums[::-1]
 
 
-def _walk(fam, sums, p):
-    """fam, then the family at each next tuple of GF(p)^len(sums) in
-    lexicographic order: raising digit k adds the carry sum sums[k]. The
-    blocks that a sum does not name stay the same objects."""
-    yield fam
-    digits = [0] * len(sums)
+def _rises(n, p):
+    """The digit that rises at each next tuple of GF(p)^n in
+    lexicographic order, every later digit going from p - 1 to 0."""
+    digits = [0] * n
     while True:
-        k = len(sums) - 1
+        k = n - 1
         while k >= 0 and digits[k] == p - 1:
             digits[k] = 0
             k -= 1
         if k < 0:
             return
         digits[k] += 1
-        fam = dict(fam)
-        for key, x in sums[k].items():
-            fam[key] = fam[key] + x
+        yield k
+
+
+def _moved(fam, change):
+    """fam plus a change; the blocks that it does not name stay the same
+    objects."""
+    fam = dict(fam)
+    for key, x in change.items():
+        fam[key] = fam[key] + x
+    return fam
+
+
+def _walk(fam, sums, p):
+    """fam, then the family at each next tuple of GF(p)^len(sums) in
+    lexicographic order: raising digit k adds the carry sum sums[k]."""
+    yield fam
+    for k in _rises(len(sums), p):
+        fam = _moved(fam, sums[k])
         yield fam
 
 
@@ -476,16 +537,26 @@ def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
     The translate of (u, v) is (I + V_v) mid_u with mid_u = (I + S_u) x:
     mid_u is affine in u, and the translate affine in v for a fixed
     mid_u. So the source carry sums (_carry_sums) walk mid_u, and at
-    each mid_u the target carry sums, built again on it, walk the
-    translates."""
+    each mid_u the target carry sums walk the translates. The target
+    change is linear in the family, so the target carry sums at
+    mid_u + S are those at mid_u plus their values on S: they are built
+    once at the family and once on each source carry sum S, and updated
+    by each source step."""
     p = _require_finite(inst.h.field)
     shapes, _ = _unipotent_parameters(inst, budget=budget)
     units = [((src, a, b), rows, cols, entry) for src, a, b, rows, cols in shapes
              for entry in range(rows * cols)]
     source = [u for u in units if u[0][0]]
     target = [u for u in units if not u[0][0]]
-    for mid in _walk(dict(fam), _carry_sums(inst, fam, source), p):
-        yield from _walk(mid, _carry_sums(inst, mid, target), p)
+    steps = _carry_sums(inst, fam, source)
+    zero = {k: ExactMatrix.zeros(x.field, x.rows, x.cols) for k, x in fam.items()}
+    shifts = [_carry_sums(inst, {**zero, **step}, target) for step in steps]
+    mid, sums = dict(fam), _carry_sums(inst, fam, target)
+    yield from _walk(mid, sums, p)
+    for k in _rises(len(steps), p):
+        mid = _moved(mid, steps[k])
+        sums = [_plus(t, d) for t, d in zip(sums, shifts[k])]
+        yield from _walk(mid, sums, p)
 
 
 def is_semistable_rs(inst, w, pol, group="Gred", budget=DEFAULT_BUDGET):

@@ -15,6 +15,7 @@ from mutation_forge.theta import MorphismPoint, in_W0
 from mutation_forge.homdata import (Polarization, _on_chain, build_theta_p,
                                     projective_space_hom_data,
                                     validate_hom_data)
+from mutation_forge import stability
 from mutation_forge.stability import (DEFAULT_BUDGET, KroneckerModule,
                                       StabilityVerdict, _instance_verdict,
                                       _unipotent_parameters, apply_unipotent,
@@ -416,8 +417,11 @@ def _hand_built_instance():
     return build_theta_p(h, [1, 1], [1, 1], 0)
 
 
-# (field p, e, f, m, n, walk G too): r and s in {1, 2}; the mid
-# m=(2,2), n=(3) instance has families with two nonzero blocks
+# (field p, e, f, m, n, walk G too): r in {1, 2, 3}, s in {1, 2}; the
+# mid m=(2,2), n=(3) instance has families with two nonzero blocks, and
+# at r = 3 a row of families (one M'_1) ranges over two other indices,
+# with a 128-point walk over GF(2) that changes two blocks (3^7 points
+# over GF(3), too many to walk)
 ORACLE_CASES = [
     (2, (-2, -1), (0,), (1, 1), (2,), True),
     (3, (-2, -1), (0,), (1, 1), (2,), True),
@@ -428,6 +432,8 @@ ORACLE_CASES = [
     (2, (-1,), (0,), (2,), (3,), True),
     (3, (-2,), (0, 1), (1,), (2, 1), True),
     (3, None, None, (1, 1), (1, 1), True),
+    (2, (-3, -2, -1), (0,), (1, 1, 1), (3,), True),
+    (3, (-3, -2, -1), (0,), (1, 1, 1), (3,), False),
 ]
 
 
@@ -489,17 +495,20 @@ def reference_walk(inst, translates, pol):
 
 # walks over the pool (A, B, a copy of A, A with one block changed, the
 # zero family, A moved by GL(H), A with every block of N_1 redrawn, A
-# with every block of N_l, l >= 2, redrawn) that the memo must see
-# through: repeated, alternating, equal in value but distinct, one block
-# changed, zero blocks, other blocks with the same images as A, and
-# images that differ from A's in N_1 alone or in the N_l, l >= 2, alone
+# with every block of N_l, l >= 2, redrawn, A with every block of M_i,
+# i >= 2, redrawn) that the memo must see through: repeated,
+# alternating, equal in value but distinct, one block changed, zero
+# blocks, other blocks with the same images as A, images that differ
+# from A's in N_1 alone or in the N_l, l >= 2, alone, and the rows of
+# A's families (one M'_1 each) with the same images at M'_1 but other
+# images of the other indices
 MEMO_WALKS = [(0, 0), (0, 1, 0), (0, 2), (2, 0, 2), (0, 3), (3, 0, 3, 0),
               (4, 0), (0, 4, 0), (1, 3, 1), (0, 5), (5, 0, 1), (3, 5, 3), (1, 5, 0),
               (6, 0, 7), (7, 6, 0)]
 # run by every example besides its drawn walk: a walk stops at its first
 # unstable translate, so a memo hit on the second is seen only where the
 # first is semistable
-SPLIT_WALKS = [(0, 6), (6, 0), (0, 7), (7, 0)]
+SPLIT_WALKS = [(0, 6), (6, 0), (0, 7), (7, 0), (0, 8), (8, 0)]
 
 
 @settings(max_examples=120, deadline=None)
@@ -512,7 +521,10 @@ def test_verdict_memo_matches_memo_free_walk(data):
     other blocks but the same images x_(l,i)(H_li (x) M'_i) as A, so its
     verdict is looked up from A's. A with the blocks of N_1, or of every
     N_l with l >= 2, redrawn differs from A in those images alone, which
-    a memo keyed by part of the image pattern would not see. Where the
+    a memo keyed by part of the image pattern would not see; A with the
+    blocks of every M_i, i >= 2, redrawn has the rows of A's families
+    with the same images of M'_1 and other images of the rest, which a
+    row keyed by M'_1 alone would not see. Where the
     case walks G, the unipotent orbit of A is walked too: its translates
     share every block that a step leaves alone, as the same object."""
     case = data.draw(st.sampled_from(ORACLE_CASES))   # GF(2) and GF(3)
@@ -537,9 +549,10 @@ def test_verdict_memo_matches_memo_free_walk(data):
             {(l, i): x @ rnd_invertible(h.field, rng, h.dimH[(l, i)]).kron(
                 ExactMatrix.identity(h.field, m[i - 1])) for (l, i), x in a.items()},
             {(l, i): block((l, i)) if l == 1 else x for (l, i), x in a.items()},
-            {(l, i): x if l == 1 else block((l, i)) for (l, i), x in a.items()}]
+            {(l, i): x if l == 1 else block((l, i)) for (l, i), x in a.items()},
+            {(l, i): x if i == 1 else block((l, i)) for (l, i), x in a.items()}]
     walk = data.draw(st.one_of(st.sampled_from(MEMO_WALKS),
-                               st.lists(st.integers(0, 7), min_size=1, max_size=5)))
+                               st.lists(st.integers(0, 8), min_size=1, max_size=5)))
     weights = [data.draw(st.lists(st.integers(1, 3), min_size=len(d), max_size=len(d)))
                for d in (m, n)]
     pol = Polarization(*[[Fraction(x, sum(y * k for y, k in zip(w, d))) for x in w]
@@ -774,3 +787,31 @@ def test_orbit_walk_matches_reference_orbit(data):
     for k, (moved, ref) in enumerate(zip(walk, want)):
         assert moved == ref, k
         assert all(has_canonical_scalars(x) for x in moved.values())
+
+
+def test_target_carry_sums_follow_the_source_steps(monkeypatch):
+    """The target carry sums are built once at the family and once on
+    each source carry sum, not again at every point of the source walk:
+    a walk makes at most |source units| * |target units| + |units|
+    calls of apply_unipotent. On P^1 e=(-2,-1) f=(0,1), m=(2,2),
+    n=(1,1) over GF(2) there are 8 source and 2 target units, and the
+    orbit has 2^10 points."""
+    inst = _unipotent_instance(2, (1, (-2, -1), (0, 1)), (2, 2), (1, 1))
+    h = inst.h
+    rng = random.Random(21)
+    fam = {(l, i): ExactMatrix.from_flat(h.field, 1, 2 * h.dimH[(l, i)],
+                                         [rng.randrange(2) for _ in range(2 * h.dimH[(l, i)])])
+           for l in (1, 2) for i in (1, 2)}
+    sizes = {src: sum(rows * cols for s, _, _, rows, cols in _unipotent_parameters(inst)[0]
+                      if s == src) for src in (True, False)}
+    assert sizes == {True: 8, False: 2}
+    calls = []
+    action = stability.apply_unipotent
+
+    def counted(*args):
+        calls.append(args)
+        return action(*args)
+
+    monkeypatch.setattr(stability, "apply_unipotent", counted)
+    assert sum(1 for _ in enumerate_unipotent_orbit(inst, fam)) == 2 ** 10
+    assert len(calls) <= sizes[True] * sizes[False] + sizes[True] + sizes[False]
