@@ -12,7 +12,7 @@ coordinate, and spans and ranks of packed vectors are taken by XOR.
 import functools
 from fractions import Fraction
 from itertools import combinations, compress, product
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 
 def _is_prime(p):
@@ -152,9 +152,11 @@ class ExactMatrix:
     a Fraction.
 
     Elimination (rref, rank and everything built on them) works on
-    Python ints, in one fraction-free Gauss-Jordan loop: over QQ on rows
-    cleared of their denominators, updating only the rows it changes,
-    over GF(p) on the residues with the reduction mod p written inline."""
+    Python ints, in one fraction-free Gauss-Jordan loop that updates only
+    the rows it changes: over QQ on rows cleared of their denominators,
+    each updated row piv*x - a*y divided by its content, which is exact
+    and keeps the row's zeros and so the pivots; over GF(p) on the
+    residues with the reduction mod p written inline."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -191,12 +193,6 @@ class ExactMatrix:
         one = field.one()
         for i in range(n):
             m.data[i][i] = one
-        return m
-
-    @staticmethod
-    def column(field, entries):
-        m = ExactMatrix(field, [[x] for x in entries])
-        m.cols = 1
         return m
 
     @staticmethod
@@ -378,9 +374,10 @@ class ExactMatrix:
         """Reduced row echelon form. Returns (R, pivot_columns).
 
         The Gauss-Jordan of _eliminate, forward and back, leaves each
-        pivot row over GF(p) reduced, and over QQ a multiple of its
-        reduced row, which is then divided by its pivot once: each entry
-        an int where the pivot divides it and a Fraction elsewhere."""
+        pivot row over GF(p) reduced, and over QQ an integer multiple of
+        its reduced row (primitive where a pivot updated it), which is
+        then divided by its pivot once: each entry an int where the pivot
+        divides it and a Fraction elsewhere."""
         rows, pivots = _eliminate(self.field, self.data, self.cols, True)
         if self.field.p is None:
             for i, c in enumerate(pivots):
@@ -445,26 +442,22 @@ def _eliminate(field, data, cols, reduce):
 
     Returns (rows, pivot_columns), the pivot rows first. Forward only,
     the rows are in row echelon form; reduced, every pivot column is also
-    zero outside its pivot row. Over QQ each row is a nonzero multiple of
-    its row in the Bareiss elimination (E. H. Bareiss, Math. Comp. 22,
-    1968), which applied also to the rows above the pivot is
-    fraction-free Gauss-Jordan (Nakos, Turner and Williams, SIGSAM Bull.
-    31, 1997).
+    zero outside its pivot row.
 
     At the pivot in column c, with pivot row y, a row x with entry a in
     column c is updated, and a row with a = 0 is left as it is; the rows
     below the pivot are updated, and reduced also the rows above. Over
     GF(p) the pivot row is first scaled by pow(pivot, p - 2, p), so that
     its pivot is 1, and x becomes x - a*y mod p from column c on, y being
-    0 before c. Over QQ x becomes piv*x - a*y, piv the pivot, from column
-    c on forward and whole reduced. The rows are cleared of their
-    denominators first, and the new row is divided by q, the pivot of the
-    row's last update (1 at the start): Bareiss's step divides by the
-    previous pivot prev and rescales a row with a = 0 by piv/prev, so the
-    Bareiss row is the kept row times prev/q, and every entry a minor of
-    the integer input, the division exact. A pivot row whose q lags is
-    first stored level as x*prev // q, and its q becomes its pivot, since
-    later pivots update it as a row above.
+    0 before c. Over QQ the rows are cleared of their denominators first,
+    and x becomes piv*x - a*y, piv the pivot, from column c on forward
+    (the row is 0 before c) and whole reduced, then divided by its
+    content, the gcd of its entries, when that is above 1: an exact
+    division. Each row is a nonzero multiple of the row a Gauss-Jordan
+    over QQ leaves, with the same zero entries, so the pivots are the
+    same; every updated row is primitive, so its entries are no larger
+    than those of the Bareiss row (E. H. Bareiss, Math. Comp. 22, 1968)
+    it is a multiple of, and no row depends on when it was last updated.
     """
     p = field.p
     if p is None:
@@ -473,8 +466,6 @@ def _eliminate(field, data, cols, reduce):
         rows = [row[:] for row in data]
     n = len(rows)
     pivots = []
-    prev = 1
-    q = [1] * n   # over QQ: the pivot of each row's last update
     for c in range(cols):
         r = len(pivots)
         if r == n:
@@ -486,15 +477,10 @@ def _eliminate(field, data, cols, reduce):
             continue
         prow = rows[pr]
         rows[pr], rows[r] = rows[r], prow
-        q[pr], q[r] = q[r], q[pr]
         pivots.append(c)
-        if p is None:
-            qr = q[r]
-            if qr != prev:
-                prow[c:] = [x * prev // qr for x in prow[c:]]
-            piv = q[r] = prev = prow[c]
-        elif prow[c] != 1:
-            inv = pow(prow[c], p - 2, p)
+        piv = prow[c]
+        if p is not None and piv != 1:
+            inv = pow(piv, p - 2, p)
             prow[c:] = [x * inv % p for x in prow[c:]]
         lo = 0 if reduce and p is None else c
         tail = prow[lo:]
@@ -503,9 +489,9 @@ def _eliminate(field, data, cols, reduce):
             a = row[c]
             if a and i != r:
                 if p is None:
-                    qi = q[i]
-                    row[lo:] = [(piv * x - a * y) // qi for x, y in zip(row[lo:], tail)]
-                    q[i] = piv
+                    new = [piv * x - a * y for x, y in zip(row[lo:], tail)]
+                    g = gcd(*new)
+                    row[lo:] = [x // g for x in new] if g > 1 else new
                 else:
                     row[lo:] = [(x - a * y) % p for x, y in zip(row[lo:], tail)]
     return rows, pivots
@@ -654,10 +640,6 @@ class Subspace:
     @property
     def dim(self):
         return self.basis.cols
-
-    @staticmethod
-    def zero(field, ambient_dim):
-        return Subspace(ambient_dim, ExactMatrix.zeros(field, ambient_dim, 0))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim

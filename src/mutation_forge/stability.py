@@ -125,13 +125,11 @@ class _WalkMemo:
     other indices, in product order, with its lam-weight and whether one
     of them is nonzero. last[(l, i)] is the last block x_(l,i) seen with
     its images and their keys (ids interns each image as an int); dims
-    maps a tuple of keys in N_l to the dimension of the span, rows maps
-    the keys of every index but the first to a dict of the rows of
-    _families, and verdicts maps a translate's tuple of keys to its
-    (semistable, stable, ks)."""
+    maps a tuple of keys in N_l to the dimension of the span, and rows
+    maps the keys of every index but the first to a dict of the rows of
+    _families."""
 
-    __slots__ = ("field", "bases", "heads", "tails", "last", "ids", "dims", "rows",
-                 "verdicts")
+    __slots__ = ("field", "bases", "heads", "tails", "last", "ids", "dims", "rows")
 
     def __init__(self, field, per_index, lam):
         self.field = field
@@ -155,7 +153,6 @@ class _WalkMemo:
         self.ids = {}
         self.dims = {}
         self.rows = {}
-        self.verdicts = {}
 
 
 def _gred_core(blocks, dimH, m_mult, n_mult, mu, memo):
@@ -165,8 +162,8 @@ def _gred_core(blocks, dimH, m_mult, n_mult, mu, memo):
 
     A block's images x_(l,i)(H_li (x) M'_i) are computed for all M'_i at
     once, and again only when the block changes; a family costs one
-    lookup per l, and a translate whose images were all seen together
-    before costs one lookup. Returns (semistable, stable, ks, images):
+    lookup per l, and a row of families seen before (_families) costs
+    one lookup. Returns (semistable, stable, ks, images):
     ks indexes the recorded family in the subspace lists, or is None,
     and images[l - 1][i - 1][k] is the image of the k-th M'_i in N_l as
     a tuple of echelon rows, () when it is 0."""
@@ -190,11 +187,7 @@ def _gred_core(blocks, dimH, m_mult, n_mult, mu, memo):
             row.append(cell)
         images.append([cell[1] for cell in row])
         keys.append([cell[2] for cell in row])
-    pattern = tuple(chain.from_iterable(keys))
-    verdict = memo.verdicts.get(pattern)
-    if verdict is None:
-        verdict = memo.verdicts[pattern] = _families(memo, images, keys, n_mult, mu)
-    return verdict + (images,)
+    return _families(memo, images, keys, n_mult, mu) + (images,)
 
 
 def _families(memo, images, keys, n_mult, mu):

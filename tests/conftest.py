@@ -79,14 +79,14 @@ def subspace_contains(S, T):
     S.basis x = t."""
     if S.ambient_dim != T.ambient_dim:
         raise ValueError("ambient mismatch")
-    return all(solve_linear(S.basis, ExactMatrix.column(
-        S.field, [row[j] for row in T.basis.data])) is not None for j in range(T.dim))
+    return all(solve_linear(S.basis, ExactMatrix(
+        S.field, [[row[j]] for row in T.basis.data])) is not None for j in range(T.dim))
 
 
 def subspace_intersect(S, T):
     """S meet T from the kernel of (B_S | -B_T): x = B_S a = B_T b."""
     if S.dim == 0 or T.dim == 0:
-        return Subspace.zero(S.field, S.ambient_dim)
+        return Subspace(S.ambient_dim, ExactMatrix.zeros(S.field, S.ambient_dim, 0))
     K = kernel_basis(S.basis.hstack(-T.basis))
     return Subspace(S.ambient_dim, S.basis @ K.submatrix(range(S.dim), range(K.cols)))
 

@@ -3,7 +3,7 @@
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -129,7 +129,7 @@ def test_column_echelon_preserves_image():
 
 def test_subspace_operations():
     f = QQ
-    e = lambda i: ExactMatrix.column(f, [1 if j == i else 0 for j in range(4)])
+    e = lambda i: ExactMatrix(f, [[1 if j == i else 0] for j in range(4)])
     S = image_subspace(e(0).hstack(e(1)))
     T = image_subspace(e(1).hstack(e(2)))
     assert S.dim == 2 and T.dim == 2
@@ -137,7 +137,7 @@ def test_subspace_operations():
     assert subspace_intersect(S, T).dim == 1
     assert subspace_contains(S, subspace_intersect(S, T))
     assert subspace_contains(Subspace(4, ExactMatrix.identity(f, 4)), S)
-    assert subspace_contains(S, Subspace.zero(f, 4))
+    assert subspace_contains(S, Subspace(4, ExactMatrix.zeros(f, 4, 0)))
 
 
 def test_quotient_data_is_a_splitting():
@@ -180,7 +180,7 @@ def spans(draw, max_dim=7):
     n = draw(st.integers(0, max_dim))
     kind = draw(st.sampled_from(["zero", "full", "span"]))
     if kind == "zero":
-        return n, Subspace.zero(f, n)
+        return n, Subspace(n, ExactMatrix.zeros(f, n, 0))
     k = draw(st.integers(0, n + 2))
     cols = [draw(st.lists(_scalars(f), min_size=n, max_size=n)) for _ in range(k)]
     for j in draw(st.sets(st.integers(0, k - 1))) if k else ():
@@ -190,7 +190,7 @@ def spans(draw, max_dim=7):
     B = ExactMatrix.from_flat(f, k, n, [x for col in cols for x in col]).transpose()
     if kind == "full":
         B = B.hstack(ExactMatrix.identity(f, n)) if k else ExactMatrix.identity(f, n)
-    return n, Subspace(n, B) if B.cols else Subspace.zero(f, n)
+    return n, Subspace(n, B) if B.cols else Subspace(n, ExactMatrix.zeros(f, n, 0))
 
 
 @settings(max_examples=400, deadline=None)
@@ -615,7 +615,7 @@ def test_solve_linear_matches_reference(A, data):
 def sparse_rational_matrices(draw, max_dim=8):
     """A mostly-zero matrix over QQ of ints or of Fractions, often of low
     rank (a product through a thin middle), so that the forward
-    elimination leaves rows alone and later picks pivot rows that lag."""
+    elimination leaves rows alone and later picks them as pivot rows."""
     rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
     scalars = (st.integers(-9, 9) if draw(st.booleans())
                else st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
@@ -650,11 +650,11 @@ def reference_bareiss(rows, cols):
     return rows
 
 
-# row 1 is left alone at the first pivot and is the lagging pivot row of
-# the second; row 2 is updated at both
+# row 1 is zero in the first pivot column and is the untouched pivot row
+# of the second; row 2 is updated at both
 LAGGING_PIVOT_ROW = ExactMatrix(QQ, [[2, 1, 0, 4], [0, 3, 1, 0], [1, 0, 5, 7]])
-# row 2 is left alone at the first pivot and updated at the second, whose
-# pivot row is level
+# row 2 is zero in the first pivot column and is updated at the second,
+# whose pivot row the first updated; that update of row 2 has content 2
 LAGGING_ROW = ExactMatrix(QQ, [[-4, -1, 0], [-1, 0, 0], [0, 4, 2]])
 
 
@@ -663,15 +663,18 @@ LAGGING_ROW = ExactMatrix(QQ, [[-4, -1, 0], [-1, 0, 0], [0, 4, 2]])
 @example(LAGGING_PIVOT_ROW)
 @example(LAGGING_ROW)
 def test_rational_rank_matches_reference(A):
-    """The lazy forward elimination finds the reference pivots, and each
-    row it leaves is a multiple of that row of the full Bareiss
-    elimination of the integer rows, nonzero where that row is."""
+    """The forward elimination finds the reference pivots, and each row
+    it leaves is a multiple of that row of the full Bareiss elimination
+    of the integer rows, nonzero where that row is; a nonzero row is
+    primitive or is an integer input row that no pivot updated."""
     _, ref_pivots = reference_rref(A)
     assert A.rank() == len(ref_pivots) == A.transpose().rank()
     rows, pivots = exactfield._eliminate(QQ, A.data, A.cols, False)
     assert pivots == ref_pivots
-    full_rows = reference_bareiss([exactfield._integer_row(row) for row in A.data], A.cols)
+    inputs = [exactfield._integer_row(row) for row in A.data]
+    full_rows = reference_bareiss(inputs, A.cols)
     for row, full in zip(rows, full_rows):
+        assert not any(row) or gcd(*row) == 1 or row in inputs
         k = next((j for j, y in enumerate(full) if y), None)
         if k is None:
             assert not any(row)
@@ -679,11 +682,12 @@ def test_rational_rank_matches_reference(A):
             assert row[k] and all(x * full[k] == y * row[k] for x, y in zip(row, full))
 
 
-# reduced: row 0 is left alone at the second pivot and updated at the
-# third, so its q lags the previous pivot
+# reduced: row 0 is zero in the second pivot column and is
+# back-substituted at the third; the update of row 1 at the first pivot
+# and of row 0 at the third have content 2
 ROW_ABOVE_UPDATED_LATER = ExactMatrix(QQ, [[-2, 0, 2], [-1, 5, 0], [0, -1, 0]])
-# reduced: row 2 is left alone at the first pivot, is the lagging pivot
-# row of the second and is back-substituted at the third
+# reduced: row 2 is zero in the first pivot column, is the untouched
+# pivot row of the second and is back-substituted at the third
 LAGGING_PIVOT_ROW_ABOVE = ExactMatrix(QQ, [[-2, 0, -1], [-1, 0, 0], [0, 1, 3]])
 
 
@@ -695,13 +699,16 @@ LAGGING_PIVOT_ROW_ABOVE = ExactMatrix(QQ, [[-2, 0, -1], [-1, 0, 0], [0, 1, 3]])
 def test_reduced_elimination_matches_reference(A):
     """Forward and back, the elimination finds the reference pivots, and
     each row it leaves is a nonzero multiple of that row of the reduced
-    echelon form, zero where that row is zero."""
+    echelon form, zero where that row is zero; over QQ a nonzero row is
+    primitive or is an integer input row that no pivot updated."""
     p = A.field.p
     ref_R, ref_pivots = reference_rref(A)
     rows, pivots = exactfield._eliminate(A.field, A.data, A.cols, True)
     assert pivots == ref_pivots
+    inputs = [exactfield._integer_row(row) for row in A.data] if p is None else []
     for row, ref in zip(rows, ref_R.data):
         assert all(type(x) is int for x in row)
+        assert p is not None or not any(row) or gcd(*row) == 1 or row in inputs
         k = next((j for j, y in enumerate(ref) if y), None)
         if k is None:
             assert not any(row)

@@ -301,7 +301,7 @@ def reference_family_images(inst, fam, bases):
     f = inst.h.field
     out = {}
     for l in range(1, inst.h.s + 1):
-        span = Subspace.zero(f, inst.n_mult[l - 1])
+        span = Subspace(inst.n_mult[l - 1], ExactMatrix.zeros(f, inst.n_mult[l - 1], 0))
         for i in range(1, inst.h.r + 1):
             basis = bases[i - 1]
             if basis.cols == 0:
@@ -514,19 +514,19 @@ SPLIT_WALKS = [(0, 6), (6, 0), (0, 7), (7, 0), (0, 8), (8, 0)]
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_verdict_memo_matches_memo_free_walk(data):
-    """_verdict shares block images, span dimensions and whole verdicts
-    between the translates of a walk; its verdict and witness equal
-    reference_gred run afresh at every translate. A with every block
-    x_(l,i) moved to x_(l,i) (g (x) I_(m_i)), g invertible on H_li, has
-    other blocks but the same images x_(l,i)(H_li (x) M'_i) as A, so its
-    verdict is looked up from A's. A with the blocks of N_1, or of every
-    N_l with l >= 2, redrawn differs from A in those images alone, which
-    a memo keyed by part of the image pattern would not see; A with the
-    blocks of every M_i, i >= 2, redrawn has the rows of A's families
-    with the same images of M'_1 and other images of the rest, which a
-    row keyed by M'_1 alone would not see. Where the
-    case walks G, the unipotent orbit of A is walked too: its translates
-    share every block that a step leaves alone, as the same object."""
+    """_verdict shares block images, span dimensions and the rows of
+    families between the translates of a walk; its verdict and witness
+    equal reference_gred run afresh at every translate. A with every
+    block x_(l,i) moved to x_(l,i) (g (x) I_(m_i)), g invertible on H_li,
+    has other blocks but the same images x_(l,i)(H_li (x) M'_i) as A, so
+    every row of its families is looked up from A's. A with the blocks of
+    N_1, or of every N_l with l >= 2, redrawn differs from A in those
+    images alone, which a memo keyed by part of the image pattern would
+    not see; A with the blocks of every M_i, i >= 2, redrawn has the rows
+    of A's families with the same images of M'_1 and other images of the
+    rest, which a row keyed by M'_1 alone would not see. Where the case
+    walks G, the unipotent orbit of A is walked too: its translates share
+    every block that a step leaves alone, as the same object."""
     case = data.draw(st.sampled_from(ORACLE_CASES))   # GF(2) and GF(3)
     p, _, _, m, n, _ = case
     inst = _oracle_instance(case)

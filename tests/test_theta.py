@@ -71,7 +71,7 @@ def test_equality_detail_names_the_first_differing_entry():
     t = full_p1_instance().theta
     w = random_point(t, random.Random(5))
     moved = MorphismPoint(t, w.psi1, w.psi2, w.phi1,
-                          w.phi2 + ExactMatrix.column(QQ, [0] * (t.dim_m2 - 1) + [3]))
+                          w.phi2 + ExactMatrix(QQ, [[0]] * (t.dim_m2 - 1) + [[3]]))
     rep = ValidationReport()
     rep.add_equal("same", w, w)
     rep.add_equal("moved", moved, w)
