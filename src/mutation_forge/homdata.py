@@ -133,13 +133,15 @@ def _on_chain(field, r, s, dim, comp):
 
 def _monomials(n_vars, d):
     """Exponent tuples of total degree d in n_vars variables, ordered
-    lexicographically (this fixes the bases of all Sym powers)."""
-    if n_vars == 1:
-        return [(d,)]
+    lexicographically from x_1^d down (this fixes the bases of all Sym
+    powers): the multisets of d variables in lexicographic order, each
+    counted."""
     out = []
-    for e0 in range(d, -1, -1):
-        for rest in _monomials(n_vars - 1, d - e0):
-            out.append((e0,) + rest)
+    for combo in combinations_with_replacement(range(n_vars), d):
+        exps = [0] * n_vars
+        for v in combo:
+            exps[v] += 1
+        out.append(tuple(exps))
     return out
 
 

@@ -11,9 +11,11 @@ the full group's is its verdict along the unipotent orbit.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import chain, product
 from math import lcm
 from operator import getitem, mul
+from weakref import ref
 
 from .exactfield import (ExactMatrix, Subspace, enumerate_subspaces,
                          kernel_basis, pack_columns, packed_combinations,
@@ -67,41 +69,61 @@ def _subspace_lists(p, m_mult, budget):
     return per_index
 
 
-def _packed_images(x, dim_h, m, bases):
-    """GF(2): the canonical tuple (exactfield.xor_echelon) of
-    x(H (x) M') for a block x : H (x) M -> N, dim H = dim_h, dim M = m,
-    for each M' in bases, given by the packed coefficients of its basis
-    over M. For each basis vector h of H every combination of the columns
-    h (x) M of x is listed once, and x(h (x) b) is read off by the
-    coefficients of b."""
-    cols = pack_columns(x)
-    sums = [packed_combinations(cols[h * m:(h + 1) * m]) for h in range(dim_h)]
-    return [xor_echelon([s[c] for s in sums for c in basis]) for basis in bases]
-
-
-def _block_images(x, dim_h, m, stacked):
-    """GF(p), p > 2: the echelon rows, as a tuple of row tuples, spanning
-    x(H (x) M') for a block x : H (x) M -> N, for each M' given by its
-    transposed basis, from one product of their stack with x regrouped
+def _image_table(x, dim_h, m, bases):
+    """The image table of a block x : H (x) M -> N (dim H = dim_h,
+    dim M = m), from which _table_images reads x(H (x) M') for every M'
+    of the verdict; it is linear in x. Over GF(2), for each basis
+    vector h of H, every combination of the columns h (x) M of x,
+    packed (exactfield.packed_combinations). Over GF(p), the product of
+    the stacked transposed bases of the M' (bases[0]) with x regrouped
     to M -> H (x) N: row c of the slice of M' holds the images of
-    h (x) (basis vector c) for every basis vector h of H. stacked is
-    (the stacked matrix or None, the dimensions of the M')."""
-    n = x.rows
-    matrix, dims = stacked
-    if matrix is None or not dim_h * n:
-        return [()] * len(dims)
-    y = x.regroup([n], [dim_h, m], [2], [1, 0])
-    rows = (matrix @ y).data
+    h (x) (basis vector c) for every basis vector h of H."""
+    if x.field.p == 2:
+        cols = pack_columns(x)
+        return [packed_combinations(cols[h * m:(h + 1) * m]) for h in range(dim_h)]
+    return bases[0] @ x.regroup([x.rows], [dim_h, m], [2], [1, 0])
+
+
+def _table_sum(p, table, other):
+    """The image table of the sum of two blocks, from their tables: one
+    XOR per packed entry over GF(2), the matrix sum over GF(p)."""
+    if p == 2:
+        return [[a ^ b for a, b in zip(s, t)] for s, t in zip(table, other)]
+    return table + other
+
+
+def _table_images(field, n, dim_h, table, bases):
+    """The echelon rows spanning x(H (x) M') in N (dim N = n) for each M'
+    of bases, read off the image table of x; () when the image is 0.
+    Over GF(2) the canonical tuple of packed rows (exactfield.xor_echelon)
+    of the combinations that the packed coefficients of the basis of M'
+    pick; over GF(p) the rref of the slice of M' cut into rows of
+    length n, as a tuple of row tuples."""
+    if field.p == 2:
+        return [xor_echelon([s[c] for s in table for c in basis]) for basis in bases]
     out, start = [], 0
-    for d in dims:
-        part, start = rows[start:start + d], start + d
-        if not d:   # the zero subspace
+    for d in bases[1]:
+        part, start = table.data[start:start + d], start + d
+        if not (d and dim_h and n):   # the zero subspace, or no image to take
             out.append(())
             continue
-        R, pivots = y._new([row[k:k + n] for row in part
-                            for k in range(0, y.cols, n)], n).rref()
+        R, pivots = ExactMatrix.of_rows(field, [row[k:k + n] for row in part
+                                                for k in range(0, dim_h * n, n)], n).rref()
         out.append(tuple(map(tuple, R.data[:len(pivots)])))
     return out
+
+
+def _table_block(field, n, dim_h, m, table):
+    """The block x : H (x) M -> N read back from its image table. Over
+    GF(2) the column h (x) (basis vector j) of x is the combination of
+    that vector alone; over GF(p) the last m rows of the table, those of
+    M itself, whose canonical basis is the identity, are x regrouped to
+    M -> H (x) N."""
+    if field.p == 2:
+        cols = [s[1 << (m - 1 - j)] for s in table for j in range(m)]
+        return ExactMatrix.of_rows(field, unpack_rows(cols, n), n).transpose()
+    y = ExactMatrix.of_rows(field, table.data[table.rows - m:], table.cols)
+    return y.regroup([m], [dim_h, n], [2], [1, 0])
 
 
 def _span_dim(field, n, images):
@@ -118,29 +140,36 @@ def _span_dim(field, n, images):
 class _WalkMemo:
     """What the translates of one verdict share; it lives as long as the
     verdict. bases holds each first-tier index's subspaces in the form
-    that the block images read: over GF(2) the packed coefficients of
-    each basis, over GF(p) the stack of the transposed bases with their
-    dimensions. heads[k] is the lam-weight and the dimension of the k-th
-    subspace of M_1, and tails lists each choice of subspaces of the
-    other indices, in product order, with its lam-weight and whether one
-    of them is nonzero. last[(l, i)] is the last block x_(l,i) seen with
-    its images and their keys (ids interns each image as an int); dims
+    that the image tables read: over GF(2) the packed coefficients of
+    each basis, over GF(p) the stack of the transposed bases (the last
+    that of the whole space) with their dimensions. heads[k] is the
+    lam-weight and the dimension of the k-th subspace of M_1, and tails
+    lists each choice of subspaces of the other indices, in product
+    order, with its lam-weight and whether one of them is nonzero.
+    shapes[(l, i)] is (dim N_l, dim H_li, dim M_i, the bases of index i)
+    for the block x_(l,i); tables[(l, i)] is the image table of the
+    block at the current translate, and images[l - 1][i - 1] and
+    keys[l - 1][i - 1] its images and their keys (ids interns each image
+    as an int); changes maps the id of each live change seen in the walk
+    to a weak reference to it and the image tables of its blocks. dims
     maps a tuple of keys in N_l to the dimension of the span, and rows
     maps the keys of every index but the first to a dict of the rows of
     _families."""
 
-    __slots__ = ("field", "bases", "heads", "tails", "last", "ids", "dims", "rows")
+    __slots__ = ("field", "n_mult", "bases", "heads", "tails", "shapes", "tables",
+                 "images", "keys", "changes", "ids", "dims", "rows")
 
-    def __init__(self, field, per_index, lam):
+    def __init__(self, field, per_index, dimH, m_mult, n_mult, lam):
         self.field = field
+        self.n_mult = n_mult
         if field.p == 2:
             self.bases = [[pack_columns(sub.basis) for sub in subs] for subs in per_index]
         else:
             self.bases = []
-            for subs in per_index:
+            for m, subs in zip(m_mult, per_index):
                 rows = [row for sub in subs for row in sub.basis.transpose().data]
-                self.bases.append((ExactMatrix.of_rows(field, rows, subs[0].ambient_dim)
-                                   if rows else None, [sub.dim for sub in subs]))
+                self.bases.append((ExactMatrix.of_rows(field, rows, m),
+                                   [sub.dim for sub in subs]))
         weights = [[(lam_i * sub.dim, sub.dim) for sub in subs]
                    for lam_i, subs in zip(lam, per_index)]
         self.heads = weights[0]
@@ -149,57 +178,76 @@ class _WalkMemo:
             self.tails = [(tail + (k,), w + w_k, nonzero or d_k > 0)
                           for tail, w, nonzero in self.tails
                           for k, (w_k, d_k) in enumerate(index)]
-        self.last = {}
+        self.shapes = {(l, i): (n, dimH[(l, i)], m, bases)
+                       for l, n in enumerate(n_mult, 1)
+                       for i, (m, bases) in enumerate(zip(m_mult, self.bases), 1)}
+        self.tables = {}
+        self.images = [[None] * len(m_mult) for _ in n_mult]
+        self.keys = [[None] * len(m_mult) for _ in n_mult]
+        self.changes = {}
         self.ids = {}
         self.dims = {}
         self.rows = {}
 
 
-def _gred_core(blocks, dimH, m_mult, n_mult, mu, memo):
-    """The reductive verdict of the blocks x_(l,i) : H_li (x) M_i -> N_l
-    (dim H_li = dimH[(l, i)]) under the integer weights of memo (a
-    _WalkMemo) and mu, over the subspace lists of _subspace_lists.
-
-    A block's images x_(l,i)(H_li (x) M'_i) are computed for all M'_i at
-    once, and again only when the block changes; a family costs one
-    lookup per l, and a row of families seen before (_families) costs
-    one lookup. Returns (semistable, stable, ks, images):
-    ks indexes the recorded family in the subspace lists, or is None,
-    and images[l - 1][i - 1][k] is the image of the k-th M'_i in N_l as
-    a tuple of echelon rows, () when it is 0."""
-    last, ids = memo.last, memo.ids
-    images, keys = [], []
-    for l, n in enumerate(n_mult, 1):
-        row = []
-        for i, (m, bases) in enumerate(zip(m_mult, memo.bases), 1):
-            x = blocks[(l, i)]
-            cell = last.get((l, i))
-            if cell is None or (cell[0] is not x and cell[0] != x):
-                if (x.rows, x.cols) != (n, dimH[(l, i)] * m):
-                    raise ValueError("block %r is %dx%d, expected %dx%d"
-                                     % ((l, i), x.rows, x.cols, n, dimH[(l, i)] * m))
-                if memo.field.p == 2:
-                    imgs = _packed_images(x, dimH[(l, i)], m, bases)
-                else:
-                    imgs = _block_images(x, dimH[(l, i)], m, bases)
-                cell = last[(l, i)] = (x, imgs, tuple(ids.setdefault(img, len(ids))
-                                                      for img in imgs))
-            row.append(cell)
-        images.append([cell[1] for cell in row])
-        keys.append([cell[2] for cell in row])
-    return _families(memo, images, keys, n_mult, mu) + (images,)
+def _checked_table(memo, key, x):
+    """The image table of x as a block, or a change to the block, x_key."""
+    n, dim_h, m, bases = memo.shapes[key]
+    if (x.rows, x.cols) != (n, dim_h * m):
+        raise ValueError("block %r is %dx%d, expected %dx%d"
+                         % (key, x.rows, x.cols, n, dim_h * m))
+    return _image_table(x, dim_h, m, bases)
 
 
-def _families(memo, images, keys, n_mult, mu):
+def _set_table(memo, key, table):
+    """Make table the image table of the block x_key, with its images
+    and their keys."""
+    n, dim_h, _, bases = memo.shapes[key]
+    images = _table_images(memo.field, n, dim_h, table, bases)
+    l, i = key
+    memo.tables[key] = table
+    memo.images[l - 1][i - 1] = images
+    ids = memo.ids
+    memo.keys[l - 1][i - 1] = tuple(ids.setdefault(img, len(ids)) for img in images)
+
+
+def _gred_core(memo, change, mu):
+    """The reductive verdict at the next translate of the walk, which the
+    change (a _Change, or empty) makes from the previous one, under the
+    integer weights of memo and mu. Each changed block's image table
+    gains the table of its change. The tables of a change are computed
+    once per verdict, as the walk yields the same changes again and
+    again; the memo keeps them while the change lives, so it holds no
+    more tables than the walk holds changes. A block's images are read
+    off its table again only when it changes, a family costs one lookup
+    per l, and a row of families seen before (_families) costs one
+    lookup. Returns (semistable, stable, ks): ks indexes the recorded
+    family in the subspace lists, or is None."""
+    if change:
+        cell = memo.changes.get(id(change))
+        if cell is None:
+            # the entry goes when the change does, before its id can be reused
+            cell = memo.changes[id(change)] = (
+                ref(change, partial(memo.changes.pop, id(change))),
+                [(key, _checked_table(memo, key, x)) for key, x in change.items()])
+        p = memo.field.p
+        for key, table in cell[1]:
+            _set_table(memo, key, _table_sum(p, memo.tables[key], table))
+    return _families(memo, mu)
+
+
+def _families(memo, mu):
     """The family loop of _gred_core: (semistable, stable, ks) from the
-    images and their keys, row by row. A row is every family with one
-    subspace M'_1, and families come in product order, so the first
-    violating family is the first violation of the first row that has
-    one, and the first tie (a nonzero family on the line, recorded when
-    no family violates) is the first tie of the first row that has one.
+    images of memo and their keys, row by row. A row is every family
+    with one subspace M'_1, and families come in product order, so the
+    first violating family is the first violation of the first row that
+    has one, and the first tie (a nonzero family on the line, recorded
+    when no family violates) is the first tie of the first row that has
+    one.
     A row's outcome depends on M'_1 only through its dimension and the
     keys of its images, and otherwise on the keys of the other indices
     alone: each distinct row is scanned once per verdict."""
+    keys = memo.keys
     rows = memo.rows.setdefault(tuple(chain.from_iterable(key_row[1:] for key_row in keys)),
                                 {})
     tie = None
@@ -207,7 +255,7 @@ def _families(memo, images, keys, n_mult, mu):
         head = (d1,) + tuple(key_row[0][k1] for key_row in keys)
         row = rows.get(head)
         if row is None:
-            row = rows[head] = _row(memo, images, keys, k1, n_mult, mu)
+            row = rows[head] = _row(memo, k1, mu)
         bad, first = row
         if bad is not None:
             # the first violating family decides the verdict and the witness
@@ -217,18 +265,18 @@ def _families(memo, images, keys, n_mult, mu):
     return True, tie is None, tie
 
 
-def _row(memo, images, keys, k1, n_mult, mu):
+def _row(memo, k1, mu):
     """One row of _families, the families whose M'_1 is the k1-th
     subspace: (the first violating choice of the other indices or None,
     the first tie before it or None). A family with every N'_l = N_l is
     neither."""
-    dims = memo.dims
+    dims, n_mult = memo.dims, memo.n_mult
     w1, d1 = memo.heads[k1]
     tie = None
     for tail, w, nonzero in memo.tails:
         ks = (k1,) + tail
         dims_n = []
-        for n, row, key_row in zip(n_mult, images, keys):
+        for n, row, key_row in zip(n_mult, memo.images, memo.keys):
             key = tuple(map(getitem, key_row, ks))
             d = dims.get(key)
             if d is None:
@@ -256,21 +304,32 @@ def _witness(f, per_index, n_mult, images, ks):
     return tuple(subs[k] for subs, k in zip(per_index, ks)), spans
 
 
-def _verdict(f, translates, dimH, m_mult, n_mult, lam, mu, budget):
-    """The reductive verdict along translates (families of blocks of one
-    shape): semistable and stable when every translate is. Returns
+def _verdict(f, walk, dimH, m_mult, n_mult, lam, mu, budget):
+    """The reductive verdict along a walk of families of blocks of one
+    shape, given as its first family and then, for each next translate,
+    its change from the one before, a _Change or an empty dict (as
+    enumerate_unipotent_orbit yields them): semistable and stable when
+    every translate is. Returns
     (semistable, stable, kept), kept the pair (translate, witness) of the
     first translate that is not semistable, or else of the first that is
     not stable, or None; the walk stops at the first that is not
-    semistable."""
+    semistable. A kept translate is read back from the image tables of
+    the blocks that the walk changed."""
     per_index = _subspace_lists(f.p, m_mult, budget)
-    memo = _WalkMemo(f, per_index, lam)
+    memo = _WalkMemo(f, per_index, dimH, m_mult, n_mult, lam)
+    walk = iter(walk)
+    fam = next(walk)
+    for key in memo.shapes:
+        _set_table(memo, key, _checked_table(memo, key, fam[key]))
+    first = dict(memo.tables)
     stable = True
     kept = None
-    for moved in translates:
-        ss, st, ks, images = _gred_core(moved, dimH, m_mult, n_mult, mu, memo)
+    for change in chain([{}], walk):
+        ss, st, ks = _gred_core(memo, change, mu)
         if not st and (kept is None or not ss):
-            kept = (moved, _witness(f, per_index, n_mult, images, ks))
+            moved = {key: _table_block(f, *memo.shapes[key][:3], table)
+                     for key, table in memo.tables.items() if table is not first[key]}
+            kept = ({**fam, **moved}, _witness(f, per_index, n_mult, memo.images, ks))
         if not ss:
             return False, False, kept
         stable = stable and st
@@ -367,13 +426,13 @@ def _check_polarization(inst, pol):
         raise ValueError("polarization multiplicities do not match the instance")
 
 
-def _instance_verdict(inst, translates, pol, budget):
-    """_verdict of the instance's translates under pol, its weights
-    cleared of their common denominator."""
+def _instance_verdict(inst, walk, pol, budget):
+    """_verdict of a walk of the instance's families under pol, its
+    weights cleared of their common denominator."""
     den = lcm(*(Fraction(x).denominator for x in chain(pol.lam, pol.mu)))
     lam = [(Fraction(x) * den).numerator for x in pol.lam]
     mu = [(Fraction(x) * den).numerator for x in pol.mu]
-    return _verdict(inst.h.field, translates, inst.h.dimH, inst.m_mult,
+    return _verdict(inst.h.field, walk, inst.h.dimH, inst.m_mult,
                     inst.n_mult, lam, mu, budget)
 
 
@@ -458,10 +517,18 @@ def apply_unipotent(inst, fam, params):
     return out
 
 
+class _Change(dict):
+    """A change to a family: a dict from block keys to the nonzero
+    changes of those blocks, which a verdict's memo can refer to
+    weakly."""
+
+    __slots__ = ("__weakref__",)
+
+
 def _plus(change, other):
     """The sum of two changes, each a dict from block keys to nonzero
-    changes; a key whose sum is 0 is dropped."""
-    out = dict(change)
+    changes, as a _Change; a key whose sum is 0 is dropped."""
+    out = _Change(change)
     for k, x in other.items():
         if k in out:
             x = out[k] + x
@@ -504,28 +571,13 @@ def _rises(n, p):
         yield k
 
 
-def _moved(fam, change):
-    """fam plus a change; the blocks that it does not name stay the same
-    objects."""
-    fam = dict(fam)
-    for key, x in change.items():
-        fam[key] = fam[key] + x
-    return fam
-
-
-def _walk(fam, sums, p):
-    """fam, then the family at each next tuple of GF(p)^len(sums) in
-    lexicographic order: raising digit k adds the carry sum sums[k]."""
-    yield fam
-    for k in _rises(len(sums), p):
-        fam = _moved(fam, sums[k])
-        yield fam
-
-
 def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
-    """All images of the family under the unipotent group, in the
+    """The images of the family under the unipotent group, in the
     lexicographic order of their parameter tuples over the prime field
-    (flat entries, source parameters first), walked by additions.
+    (flat entries, source parameters first), as a walk of changes: the
+    family itself first, then for each next translate its change from
+    the one before, a _Change (a dict from block keys to the nonzero
+    changes of those blocks).
 
     The translate of (u, v) is (I + V_v) mid_u with mid_u = (I + S_u) x:
     mid_u is affine in u, and the translate affine in v for a fixed
@@ -534,7 +586,10 @@ def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
     change is linear in the family, so the target carry sums at
     mid_u + S are those at mid_u plus their values on S: they are built
     once at the family and once on each source carry sum S, and updated
-    by each source step."""
+    by each source step. A source step leaves the walk of the target
+    digits at their top, p - 1 each, and resets them all to 0, which
+    adds the first target carry sum at mid_u: its change is the source
+    carry sum plus that."""
     p = _require_finite(inst.h.field)
     shapes, _ = _unipotent_parameters(inst, budget=budget)
     units = [((src, a, b), rows, cols, entry) for src, a, b, rows, cols in shapes
@@ -544,12 +599,13 @@ def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
     steps = _carry_sums(inst, fam, source)
     zero = {k: ExactMatrix.zeros(x.field, x.rows, x.cols) for k, x in fam.items()}
     shifts = [_carry_sums(inst, {**zero, **step}, target) for step in steps]
-    mid, sums = dict(fam), _carry_sums(inst, fam, target)
-    yield from _walk(mid, sums, p)
+    sums = _carry_sums(inst, fam, target)
+    yield fam
+    yield from map(sums.__getitem__, _rises(len(sums), p))
     for k in _rises(len(steps), p):
-        mid = _moved(mid, steps[k])
+        yield _plus(steps[k], sums[0]) if sums else steps[k]
         sums = [_plus(t, d) for t, d in zip(sums, shifts[k])]
-        yield from _walk(mid, sums, p)
+        yield from map(sums.__getitem__, _rises(len(sums), p))
 
 
 def is_semistable_rs(inst, w, pol, group="Gred", budget=DEFAULT_BUDGET):
@@ -557,8 +613,8 @@ def is_semistable_rs(inst, w, pol, group="Gred", budget=DEFAULT_BUDGET):
 
     group="Gred": the reductive verdict by subspace enumeration.
     group="G": the reductive verdict must hold at every point of the
-    finite unipotent orbit of w; the subspaces are enumerated once for
-    the whole walk."""
+    finite unipotent orbit of w, walked as a stream of changes; the
+    subspaces are enumerated once for the whole walk."""
     fam = _as_family(inst, w)
     if group == "Gred":
         return gred_semistable(inst, fam, pol, budget=budget)

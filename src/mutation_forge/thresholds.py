@@ -4,6 +4,7 @@ All evaluations are exact rational comparisons; n1 = 1 upper bounds
 with denominator n1 - 1 are treated as vacuous (+infinity).
 """
 
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -233,7 +234,12 @@ def singular_values_ex2(n, k):
 def dimension_families(m_mult, n_mult):
     """Every integer family (m'_i, n'_l) with 0 <= m'_i <= m_i,
     0 <= n'_l <= n_l, some n'_l < n_l, not all zero: the dimension
-    vectors of the proper nonzero subobjects that a polarization weighs."""
+    vectors of the proper nonzero subobjects that a polarization weighs.
+    A multiplicity whose range of dimensions is too long to list (more
+    than sys.maxsize values) is a ValueError."""
+    for m in list(m_mult) + list(n_mult):
+        if m >= sys.maxsize:
+            raise ValueError("multiplicity %d is too large to list the dimensions up to it" % m)
     for mv in product(*[range(m + 1) for m in m_mult]):
         for nv in product(*[range(n + 1) for n in n_mult]):
             if any(x < n for x, n in zip(nv, n_mult)) and (any(mv) or any(nv)):

@@ -111,6 +111,13 @@ BAD_INPUTS = {
          "--t", "1/0", "--case", "1"],
     "sweep with m1 zero":
         ["sweep", "--n", "2", "--m1", "0", "--m2", "1", "--n1", "4"],
+    # too many dimensions below them to list
+    "sweep with m1 2^64":
+        ["sweep", "--n", "2", "--m1", str(2 ** 64), "--m2", "1", "--n1", "4"],
+    "sweep with m2 2^64":
+        ["sweep", "--n", "2", "--m1", "1", "--m2", str(2 ** 64), "--n1", "4"],
+    "sweep with n1 2^64":
+        ["sweep", "--n", "2", "--m1", "1", "--m2", "1", "--n1", str(2 ** 64)],
     # n is the dimension of a projective space
     "thresholds with n -2":
         ["thresholds", "--n", "-2", "--m1", "1", "--m2", "1", "--n1", "1",
@@ -669,8 +676,7 @@ CHECKING = {"validate", "dual", "mutate", "polarization", "constants"}
 # the flags whose value is a size of the work: a large int there is a
 # valid request that runs out of time or memory, not bad input
 SIZES = {("generate", "--n"), ("generate", "--fdeg"), ("constants", "--n"),
-         ("constants", "--m"), ("constants", "--samples"), ("sweep", "--m1"),
-         ("sweep", "--m2"), ("sweep", "--n1"), ("sweep", "--grid")}
+         ("constants", "--m"), ("constants", "--samples"), ("sweep", "--grid")}
 
 
 def _json_paths(obj, path=()):

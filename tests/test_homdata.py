@@ -18,7 +18,7 @@ from mutation_forge.homdata import (BlockLayout, Polarization, build_theta_p,
                                     instance_left_element,
                                     instance_right_element, map_polarization,
                                     mutated_hom_data, mutated_instance,
-                                    mutated_multiplicities,
+                                    _monomials, mutated_multiplicities,
                                     projective_space_hom_data,
                                     transpose_hom_data, validate_hom_data)
 from conftest import (full_p1_instance, pn_grid, pn_hom, pn_instance,
@@ -30,6 +30,29 @@ QQ = Field()
 def _binom(n, k):
     from math import comb
     return comb(n, k)
+
+
+def reference_monomials(n_vars, d):
+    """The exponent tuples as they were first built: x_1^e0 times every
+    monomial of degree d - e0 in the other variables, e0 from d down."""
+    if n_vars == 1:
+        return [(d,)]
+    return [(e0,) + rest for e0 in range(d, -1, -1)
+            for rest in reference_monomials(n_vars - 1, d - e0)]
+
+
+def test_monomials_match_the_recursive_form():
+    for n_vars in range(1, 6):
+        for d in range(7):
+            assert _monomials(n_vars, d) == reference_monomials(n_vars, d), (n_vars, d)
+
+
+def test_monomials_of_many_variables():
+    """No recursion per variable: 1001 variables (P^1000) are as easy as
+    three."""
+    mons = _monomials(1001, 1)
+    assert len(mons) == 1001
+    assert mons == [tuple(int(k == v) for k in range(1001)) for v in range(1001)]
 
 
 def test_projective_hom_dimensions():

@@ -234,7 +234,7 @@ def test_unipotent_orbit_contains_base_family():
             w = cand
             break
     fam = inst.family_from_point(w)
-    orbit = list(enumerate_unipotent_orbit(inst, fam))
+    orbit = list(added_up(enumerate_unipotent_orbit(inst, fam)))
     assert any(all(fam[k] == o[k] for k in fam) for o in orbit)
     assert len(orbit) == 4   # GF(2)^(dim A_21), multiplicities 1
 
@@ -357,6 +357,27 @@ def reference_gred(inst, fam, pol, budget=DEFAULT_BUDGET):
     return StabilityVerdict(semistable, stable, witness)
 
 
+def _moved(fam, change):
+    """fam plus a change, a dict from block keys to changes of those
+    blocks; the blocks that it does not name stay the same objects."""
+    fam = dict(fam)
+    for key, x in change.items():
+        fam[key] = fam[key] + x
+    return fam
+
+
+def added_up(walk):
+    """The translates of a walk of changes (as enumerate_unipotent_orbit
+    yields it): its first family, then each change added to the
+    translate before it."""
+    walk = iter(walk)
+    fam = next(walk)
+    yield fam
+    for change in walk:
+        fam = _moved(fam, change)
+        yield fam
+
+
 def reference_orbit(inst, fam, budget=DEFAULT_BUDGET):
     """The unipotent orbit tuple by tuple: every parameter tuple over the
     prime field, in lexicographic order of the flat entries with the
@@ -421,7 +442,9 @@ def _hand_built_instance():
 # mid m=(2,2), n=(3) instance has families with two nonzero blocks, and
 # at r = 3 a row of families (one M'_1) ranges over two other indices,
 # with a 128-point walk over GF(2) that changes two blocks (3^7 points
-# over GF(3), too many to walk)
+# over GF(3), too many to walk); over GF(3), m = (2) has the blocks of a
+# two-dimensional M_1, which a kept translate reads back from the last
+# rows of their image tables
 ORACLE_CASES = [
     (2, (-2, -1), (0,), (1, 1), (2,), True),
     (3, (-2, -1), (0,), (1, 1), (2,), True),
@@ -431,6 +454,7 @@ ORACLE_CASES = [
     (2, (-3, -1), (0,), (1, 2), (2,), True),
     (2, (-1,), (0,), (2,), (3,), True),
     (3, (-2,), (0, 1), (1,), (2, 1), True),
+    (3, (-2,), (0, 1), (2,), (2, 1), True),
     (3, None, None, (1, 1), (1, 1), True),
     (2, (-3, -2, -1), (0,), (1, 1, 1), (3,), True),
     (3, (-3, -2, -1), (0,), (1, 1, 1), (3,), False),
@@ -497,11 +521,11 @@ def reference_walk(inst, translates, pol):
 # zero family, A moved by GL(H), A with every block of N_1 redrawn, A
 # with every block of N_l, l >= 2, redrawn, A with every block of M_i,
 # i >= 2, redrawn) that the memo must see through: repeated,
-# alternating, equal in value but distinct, one block changed, zero
-# blocks, other blocks with the same images as A, images that differ
-# from A's in N_1 alone or in the N_l, l >= 2, alone, and the rows of
-# A's families (one M'_1 each) with the same images at M'_1 but other
-# images of the other indices
+# alternating, equal in value but distinct (an empty change), one block
+# changed, zero blocks, other blocks with the same images as A, images
+# that differ from A's in N_1 alone or in the N_l, l >= 2, alone, and
+# the rows of A's families (one M'_1 each) with the same images at M'_1
+# but other images of the other indices
 MEMO_WALKS = [(0, 0), (0, 1, 0), (0, 2), (2, 0, 2), (0, 3), (3, 0, 3, 0),
               (4, 0), (0, 4, 0), (1, 3, 1), (0, 5), (5, 0, 1), (3, 5, 3), (1, 5, 0),
               (6, 0, 7), (7, 6, 0)]
@@ -514,19 +538,23 @@ SPLIT_WALKS = [(0, 6), (6, 0), (0, 7), (7, 0), (0, 8), (8, 0)]
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_verdict_memo_matches_memo_free_walk(data):
-    """_verdict shares block images, span dimensions and the rows of
-    families between the translates of a walk; its verdict and witness
-    equal reference_gred run afresh at every translate. A with every
-    block x_(l,i) moved to x_(l,i) (g (x) I_(m_i)), g invertible on H_li,
-    has other blocks but the same images x_(l,i)(H_li (x) M'_i) as A, so
-    every row of its families is looked up from A's. A with the blocks of
+    """_verdict shares image tables, block images, span dimensions and
+    the rows of families between the translates of a walk, which it is
+    given as its first family and then the change to each next one; its
+    verdict and witness, the kept translate included, equal
+    reference_gred run afresh at every translate. A step between two
+    pool entries is one change object however often the walk takes it,
+    so a repeated step finds its table in the memo, as the steps of the
+    orbit walk do. A with every block x_(l,i) moved to
+    x_(l,i) (g (x) I_(m_i)), g invertible on H_li, has other blocks but
+    the same images x_(l,i)(H_li (x) M'_i) as A, so every row of its
+    families is looked up from A's. A with the blocks of
     N_1, or of every N_l with l >= 2, redrawn differs from A in those
     images alone, which a memo keyed by part of the image pattern would
     not see; A with the blocks of every M_i, i >= 2, redrawn has the rows
     of A's families with the same images of M'_1 and other images of the
     rest, which a row keyed by M'_1 alone would not see. Where the case
-    walks G, the unipotent orbit of A is walked too: its translates share
-    every block that a step leaves alone, as the same object."""
+    walks G, the unipotent orbit of A is walked too."""
     case = data.draw(st.sampled_from(ORACLE_CASES))   # GF(2) and GF(3)
     p, _, _, m, n, _ = case
     inst = _oracle_instance(case)
@@ -557,13 +585,80 @@ def test_verdict_memo_matches_memo_free_walk(data):
                for d in (m, n)]
     pol = Polarization(*[[Fraction(x, sum(y * k for y, k in zip(w, d))) for x in w]
                          for w, d in zip(weights, (m, n))], m, n)
+    steps = {}
+
+    def changes(walk):
+        yield pool[walk[0]]
+        for a_k, b_k in zip(walk, walk[1:]):
+            if (a_k, b_k) not in steps:
+                steps[(a_k, b_k)] = stability._Change(
+                    (k, pool[b_k][k] - x) for k, x in pool[a_k].items() if pool[b_k][k] != x)
+            yield steps[(a_k, b_k)]
+
     for walk in [walk] + SPLIT_WALKS:
-        translates = [pool[k] for k in walk]
-        assert (_instance_verdict(inst, translates, pol, DEFAULT_BUDGET)
-                == reference_walk(inst, translates, pol)), walk
+        assert (_instance_verdict(inst, changes(walk), pol, DEFAULT_BUDGET)
+                == reference_walk(inst, [pool[k] for k in walk], pol)), walk
     if case[-1]:
         assert (_instance_verdict(inst, enumerate_unipotent_orbit(inst, a), pol, DEFAULT_BUDGET)
                 == reference_walk(inst, reference_orbit(inst, a), pol))
+
+
+def test_change_tables_live_as_long_as_their_changes(monkeypatch):
+    """A verdict computes the image table of each change once and keeps
+    it only while the walk holds the change. On P^1 e=(-2,-1) f=(0,1),
+    m=(2,2), n=(1,1) over GF(2) the walk has 8 source and 2 target
+    digits: each of its 255 source steps makes new target carry sums and
+    a reset change, but at no translate does the memo hold the tables of
+    more changes than 8 source carry sums, 2 target carry sums and one
+    reset change, and once the walk is gone it holds none. Zero
+    weights keep every translate semistable, so the walk goes to its
+    end."""
+    inst = _unipotent_instance(2, (1, (-2, -1), (0, 1)), (2, 2), (1, 1))
+    h = inst.h
+    rng = random.Random(23)
+    fam = {(l, i): ExactMatrix.from_flat(h.field, 1, 2 * h.dimH[(l, i)],
+                                         [rng.randrange(2) for _ in range(2 * h.dimH[(l, i)])])
+           for l in (1, 2) for i in (1, 2)}
+    held, memos = [], []
+    core = stability._gred_core
+
+    def counted(memo, change, mu):
+        out = core(memo, change, mu)
+        held.append(len(memo.changes))
+        memos[:] = [memo]
+        return out
+
+    monkeypatch.setattr(stability, "_gred_core", counted)
+    ss, _, _ = stability._verdict(h.field, enumerate_unipotent_orbit(inst, fam), h.dimH,
+                                  inst.m_mult, inst.n_mult, [0, 0], [0, 0], DEFAULT_BUDGET)
+    assert ss and len(held) == 2 ** 10
+    assert 0 < max(held) <= 8 + 2 + 1
+    assert not memos[0].changes
+
+
+def test_each_change_table_is_computed_once(monkeypatch):
+    """On P^1 e=(-2,-1) f=(0), m=(2,2), n=(3) over GF(2) the walk has 8
+    source digits and no target digit, so its 255 steps are its 8 source
+    carry sums, each changing the one block x_(1,1): a verdict computes
+    the image tables of the 2 blocks of the family and of those 8
+    changes, 10 in all, and no other."""
+    inst = _oracle_instance(ORACLE_CASES[2])
+    h = inst.h
+    rng = random.Random(23)
+    fam = {(1, i): ExactMatrix.from_flat(h.field, 3, 2 * h.dimH[(1, i)],
+                                         [rng.randrange(2) for _ in range(6 * h.dimH[(1, i)])])
+           for i in (1, 2)}
+    tables = []
+    table = stability._image_table
+
+    def counted(*args):
+        tables.append(args)
+        return table(*args)
+
+    monkeypatch.setattr(stability, "_image_table", counted)
+    ss, _, _ = stability._verdict(h.field, enumerate_unipotent_orbit(inst, fam), h.dimH,
+                                  inst.m_mult, inst.n_mult, [0, 0], [0], DEFAULT_BUDGET)
+    assert ss and len(tables) == 2 + 8
 
 
 def test_oracle_raises_as_before():
@@ -761,18 +856,24 @@ WALK_CASES = [
 ]
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_orbit_walk_matches_reference_orbit(data):
-    """enumerate_unipotent_orbit walks the orbit by adding carry sums;
-    it gives the translates of reference_orbit (one apply_unipotent per
-    parameter tuple), translate for translate and in the same order,
-    with every entry in its one form. About one block in four is 0, so
-    that some unit parameters change nothing."""
-    p, system, m, n, q = data.draw(st.sampled_from(WALK_CASES))
-    inst = (_hand_built_instance() if system is None
+def _walk_instance(case):
+    p, system, m, n, q = case
+    return (_hand_built_instance() if system is None
             else _unipotent_instance(p, system, m, n, q))
-    h = inst.h
+
+
+def _walk_kind(inst):
+    """Which kinds of unipotent parameters inst has: "source", "target"
+    or "both"."""
+    shapes, _ = _unipotent_parameters(inst)
+    has = {src for src, _, _, rows, cols in shapes if rows * cols}
+    return "both" if len(has) == 2 else "source" if True in has else "target"
+
+
+def _random_family(inst, data):
+    """A family of uniform blocks, about one in four left 0, so that
+    some unit parameters change nothing."""
+    h, p = inst.h, inst.h.field.p
     rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
     fam = {}
     for l in range(1, h.s + 1):
@@ -781,12 +882,54 @@ def test_orbit_walk_matches_reference_orbit(data):
             zero = data.draw(st.integers(0, 3)) == 0
             fam[(l, i)] = ExactMatrix.from_flat(
                 h.field, rows, cols, [0 if zero else rng.randrange(p) for _ in range(rows * cols)])
-    walk = list(enumerate_unipotent_orbit(inst, fam))
+    return fam
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_orbit_walk_matches_reference_orbit(data):
+    """enumerate_unipotent_orbit walks the orbit by carry sums; its
+    changes, added up with _moved, give the translates of
+    reference_orbit (one apply_unipotent per parameter tuple), translate
+    for translate and in the same order, with every entry in its one
+    form."""
+    case = data.draw(st.sampled_from(WALK_CASES))
+    inst = _walk_instance(case)
+    fam = _random_family(inst, data)
+    walk = list(added_up(enumerate_unipotent_orbit(inst, fam)))
     want = list(reference_orbit(inst, fam))
-    assert len(walk) == len(want) == p ** _unipotent_parameters(inst)[1]
+    assert len(walk) == len(want) == case[0] ** _unipotent_parameters(inst)[1]
     for k, (moved, ref) in enumerate(zip(walk, want)):
         assert moved == ref, k
         assert all(has_canonical_scalars(x) for x in moved.values())
+
+
+@pytest.mark.parametrize("kind", ["source", "target", "both"])
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_orbit_changes_are_the_steps_of_reference_orbit(p, kind, data):
+    """The walk is the family, then for each next translate of
+    reference_orbit its change from the one before: exactly the blocks
+    that change, each with its nonzero change, so that added up with
+    _moved the changes give reference_orbit translate by translate. With
+    both kinds of parameters the walk of the target digits is left at
+    every multiple of p^(target digits), where a source digit rises and
+    every target digit goes from p - 1 back to 0; those reset steps are
+    checked the same way."""
+    cases = [case for case in WALK_CASES
+             if case[0] == p and _walk_kind(_walk_instance(case)) == kind]
+    inst = _walk_instance(data.draw(st.sampled_from(cases)))
+    fam = _random_family(inst, data)
+    walk = enumerate_unipotent_orbit(inst, fam)
+    assert next(walk) is fam
+    changes = list(walk)
+    want = list(reference_orbit(inst, fam))
+    assert len(changes) == len(want) - 1
+    for k, (change, before, after) in enumerate(zip(changes, want, want[1:]), 1):
+        assert change == {key: after[key] - x for key, x in before.items()
+                          if after[key] != x}, k
+    assert list(added_up([fam] + changes)) == want
 
 
 def test_target_carry_sums_follow_the_source_steps(monkeypatch):
