@@ -57,10 +57,14 @@ def _json_text(obj, indent="\n"):
     """The text json.dumps(obj, sort_keys=True, separators=(",", ": "),
     indent=2) gives for a JSON value whose keys are strings, built here
     because indent turns off json's C encoder: a list of strings (the
-    entries of a matrix) is one C call, and any other leaf is written by
+    entries of a matrix) or of plain ints (bools are not) is one map, an
+    int is written by int.__repr__ and None, True and False as their
+    constants, as json writes them; any other leaf is written by
     json.dumps. indent is the newline and indentation of obj's line."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -72,11 +76,20 @@ def _json_text(obj, indent="\n"):
         if not obj:
             return "[]"
         inner = indent + "  "
-        try:
-            items = list(map(encode_basestring_ascii, obj))
-        except TypeError:   # an item that is no string
+        kinds = set(map(type, obj))
+        if kinds == {str}:
+            items = map(encode_basestring_ascii, obj)
+        elif kinds == {int}:
+            items = map(int.__repr__, obj)
+        else:
             items = [_json_text(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
     return json.dumps(obj)
 
 

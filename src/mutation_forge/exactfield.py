@@ -590,12 +590,18 @@ def solve(A, B, failure):
     return X
 
 
-def kernel_basis(A):
-    """Basis matrix (cols = basis vectors) of the null space of A."""
+def kernel_data(A):
+    """The kernel of A in its canonical basis: (K, free), where the columns
+    of K are a basis of the null space of A and free lists the non-pivot
+    columns of rref(A). Column j of K is 1 at free[j] and 0 at every other
+    free coordinate: K is the identity on its free coordinates, so the
+    coordinates of a kernel vector x in K are x's entries at free
+    (kernel_coordinates)."""
     R, pivots = A.rref()
     f = A.field
     n = A.cols
-    free = [c for c in range(n) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
     out = ExactMatrix.zeros(f, n, len(free))
     one = f.one()
     p = f.p
@@ -605,7 +611,24 @@ def kernel_basis(A):
             x = R.data[r][fc]
             if x != 0:
                 out.data[pc][j] = -x if p is None else -x % p
-    return out
+    return out, free
+
+
+def kernel_basis(A):
+    """Basis matrix (cols = basis vectors) of the null space of A: the K
+    of kernel_data, the identity on the free coordinates of rref(A)."""
+    return kernel_data(A)[0]
+
+
+def kernel_coordinates(K, free, X, failure):
+    """The C with K C = X for a canonical kernel basis (K, free) from
+    kernel_data: K is the identity on free, so C is the rows of X at
+    free, and one product checks that X lies in the span of K. A
+    ValueError(failure) when it does not; no elimination is run."""
+    C = X.submatrix(free, range(X.cols))
+    if K @ C != X:
+        raise ValueError(failure)
+    return C
 
 
 def column_echelon(B):
@@ -655,11 +678,13 @@ class Subspace:
 def quotient_data(ambient_dim, S):
     """Projection/section pair presenting ambient/S.
 
-    Returns (projection, section) with projection: ambient -> quotient,
-    section: quotient -> ambient, projection @ section = identity and
-    kernel(projection) = S. The complement is the coordinate complement of
-    the echelon pivots of S, recorded so quotient identifications are
-    reproducible.
+    Returns (projection, section, comp) with projection: ambient ->
+    quotient, section: quotient -> ambient, projection @ section =
+    identity and kernel(projection) = S. comp lists the complement
+    coordinates, the coordinate complement of the echelon pivots of S,
+    recorded so quotient identifications are reproducible: section is the
+    inclusion of those coordinates, so M @ section is the columns of M at
+    comp, M.submatrix(range(M.rows), comp), read with no product.
 
     The canonical basis B of S is the identity on its pivot rows, so the
     projection is written down with no elimination: its row j is
@@ -691,7 +716,7 @@ def quotient_data(ambient_dim, S):
         for k, x in zip(pivot_rows, B[c]):
             if x:
                 row[k] = -x if p is None else -x % p
-    return projection, section
+    return projection, section, comp
 
 
 def gaussian_binomial(q, n, d):

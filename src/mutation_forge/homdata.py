@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .exactfield import (ExactMatrix, Subspace, field_from_tag, field_tag,
-                         kernel_basis, quotient_data, solve)
+                         kernel_coordinates, kernel_data, quotient_data)
 from .theta import (GroupElement, MorphismPoint, ThetaSpace, ValidationReport,
                     json_count, json_counts, json_list, json_object,
                     matrix_from_json, matrix_to_json, zero_parts)
@@ -466,7 +466,7 @@ def mutated_hom_data(h, p):
             return ("E", o) if i <= p else ("X", ("F", 1))
         return ("R", ("E", KK(i))) if i <= q else ("F", ("F", sig(i)))
 
-    quot = {}
+    quot, comp_of = {}, {}
     for l in range(1, q + 1):
         for i in range(1, p + 1):
             # A_ki -> H_1i (x) H*_1k, adjoint to composition
@@ -476,10 +476,12 @@ def mutated_hom_data(h, p):
             if sub.dim != emb.cols:
                 raise ValueError("canonical map of A into H (x) H* "
                                  "is not injective")
-            proj, section = quotient_data(emb.rows, sub)
+            proj, section, comp_of[(l, i)] = quotient_data(emb.rows, sub)
             quot[(l, i)] = (emb, proj, section)
-    ker = {(m, l): kernel_basis(h.comp_BH[(sig(m), 1, KK(l))])
-           for l in range(1, q + 1) for m in range(q + 1, r + s - p)}
+    ker, free_of = {}, {}
+    for l in range(1, q + 1):
+        for m in range(q + 1, r + s - p):
+            ker[(m, l)], free_of[(m, l)] = kernel_data(h.comp_BH[(sig(m), 1, KK(l))])
 
     def dim(b, a):
         kinds = over(b)[0] + over(a)[0]
@@ -491,16 +493,19 @@ def mutated_hom_data(h, p):
             return ker[(b[1], a[1])].cols
         return _hom_dim(h, over(b)[1], over(a)[1])
 
-    def through_quotient(induced, emb, section, what):
-        # a map on an ambient space induces one on its quotient by emb
-        # when it vanishes on emb; section reads it on the quotient
-        if not induced(emb).is_zero():
+    def through_quotient(moved, key, what):
+        # moved is a map on the ambient space of quot[key], with that leg
+        # in its columns and every other leg in its rows: it induces one
+        # on the quotient when it vanishes on emb, and the section reads
+        # it there as its columns at the complement coordinates
+        if not (moved @ quot[key][0]).is_zero():
             raise ValueError("induced %s composition ill-defined" % what)
-        return induced(section)
+        return moved.submatrix(range(moved.rows), comp_of[key])
 
-    def in_kernel(kb, x):
-        # the coordinates of x in the kernel basis kb
-        return solve(kb, x, "induced B'B' composition leaves the kernel")
+    def in_kernel(key, x):
+        # the coordinates of x in the canonical kernel basis ker[key]
+        return kernel_coordinates(ker[key], free_of[key], x,
+                                  "induced B'B' composition leaves the kernel")
 
     def functionals(m, l):
         # precomposition on functionals: A (x) H*_1Kl -> H*_1Km
@@ -521,15 +526,14 @@ def mutated_hom_data(h, p):
             l, j, i = c[1], b[1], a[1]
             ds = h.dimH[(1, KK(l))]
             da, d1j = h.dimA[(j, i)], h.dimH[(1, j)]
-            _, proj_i, _ = quot[(l, i)]
-            emb_j, _, sec_j = quot[(l, j)]
+            proj_i = quot[(l, i)][1]
             # proj_i composed with H_1j A_ji -> H_1i on the first leg, on
-            # (H_1j (x) H*) (x) A_ji
-            amb = proj_i.apply_leg([h.dimH[(1, i)], ds], 0,
-                                   h.comp_HA[(1, j, i)]).regroup(
-                [proj_i.rows], [d1j, da, ds], [0], [1, 3, 2])
-            return through_quotient(
-                lambda x: amb.apply_leg([d1j * ds, da], 0, x), emb_j, sec_j, "H'A'")
+            # rows H'_li (x) A_ji and columns H_1j (x) H*
+            moved = proj_i.apply_leg([h.dimH[(1, i)], ds], 0,
+                                     h.comp_HA[(1, j, i)]).regroup(
+                [proj_i.rows], [d1j, da, ds], [0, 2], [1, 3])
+            x = through_quotient(moved, (l, j), "H'A'")
+            return x.regroup([proj_i.rows, da], [x.cols], [0], [2, 1])
         if kinds == "RRX":
             return functionals(c[1], b[1])
         if kinds == "RRE":
@@ -537,14 +541,13 @@ def mutated_hom_data(h, p):
             Km, Kl = KK(m), KK(l)
             da, dKm, dKl = h.dimA[(Km, Kl)], h.dimH[(1, Km)], h.dimH[(1, Kl)]
             d1i = h.dimH[(1, i)]
-            _, proj_m, _ = quot[(m, i)]
-            emb_l, _, sec_l = quot[(l, i)]
+            proj_m = quot[(m, i)][1]
             # proj_m composed with the functionals on the second leg, on
-            # A (x) (H_1i (x) H*_1Kl)
-            amb = proj_m.apply_leg([d1i, dKm], 1, functionals(m, l)).regroup(
-                [proj_m.rows], [d1i, da, dKl], [0], [2, 1, 3])
-            return through_quotient(
-                lambda x: amb.apply_leg([da, d1i * dKl], 1, x), emb_l, sec_l, "B'H'")
+            # rows H'_mi (x) A and columns H_1i (x) H*_1Kl
+            moved = proj_m.apply_leg([d1i, dKm], 1, functionals(m, l)).regroup(
+                [proj_m.rows], [d1i, da, dKl], [0, 2], [1, 3])
+            x = through_quotient(moved, (l, i), "B'H'")
+            return x.regroup([proj_m.rows, da], [x.cols], [0], [1, 2])
         if kinds == "FRX":
             # contract the H_1Kl leg of the kernel with H*_1Kl
             kb = ker[(c[1], b[1])]
@@ -554,15 +557,13 @@ def mutated_hom_data(h, p):
             kb = ker[(m, l)]
             dB, dH, d1i = h.dimB[(sig(m), 1)], h.dimH[(1, KK(l))], h.dimH[(1, i)]
             bh = h.comp_BH[(sig(m), 1, i)]
-            emb_l, _, sec_l = quot[(l, i)]
-
-            def induced(y):
-                # B_M1 H_1i -> H_Mi, M = sig(m), after contracting the
-                # H_1Kl leg of the kernel with y's H*_1Kl leg
-                yr = y.regroup([d1i, dH], [y.cols], [0], [1, 2])
-                return bh.apply_leg([dB, d1i], 1, yr).apply_leg(
-                    [dB * dH, y.cols], 0, kb)
-            return through_quotient(induced, emb_l, sec_l, "mixed B'H'")
+            # B_M1 H_1i -> H_Mi, M = sig(m), contracted over B_M1 with the
+            # kernel, on rows H_Mi (x) B' and columns H_1i (x) H*_1Kl
+            moved = (bh.regroup([bh.rows], [dB, d1i], [0, 2], [1])
+                     @ kb.regroup([dB, dH], [kb.cols], [0], [1, 2])).regroup(
+                [bh.rows, d1i], [dH, kb.cols], [0, 3], [1, 2])
+            x = through_quotient(moved, (l, i), "mixed B'H'")
+            return x.regroup([bh.rows, kb.cols], [x.cols], [0], [1, 2])
         n_, m, l = c[1], b[1], a[1]
         if kinds == "FFR":
             # B_{n,m} (x) ker_ml -> B_{n,1} (x) H_1Kl
@@ -572,7 +573,7 @@ def mutated_hom_data(h, p):
                 [dim(c, b), dBm], 1,
                 km.regroup([dBm, dH], [km.cols], [0], [1, 2])).regroup(
                 [dBn], [dim(c, b), dH, km.cols], [0, 2], [1, 3])
-            return in_kernel(ker[(n_, l)], x)
+            return in_kernel((n_, l), x)
         # FRR: ker_nm (x) A_KmKl -> B_{n,1} (x) H_1Kl
         kn, da = ker[(n_, m)], h.dimA[(KK(m), KK(l))]
         dB, dHm = h.dimB[(sig(n_), 1)], h.dimH[(1, KK(m))]
@@ -580,7 +581,7 @@ def mutated_hom_data(h, p):
         x = ha.apply_leg(
             [dHm, da], 0, kn.regroup([dB, dHm], [kn.cols], [1], [0, 2])).regroup(
             [ha.rows], [dB, kn.cols, da], [1, 0], [2, 3])
-        return in_kernel(ker[(n_, l)], x)
+        return in_kernel((n_, l), x)
 
     hm = _on_chain(h.field, p + 1, r + s - p - 1, dim, comp)
     hm.quot, hm.ker = quot, ker

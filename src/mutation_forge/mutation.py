@@ -19,8 +19,8 @@ an exact matrix identity; orbit statements are always certified by the
 constructed group elements, never by search.
 """
 
-from .exactfield import (ExactMatrix, Subspace, kernel_basis, quotient_data,
-                         solve, solve_linear)
+from .exactfield import (ExactMatrix, Subspace, kernel_basis, kernel_coordinates,
+                         kernel_data, quotient_data, solve, solve_linear)
 from .theta import (DIMS, GroupElement, MorphismPoint, ThetaSpace,
                     ValidationReport, act, right_inverse, unvec_row_major,
                     validate_theta, vec_row_major)
@@ -37,8 +37,11 @@ class DualSpace:
     """The dual ThetaSpace of a given one, together with the
     presentation data of the two new spaces:
 
-    proj/section present M2' = (N2* (x) N1)/nu_bar(A0);
-    k0 is a basis matrix of A0' = ker(rho2) inside B0 (x) N2.
+    proj/comp present M2' = (N2* (x) N1)/nu_bar(A0): the section is the
+    inclusion of the coordinates comp, so a map is read on M2' as its
+    columns at comp (sectioned);
+    k0 is the canonical basis matrix of A0' = ker(rho2) inside B0 (x) N2,
+    the identity on its coordinates k0_free.
     """
 
     def __init__(self, theta):
@@ -48,9 +51,9 @@ class DualSpace:
         n1, n2, m1 = t.dim_n1, t.dim_n2, t.dim_m1
         b0 = t.dim_b0
         nu_bar = t.nu_bar()
-        self.proj, self.section = quotient_data(n2 * n1, Subspace(n2 * n1, nu_bar))
+        self.proj, _, self.comp = quotient_data(n2 * n1, Subspace(n2 * n1, nu_bar))
         m2p = self.proj.rows
-        self.k0 = kernel_basis(t.rho2)
+        self.k0, self.k0_free = kernel_data(t.rho2)
         a0p = self.k0.cols
         rho1p = t.rho1.regroup([m1], [b0, n1], [0], [2, 1])       # on N1 (x) B0
         rho2p = self.proj.regroup([m2p], [n2, n1], [0], [2, 1])   # on N1 (x) N2*
@@ -62,9 +65,18 @@ class DualSpace:
         # mu' must not depend on the representative in N2* (x) N1
         if not (carried @ nu_bar).is_zero():
             raise ValueError("dual mu is ill-defined; structure maps inconsistent")
-        mup = (carried @ self.section).regroup([m1, a0p], [m2p], [0], [2, 1])
+        mup = self.sectioned(carried).regroup([m1, a0p], [m2p], [0], [2, 1])
         self.prime = ThetaSpace(f, b0, n2, m1, m2p, a0p, n1, t.dim_comult,
                                 rho1p, rho2p, mup, nup)
+
+    def sectioned(self, x):
+        """x @ section: the columns of x at comp."""
+        return x.submatrix(range(x.rows), self.comp)
+
+    def a0_coordinates(self, x, failure):
+        """The coordinates in k0 of the columns of x, vectors of ker(rho2);
+        a ValueError(failure) when one is not."""
+        return kernel_coordinates(self.k0, self.k0_free, x, failure)
 
     def validate(self):
         return validate_theta(self.prime)
@@ -133,21 +145,21 @@ def opposite_choice(w, choice):
     return MutationChoice(-choice.v, choice.u, w.psi2)
 
 
-def double_dual_identifications(dual, ddual):
-    """The pair (iota_m2, iota_a0) identifying M2'' with M2 and A0''
-    with A0.
-
-    iota_m2 sends a class in (N2 (x) B0)/nu_bar'(A0') to rho2 of the
-    swapped representative; iota_a0 inverts nu_bar on the swapped kernel
-    basis of rho2'.
-    """
+def double_dual_m2(dual, ddual):
+    """iota_m2, identifying M2'' with M2: it sends a class in
+    (N2 (x) B0)/nu_bar'(A0') to rho2 of the swapped representative."""
     t = dual.theta
-    iota_m2 = (t.rho2.regroup([t.dim_m2], [t.dim_b0, t.dim_n2], [0], [2, 1])
-               @ ddual.section)
-    iota_a0 = solve(t.nu_bar(), ddual.k0.regroup(
+    return ddual.sectioned(
+        t.rho2.regroup([t.dim_m2], [t.dim_b0, t.dim_n2], [0], [2, 1]))
+
+
+def double_dual_a0(dual, ddual):
+    """iota_a0, identifying A0'' with A0: it inverts nu_bar on the swapped
+    kernel basis of rho2'."""
+    t = dual.theta
+    return solve(t.nu_bar(), ddual.k0.regroup(
         [t.dim_n1, t.dim_n2], [ddual.k0.cols], [1, 0], [2]),
         "double-dual kernel does not match nu_bar image")
-    return iota_m2, iota_a0
 
 
 def double_dual_report(theta, dual=None):
@@ -165,7 +177,7 @@ def double_dual_report(theta, dual=None):
     rep.add("dims", not differ, "%s is %d, expected %d" % differ[0] if differ else "")
     if not rep.ok:
         return rep
-    iota_m2, iota_a0 = double_dual_identifications(dual, ddual)
+    iota_m2, iota_a0 = double_dual_m2(dual, ddual), double_dual_a0(dual, ddual)
     rep.add_rank("iota_m2 invertible", iota_m2.rank(), t.dim_m2)
     rep.add_rank("iota_a0 invertible", iota_a0.rank(), t.dim_a0)
     rep.add_equal("rho1 restored", dd.rho1, t.rho1, "rho1")
@@ -189,7 +201,7 @@ def involution_report(theta, w, choice=None, dual=None, ddual=None):
         choice = default_choice(w)
     z = mutate(dual, w, choice)
     zz = mutate(ddual, z, opposite_choice(w, choice))
-    iota_m2, _ = double_dual_identifications(dual, ddual)
+    iota_m2 = double_dual_m2(dual, ddual)
     rep = ValidationReport()
     rep.add_equal("psi1 negated", zz.psi1, -w.psi1, "psi1")
     rep.add_equal("psi2 restored", zz.psi2, w.psi2, "psi2")
@@ -211,7 +223,7 @@ def choice_transport(dual, w, c1, c2):
     """
     t = dual.theta
     du = vec_row_major(c2.u - c1.u)
-    alpha0 = solve(dual.k0, du, "u difference is not a kernel vector of rho2")
+    alpha0 = dual.a0_coordinates(du, "u difference is not a kernel vector of rho2")
     g_right = GroupElement(dual.prime, "right", alpha0=alpha0, check=False)
     # change of kernel basis: c2.kappa = c1.kappa g
     g = solve_linear(c1.kappa, c2.kappa)
@@ -233,7 +245,7 @@ def _induced_on_kernel(dual, leg, m):
     t = dual.theta
     moved = dual.k0.transpose().apply_leg(
         [t.dim_b0, t.dim_n2], leg, m.transpose()).transpose()
-    return solve(dual.k0, moved, "map does not preserve ker(rho2)")
+    return dual.a0_coordinates(moved, "map does not preserve ker(rho2)")
 
 
 def transport_element(dual, w, g, choice):
@@ -257,7 +269,7 @@ def transport_element(dual, w, g, choice):
         # (1) pure r part: v |-> r_n1 v, witness is a left element.
         v1 = g.r_n1 @ v
         if not g.is_identity("r_n1", "r_m1", "r_a0"):
-            l_m2 = dual.proj.apply_leg([t.dim_n2, t.dim_n1], 1, g.r_n1) @ dual.section
+            l_m2 = dual.sectioned(dual.proj.apply_leg([t.dim_n2, t.dim_n1], 1, g.r_n1))
             steps.append(GroupElement(tp, "left", l_m1=g.r_m1, l_m2=l_m2,
                                       l_b0=g.r_n1))
         # (2) unipotent alpha0 part: v absorbs nu_alpha, witness trivial.
@@ -269,7 +281,7 @@ def transport_element(dual, w, g, choice):
         kappa3 = b_n2_inv.transpose() @ kappa
         if not g.is_identity("b_n2", "b_m2"):
             bt_inv = b_n2_inv.transpose()
-            b_m2p = dual.proj.apply_leg([t.dim_n2, t.dim_n1], 0, bt_inv) @ dual.section
+            b_m2p = dual.sectioned(dual.proj.apply_leg([t.dim_n2, t.dim_n1], 0, bt_inv))
             b_a0p = _induced_on_kernel(dual, 1, b_n2_inv)
             steps.append(GroupElement(tp, "right", b_n2=bt_inv, b_m2=b_m2p,
                                       b_a0=b_a0p))

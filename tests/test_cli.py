@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mutation_forge import cli
 from mutation_forge.cli import _frac, main
@@ -629,8 +629,16 @@ json_values = st.recursive(
     max_leaves=20)
 
 
+# the examples: a list of ints with bools, None or strings is written
+# item by item, so a bool is never written as an int, nor an int as a bool
 @settings(max_examples=400, deadline=None)
 @given(json_values)
+@example([True, 1])
+@example([0, False])
+@example([-3, 10 ** 40])
+@example([None, 2])
+@example([1, "1"])
+@example({"k": [False, True, None, 0, -1]})
 def test_json_writer_matches_json_dumps(obj):
     assert cli._json_text(obj) == _dumps(obj)
 

@@ -12,8 +12,9 @@ from mutation_forge import exactfield
 from mutation_forge.exactfield import (ExactMatrix, Field, GF, Subspace,
                                        column_echelon, enumerate_subspaces,
                                        gaussian_binomial, kernel_basis,
+                                       kernel_coordinates, kernel_data,
                                        pack_columns, packed_combinations,
-                                       quotient_data, solve_linear,
+                                       quotient_data, solve, solve_linear,
                                        unpack_rows, xor_echelon, xor_rank)
 from mutation_forge.mutation import swap_matrix
 from mutation_forge.theta import unvec_row_major, vec_row_major
@@ -144,16 +145,18 @@ def test_quotient_data_is_a_splitting():
     rng = random.Random(5)
     B = rnd_matrix(QQ, rng, 5, 2)
     S = image_subspace(B)
-    proj, section = quotient_data(5, S)
+    proj, section, comp = quotient_data(5, S)
     q = 5 - S.dim
+    assert len(comp) == q
     assert proj @ section == ExactMatrix.identity(QQ, q)
     assert (proj @ S.basis).is_zero()
 
 
 def reference_quotient_data(ambient_dim, S):
-    """The projection and section of quotient_data by elimination: the
-    section picks the coordinates off the pivots of S, and the
-    projection is the last rows of the inverse of T = [B | section]."""
+    """The projection, section and complement coordinates of
+    quotient_data by elimination: the section picks the coordinates off
+    the pivots of S, and the projection is the last rows of the inverse
+    of T = [B | section]."""
     f = S.field
     B = S.basis
     s = B.cols
@@ -168,7 +171,7 @@ def reference_quotient_data(ambient_dim, S):
     for j, i in enumerate(comp):
         section.data[i][j] = f.one()
     Tinv = solve_linear(B.hstack(section), ExactMatrix.identity(f, ambient_dim))
-    return Tinv.submatrix(range(s, ambient_dim), range(ambient_dim)), section
+    return Tinv.submatrix(range(s, ambient_dim), range(ambient_dim)), section, comp
 
 
 @st.composite
@@ -197,10 +200,10 @@ def spans(draw, max_dim=7):
 @given(spans())
 def test_quotient_data_matches_reference(case):
     n, S = case
-    proj, section = quotient_data(n, S)
-    ref_proj, ref_section = reference_quotient_data(n, S)
+    proj, section, comp = quotient_data(n, S)
+    ref_proj, ref_section, ref_comp = reference_quotient_data(n, S)
     assert (proj.rows, proj.cols) == (ref_proj.rows, ref_proj.cols) == (n - S.dim, n)
-    assert (proj.data, section.data) == (ref_proj.data, ref_section.data)
+    assert (proj.data, section.data, comp) == (ref_proj.data, ref_section.data, ref_comp)
     assert has_canonical_scalars(proj) and has_canonical_scalars(section)
     assert (section.rows, section.cols) == (n, n - S.dim)
 
@@ -214,8 +217,8 @@ def test_quotient_data_runs_no_elimination(monkeypatch):
     for name in ("rref", "rank"):
         monkeypatch.setattr(ExactMatrix, name, refuse)
     monkeypatch.setattr(exactfield, "solve_linear", refuse)
-    proj, section = quotient_data(6, S)
-    assert (proj.rows, section.cols) == (3, 3)
+    proj, section, comp = quotient_data(6, S)
+    assert (proj.rows, section.cols, len(comp)) == (3, 3, 3)
 
 
 def test_gaussian_binomial_counts_subspaces():
@@ -609,6 +612,60 @@ def test_solve_linear_matches_reference(A, data):
     assert sol is not None and A @ sol == consistent
     assert has_canonical_scalars(sol)
     assert other is None or A @ other == B
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_matrices())
+def test_kernel_basis_is_the_identity_on_its_free_coordinates(A):
+    """kernel_data gives kernel_basis and the non-pivot columns of rref,
+    and the basis is the identity on those coordinates: what
+    kernel_coordinates reads the coordinates off."""
+    K, free = kernel_data(A)
+    assert K == kernel_basis(A)
+    assert free == [c for c in range(A.cols) if c not in A.rref()[1]]
+    assert K.submatrix(free, range(K.cols)) == ExactMatrix.identity(A.field, K.cols)
+
+
+def _outcome(read, *args):
+    """What read(*args) returns, or the text of its ValueError."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_matrices(fields=[QQ, GF(3)]), st.data())
+def test_kernel_coordinates_match_solve(A, data):
+    """Reading the coordinates of x off the free coordinates of the
+    canonical kernel basis K gives what solve gives: the same coordinates
+    when x lies in the span of K, the same ValueError when it does not."""
+    f = A.field
+    K, free = kernel_data(A)
+    k = data.draw(st.integers(0, 2))
+    C = ExactMatrix.from_flat(f, K.cols, k, data.draw(st.lists(
+        _scalars(f), min_size=K.cols * k, max_size=K.cols * k)))
+    inside = K @ C
+    assert kernel_coordinates(K, free, inside, "off") == solve(K, inside, "off") == C
+    x = ExactMatrix.from_flat(f, A.cols, k, data.draw(st.lists(
+        _scalars(f), min_size=A.cols * k, max_size=A.cols * k)))
+    got = _outcome(kernel_coordinates, K, free, x, "x leaves the kernel")
+    assert got == _outcome(solve, K, x, "x leaves the kernel")
+    assert (got == "ValueError: x leaves the kernel") == (not (A @ x).is_zero())
+
+
+@settings(max_examples=300, deadline=None)
+@given(spans(), st.data())
+def test_section_selection_matches_product(case, data):
+    """The section of quotient_data is the inclusion of the coordinates
+    comp: a matrix times it is its columns at comp."""
+    n, S = case
+    f = S.field
+    _, section, comp = quotient_data(n, S)
+    rows = data.draw(st.integers(0, 3))
+    M = ExactMatrix.from_flat(f, rows, n, data.draw(st.lists(
+        _scalars(f), min_size=rows * n, max_size=rows * n)))
+    assert M.submatrix(range(rows), comp) == M @ section
 
 
 @st.composite

@@ -12,7 +12,8 @@ import pytest
 from mutation_forge.exactfield import ExactMatrix, Field
 from mutation_forge.theta import PARTS, in_W0, matrix_to_json, theta_to_json
 from mutation_forge.mutation import build_dual, default_choice, mutate
-from mutation_forge.homdata import (BlockLayout, Polarization, build_theta_p,
+from mutation_forge.homdata import (BlockLayout, HomData, Polarization,
+                                    build_theta_p,
                                     dual_point_to_mutated, hom_data_from_json,
                                     hom_data_to_json,
                                     instance_left_element,
@@ -275,6 +276,55 @@ def test_builder_output_digest():
                 inst = mutated_instance(h, [1] * h.r, [1] * h.s, p)
                 put(theta_to_json(inst.theta))
     assert digest.hexdigest() == BUILDER_DIGEST
+
+
+# (n, e, f) of the systems behind REFUSAL_DIGEST, each over QQ and GF(3):
+# their mutations meet every kind of well-definedness check
+REFUSAL_SYSTEMS = [(1, (-1,), (0, 1, 2)), (1, (-2, -1), (0, 1))]
+# sha256 of what mutated_hom_data gave on each one-entry change of those
+# systems' compositions when it was pinned: the error text of a refusal,
+# or the JSON of the mutated system
+REFUSAL_DIGEST = "0fac0b03751cbb4df56413fffd40aaeaa142795c6cfcd3b3835fdbd05382fa3f"
+REFUSALS = {"induced B'B' composition leaves the kernel": 212,
+            "induced H'A' composition ill-defined": 18,
+            "induced B'H' composition ill-defined": 8,
+            "induced mixed B'H' composition ill-defined": 68,
+            "ok": 660}
+
+
+def test_mutated_hom_data_refuses_inconsistent_compositions():
+    """Add 1 to one entry of one composition of HA, BH or BB and mutate
+    at every p: each well-definedness check of the quotient and kernel
+    compositions refuses some of these systems with its message, and
+    every outcome, refusal or built system, is the pinned one."""
+    digest = hashlib.sha256()
+    seen = dict.fromkeys(REFUSALS, 0)
+    for field in (QQ, Field(3)):
+        for n, e, fl in REFUSAL_SYSTEMS:
+            h = projective_space_hom_data(field, n, list(e), list(fl))
+            for d in ("comp_HA", "comp_BH", "comp_BB"):
+                for key, M in sorted(getattr(h, d).items()):
+                    for i, j in product(range(M.rows), range(M.cols)):
+                        data = M.copy_data()
+                        data[i][j] = field.of(data[i][j] + 1)
+                        comps = {x: getattr(h, x) for x in
+                                 ("comp_HA", "comp_BH", "comp_AA", "comp_BB")}
+                        comps[d] = {**comps[d], key: ExactMatrix(field, data)}
+                        changed = HomData(field, h.r, h.s, h.dimH, h.dimA,
+                                          h.dimB, **comps)
+                        for p in range(h.r):
+                            try:
+                                hm = mutated_hom_data(changed, p)
+                                msg = "ok"
+                                digest.update(json.dumps(hom_data_to_json(hm),
+                                                         sort_keys=True).encode())
+                            except ValueError as exc:
+                                msg = str(exc)
+                            seen[msg] += 1
+                            digest.update(("%r %s %s %r %d %d %d %s\n" % (
+                                field, e, d, key, i, j, p, msg)).encode())
+    assert seen == REFUSALS
+    assert digest.hexdigest() == REFUSAL_DIGEST
 
 
 # (n, e, f) of the systems behind INSTANCE_DIGEST, each over QQ and GF(3)

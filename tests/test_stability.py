@@ -255,6 +255,50 @@ def test_g_differs_from_gred_somewhere():
     assert found, "scan complete without a separating point (%d)" % checked
 
 
+# The G verdicts of the console-script runs stability2g.json and
+# stability3g.json: P^1, e = (-2, -1), f = (0, 1), m = n = (1, 1), p = 0,
+# lambda = mu = (1/2, 1/2), at (psi2, phi2) over GF(p). Both print the
+# same bytes, which hold only the dimensions of the witness; here the
+# kept translate and the witness bases are pinned as the oracle gave
+# them when pinned: (semistable, stable, translate blocks, bases of the
+# M'_i, bases of the N'_l).
+G_PINS = {
+    2: ("10101", "1010101", True, False,
+        {(1, 1): [[1, 0, 1]], (1, 2): [[0, 1]], (2, 1): [[0, 0, 0, 0]],
+         (2, 2): [[1, 1, 1]]},
+        [[[1]], [[]]], {1: [[1]], 2: [[]]}),
+    3: ("12021", "1020121", True, False,
+        {(1, 1): [[1, 2, 0]], (1, 2): [[2, 1]], (2, 1): [[0, 0, 0, 0]],
+         (2, 2): [[2, 2, 0]]},
+        [[[1]], [[]]], {1: [[1]], 2: [[]]}),
+}
+
+
+@pytest.mark.parametrize("p", sorted(G_PINS))
+def test_console_script_g_verdicts_keep_their_translate_and_witness(p):
+    psi2, phi2, semistable, stable, translate, m_bases, n_bases = G_PINS[p]
+    f = Field(p)
+    h = projective_space_hom_data(f, 1, [-2, -1], [0, 1])
+    inst = build_theta_p(h, [1, 1], [1, 1], 0)
+
+    def column(digits):
+        return ExactMatrix(f, [[int(c)] for c in digits])
+    w = MorphismPoint(inst.theta, ExactMatrix.zeros(f, 0, 1), column(psi2),
+                      ExactMatrix.zeros(f, 0, 1), column(phi2))
+    half = Fraction(1, 2)
+    v = is_semistable_rs(inst, w, Polarization([half, half], [half, half],
+                                               [1, 1], [1, 1]), group="G")
+    assert (v.semistable, v.stable) == (semistable, stable)
+    kept, (combo, spans) = v.witness
+    assert {k: x.data for k, x in kept.items()} == translate
+    assert all(x.field == f for x in kept.values())
+    assert [(sub.ambient_dim, sub.basis.data) for sub in combo] == [
+        (1, b) for b in m_bases]
+    assert {l: (sub.ambient_dim, sub.basis.data) for l, sub in spans.items()} == {
+        l: (1, b) for l, b in n_bases.items()}
+    assert all(sub.field == f for sub in combo + tuple(spans.values()))
+
+
 def test_points_outside_w0_unstable_under_slope_bound():
     inst, pol = _ac5_instance()
     assert unstable_outside_w0_bound(pol, inst.p)
