@@ -143,9 +143,14 @@ def _write_failures(label, rep):
 
 def cmd_dual(args):
     theta = theta_from_json(_load(args.theta))
+    code = 0
+    if args.verify:
+        rep = validate_theta(theta)
+        if not rep.ok:
+            code = 1
+            _write_failures("input", rep)
     dual = build_dual(theta)
     payload = {"prime": theta_to_json(dual.prime)}
-    code = 0
     if args.verify:
         rep = validate_theta(dual.prime)
         dd = double_dual_report(theta, dual=dual)

@@ -107,7 +107,6 @@ def sigma0(field, n):
     deg1 = _monomials(n + 1, 1)
     f = field
     tau = ExactMatrix.zeros(f, n + 1, len(deg2) * (n + 1))
-    one = f.one()
     for q, mono in enumerate(deg2):
         for a in range(n + 1):
             if mono[a] == 0:
@@ -115,7 +114,7 @@ def sigma0(field, n):
             rem = list(mono)
             rem[a] -= 1
             y = deg1.index(tuple(rem))
-            tau.data[y][q * (n + 1) + a] = one
+            tau.data[y][q * (n + 1) + a] = 1
     return TauMap(f, len(deg2), n + 1, n + 1, tau)
 
 
@@ -125,14 +124,13 @@ def sigma1(field, n):
     deg2 = _quadrics(n)
     f = field
     tau = ExactMatrix.zeros(f, len(deg2), (n + 1) * (n + 1))
-    one = f.one()
     for a in range(n + 1):
         for b in range(n + 1):
             mono = [0] * (n + 1)
             mono[a] += 1
             mono[b] += 1
             q = deg2.index(tuple(mono))
-            tau.data[q][a * (n + 1) + b] = one
+            tau.data[q][a * (n + 1) + b] = 1
     return TauMap(f, n + 1, n + 1, len(deg2), tau)
 
 

@@ -36,11 +36,12 @@ class Field:
 
     Scalars have one form each. Over the rationals an integral value is
     a plain int and only a non-integral one is a Fraction (its
-    denominator > 1); over GF(p) a scalar is an int in 0..p-1. The Field
-    object coerces values into that form (of) and names its constants
-    and elements; the arithmetic on scalars is done by ExactMatrix and
-    the elimination below, which give their results in the same form,
-    with the reduction mod p written where it happens.
+    denominator > 1); over GF(p) a scalar is an int in 0..p-1, so zero
+    and one are 0 and 1 in every field. The Field object coerces values
+    into that form (of) and lists its elements; the arithmetic on
+    scalars is done by ExactMatrix and the elimination below, which give
+    their results in the same form, with the reduction mod p written
+    where it happens.
     """
 
     def __init__(self, p=None):
@@ -80,12 +81,6 @@ class Field:
         if p is None:
             return _quotient(num, den)
         return num * pow(den, p - 2, p) % p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def elements(self):
         """All field elements (GF(p) only)."""
@@ -184,15 +179,13 @@ class ExactMatrix:
 
     @staticmethod
     def zeros(field, rows, cols):
-        z = field.zero()
-        return ExactMatrix.of_rows(field, [[z] * cols for _ in range(rows)], cols)
+        return ExactMatrix.of_rows(field, [[0] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(field, n):
         m = ExactMatrix.zeros(field, n, n)
-        one = field.one()
         for i in range(n):
-            m.data[i][i] = one
+            m.data[i][i] = 1
         return m
 
     @staticmethod
@@ -260,7 +253,6 @@ class ExactMatrix:
                              % (self.rows, self.cols, other.rows, other.cols))
         f = self.field
         p = f.p
-        zero = f.zero()
         n = other.cols
         # the nonzero (j, b) of every row of other, listed once
         sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
@@ -274,7 +266,7 @@ class ExactMatrix:
                             acc[j] += a * b
                         else:
                             acc[j] = a * b
-            row = [zero] * n
+            row = [0] * n
             if p is None:
                 for j, x in acc.items():
                     row[j] = x if type(x) is int else _canonical(x)
@@ -315,8 +307,7 @@ class ExactMatrix:
         if shape != (self.rows, self.cols):
             raise ValueError("legs %r x %r do not fit a %dx%d matrix"
                              % (list(row_dims), list(col_dims), self.rows, self.cols))
-        z = self.field.zero()
-        data = [[z] * n_cols for _ in range(n_rows)]
+        data = [[0] * n_cols for _ in range(n_rows)]
         columns = range(self.cols)
         for row, rr, rc in zip(self.data, row_r, row_c):
             for j in compress(columns, row):
@@ -362,8 +353,7 @@ class ExactMatrix:
                      tuple(tuple(r) for r in self.data)))
 
     def is_zero(self):
-        z = self.field.zero()
-        return all(x == z for row in self.data for x in row)
+        return all(x == 0 for row in self.data for x in row)
 
     def __repr__(self):
         return "ExactMatrix(%r, %r)" % (self.field, self.data)
@@ -596,17 +586,21 @@ def kernel_data(A):
     columns of rref(A). Column j of K is 1 at free[j] and 0 at every other
     free coordinate: K is the identity on its free coordinates, so the
     coordinates of a kernel vector x in K are x's entries at free
-    (kernel_coordinates)."""
+    (kernel_coordinates).
+
+    Transposed, the kernel of B.transpose() presents the quotient of the
+    ambient space by the column span of B: K.transpose() is a projection
+    with kernel that span, and it is the identity on free, so the
+    inclusion of the coordinates free is a section of it."""
     R, pivots = A.rref()
     f = A.field
     n = A.cols
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     out = ExactMatrix.zeros(f, n, len(free))
-    one = f.one()
     p = f.p
     for j, fc in enumerate(free):
-        out.data[fc][j] = one
+        out.data[fc][j] = 1
         for r, pc in enumerate(pivots):
             x = R.data[r][fc]
             if x != 0:
@@ -673,50 +667,6 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim %d of %d over %r)" % (self.dim, self.ambient_dim, self.field)
-
-
-def quotient_data(ambient_dim, S):
-    """Projection/section pair presenting ambient/S.
-
-    Returns (projection, section, comp) with projection: ambient ->
-    quotient, section: quotient -> ambient, projection @ section =
-    identity and kernel(projection) = S. comp lists the complement
-    coordinates, the coordinate complement of the echelon pivots of S,
-    recorded so quotient identifications are reproducible: section is the
-    inclusion of those coordinates, so M @ section is the columns of M at
-    comp, M.submatrix(range(M.rows), comp), read with no product.
-
-    The canonical basis B of S is the identity on its pivot rows, so the
-    projection is written down with no elimination: its row j is
-    e_c - sum_k B[c][k] e_(pivot k) for the j-th complement coordinate c,
-    which is zero on every column of B and 1 on column j of the section.
-    """
-    if S.ambient_dim != ambient_dim:
-        raise ValueError("subspace not inside the ambient space")
-    f = S.field
-    p = f.p
-    B = S.basis.data
-    # pivot rows of the reduced column echelon basis
-    pivot_rows = []
-    for j in range(S.dim):
-        for i in range(ambient_dim):
-            if B[i][j]:
-                pivot_rows.append(i)
-                break
-    pivots = set(pivot_rows)
-    comp = [i for i in range(ambient_dim) if i not in pivots]
-    q = len(comp)
-    section = ExactMatrix.zeros(f, ambient_dim, q)
-    projection = ExactMatrix.zeros(f, q, ambient_dim)
-    one = f.one()
-    for j, c in enumerate(comp):
-        section.data[c][j] = one
-        row = projection.data[j]
-        row[c] = one
-        for k, x in zip(pivot_rows, B[c]):
-            if x:
-                row[k] = -x if p is None else -x % p
-    return projection, section, comp
 
 
 def gaussian_binomial(q, n, d):

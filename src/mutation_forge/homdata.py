@@ -30,8 +30,8 @@ the polarization bookkeeping.
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from .exactfield import (ExactMatrix, Subspace, field_from_tag, field_tag,
-                         kernel_coordinates, kernel_data, quotient_data)
+from .exactfield import (ExactMatrix, field_from_tag, field_tag,
+                         kernel_coordinates, kernel_data)
 from .theta import (GroupElement, MorphismPoint, ThetaSpace, ValidationReport,
                     json_count, json_counts, json_list, json_object,
                     matrix_from_json, matrix_to_json, zero_parts)
@@ -153,11 +153,10 @@ def _sym_mult(field, n_vars, d1, d2):
     m3 = _monomials(n_vars, d1 + d2)
     index = {mon: k for k, mon in enumerate(m3)}
     out = ExactMatrix.zeros(field, len(m3), len(m1) * len(m2))
-    one = field.one()
     for a, ma in enumerate(m1):
         for b, mb in enumerate(m2):
             mc = tuple(x + y for x, y in zip(ma, mb))
-            out.data[index[mc]][a * len(m2) + b] = one
+            out.data[index[mc]][a * len(m2) + b] = 1
     return out
 
 
@@ -442,13 +441,17 @@ def mutated_hom_data(h, p):
 
     The system returned also records those presentations:
 
-    quot[(l, i)] = (emb, proj, section) presenting
+    quot[(l, i)] = (emb, proj, comp) presenting
         H'[(l, i)] = (H_1i (x) H*_{1,l+p}) / emb(A_{l+p,i}),
-    ker[(m, l)]  = basis matrix of
+    ker[(m, l)]  = (basis, free) presenting
         B'[(m, l)] = ker(B_{sigma(m),1} (x) H_{1,l+p} -> H_{sigma(m),l+p})
 
     for the regimes where those descriptions apply (i <= p, l <= r-p for
-    the quotients; l <= r-p < m for the kernels)."""
+    the quotients; l <= r-p < m for the kernels). Both come from
+    kernel_data: (basis, free) is the canonical kernel basis with its
+    free coordinates, and proj is the transposed canonical kernel basis
+    of emb transposed, with comp its free coordinates. proj is the
+    identity on comp, so the inclusion of comp is a section of it."""
     r, s = h.r, h.s
     if not 0 <= p < r:
         raise ValueError("p must satisfy 0 <= p < r")
@@ -466,22 +469,21 @@ def mutated_hom_data(h, p):
             return ("E", o) if i <= p else ("X", ("F", 1))
         return ("R", ("E", KK(i))) if i <= q else ("F", ("F", sig(i)))
 
-    quot, comp_of = {}, {}
+    quot = {}
     for l in range(1, q + 1):
         for i in range(1, p + 1):
             # A_ki -> H_1i (x) H*_1k, adjoint to composition
             emb = h.comp_HA[(1, KK(l), i)].regroup(
                 [h.dimH[(1, i)]], [h.dimH[(1, KK(l))], h.dimA[(KK(l), i)]], [0, 1], [2])
-            sub = Subspace(emb.rows, emb)
-            if sub.dim != emb.cols:
+            proj, comp = kernel_data(emb.transpose())
+            if emb.rows - len(comp) != emb.cols:
                 raise ValueError("canonical map of A into H (x) H* "
                                  "is not injective")
-            proj, section, comp_of[(l, i)] = quotient_data(emb.rows, sub)
-            quot[(l, i)] = (emb, proj, section)
-    ker, free_of = {}, {}
+            quot[(l, i)] = (emb, proj.transpose(), comp)
+    ker = {}
     for l in range(1, q + 1):
         for m in range(q + 1, r + s - p):
-            ker[(m, l)], free_of[(m, l)] = kernel_data(h.comp_BH[(sig(m), 1, KK(l))])
+            ker[(m, l)] = kernel_data(h.comp_BH[(sig(m), 1, KK(l))])
 
     def dim(b, a):
         kinds = over(b)[0] + over(a)[0]
@@ -490,7 +492,7 @@ def mutated_hom_data(h, p):
         if kinds == "RX":   # H*_{1k}
             return _hom_dim(h, over(a)[1], over(b)[1])
         if kinds == "FR":
-            return ker[(b[1], a[1])].cols
+            return ker[(b[1], a[1])][0].cols
         return _hom_dim(h, over(b)[1], over(a)[1])
 
     def through_quotient(moved, key, what):
@@ -498,13 +500,14 @@ def mutated_hom_data(h, p):
         # in its columns and every other leg in its rows: it induces one
         # on the quotient when it vanishes on emb, and the section reads
         # it there as its columns at the complement coordinates
-        if not (moved @ quot[key][0]).is_zero():
+        emb, _, comp = quot[key]
+        if not (moved @ emb).is_zero():
             raise ValueError("induced %s composition ill-defined" % what)
-        return moved.submatrix(range(moved.rows), comp_of[key])
+        return moved.submatrix(range(moved.rows), comp)
 
     def in_kernel(key, x):
         # the coordinates of x in the canonical kernel basis ker[key]
-        return kernel_coordinates(ker[key], free_of[key], x,
+        return kernel_coordinates(*ker[key], x,
                                   "induced B'B' composition leaves the kernel")
 
     def functionals(m, l):
@@ -550,11 +553,11 @@ def mutated_hom_data(h, p):
             return x.regroup([proj_m.rows, da], [x.cols], [0], [1, 2])
         if kinds == "FRX":
             # contract the H_1Kl leg of the kernel with H*_1Kl
-            kb = ker[(c[1], b[1])]
+            kb = ker[(c[1], b[1])][0]
             return kb.regroup([dim(c, a), dim(b, a)], [kb.cols], [0], [2, 1])
         if kinds == "FRE":
             m, l, i = c[1], b[1], a[1]
-            kb = ker[(m, l)]
+            kb = ker[(m, l)][0]
             dB, dH, d1i = h.dimB[(sig(m), 1)], h.dimH[(1, KK(l))], h.dimH[(1, i)]
             bh = h.comp_BH[(sig(m), 1, i)]
             # B_M1 H_1i -> H_Mi, M = sig(m), contracted over B_M1 with the
@@ -567,7 +570,7 @@ def mutated_hom_data(h, p):
         n_, m, l = c[1], b[1], a[1]
         if kinds == "FFR":
             # B_{n,m} (x) ker_ml -> B_{n,1} (x) H_1Kl
-            km, dH = ker[(m, l)], h.dimH[(1, KK(l))]
+            km, dH = ker[(m, l)][0], h.dimH[(1, KK(l))]
             dBm, dBn = h.dimB[(sig(m), 1)], h.dimB[(sig(n_), 1)]
             x = h.comp_BB[(sig(n_), sig(m), 1)].apply_leg(
                 [dim(c, b), dBm], 1,
@@ -575,7 +578,7 @@ def mutated_hom_data(h, p):
                 [dBn], [dim(c, b), dH, km.cols], [0, 2], [1, 3])
             return in_kernel((n_, l), x)
         # FRR: ker_nm (x) A_KmKl -> B_{n,1} (x) H_1Kl
-        kn, da = ker[(n_, m)], h.dimA[(KK(m), KK(l))]
+        kn, da = ker[(n_, m)][0], h.dimA[(KK(m), KK(l))]
         dB, dHm = h.dimB[(sig(n_), 1)], h.dimH[(1, KK(m))]
         ha = h.comp_HA[(1, KK(m), KK(l))]
         x = ha.apply_leg(

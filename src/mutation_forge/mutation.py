@@ -19,8 +19,8 @@ an exact matrix identity; orbit statements are always certified by the
 constructed group elements, never by search.
 """
 
-from .exactfield import (ExactMatrix, Subspace, kernel_basis, kernel_coordinates,
-                         kernel_data, quotient_data, solve, solve_linear)
+from .exactfield import (ExactMatrix, kernel_basis, kernel_coordinates,
+                         kernel_data, solve, solve_linear)
 from .theta import (DIMS, GroupElement, MorphismPoint, ThetaSpace,
                     ValidationReport, act, right_inverse, unvec_row_major,
                     validate_theta, vec_row_major)
@@ -37,8 +37,10 @@ class DualSpace:
     """The dual ThetaSpace of a given one, together with the
     presentation data of the two new spaces:
 
-    proj/comp present M2' = (N2* (x) N1)/nu_bar(A0): the section is the
-    inclusion of the coordinates comp, so a map is read on M2' as its
+    proj/comp present M2' = (N2* (x) N1)/nu_bar(A0): proj is the
+    transposed canonical kernel basis of nu_bar transposed and comp its
+    free coordinates; proj is the identity on comp, so the inclusion of
+    those coordinates is a section and a map is read on M2' as its
     columns at comp (sectioned);
     k0 is the canonical basis matrix of A0' = ker(rho2) inside B0 (x) N2,
     the identity on its coordinates k0_free.
@@ -51,7 +53,8 @@ class DualSpace:
         n1, n2, m1 = t.dim_n1, t.dim_n2, t.dim_m1
         b0 = t.dim_b0
         nu_bar = t.nu_bar()
-        self.proj, _, self.comp = quotient_data(n2 * n1, Subspace(n2 * n1, nu_bar))
+        proj, self.comp = kernel_data(nu_bar.transpose())
+        self.proj = proj.transpose()
         m2p = self.proj.rows
         self.k0, self.k0_free = kernel_data(t.rho2)
         a0p = self.k0.cols

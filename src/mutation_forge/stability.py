@@ -549,7 +549,7 @@ def _carry_sums(inst, fam, units):
     sums, later = [], {}
     for key, rows, cols, entry in reversed(units):
         unit = ExactMatrix.zeros(f, rows, cols)
-        unit.data[entry // cols][entry % cols] = f.one()
+        unit.data[entry // cols][entry % cols] = 1
         moved = apply_unipotent(inst, fam, {key: unit})
         later = _plus(later, {k: x - fam[k] for k, x in moved.items() if x is not fam[k]})
         sums.append(later)

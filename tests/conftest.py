@@ -91,6 +91,12 @@ def subspace_intersect(S, T):
     return Subspace(S.ambient_dim, S.basis @ K.submatrix(range(S.dim), range(K.cols)))
 
 
+def inclusion(field, n, coords):
+    """The n x len(coords) inclusion of the coordinates coords: the
+    section of a quotient presented with those complement coordinates."""
+    return ExactMatrix.identity(field, n).submatrix(range(n), coords)
+
+
 # -- the seeded pool of small rational instances ----------------------
 
 def _kronecker_degenerate(rng, n2, mult):

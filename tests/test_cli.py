@@ -310,10 +310,11 @@ def test_dual_verify(tmp_path, capsys):
 
 
 def test_dual_verify_names_the_failing_checks(tmp_path, capsys):
-    """A p = 1, s = 2 theta with one nonzero entry of mu zeroed: its dual
-    prime is valid but the double dual does not restore mu. Each failing
-    check is one stderr line with its detail; stdout is the one that
-    dual without --verify prints, plus the two booleans."""
+    """A p = 1, s = 2 theta with one nonzero entry of mu zeroed: the input
+    fails diagram D, its dual prime is valid but the double dual does not
+    restore mu. Each failing check is one stderr line with its detail,
+    the input's first; stdout is the one that dual without --verify
+    prints, plus the two booleans."""
     h = projective_space_hom_data(QQ, 1, [-2, -1], [0, 1])
     inst = build_theta_p(h, [1, 1], [1, 1], 1)
     d = theta_to_json(inst.theta)
@@ -324,7 +325,10 @@ def test_dual_verify_names_the_failing_checks(tmp_path, capsys):
     captured = capsys.readouterr()
     out = json.loads(captured.out)["result"]
     assert (out["prime_valid"], out["double_dual_ok"]) == (True, False)
-    assert captured.err.splitlines() == [
+    detail = dict((n, x) for n, _, x in validate_theta(theta_from_json(d)).checks)[
+        "diagram D"]
+    assert detail and captured.err.splitlines() == [
+        "check failed: input: diagram D: " + detail,
         "check failed: double dual: mu restored: mu[0, 0] = 1/1, expected 0/1"]
     assert main(["dual", "--theta", path]) == 0
     plain = json.loads(capsys.readouterr().out)["result"]

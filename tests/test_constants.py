@@ -38,7 +38,7 @@ def test_length_of_split_vectors():
     for k in (0, 1, 2):
         v = ExactMatrix.zeros(QQ, t.dim_h * m, 1)
         for i in range(k):
-            v.data[i * m + i][0] = QQ.one()
+            v.data[i * m + i][0] = 1
         assert length(v, t.dim_h, m) == k
 
 
@@ -71,7 +71,7 @@ def test_delta_requires_generic():
     t = sigma0(QQ, 2)
     m = 2
     v = ExactMatrix.zeros(QQ, t.dim_h * m, 1)
-    v.data[0][0] = QQ.one()   # h_1 (x) x_1 only: components span one line
+    v.data[0][0] = 1   # h_1 (x) x_1 only: components span one line
     S = Subspace(t.dim_h * m, v)
     with pytest.raises(ValueError):
         delta(t, S, m)
@@ -188,7 +188,7 @@ def reference_image_of_tensor(t, K, m):
     cols = []
     for e in range(t.dim_e):
         for j in range(K.basis.cols):
-            vec = [f.zero()] * (t.dim_f * m)
+            vec = [0] * (t.dim_f * m)
             for h in range(t.dim_h):
                 for tt in range(m):
                     kv = K.basis.data[h * m + tt][j]

@@ -14,11 +14,11 @@ from mutation_forge.exactfield import (ExactMatrix, Field, GF, Subspace,
                                        gaussian_binomial, kernel_basis,
                                        kernel_coordinates, kernel_data,
                                        pack_columns, packed_combinations,
-                                       quotient_data, solve, solve_linear,
+                                       solve, solve_linear,
                                        unpack_rows, xor_echelon, xor_rank)
 from mutation_forge.mutation import swap_matrix
 from mutation_forge.theta import unvec_row_major, vec_row_major
-from conftest import (has_canonical_scalars, image_subspace,
+from conftest import (has_canonical_scalars, image_subspace, inclusion,
                       is_canonical_scalar, rnd_matrix, rnd_invertible,
                       subspace_contains, subspace_intersect, subspace_sum)
 
@@ -31,9 +31,9 @@ def test_field_arithmetic_rational():
     f = QQ
     assert f.of(Fraction(2, 3)) == Fraction(2, 3)
     for x in (f.of(2), f.of(Fraction(4, 2)), f.of(Fraction(0)), f.ratio(6, -3),
-              f.ratio(0, 5), f.zero(), f.one()):
+              f.ratio(0, 5)):
         assert type(x) is int and is_canonical_scalar(f, x)
-    assert (f.of(Fraction(4, 2)), f.ratio(6, -3), f.zero(), f.one()) == (2, -2, 0, 1)
+    assert (f.of(Fraction(4, 2)), f.ratio(6, -3)) == (2, -2)
     for x in (f.of(Fraction(2, 3)), f.of(Fraction(-6, 4)), f.ratio(3, -6)):
         assert type(x) is Fraction and is_canonical_scalar(f, x)
     assert not is_canonical_scalar(f, Fraction(2)) and not is_canonical_scalar(f, 2.0)
@@ -141,20 +141,29 @@ def test_subspace_operations():
     assert subspace_contains(S, Subspace(4, ExactMatrix.zeros(f, 4, 0)))
 
 
+def quotient_by_kernel(B):
+    """The presentation of the quotient by the column span of B: the
+    projection, the transposed canonical kernel basis of B.transpose(),
+    and its free coordinates, the complement coordinates."""
+    K, comp = kernel_data(B.transpose())
+    return K.transpose(), comp
+
+
 def test_quotient_data_is_a_splitting():
+    """The inclusion of the free coordinates is a section of the
+    transposed kernel, whose own kernel is the span of B."""
     rng = random.Random(5)
     B = rnd_matrix(QQ, rng, 5, 2)
-    S = image_subspace(B)
-    proj, section, comp = quotient_data(5, S)
-    q = 5 - S.dim
-    assert len(comp) == q
-    assert proj @ section == ExactMatrix.identity(QQ, q)
-    assert (proj @ S.basis).is_zero()
+    proj, comp = quotient_by_kernel(B)
+    q = 5 - B.rank()
+    assert len(comp) == q == proj.rank()
+    assert proj @ inclusion(QQ, 5, comp) == ExactMatrix.identity(QQ, q)
+    assert (proj @ B).is_zero()
 
 
 def reference_quotient_data(ambient_dim, S):
-    """The projection, section and complement coordinates of
-    quotient_data by elimination: the section picks the coordinates off
+    """The projection, section and complement coordinates of the
+    quotient by S by elimination: the section picks the coordinates off
     the pivots of S, and the projection is the last rows of the inverse
     of T = [B | section]."""
     f = S.field
@@ -169,56 +178,47 @@ def reference_quotient_data(ambient_dim, S):
     comp = [i for i in range(ambient_dim) if i not in pivot_rows]
     section = ExactMatrix.zeros(f, ambient_dim, len(comp))
     for j, i in enumerate(comp):
-        section.data[i][j] = f.one()
+        section.data[i][j] = 1
     Tinv = solve_linear(B.hstack(section), ExactMatrix.identity(f, ambient_dim))
     return Tinv.submatrix(range(s, ambient_dim), range(ambient_dim)), section, comp
 
 
 @st.composite
 def spans(draw, max_dim=7):
-    """A subspace of GF(2)^n, GF(3)^n or QQ^n, n <= 7, spanned by columns
-    that are often dependent or zero; the zero subspace and the whole
-    space are drawn often."""
-    f = draw(st.sampled_from([QQ, GF(2), GF(3)]))
+    """A spanning matrix B of a subspace of QQ^n, GF(2)^n, GF(3)^n or
+    GF(65521)^n, n <= 7, and the Subspace it spans, as (n, S, B): the
+    columns of B are often dependent or zero, and the zero subspace and
+    the whole space are drawn often."""
+    f = draw(st.sampled_from(KERNEL_FIELDS))
     n = draw(st.integers(0, max_dim))
     kind = draw(st.sampled_from(["zero", "full", "span"]))
     if kind == "zero":
-        return n, Subspace(n, ExactMatrix.zeros(f, n, 0))
+        B = ExactMatrix.zeros(f, n, 0)
+        return n, Subspace(n, B), B
     k = draw(st.integers(0, n + 2))
     cols = [draw(st.lists(_scalars(f), min_size=n, max_size=n)) for _ in range(k)]
     for j in draw(st.sets(st.integers(0, k - 1))) if k else ():
         # zero or, when there is an earlier column, a multiple of it
         cols[j] = ([draw(_scalars(f)) * x for x in cols[j - 1]]
-                   if j and draw(st.booleans()) else [f.zero()] * n)
+                   if j and draw(st.booleans()) else [0] * n)
     B = ExactMatrix.from_flat(f, k, n, [x for col in cols for x in col]).transpose()
     if kind == "full":
         B = B.hstack(ExactMatrix.identity(f, n)) if k else ExactMatrix.identity(f, n)
-    return n, Subspace(n, B) if B.cols else Subspace(n, ExactMatrix.zeros(f, n, 0))
+    return n, Subspace(n, B), B
 
 
 @settings(max_examples=400, deadline=None)
 @given(spans())
 def test_quotient_data_matches_reference(case):
-    n, S = case
-    proj, section, comp = quotient_data(n, S)
-    ref_proj, ref_section, ref_comp = reference_quotient_data(n, S)
+    """The transposed canonical kernel of B.transpose() is the projection
+    that elimination gives for the quotient by the span of B, and its
+    free coordinates are the complement of the pivots of that span."""
+    n, S, B = case
+    proj, comp = quotient_by_kernel(B)
+    ref_proj, _, ref_comp = reference_quotient_data(n, S)
     assert (proj.rows, proj.cols) == (ref_proj.rows, ref_proj.cols) == (n - S.dim, n)
-    assert (proj.data, section.data, comp) == (ref_proj.data, ref_section.data, ref_comp)
-    assert has_canonical_scalars(proj) and has_canonical_scalars(section)
-    assert (section.rows, section.cols) == (n, n - S.dim)
-
-
-def test_quotient_data_runs_no_elimination(monkeypatch):
-    rng = random.Random(6)
-    S = image_subspace(rnd_matrix(QQ, rng, 6, 3))
-
-    def refuse(*args):
-        raise AssertionError("quotient_data eliminated")
-    for name in ("rref", "rank"):
-        monkeypatch.setattr(ExactMatrix, name, refuse)
-    monkeypatch.setattr(exactfield, "solve_linear", refuse)
-    proj, section, comp = quotient_data(6, S)
-    assert (proj.rows, section.cols, len(comp)) == (3, 3, 3)
+    assert (proj.data, comp) == (ref_proj.data, ref_comp)
+    assert has_canonical_scalars(proj)
 
 
 def test_gaussian_binomial_counts_subspaces():
@@ -269,7 +269,7 @@ def reference_swap(field, x, y):
     m = ExactMatrix.zeros(field, y * x, x * y)
     for i in range(x):
         for j in range(y):
-            m.data[j * x + i][i * y + j] = field.one()
+            m.data[j * x + i][i * y + j] = 1
     return m
 
 
@@ -387,7 +387,7 @@ def reference_regroup(A, row_dims, col_dims, rows, cols):
     shape, (n_rows, n_cols), row_r, row_c, col_r, col_c = exactfield._regroup_map(
         tuple(row_dims), tuple(col_dims), tuple(rows), tuple(cols))
     assert shape == (A.rows, A.cols)
-    data = [[A.field.zero()] * n_cols for _ in range(n_rows)]
+    data = [[0] * n_cols for _ in range(n_rows)]
     for row, rr, rc in zip(A.data, row_r, row_c):
         for x, cr, cc in zip(row, col_r, col_c):
             data[rr + cr][rc + cc] = x
@@ -538,7 +538,7 @@ def kernel_matrices(draw, max_rows=6, max_cols=7, fields=KERNEL_FIELDS):
             _scalars(f), min_size=rows * cols, max_size=rows * cols)))
     zero_rows = draw(st.sets(st.integers(0, rows - 1))) if rows else set()
     zero_cols = draw(st.sets(st.integers(0, cols - 1))) if cols else set()
-    data = [[f.zero() if i in zero_rows or j in zero_cols else x
+    data = [[0 if i in zero_rows or j in zero_cols else x
              for j, x in enumerate(row)] for i, row in enumerate(A.data)]
     return ExactMatrix.from_flat(f, rows, cols, [x for row in data for x in row])
 
@@ -657,11 +657,14 @@ def test_kernel_coordinates_match_solve(A, data):
 @settings(max_examples=300, deadline=None)
 @given(spans(), st.data())
 def test_section_selection_matches_product(case, data):
-    """The section of quotient_data is the inclusion of the coordinates
-    comp: a matrix times it is its columns at comp."""
-    n, S = case
+    """The inclusion of the free coordinates comp of the kernel of
+    B.transpose() is a section of the quotient's projection, and a
+    matrix times it is its columns at comp."""
+    n, S, B = case
     f = S.field
-    _, section, comp = quotient_data(n, S)
+    proj, comp = quotient_by_kernel(B)
+    section = inclusion(f, n, comp)
+    assert proj @ section == ExactMatrix.identity(f, len(comp))
     rows = data.draw(st.integers(0, 3))
     M = ExactMatrix.from_flat(f, rows, n, data.draw(st.lists(
         _scalars(f), min_size=rows * n, max_size=rows * n)))
@@ -802,10 +805,9 @@ def reference_matmul(A, B):
     """The dense reference product: each entry is the sum, from zero, of
     a * b over a row of A and a column of B, reduced mod p over GF(p)."""
     f = A.field
-    zero = f.zero()
     data = []
     for row in A.data:
-        sums = [sum((a * b[j] for a, b in zip(row, B.data)), zero)
+        sums = [sum((a * b[j] for a, b in zip(row, B.data)), 0)
                 for j in range(B.cols)]
         data.append(sums if f.p is None else [x % f.p for x in sums])
     return A._new(data, B.cols)
@@ -820,7 +822,7 @@ def product_pairs(draw, max_dim=6):
     rows, k, cols = (draw(st.integers(0, max_dim)) for _ in range(3))
     if draw(st.booleans()):   # about one entry in four nonzero
         scalars = st.tuples(st.integers(0, 3), _scalars(f)).map(
-            lambda t: t[1] if t[0] == 0 else f.zero())
+            lambda t: t[1] if t[0] == 0 else 0)
     else:
         scalars = _scalars(f)
 

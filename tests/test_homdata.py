@@ -22,7 +22,7 @@ from mutation_forge.homdata import (BlockLayout, HomData, Polarization,
                                     _monomials, mutated_multiplicities,
                                     projective_space_hom_data,
                                     transpose_hom_data, validate_hom_data)
-from conftest import (full_p1_instance, pn_grid, pn_hom, pn_instance,
+from conftest import (full_p1_instance, inclusion, pn_grid, pn_hom, pn_instance,
                       pn_mutated, rnd_invertible, rnd_matrix, random_w0_point)
 
 QQ = Field()
@@ -270,9 +270,13 @@ def test_builder_output_digest():
                 hm = mutated_hom_data(h, p)
                 put(hom_data_to_json(hm))
                 put(hom_data_to_json(transpose_hom_data(hm)))
-                put([[list(k), [matrix_to_json(x) for x in v]]
-                     for k, v in sorted(hm.quot.items())])
-                put([[list(k), matrix_to_json(v)] for k, v in sorted(hm.ker.items())])
+                # each section as the inclusion of its complement
+                # coordinates, each kernel as its basis
+                put([[list(k), [matrix_to_json(x) for x in
+                                (emb, proj, inclusion(field, emb.rows, comp))]]
+                     for k, (emb, proj, comp) in sorted(hm.quot.items())])
+                put([[list(k), matrix_to_json(basis)]
+                     for k, (basis, _) in sorted(hm.ker.items())])
                 inst = mutated_instance(h, [1] * h.r, [1] * h.s, p)
                 put(theta_to_json(inst.theta))
     assert digest.hexdigest() == BUILDER_DIGEST
@@ -325,6 +329,20 @@ def test_mutated_hom_data_refuses_inconsistent_compositions():
                                 field, e, d, key, i, j, p, msg)).encode())
     assert seen == REFUSALS
     assert digest.hexdigest() == REFUSAL_DIGEST
+
+
+def test_mutated_hom_data_refuses_a_non_injective_embedding():
+    """With the composition H_12 (x) A_21 -> H_11 zeroed, A_21 maps to 0
+    in H_11 (x) H*_12, and the quotient of the mutation at p = 1 has no
+    presentation: the embedding is refused, before any composition."""
+    for field in (QQ, Field(3)):
+        h = projective_space_hom_data(field, 1, [-2, -1], [0, 1])
+        M = h.comp_HA[(1, 2, 1)]
+        comps = {x: getattr(h, x) for x in ("comp_HA", "comp_BH", "comp_AA", "comp_BB")}
+        comps["comp_HA"] = {**h.comp_HA, (1, 2, 1): ExactMatrix.zeros(field, M.rows, M.cols)}
+        changed = HomData(field, h.r, h.s, h.dimH, h.dimA, h.dimB, **comps)
+        with pytest.raises(ValueError, match="is not injective"):
+            mutated_hom_data(changed, 1)
 
 
 # (n, e, f) of the systems behind INSTANCE_DIGEST, each over QQ and GF(3)
