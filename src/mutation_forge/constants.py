@@ -61,9 +61,13 @@ def is_generic(K, dim_h, m):
     in H (x) M' for any proper M'."""
     if K.ambient_dim != dim_h * m:
         raise ValueError("subspace does not live in H (x) M")
-    if K.dim >= dim_h * m:
-        raise ValueError("genericity is defined for proper subspaces only")
+    _require_proper(K.dim, K.ambient_dim)
     return _spans_m(K.basis, dim_h, m)
+
+
+def _require_proper(dim_k, ambient):
+    if dim_k >= ambient:
+        raise ValueError("genericity is defined for proper subspaces only")
 
 
 def _tau_by_h(t):
@@ -91,10 +95,21 @@ def delta(t, K, m):
 
 # -- the maps sigma_0 and sigma_1 -------------------------------------
 
+# The most cells the dense matrix of sigma_0 or sigma_1 may have.
+TAU_CELLS = 10 ** 7
+
+
 def _quadrics(n):
-    """The monomial basis of S^2 V for dim V = n+1, n >= 1."""
+    """The monomial basis of S^2 V for dim V = n+1, n >= 1. Both sigma_0
+    and sigma_1 are dense matrices of (n+1)^3 (n+2) / 2 cells; a size
+    above TAU_CELLS = 10^7 cells (n above 65) is a ValueError, raised
+    before any monomial is listed."""
     if n < 1:
         raise ValueError("n must be positive, got %d" % n)
+    cells = (n + 1) ** 3 * (n + 2) // 2
+    if cells > TAU_CELLS:
+        raise ValueError("sigma for n = %d has %d cells, above the %d allowed"
+                         % (n, cells, TAU_CELLS))
     return _monomials(n + 1, 2)
 
 
@@ -104,7 +119,7 @@ def sigma0(field, n):
     convention by a diagonal change of basis, which leaves every rank
     and codimension unchanged)."""
     deg2 = _quadrics(n)
-    deg1 = _monomials(n + 1, 1)
+    deg1 = {mono: y for y, mono in enumerate(_monomials(n + 1, 1))}
     f = field
     tau = ExactMatrix.zeros(f, n + 1, len(deg2) * (n + 1))
     for q, mono in enumerate(deg2):
@@ -113,15 +128,14 @@ def sigma0(field, n):
                 continue
             rem = list(mono)
             rem[a] -= 1
-            y = deg1.index(tuple(rem))
-            tau.data[y][q * (n + 1) + a] = 1
+            tau.data[deg1[tuple(rem)]][q * (n + 1) + a] = 1
     return TauMap(f, len(deg2), n + 1, n + 1, tau)
 
 
 def sigma1(field, n):
     """sigma_1 : V (x) V -> S^2 V for dim V = n+1 (monomial
     multiplication)."""
-    deg2 = _quadrics(n)
+    deg2 = {mono: q for q, mono in enumerate(_quadrics(n))}
     f = field
     tau = ExactMatrix.zeros(f, len(deg2), (n + 1) * (n + 1))
     for a in range(n + 1):
@@ -129,8 +143,7 @@ def sigma1(field, n):
             mono = [0] * (n + 1)
             mono[a] += 1
             mono[b] += 1
-            q = deg2.index(tuple(mono))
-            tau.data[q][a * (n + 1) + b] = 1
+            tau.data[deg2[tuple(mono)]][a * (n + 1) + b] = 1
     return TauMap(f, n + 1, n + 1, len(deg2), tau)
 
 
@@ -159,11 +172,12 @@ def witness_subspace(t, m):
     """The length-min(m, dim H) rank-one-sum witness: the span of
     h_1 (x) x_1 + ... + h_d (x) x_d, the vec of the first d columns of
     the identity of H.  Generic exactly when d = m, i.e. m <= dim H;
-    returns None otherwise."""
+    returns None otherwise. That vec is one column whose first nonzero
+    entry is 1, its own canonical basis."""
     if m > t.dim_h:
         return None
     h = ExactMatrix.identity(t.field, t.dim_h).submatrix(range(t.dim_h), range(m))
-    return Subspace(t.dim_h * m, vec_row_major(h))
+    return Subspace._from_canonical(vec_row_major(h))
 
 
 class SearchReport:
@@ -206,8 +220,9 @@ class SearchReport:
 
 
 def _random_generic_spans(t, m, samples, seed):
-    """Seeded random spanning matrices of proper subspaces of H (x) M,
-    with entries drawn from {-1, 0, 1}, each with the dimension of its
+    """Seeded random spanning matrices of proper subspaces of H (x) M
+    over the rationals, with entries drawn from {-1, 0, 1}, rational
+    scalars in their one form as drawn, each with the dimension of its
     span; draws whose span is not generic are skipped."""
     rng = random.Random(seed)
     ambient = t.dim_h * m
@@ -216,8 +231,8 @@ def _random_generic_spans(t, m, samples, seed):
     while produced < samples and attempts < 50 * samples:
         attempts += 1
         k = rng.randint(1, ambient - 1)
-        B = ExactMatrix(t.field, [[rng.choice((-1, 0, 1)) for _ in range(k)]
-                                  for _ in range(ambient)])
+        rows = [[rng.choice((-1, 0, 1)) for _ in range(k)] for _ in range(ambient)]
+        B = ExactMatrix.of_rows(t.field, rows, k)
         if not _spans_m(B, t.dim_h, m):
             continue
         produced += 1
@@ -230,9 +245,14 @@ def c_tau_search(t, m, budget=10 ** 5, seed=0, samples=1000, reference=None):
     the budget) or a seeded random scan over the rationals. Genericity
     is checked once per candidate, and random draws are scored on their
     spanning matrices, never put in canonical form."""
-    wit = witness_subspace(t, m)
-    witness_value = delta(t, wit, m) if wit is not None else None
     ambient = t.dim_h * m
+    tau_by_h = _tau_by_h(t)
+    wit = witness_subspace(t, m)
+    witness_value = None
+    if wit is not None:
+        # generic by construction (m <= dim H), so only properness is checked
+        _require_proper(wit.dim, ambient)
+        witness_value = _delta(t, tau_by_h, wit.basis, wit.dim, m)
     p = t.field.p
     if p is not None:
         total = sum(gaussian_binomial(p, ambient, d) for d in range(1, ambient))
@@ -246,7 +266,6 @@ def c_tau_search(t, m, budget=10 ** 5, seed=0, samples=1000, reference=None):
     else:
         mode = "random-rational"
         spans = _random_generic_spans(t, m, samples, seed)
-    tau_by_h = _tau_by_h(t)
     values = [_delta(t, tau_by_h, B, d, m) for B, d in spans]
     empty = not values and witness_value is None
     max_found = Fraction(0) if empty else max(values, default=None)

@@ -151,7 +151,14 @@ class ExactMatrix:
     the rows it changes: over QQ on rows cleared of their denominators,
     each updated row piv*x - a*y divided by its content, which is exact
     and keeps the row's zeros and so the pivots; over GF(p) on the
-    residues with the reduction mod p written inline."""
+    residues with the reduction mod p written inline.
+
+    rank over QQ is first read mod 2: the rows cleared of their
+    denominators are packed into ints of their parities, and when the
+    XOR rank of those is full, min(rows, cols), it is the rank, exactly.
+    A nonzero minor mod 2 is an odd integer minor, and an odd integer is
+    not zero. Only a matrix whose parities are short of full rank runs
+    the elimination. Over GF(2) the XOR rank is the rank itself."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -377,8 +384,24 @@ class ExactMatrix:
         return self._new(rows, self.cols), pivots
 
     def rank(self):
-        """Rank by the forward half of _eliminate, with no
+        """Rank. Over QQ and GF(2) the rows are first reduced mod 2, over
+        QQ once cleared of their denominators, and the XOR rank of their
+        parities is taken (_parity_rank). Over GF(2) that is the rank.
+        Over QQ it is the rank when it is full, min(rows, cols), which is
+        a certificate: the parities then have an r x r minor that is 1 mod
+        2, so the same minor of the integer rows is an odd integer, not
+        zero, and a row scaled by a nonzero integer spans the same line.
+        Any other rank, and any rank over GF(p) for p > 2, is the number
+        of pivots of the forward half of _eliminate, with no
         back-substitution."""
+        full = min(self.rows, self.cols)
+        if full == 0:
+            return 0
+        p = self.field.p
+        if p is None or p == 2:
+            r = _parity_rank(self.data)
+            if r == full or p == 2:
+                return r
         return len(_eliminate(self.field, self.data, self.cols, False)[1])
 
 
@@ -424,6 +447,21 @@ def _integer_row(row):
     den = lcm(*{x.denominator for x in row if type(x) is Fraction})
     return [x * den if type(x) is int else x.numerator * (den // x.denominator)
             for x in row]
+
+
+def _parity_rank(data):
+    """The rank over GF(2) of the parities of the rows of data, nonempty
+    rows of equal length over QQ or GF(2), each row packed into one int.
+    A row of ints is read as it is; a row holding a Fraction, which has
+    no parity, is first cleared of its denominators by _integer_row."""
+    packed = []
+    for row in data:
+        try:
+            bits = ["1" if x & 1 else "0" for x in row]
+        except TypeError:   # a Fraction
+            bits = ["1" if x & 1 else "0" for x in _integer_row(row)]
+        packed.append(int("".join(bits), 2))
+    return xor_rank(packed)
 
 
 def _eliminate(field, data, cols, reduce):

@@ -438,6 +438,17 @@ def test_constants_command(capsys):
     assert out["result"]["search"]["seed"] == 3
 
 
+@pytest.mark.parametrize("which", ["0", "1"])
+def test_constants_refuses_a_size_that_cannot_fit(which, capsys):
+    """sigma for n = 1000 would have about 5 * 10^11 cells: one error
+    line and exit 2, before anything of that size is allocated."""
+    assert main(["constants", "--which", which, "--n", "1000", "--m", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: sigma for n = 1000 has 502504503501 cells, "
+                   "above the 10000000 allowed\n")
+    assert "Traceback" not in err
+
+
 def test_polarization_command(tmp_path, capsys):
     h = projective_space_hom_data(QQ, 2, [-2, -1], [0])
     spec = {"hom": hom_data_to_json(h), "m": [1, 1], "n": [2], "p": 0,
@@ -686,9 +697,10 @@ FUZZ_VALUES = [None, -1, 1.5, "x", [], {}, True, "1/0", 2 ** 64]
 # the subcommands that exit 1 on a failed check; the others exit 0 or 2
 CHECKING = {"validate", "dual", "mutate", "polarization", "constants"}
 # the flags whose value is a size of the work: a large int there is a
-# valid request that runs out of time or memory, not bad input
-SIZES = {("generate", "--n"), ("generate", "--fdeg"), ("constants", "--n"),
-         ("constants", "--m"), ("constants", "--samples"), ("sweep", "--grid")}
+# valid request that runs out of time or memory, not bad input (an n of
+# constants above 65 is refused, so 2^64 is fuzzed there)
+SIZES = {("generate", "--n"), ("generate", "--fdeg"), ("constants", "--m"),
+         ("constants", "--samples"), ("sweep", "--grid")}
 
 
 def _json_paths(obj, path=()):

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mutation_forge.exactfield import GF, ExactMatrix, Field, Subspace
+from mutation_forge import constants
+from mutation_forge.exactfield import (GF, ExactMatrix, Field, Subspace,
+                                       column_echelon)
 from mutation_forge.constants import (SearchReport, TauMap, _delta,
                                       _spans_m, _tau_by_h, c_formula,
                                       c_tau_rs, c_tau_search, delta,
@@ -52,6 +54,46 @@ def test_witness_is_generic():
                 wit = witness_subspace(t, m)
                 assert wit is not None
                 assert is_generic(wit, t.dim_h, m)
+
+
+def test_witness_basis_is_canonical():
+    """The witness is taken as its own canonical basis: the column
+    echelon form of its vec is that vec."""
+    for build in (sigma0, sigma1):
+        for n in (1, 2, 3):
+            t = build(QQ, n)
+            for m in range(1, t.dim_h + 1):
+                wit = witness_subspace(t, m)
+                assert wit.basis == column_echelon(wit.basis)
+                assert wit == Subspace(t.dim_h * m, wit.basis)
+
+
+@pytest.mark.parametrize("build", [sigma0, sigma1])
+def test_sigma_refuses_sizes_above_the_cell_bound(build, monkeypatch):
+    """A tau of more than TAU_CELLS cells is a ValueError raised before any
+    monomial is listed; (n+1)^3 (n+2) / 2 cells is allowed."""
+    def refuse(*args):
+        raise AssertionError("monomials listed")
+
+    monkeypatch.setattr(constants, "_monomials", refuse)
+    with pytest.raises(ValueError, match="above the 10000000 allowed"):
+        build(QQ, 66)
+    with pytest.raises(ValueError, match="cells"):
+        build(QQ, 10 ** 30)
+    monkeypatch.undo()
+    monkeypatch.setattr(constants, "TAU_CELLS", 4 ** 3 * 5 // 2)
+    t = build(QQ, 3)
+    assert t.tau.rows * t.tau.cols == constants.TAU_CELLS
+    with pytest.raises(ValueError, match="sigma for n = 4 has 375 cells"):
+        build(QQ, 4)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+def test_search_refuses_a_witness_that_is_the_whole_space(field):
+    """dim H = m = 1: the witness line is all of H (x) M, not proper."""
+    t = TauMap(field, 1, 1, 1, ExactMatrix.identity(field, 1))
+    with pytest.raises(ValueError, match="proper subspaces only"):
+        c_tau_search(t, 1)
 
 
 def test_witness_none_when_m_exceeds_h():

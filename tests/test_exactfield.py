@@ -101,6 +101,48 @@ def test_rank_and_rref():
     assert I.rref()[0] == I
 
 
+# (rows, rank) over QQ of matrices whose parities are short of full rank:
+# an even determinant, an even entry, a row [2/3, 4/3] that clears to
+# [2, 4], and matrices of deficient rank
+PARITY_SHORT = [([[1, 1], [1, -1]], 2), ([[2]], 1),
+                ([[Fraction(2, 3), Fraction(4, 3)]], 1),
+                ([[1, 2], [2, 4]], 1), ([[1, 1, 1], [1, -1, 0], [2, 0, 1]], 2),
+                ([[0, 0], [0, 0]], 0)]
+
+
+@pytest.mark.parametrize("rows, rank", PARITY_SHORT)
+def test_rational_rank_where_parity_falls_short(rows, rank):
+    A = ExactMatrix(QQ, rows)
+    assert A.rank() == rank == A.transpose().rank()
+    assert exactfield._parity_rank(A.data) < min(A.rows, A.cols)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_rank_of_empty_shapes(field):
+    for rows, cols in ((0, 0), (0, 4), (4, 0)):
+        assert ExactMatrix.zeros(field, rows, cols).rank() == 0
+
+
+def test_full_parity_rank_needs_no_elimination(monkeypatch):
+    """A QQ matrix whose parities have full rank, and any GF(2) matrix,
+    get their rank from the XOR rank of their parities alone; a QQ matrix
+    whose parities fall short reaches the elimination."""
+    def refuse(*args):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(exactfield, "_eliminate", refuse)
+    # determinants -29 and -3 (the second row cleared to [1, 3]), and a
+    # row [1/2, 1] cleared to [1, 2], odd at its first entry
+    assert ExactMatrix(QQ, [[3, 5], [7, 2]]).rank() == 2
+    assert ExactMatrix(QQ, [[1, 0], [Fraction(1, 3), 1]]).rank() == 2
+    assert ExactMatrix(QQ, [[Fraction(1, 2), 1]]).rank() == 1
+    assert ExactMatrix(QQ, [[1, 2, 3], [4, 5, 6]]).rank() == 2
+    assert ExactMatrix(GF(2), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]).rank() == 2
+    assert ExactMatrix(GF(2), [[1, 0, 1, 1]]).rank() == 1
+    with pytest.raises(AssertionError, match="eliminated"):
+        ExactMatrix(QQ, [[1, 1], [1, -1]]).rank()
+
+
 def test_solve_linear_exact_and_inconsistent():
     rng = random.Random(2)
     A = rnd_invertible(QQ, rng, 4)
