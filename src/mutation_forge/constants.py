@@ -16,6 +16,7 @@ never conflate the two.
 import json
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 from .exactfield import (ExactMatrix, Subspace, enumerate_subspaces,
                          gaussian_binomial)
@@ -95,7 +96,8 @@ def delta(t, K, m):
 
 # -- the maps sigma_0 and sigma_1 -------------------------------------
 
-# The most cells the dense matrix of sigma_0 or sigma_1 may have.
+# The most cells the dense matrix of sigma_0 or sigma_1, or a random
+# draw of c_tau_search (dim H (x) M rows, fewer columns), may have.
 TAU_CELLS = 10 ** 7
 
 
@@ -255,15 +257,21 @@ def c_tau_search(t, m, budget=10 ** 5, seed=0, samples=1000, reference=None):
         witness_value = _delta(t, tau_by_h, wit.basis, wit.dim, m)
     p = t.field.p
     if p is not None:
-        total = sum(gaussian_binomial(p, ambient, d) for d in range(1, ambient))
-        if total > budget:
-            raise ValueError("exhaustive scan budget exceeded: %d > %d"
-                             % (total, budget))
+        # counted until the count passes the budget; the lines alone number
+        # 2^ambient - 1 or more, so a longer ambient is refused uncounted
+        counts = accumulate(gaussian_binomial(p, ambient, d) for d in range(1, ambient))
+        if ambient > budget.bit_length() + 1 or any(c > budget for c in counts):
+            raise ValueError("exhaustive scan budget exceeded: more than %d subspaces"
+                             % budget)
         mode = "exhaustive-gf%d" % p
         spans = ((S.basis, d) for d in range(1, ambient)
                  for S in enumerate_subspaces(p, ambient, d, budget=budget)
                  if _spans_m(S.basis, t.dim_h, m))
     else:
+        if ambient * (ambient - 1) > TAU_CELLS:   # refused before any draw
+            raise ValueError("random draws in H (x) M of dim %d may have %d cells, "
+                             "above the %d allowed"
+                             % (ambient, ambient * (ambient - 1), TAU_CELLS))
         mode = "random-rational"
         spans = _random_generic_spans(t, m, samples, seed)
     values = [_delta(t, tau_by_h, B, d, m) for B, d in spans]

@@ -5,14 +5,16 @@ built on the two types defined here: ExactMatrix and Subspace. All
 arithmetic is exact: over the rationals an integral value is an int and
 any other a Fraction, over GF(p) a value is an int mod p. There is no
 floating point anywhere in this package, and no true division in this
-module. Over GF(2) a vector can also be packed into one int, one bit per
-coordinate, and spans and ranks of packed vectors are taken by XOR.
+module. Over a prime field a vector can also be packed, into one int over
+GF(2) and a tuple of residues over GF(p), p > 2 (packing): the only
+place where that choice is made.
 """
 
 import functools
 from fractions import Fraction
 from itertools import combinations, compress, product
 from math import gcd, isqrt, lcm, prod
+from operator import xor
 
 
 def _is_prime(p):
@@ -151,14 +153,8 @@ class ExactMatrix:
     the rows it changes: over QQ on rows cleared of their denominators,
     each updated row piv*x - a*y divided by its content, which is exact
     and keeps the row's zeros and so the pivots; over GF(p) on the
-    residues with the reduction mod p written inline.
-
-    rank over QQ is first read mod 2: the rows cleared of their
-    denominators are packed into ints of their parities, and when the
-    XOR rank of those is full, min(rows, cols), it is the rank, exactly.
-    A nonzero minor mod 2 is an odd integer minor, and an odd integer is
-    not zero. Only a matrix whose parities are short of full rank runs
-    the elimination. Over GF(2) the XOR rank is the rank itself."""
+    residues with the reduction mod p written inline. rank over QQ and
+    GF(2) is first read mod 2, as its docstring says."""
 
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -491,7 +487,7 @@ def _eliminate(field, data, cols, reduce):
     if p is None:
         rows = [_integer_row(row) for row in data]
     else:
-        rows = [row[:] for row in data]
+        rows = [list(row) for row in data]
     n = len(rows)
     pivots = []
     for c in range(cols):
@@ -525,55 +521,8 @@ def _eliminate(field, data, cols, reduce):
     return rows, pivots
 
 
-# -- GF(2) packed rows ------------------------------------------------
-#
-# Over GF(2) a vector of length n is one int whose bit n - 1 - r is its
-# coordinate r: the first coordinate is the highest bit, so the pivot of
-# a vector is its highest bit and a sum of two vectors is one XOR.
-
-def pack_columns(A):
-    """The columns of a GF(2) matrix as packed vectors, one bit per row."""
-    if A.field.p != 2:
-        raise ValueError("packed vectors are over GF(2), not %r" % (A.field,))
-    cols = [0] * A.cols
-    for row in A.data:
-        cols = [v << 1 | x for v, x in zip(cols, row)]
-    return cols
-
-
-def unpack_rows(vectors, n):
-    """Packed vectors of length n as rows of 0/1 entries, the inverse of
-    pack_columns on one column."""
-    return [[v >> s & 1 for s in range(n - 1, -1, -1)] for v in vectors]
-
-
-def packed_combinations(vectors):
-    """Every GF(2) combination of the packed vectors: entry c is the sum of
-    the vectors whose coefficient in c is 1, for the coefficient vector c
-    packed as an int (the first vector its highest bit)."""
-    sums = [0]
-    for v in vectors:
-        sums = [u for s in sums for u in (s, s ^ v)]
-    return sums
-
-
-def xor_echelon(vectors):
-    """The canonical basis of the span of packed vectors: its reduced
-    echelon basis, first pivot first, as a tuple (() for the zero span).
-    It unpacks to the nonzero rows of rref."""
-    basis = []   # reduced: no vector holds the pivot of another
-    for v in vectors:
-        for b in basis:
-            if v ^ b < v:   # v holds the pivot of b
-                v ^= b
-        if v:
-            basis = [b ^ v if b ^ v < b else b for b in basis]
-            basis.append(v)
-    return tuple(sorted(basis, reverse=True))
-
-
 def xor_rank(vectors):
-    """dim of the span of packed vectors, by forward XOR elimination."""
+    """dim of the span of packed GF(2) vectors, by forward XOR elimination."""
     pivots = {}
     for v in vectors:
         while v:
@@ -583,6 +532,105 @@ def xor_rank(vectors):
                 break
             v ^= pivots[top]
     return len(pivots)
+
+
+# -- packed vectors ---------------------------------------------------
+
+def packing(field):
+    """How a vector over a prime field is packed into one hashable value,
+    chosen once: over GF(2) one int whose bit n - 1 - r is coordinate r,
+    so the pivot is the highest bit and a sum is one XOR (_Bits); over
+    GF(p), p > 2, the tuple of its residues, eliminated by _eliminate
+    (_Residues). Each has pack_columns, columns, add, echelon, rank and
+    images. The rationals have none: a ValueError."""
+    if field.p is None:
+        raise ValueError("packed vectors are over a prime field, not %r" % (field,))
+    return (_Bits if field.p == 2 else _Residues)(field)
+
+
+class _Bits:
+    """Packed vectors over GF(2)."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def pack_columns(self, A):
+        """The columns of the matrix A, packed."""
+        cols = [0] * A.cols
+        for row in A.data:
+            cols = [v << 1 | x for v, x in zip(cols, row)]
+        return cols
+
+    def columns(self, vectors, n):
+        """The matrix with n rows whose columns are the packed vectors."""
+        return ExactMatrix.of_rows(self.field, [[v >> s & 1 for s in range(n - 1, -1, -1)]
+                                                for v in vectors], n).transpose()
+
+    def add(self, us, vs):
+        """The sums of us and vs, vector by vector."""
+        return list(map(xor, us, vs))
+
+    def echelon(self, vectors):
+        """The canonical basis of the span of packed vectors, as a tuple:
+        the nonzero rows of its rref, packed, first pivot first."""
+        basis = []   # reduced: no vector holds the pivot of another
+        for v in vectors:
+            for b in basis:
+                if v ^ b < v:   # v holds the pivot of b
+                    v ^= b
+            if v:
+                basis = [b ^ v if b ^ v < b else b for b in basis]
+                basis.append(v)
+        return tuple(sorted(basis, reverse=True))
+
+    rank = staticmethod(xor_rank)
+
+    def images(self, x, dim_h, m, coefficients):
+        """For x : H (x) M -> N (dim H = dim_h, dim M = m, columns h (x) j,
+        h major) and each basis vector h of H, the list of the packed
+        x(h (x) c), c running over the packed coefficients: every sum of
+        columns h (x) j is listed by XOR, and the coefficients pick theirs."""
+        cols = self.pack_columns(x)
+        out = []
+        for h in range(dim_h):
+            sums = [0]
+            for v in cols[h * m:(h + 1) * m]:
+                sums = [u for s in sums for u in (s, s ^ v)]
+            out.append([sums[c] for c in coefficients])
+        return out
+
+
+class _Residues:
+    """Packed vectors over GF(p), p > 2, with the methods of _Bits."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def pack_columns(self, A):
+        return list(zip(*A.data)) or [()] * A.cols
+
+    def columns(self, vectors, n):
+        return ExactMatrix.of_rows(self.field, list(map(list, vectors)), n).transpose()
+
+    def add(self, us, vs):
+        p = self.field.p
+        return [tuple([(a + b) % p for a, b in zip(u, v)]) for u, v in zip(us, vs)]
+
+    def echelon(self, vectors):
+        rows = list(vectors)
+        rows, pivots = _eliminate(self.field, rows, len(rows[0]) if rows else 0, True)
+        return tuple(map(tuple, rows[:len(pivots)]))
+
+    def rank(self, vectors):
+        return len(self.echelon(vectors))
+
+    def images(self, x, dim_h, m, coefficients):
+        """One product of the stacked coefficients with x regrouped to
+        M -> H (x) N, whose row for c holds x(h (x) c) for every h."""
+        n = x.rows
+        C = ExactMatrix.of_rows(self.field, list(map(list, coefficients)), m)
+        rows = (C @ x.regroup([n], [dim_h, m], [2], [1, 0])).data
+        return [[tuple(row[h * n:(h + 1) * n]) for row in rows] for h in range(dim_h)]
 
 
 def solve_linear(A, b):

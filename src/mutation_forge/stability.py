@@ -18,8 +18,7 @@ from operator import getitem, mul
 from weakref import ref
 
 from .exactfield import (ExactMatrix, Subspace, enumerate_subspaces,
-                         kernel_basis, pack_columns, packed_combinations,
-                         unpack_rows, xor_echelon, xor_rank)
+                         kernel_basis, packing)
 from .theta import MorphismPoint, in_W0
 from .homdata import (map_polarization, mutated_instance,
                       dual_point_to_mutated)
@@ -69,86 +68,19 @@ def _subspace_lists(p, m_mult, budget):
     return per_index
 
 
-def _image_table(x, dim_h, m, bases):
-    """The image table of a block x : H (x) M -> N (dim H = dim_h,
-    dim M = m), from which _table_images reads x(H (x) M') for every M'
-    of the verdict; it is linear in x. Over GF(2), for each basis
-    vector h of H, every combination of the columns h (x) M of x,
-    packed (exactfield.packed_combinations). Over GF(p), the product of
-    the stacked transposed bases of the M' (bases[0]) with x regrouped
-    to M -> H (x) N: row c of the slice of M' holds the images of
-    h (x) (basis vector c) for every basis vector h of H."""
-    if x.field.p == 2:
-        cols = pack_columns(x)
-        return [packed_combinations(cols[h * m:(h + 1) * m]) for h in range(dim_h)]
-    return bases[0] @ x.regroup([x.rows], [dim_h, m], [2], [1, 0])
-
-
-def _table_sum(p, table, other):
-    """The image table of the sum of two blocks, from their tables: one
-    XOR per packed entry over GF(2), the matrix sum over GF(p)."""
-    if p == 2:
-        return [[a ^ b for a, b in zip(s, t)] for s, t in zip(table, other)]
-    return table + other
-
-
-def _table_images(field, n, dim_h, table, bases):
-    """The echelon rows spanning x(H (x) M') in N (dim N = n) for each M'
-    of bases, read off the image table of x; () when the image is 0.
-    Over GF(2) the canonical tuple of packed rows (exactfield.xor_echelon)
-    of the combinations that the packed coefficients of the basis of M'
-    pick; over GF(p) the rref of the slice of M' cut into rows of
-    length n, as a tuple of row tuples."""
-    if field.p == 2:
-        return [xor_echelon([s[c] for s in table for c in basis]) for basis in bases]
-    out, start = [], 0
-    for d in bases[1]:
-        part, start = table.data[start:start + d], start + d
-        if not (d and dim_h and n):   # the zero subspace, or no image to take
-            out.append(())
-            continue
-        R, pivots = ExactMatrix.of_rows(field, [row[k:k + n] for row in part
-                                                for k in range(0, dim_h * n, n)], n).rref()
-        out.append(tuple(map(tuple, R.data[:len(pivots)])))
-    return out
-
-
-def _table_block(field, n, dim_h, m, table):
-    """The block x : H (x) M -> N read back from its image table. Over
-    GF(2) the column h (x) (basis vector j) of x is the combination of
-    that vector alone; over GF(p) the last m rows of the table, those of
-    M itself, whose canonical basis is the identity, are x regrouped to
-    M -> H (x) N."""
-    if field.p == 2:
-        cols = [s[1 << (m - 1 - j)] for s in table for j in range(m)]
-        return ExactMatrix.of_rows(field, unpack_rows(cols, n), n).transpose()
-    y = ExactMatrix.of_rows(field, table.data[table.rows - m:], table.cols)
-    return y.regroup([m], [dim_h, n], [2], [1, 0])
-
-
-def _span_dim(field, n, images):
-    """dim of the sum of images in N (dim N = n), each a tuple of echelon
-    rows: packed ints over GF(2), row tuples over GF(p)."""
-    nonzero = [img for img in images if img]
-    if len(nonzero) < 2:
-        return len(nonzero[0]) if nonzero else 0
-    if field.p == 2:
-        return xor_rank(chain.from_iterable(nonzero))
-    return ExactMatrix.of_rows(field, [list(v) for img in nonzero for v in img], n).rank()
-
-
 class _WalkMemo:
     """What the translates of one verdict share; it lives as long as the
-    verdict. bases holds each first-tier index's subspaces in the form
-    that the image tables read: over GF(2) the packed coefficients of
-    each basis, over GF(p) the stack of the transposed bases (the last
-    that of the whole space) with their dimensions. heads[k] is the
-    lam-weight and the dimension of the k-th subspace of M_1, and tails
-    lists each choice of subspaces of the other indices, in product
-    order, with its lam-weight and whether one of them is nonzero.
-    shapes[(l, i)] is (dim N_l, dim H_li, dim M_i, the bases of index i)
-    for the block x_(l,i); tables[(l, i)] is the image table of the
-    block at the current translate, and images[l - 1][i - 1] and
+    verdict. ops packs vectors (exactfield.packing). shapes[(l, i)] is
+    (dim N_l, dim H_li, dim M_i, vectors, bases) for the block x_(l,i):
+    vectors lists the distinct basis vectors of the subspaces of M_i,
+    packed, and bases each subspace's basis as indices into vectors, the
+    last being M_i itself, whose canonical basis is the identity. An image
+    table of x_(l,i) holds, for each basis vector h of H_li, the packed
+    x_(l,i)(h (x) c) for c in vectors. heads[k] is the lam-weight and the
+    dimension of the k-th subspace of M_1, and tails lists each choice of
+    subspaces of the other indices, in product order, with its lam-weight
+    and whether one of them is nonzero. tables[(l, i)] is the image table
+    of the block at the current translate, and images[l - 1][i - 1] and
     keys[l - 1][i - 1] its images and their keys (ids interns each image
     as an int); changes maps the id of each live change seen in the walk
     to a weak reference to it and the image tables of its blocks. dims
@@ -156,20 +88,18 @@ class _WalkMemo:
     maps the keys of every index but the first to a dict of the rows of
     _families."""
 
-    __slots__ = ("field", "n_mult", "bases", "heads", "tails", "shapes", "tables",
+    __slots__ = ("ops", "n_mult", "heads", "tails", "shapes", "tables",
                  "images", "keys", "changes", "ids", "dims", "rows")
 
     def __init__(self, field, per_index, dimH, m_mult, n_mult, lam):
-        self.field = field
+        self.ops = ops = packing(field)
         self.n_mult = n_mult
-        if field.p == 2:
-            self.bases = [[pack_columns(sub.basis) for sub in subs] for subs in per_index]
-        else:
-            self.bases = []
-            for m, subs in zip(m_mult, per_index):
-                rows = [row for sub in subs for row in sub.basis.transpose().data]
-                self.bases.append((ExactMatrix.of_rows(field, rows, m),
-                                   [sub.dim for sub in subs]))
+        indexed = []
+        for subs in per_index:
+            packed = [ops.pack_columns(sub.basis) for sub in subs]
+            vectors = list(dict.fromkeys(chain.from_iterable(packed)))
+            position = {c: k for k, c in enumerate(vectors)}
+            indexed.append((vectors, [tuple(map(position.get, basis)) for basis in packed]))
         weights = [[(lam_i * sub.dim, sub.dim) for sub in subs]
                    for lam_i, subs in zip(lam, per_index)]
         self.heads = weights[0]
@@ -178,9 +108,9 @@ class _WalkMemo:
             self.tails = [(tail + (k,), w + w_k, nonzero or d_k > 0)
                           for tail, w, nonzero in self.tails
                           for k, (w_k, d_k) in enumerate(index)]
-        self.shapes = {(l, i): (n, dimH[(l, i)], m, bases)
+        self.shapes = {(l, i): (n, dimH[(l, i)], m) + indexed[i - 1]
                        for l, n in enumerate(n_mult, 1)
-                       for i, (m, bases) in enumerate(zip(m_mult, self.bases), 1)}
+                       for i, m in enumerate(m_mult, 1)}
         self.tables = {}
         self.images = [[None] * len(m_mult) for _ in n_mult]
         self.keys = [[None] * len(m_mult) for _ in n_mult]
@@ -190,20 +120,31 @@ class _WalkMemo:
         self.rows = {}
 
 
-def _checked_table(memo, key, x):
-    """The image table of x as a block, or a change to the block, x_key."""
-    n, dim_h, m, bases = memo.shapes[key]
+def _image_table(memo, key, x):
+    """The image table of x as a block, or a change to the block, x_key;
+    it is linear in x."""
+    n, dim_h, m, vectors, _ = memo.shapes[key]
     if (x.rows, x.cols) != (n, dim_h * m):
         raise ValueError("block %r is %dx%d, expected %dx%d"
                          % (key, x.rows, x.cols, n, dim_h * m))
-    return _image_table(x, dim_h, m, bases)
+    return memo.ops.images(x, dim_h, m, vectors)
+
+
+def _table_block(memo, key, table):
+    """The block x_key read back from its image table: its column
+    h (x) (basis vector j) is the image of the j-th basis vector of M_i
+    itself."""
+    n, _, _, _, bases = memo.shapes[key]
+    return memo.ops.columns([s[c] for s in table for c in bases[-1]], n)
 
 
 def _set_table(memo, key, table):
     """Make table the image table of the block x_key, with its images
-    and their keys."""
-    n, dim_h, _, bases = memo.shapes[key]
-    images = _table_images(memo.field, n, dim_h, table, bases)
+    and their keys. The image of x_key(H (x) M') is the canonical
+    echelon basis (ops.echelon) of the images of h (x) c for every basis
+    vector h of H and c of M'."""
+    echelon, bases = memo.ops.echelon, memo.shapes[key][4]
+    images = [echelon([s[c] for s in table for c in basis]) for basis in bases]
     l, i = key
     memo.tables[key] = table
     memo.images[l - 1][i - 1] = images
@@ -229,10 +170,10 @@ def _gred_core(memo, change, mu):
             # the entry goes when the change does, before its id can be reused
             cell = memo.changes[id(change)] = (
                 ref(change, partial(memo.changes.pop, id(change))),
-                [(key, _checked_table(memo, key, x)) for key, x in change.items()])
-        p = memo.field.p
+                [(key, _image_table(memo, key, x)) for key, x in change.items()])
+        add = memo.ops.add
         for key, table in cell[1]:
-            _set_table(memo, key, _table_sum(p, memo.tables[key], table))
+            _set_table(memo, key, list(map(add, memo.tables[key], table)))
     return _families(memo, mu)
 
 
@@ -270,17 +211,17 @@ def _row(memo, k1, mu):
     subspace: (the first violating choice of the other indices or None,
     the first tie before it or None). A family with every N'_l = N_l is
     neither."""
-    dims, n_mult = memo.dims, memo.n_mult
+    dims, n_mult, rank = memo.dims, memo.n_mult, memo.ops.rank
     w1, d1 = memo.heads[k1]
     tie = None
     for tail, w, nonzero in memo.tails:
         ks = (k1,) + tail
         dims_n = []
-        for n, row, key_row in zip(n_mult, memo.images, memo.keys):
+        for row, key_row in zip(memo.images, memo.keys):
             key = tuple(map(getitem, key_row, ks))
             d = dims.get(key)
             if d is None:
-                d = dims[key] = _span_dim(memo.field, n, map(getitem, row, ks))
+                d = dims[key] = rank(chain.from_iterable(map(getitem, row, ks)))
             dims_n.append(d)
         if dims_n == n_mult:
             continue
@@ -293,14 +234,13 @@ def _row(memo, k1, mu):
     return None, tie
 
 
-def _witness(f, per_index, n_mult, images, ks):
+def _witness(memo, per_index, ks):
     """The family ks of subspaces M'_i and its minimal N'_l: the echelon
     rows of its block images in N_l, stacked, as a Subspace."""
     spans = {}
-    for l, (n, row) in enumerate(zip(n_mult, images), 1):
+    for l, (n, row) in enumerate(zip(memo.n_mult, memo.images), 1):
         stacked = [v for col, k in zip(row, ks) for v in col[k]]
-        rows = unpack_rows(stacked, n) if f.p == 2 else [list(v) for v in stacked]
-        spans[l] = Subspace(n, ExactMatrix.of_rows(f, rows, n).transpose())
+        spans[l] = Subspace(n, memo.ops.columns(stacked, n))
     return tuple(subs[k] for subs, k in zip(per_index, ks)), spans
 
 
@@ -320,16 +260,16 @@ def _verdict(f, walk, dimH, m_mult, n_mult, lam, mu, budget):
     walk = iter(walk)
     fam = next(walk)
     for key in memo.shapes:
-        _set_table(memo, key, _checked_table(memo, key, fam[key]))
+        _set_table(memo, key, _image_table(memo, key, fam[key]))
     first = dict(memo.tables)
     stable = True
     kept = None
     for change in chain([{}], walk):
         ss, st, ks = _gred_core(memo, change, mu)
         if not st and (kept is None or not ss):
-            moved = {key: _table_block(f, *memo.shapes[key][:3], table)
+            moved = {key: _table_block(memo, key, table)
                      for key, table in memo.tables.items() if table is not first[key]}
-            kept = ({**fam, **moved}, _witness(f, per_index, n_mult, memo.images, ks))
+            kept = ({**fam, **moved}, _witness(memo, per_index, ks))
         if not ss:
             return False, False, kept
         stable = stable and st

@@ -449,6 +449,27 @@ def test_constants_refuses_a_size_that_cannot_fit(which, capsys):
     assert "Traceback" not in err
 
 
+def test_constants_refuses_a_random_draw_that_cannot_fit(capsys):
+    """Over QQ a draw for m = 100000 (dim H (x) M = 200000) would have up
+    to about 4 * 10^10 cells: refused before anything is drawn."""
+    argv = ["constants", "--which", "0", "--n", "1", "--m", "100000", "--samples", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: random draws in H (x) M of dim 200000 may have 39999800000 cells, "
+        "above the 10000000 allowed\n")
+
+
+@pytest.mark.parametrize("m", ["8", "500", str(2 ** 64)])
+def test_constants_refuses_an_exhaustive_scan_over_budget(m, capsys):
+    """Over GF(2) the subspaces of H (x) M are counted only until the
+    count passes the budget, and not at all where the lines alone pass
+    it (m = 500 and 2^64), so the refusal is immediate."""
+    assert main(["constants", "--field", "gf:2", "--which", "0", "--n", "1",
+                 "--m", m]) == 2
+    assert capsys.readouterr().err == (
+        "error: exhaustive scan budget exceeded: more than 100000 subspaces\n")
+
+
 def test_polarization_command(tmp_path, capsys):
     h = projective_space_hom_data(QQ, 2, [-2, -1], [0])
     spec = {"hom": hom_data_to_json(h), "m": [1, 1], "n": [2], "p": 0,
@@ -698,9 +719,10 @@ FUZZ_VALUES = [None, -1, 1.5, "x", [], {}, True, "1/0", 2 ** 64]
 CHECKING = {"validate", "dual", "mutate", "polarization", "constants"}
 # the flags whose value is a size of the work: a large int there is a
 # valid request that runs out of time or memory, not bad input (an n of
-# constants above 65 is refused, so 2^64 is fuzzed there)
-SIZES = {("generate", "--n"), ("generate", "--fdeg"), ("constants", "--m"),
-         ("constants", "--samples"), ("sweep", "--grid")}
+# constants above 65 and an m whose random draws would exceed 10^7 cells
+# are refused, so 2^64 is fuzzed there)
+SIZES = {("generate", "--n"), ("generate", "--fdeg"), ("constants", "--samples"),
+         ("sweep", "--grid")}
 
 
 def _json_paths(obj, path=()):

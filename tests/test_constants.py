@@ -203,6 +203,24 @@ def test_search_exhaustive_gf2_over_budget(which, n, m):
         c_tau_search(t, m, budget=2 * 10 ** 5)
 
 
+def test_search_count_stops_at_the_budget(monkeypatch):
+    """The exhaustive scan counts the subspaces of H (x) M dimension by
+    dimension and stops once the count passes the budget: for
+    dim H (x) M = 16 over GF(2) the 65535 lines fit 10^5 and the planes
+    do not, so no larger dimension is counted."""
+    counted = []
+    count = constants.gaussian_binomial
+
+    def counting(q, n, d):
+        counted.append(d)
+        return count(q, n, d)
+
+    monkeypatch.setattr(constants, "gaussian_binomial", counting)
+    with pytest.raises(ValueError, match="exhaustive scan budget exceeded"):
+        c_tau_search(sigma0(Field(2), 1), 8, budget=10 ** 5)
+    assert counted == [1, 2]
+
+
 def test_search_budget_enforced():
     t = sigma0(Field(2), 2)
     with pytest.raises(ValueError):

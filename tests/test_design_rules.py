@@ -48,6 +48,31 @@ def test_only_exactfield_reduces_mod_p():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def int_comparisons_of_p(source):
+    """Line numbers of every comparison in source of p, or the p of some
+    object, with an int literal, such as p == 2 or field.p != 2."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Compare)
+                  and any(map(_names_p, [node.left] + node.comparators))
+                  and any(isinstance(a, ast.Constant) and type(a.value) is int
+                          for a in [node.left] + node.comparators))
+
+
+def test_p_comparison_scan_sees_int_literals_only():
+    src = ("a = p == 2\nb = f.p != 2\nc = p is None\nd = 3 < x.p\n"
+           "e = q == 2\nf = p - 1 == k\ng = p == q\nh = p is True\n")
+    assert int_comparisons_of_p(src) == [1, 2, 4]
+
+
+def test_stability_does_not_branch_on_the_prime():
+    """The reductive core is one code path for every prime: stability.py
+    leaves the representation of vectors to exactfield.packing and
+    compares no p with a number (p is None, for the rationals, is no
+    such comparison)."""
+    path = Path(mutation_forge.__file__).parent / "stability.py"
+    assert int_comparisons_of_p(path.read_text()) == []
+
+
 def callers_of(source, name):
     """Names of the functions in source whose bodies call name."""
     out = set()

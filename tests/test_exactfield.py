@@ -13,9 +13,7 @@ from mutation_forge.exactfield import (ExactMatrix, Field, GF, Subspace,
                                        column_echelon, enumerate_subspaces,
                                        gaussian_binomial, kernel_basis,
                                        kernel_coordinates, kernel_data,
-                                       pack_columns, packed_combinations,
-                                       solve, solve_linear,
-                                       unpack_rows, xor_echelon, xor_rank)
+                                       packing, solve, solve_linear)
 from mutation_forge.mutation import swap_matrix
 from mutation_forge.theta import unvec_row_major, vec_row_major
 from conftest import (has_canonical_scalars, image_subspace, inclusion,
@@ -597,33 +595,46 @@ def test_rref_and_rank_match_reference(A):
 
 
 @settings(max_examples=400, deadline=None)
-@given(kernel_matrices(fields=[GF(2)]), st.data())
+@given(kernel_matrices(fields=[GF(2), GF(3), GF(65521)]), st.data())
 def test_packed_rows_match_reference(A, data):
-    """Over GF(2) the rows of A packed into ints (pack_columns of the
-    transpose): unpacking gives them back, their XOR rank is the rank,
-    and their canonical basis, in any order of the rows and with zero
-    vectors added, unpacks to the nonzero rows of the reference rref. A
-    packed combination of the columns of A is A times the coefficient
-    vector."""
-    vectors = pack_columns(A.transpose())
-    assert unpack_rows(vectors, A.cols) == A.data
+    """The rows of A packed (pack_columns of the transpose), over GF(2),
+    GF(3) and GF(65521): unpacking gives them back, their packed rank is
+    the rank, and their canonical echelon basis, in any order of the rows
+    and with zero vectors added, unpacks to the nonzero rows of the
+    reference rref. The sum of two packed rows is the packed sum. With
+    the columns of A read as h (x) j for a split A.cols = dim_h * m, an
+    image x(h (x) c) is the h-th block of m columns of A times the
+    coefficient vector c."""
+    f = A.field
+    ops = packing(f)
+    vectors = ops.pack_columns(A.transpose())
+    assert ops.columns(vectors, A.cols) == A.transpose()
     R, pivots = reference_rref(A)
-    assert xor_rank(vectors) == A.rank() == len(pivots)
-    basis = xor_echelon(vectors)
-    assert unpack_rows(basis, A.cols) == R.data[:len(pivots)]
+    assert ops.rank(vectors) == ops.rank(iter(vectors)) == A.rank() == len(pivots)
+    basis = ops.echelon(vectors)
+    assert ops.columns(basis, A.cols) == R.submatrix(range(len(pivots)), range(A.cols)).transpose()
     order = data.draw(st.permutations(range(len(vectors))))
-    assert xor_echelon([vectors[k] for k in order] + [0]) == basis == xor_echelon(basis)
-    sums = packed_combinations(pack_columns(A))
-    assert len(sums) == 2 ** A.cols
-    c = data.draw(st.integers(0, len(sums) - 1))
-    x = ExactMatrix.from_flat(GF(2), A.cols, 1, unpack_rows([c], A.cols)[0])
-    assert sums[c] == pack_columns(A @ x)[0]
+    zero = ops.pack_columns(ExactMatrix.zeros(f, A.cols, 1))
+    assert ops.echelon([vectors[k] for k in order] + zero) == basis == ops.echelon(basis)
+    assert ops.add(vectors, vectors[::-1]) == ops.pack_columns(
+        (A + ExactMatrix.of_rows(f, A.data[::-1], A.cols)).transpose())
+    dim_h = data.draw(st.sampled_from([d for d in range(1, A.cols + 1) if A.cols % d == 0]
+                                      or [0, 1, 2]))
+    m = A.cols // dim_h if A.cols else 0
+    x = A.submatrix(range(A.rows), range(dim_h * m))
+    cs = data.draw(st.lists(st.lists(_scalars(f), min_size=m, max_size=m), max_size=4))
+    coefficients = [ops.pack_columns(ExactMatrix.from_flat(f, m, 1, c))[0] for c in cs]
+    table = ops.images(x, dim_h, m, coefficients)
+    assert len(table) == dim_h
+    for h, images in enumerate(table):
+        block = x.submatrix(range(x.rows), range(h * m, (h + 1) * m))
+        assert images == [ops.pack_columns(block @ ExactMatrix.from_flat(f, m, 1, c))[0]
+                          for c in cs]
 
 
-def test_packed_rows_are_over_gf2_only():
-    for f in (QQ, GF(3)):
-        with pytest.raises(ValueError, match="over GF\\(2\\)"):
-            pack_columns(ExactMatrix.identity(f, 2))
+def test_packed_rows_are_over_prime_fields_only():
+    with pytest.raises(ValueError, match="over a prime field"):
+        packing(QQ)
 
 
 @settings(max_examples=300, deadline=None)

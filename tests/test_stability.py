@@ -487,8 +487,9 @@ def _hand_built_instance():
 # at r = 3 a row of families (one M'_1) ranges over two other indices,
 # with a 128-point walk over GF(2) that changes two blocks (3^7 points
 # over GF(3), too many to walk); over GF(3), m = (2) has the blocks of a
-# two-dimensional M_1, which a kept translate reads back from the last
-# rows of their image tables
+# two-dimensional M_1, which a kept translate reads back from the images
+# of its identity basis; the Gred cases over GF(5) and GF(65521) run the
+# oracle on primes above 3, with image tables over the lines of M_i only
 ORACLE_CASES = [
     (2, (-2, -1), (0,), (1, 1), (2,), True),
     (3, (-2, -1), (0,), (1, 1), (2,), True),
@@ -502,6 +503,8 @@ ORACLE_CASES = [
     (3, None, None, (1, 1), (1, 1), True),
     (2, (-3, -2, -1), (0,), (1, 1, 1), (3,), True),
     (3, (-3, -2, -1), (0,), (1, 1, 1), (3,), False),
+    (5, (-2, -1), (0,), (2, 1), (2,), False),
+    (65521, (-2, -1), (0,), (1, 1), (2,), False),
 ]
 
 
@@ -599,7 +602,7 @@ def test_verdict_memo_matches_memo_free_walk(data):
     of A's families with the same images of M'_1 and other images of the
     rest, which a row keyed by M'_1 alone would not see. Where the case
     walks G, the unipotent orbit of A is walked too."""
-    case = data.draw(st.sampled_from(ORACLE_CASES))   # GF(2) and GF(3)
+    case = data.draw(st.sampled_from(ORACLE_CASES))
     p, _, _, m, n, _ = case
     inst = _oracle_instance(case)
     h = inst.h
