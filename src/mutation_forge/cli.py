@@ -378,7 +378,10 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except KeyError as exc:   # str(exc) is the key's repr
+        sys.stderr.write("error: missing key %s\n" % exc)
+        return 2
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -16,10 +16,13 @@ never conflate the two.
 import json
 import random
 from fractions import Fraction
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, compress
+from math import lcm
+from operator import xor
 
-from .exactfield import (ExactMatrix, Subspace, enumerate_subspaces,
-                         gaussian_binomial)
+from .exactfield import (ExactMatrix, Subspace, _forward_rank, _parity_rows,
+                         enumerate_subspaces, gaussian_binomial, xor_rank)
 from .homdata import _monomials
 from .theta import scalar_to_str, vec_row_major
 
@@ -71,27 +74,74 @@ def _require_proper(dim_k, ambient):
         raise ValueError("genericity is defined for proper subspaces only")
 
 
-def _tau_by_h(t):
-    """tau regrouped to an (E (x) F)-by-H matrix."""
-    return t.tau.regroup([t.dim_f], [t.dim_e, t.dim_h], [1, 0], [2])
+def _tau_m(t, m):
+    """The layout of tau_m = tau (x) I_M, read off tau's nonzero terms: for
+    each row (f, mu) of F (x) M, f major, the list of (e, h*m + mu, x), one
+    for each nonzero x = tau[f][e*dim_h + h]. For K the span of the k
+    columns of B (rows h*m + mu of H (x) M), tau_m(E (x) K) is spanned by
+    the columns (e, j), e major, of the (F (x) M)-by-(E (x) k) matrix whose
+    row (f, mu) has, in its block e, the sum of x times row h*m + mu of B
+    over the terms of the row. Over QQ, tau is first scaled by the lcm of
+    its denominators, so every x is an int: a nonzero scalar leaves that
+    span, and so its dimension, unchanged."""
+    terms = [(f, c, row[c]) for f, row in enumerate(t.tau.data)
+             for c in compress(range(t.tau.cols), row)]
+    den = lcm(*(x.denominator for _, _, x in terms if type(x) is Fraction))
+    rows = [[] for _ in range(t.dim_f * m)]
+    for f, c, x in terms:
+        e, h = divmod(c, t.dim_h)
+        x = int(x * den)
+        for mu in range(m):
+            rows[f * m + mu].append((e, h * m + mu, x))
+    return rows
 
 
-def _delta(t, tau_by_h, B, dim_k, m):
-    """delta of the span K of B, given dim_k = dim K. The product of
-    tau_by_h and B regrouped to H-by-(M (x) k), regrouped to
-    (F (x) M)-by-(E (x) k), has column (e, j) = tau_m(e (x) b_j), so
-    its rank is dim tau_m(E (x) K)."""
+def _image_rank(t, tau_m, B):
+    """dim tau_m(E (x) K) for the span K of B, from the rows that _tau_m
+    lays out. Over QQ and GF(2), and when B holds no Fraction (its rows
+    may not be scaled, as its columns could), each row of B is packed
+    mod 2 into one int, and row (f, mu) of the image mod 2 is the XOR of
+    packed row h*m + mu of B shifted to block e over tau's odd terms.
+    Over GF(2) its XOR rank is the rank; over QQ it is the rank when it
+    is full, min(rows, columns), which is a certificate: an odd minor of
+    an integer matrix is not zero. Otherwise, and over GF(p) for p > 2,
+    the image rows are summed exactly from the same terms and
+    eliminated."""
     k = B.cols
-    image = (tau_by_h @ B.regroup([t.dim_h, m], [k], [0], [1, 2])).regroup(
-        [t.dim_e, t.dim_f], [m, k], [1, 2], [0, 3])
-    return Fraction(t.dim_f * m - image.rank(), t.dim_h * m - dim_k)
+    width = t.dim_e * k
+    field = t.field
+    if field.p is None or field.p == 2:
+        try:
+            packed = _parity_rows(B.data)
+        except TypeError:   # a Fraction
+            pass
+        else:
+            rank = xor_rank([reduce(xor, [packed[b] << e * k
+                                          for e, b, x in terms if x & 1], 0)
+                             for terms in tau_m])
+            if field.p == 2 or rank == min(len(tau_m), width):
+                return rank
+    rows = []
+    for terms in tau_m:
+        row = [0] * width
+        for e, b, x in terms:
+            lo = e * k
+            row[lo:lo + k] = [y + x * z for y, z in zip(row[lo:lo + k], B.data[b])]
+        rows.append(row)
+    return _forward_rank(field, rows, width)
+
+
+def _delta(t, tau_m, B, dim_k, m):
+    """delta of the span K of B, given dim_k = dim K and tau_m = _tau_m(t, m)."""
+    return Fraction(t.dim_f * m - _image_rank(t, tau_m, B),
+                    t.dim_h * m - dim_k)
 
 
 def delta(t, K, m):
     """delta(K) = codim(tau_m(E (x) K)) / codim(K), exact."""
     if not is_generic(K, t.dim_h, m):
         raise ValueError("delta is defined for generic subspaces only")
-    return _delta(t, _tau_by_h(t), K.basis, K.dim, m)
+    return _delta(t, _tau_m(t, m), K.basis, K.dim, m)
 
 
 # -- the maps sigma_0 and sigma_1 -------------------------------------
@@ -248,13 +298,6 @@ def c_tau_search(t, m, budget=10 ** 5, seed=0, samples=1000, reference=None):
     is checked once per candidate, and random draws are scored on their
     spanning matrices, never put in canonical form."""
     ambient = t.dim_h * m
-    tau_by_h = _tau_by_h(t)
-    wit = witness_subspace(t, m)
-    witness_value = None
-    if wit is not None:
-        # generic by construction (m <= dim H), so only properness is checked
-        _require_proper(wit.dim, ambient)
-        witness_value = _delta(t, tau_by_h, wit.basis, wit.dim, m)
     p = t.field.p
     if p is not None:
         # counted until the count passes the budget; the lines alone number
@@ -274,7 +317,15 @@ def c_tau_search(t, m, budget=10 ** 5, seed=0, samples=1000, reference=None):
                              % (ambient, ambient * (ambient - 1), TAU_CELLS))
         mode = "random-rational"
         spans = _random_generic_spans(t, m, samples, seed)
-    values = [_delta(t, tau_by_h, B, d, m) for B, d in spans]
+    # dim F * m rows, built once the size of H (x) M has been checked
+    tau_m = _tau_m(t, m)
+    wit = witness_subspace(t, m)
+    witness_value = None
+    if wit is not None:
+        # generic by construction (m <= dim H), so only properness is checked
+        _require_proper(wit.dim, ambient)
+        witness_value = _delta(t, tau_m, wit.basis, wit.dim, m)
+    values = [_delta(t, tau_m, B, d, m) for B, d in spans]
     empty = not values and witness_value is None
     max_found = Fraction(0) if empty else max(values, default=None)
     return SearchReport(witness_value, max_found, mode, len(values), seed,

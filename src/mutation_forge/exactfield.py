@@ -257,6 +257,8 @@ class ExactMatrix:
         f = self.field
         p = f.p
         n = other.cols
+        if not (self.rows and self.cols and n):   # nothing to multiply
+            return ExactMatrix.zeros(f, self.rows, n)
         # the nonzero (j, b) of every row of other, listed once
         sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         out = []
@@ -388,8 +390,7 @@ class ExactMatrix:
         2, so the same minor of the integer rows is an odd integer, not
         zero, and a row scaled by a nonzero integer spans the same line.
         Any other rank, and any rank over GF(p) for p > 2, is the number
-        of pivots of the forward half of _eliminate, with no
-        back-substitution."""
+        of pivots of the forward half of _eliminate (_forward_rank)."""
         full = min(self.rows, self.cols)
         if full == 0:
             return 0
@@ -398,7 +399,7 @@ class ExactMatrix:
             r = _parity_rank(self.data)
             if r == full or p == 2:
                 return r
-        return len(_eliminate(self.field, self.data, self.cols, False)[1])
+        return _forward_rank(self.field, self.data, self.cols)
 
 
 @functools.lru_cache(maxsize=None)
@@ -445,19 +446,36 @@ def _integer_row(row):
             for x in row]
 
 
+def _parity_rows(rows):
+    """The parities of each of the nonempty rows of ints packed into one
+    int, the first entry the highest bit. A Fraction has no parity: a
+    TypeError."""
+    return [int("".join(["1" if x & 1 else "0" for x in row]), 2) for row in rows]
+
+
 def _parity_rank(data):
     """The rank over GF(2) of the parities of the rows of data, nonempty
     rows of equal length over QQ or GF(2), each row packed into one int.
-    A row of ints is read as it is; a row holding a Fraction, which has
-    no parity, is first cleared of its denominators by _integer_row."""
-    packed = []
-    for row in data:
-        try:
-            bits = ["1" if x & 1 else "0" for x in row]
-        except TypeError:   # a Fraction
-            bits = ["1" if x & 1 else "0" for x in _integer_row(row)]
-        packed.append(int("".join(bits), 2))
+    Rows of ints are read as they are; when a row holds a Fraction, which
+    has no parity, every row is first cleared of its denominators by
+    _integer_row, which copies a row of ints as it is."""
+    try:
+        packed = _parity_rows(data)
+    except TypeError:   # a Fraction
+        packed = _parity_rows(map(_integer_row, data))
     return xor_rank(packed)
+
+
+def _forward_rank(field, rows, cols):
+    """The rank of rows, each cols long: the number of pivots of the
+    forward half of _eliminate, with no back-substitution. The scalars
+    may be as sums of products leave them: over QQ ints and Fractions in
+    any form, over GF(p) ints not yet reduced, which are reduced mod p
+    here. rows is not changed."""
+    p = field.p
+    if p is not None:
+        rows = [[x % p for x in row] for row in rows]
+    return len(_eliminate(field, rows, cols, False)[1])
 
 
 def _eliminate(field, data, cols, reduce):

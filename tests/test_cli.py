@@ -253,6 +253,20 @@ def test_bad_input_is_a_usage_error(name, tmp_path, capsys):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
 
+# (object, key) pairs of a theta file: the key is left out of the object
+MISSING_KEYS = [("rho1", "rows"), ("rho1", "cols"), ("mu", "entries"),
+                (None, "rho2"), ("dims", "n1")]
+
+
+@pytest.mark.parametrize("obj, key", MISSING_KEYS)
+def test_missing_key_names_itself(obj, key, tmp_path, capsys):
+    h = projective_space_hom_data(QQ, 1, [-2, -1], [0, 1])
+    d = theta_to_json(build_theta_p(h, [1, 1], [1, 1], 1).theta)
+    del (d if obj is None else d[obj])[key]
+    assert main(["validate", "--theta", _write(tmp_path, "theta.json", d)]) == 2
+    assert capsys.readouterr().err == "error: missing key %r\n" % key
+
+
 # entries that name no element of GF(3), each a ValueError of the reader
 BAD_ENTRIES = {"int": 1, "list": ["1/1"], "dict": {"num": 1}, "null": None,
                "zero denominator": "1/0", "no denominator": "1",

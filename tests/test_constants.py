@@ -5,13 +5,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mutation_forge import constants
+from mutation_forge import constants, exactfield
 from mutation_forge.exactfield import (GF, ExactMatrix, Field, Subspace,
                                        column_echelon)
 from mutation_forge.constants import (SearchReport, TauMap, _delta,
-                                      _spans_m, _tau_by_h, c_formula,
+                                      _spans_m, _tau_m, c_formula,
                                       c_tau_rs, c_tau_search, delta,
                                       is_generic, length, sigma0, sigma1,
                                       tau_rs, witness_subspace)
@@ -221,6 +221,19 @@ def test_search_count_stops_at_the_budget(monkeypatch):
     assert counted == [1, 2]
 
 
+@pytest.mark.parametrize("field, match", [(QQ, "random draws"),
+                                          (GF(2), "budget exceeded")])
+def test_search_refuses_before_listing_tau_terms(field, match, monkeypatch):
+    """A search whose H (x) M is refused raises before the dim F * m
+    rows of tau_m are listed."""
+    def refuse(*args):
+        raise AssertionError("tau_m listed")
+
+    monkeypatch.setattr(constants, "_tau_m", refuse)
+    with pytest.raises(ValueError, match=match):
+        c_tau_search(sigma0(field, 1), 10 ** 12)
+
+
 def test_search_budget_enforced():
     t = sigma0(Field(2), 2)
     with pytest.raises(ValueError):
@@ -303,8 +316,27 @@ def taus_and_spans(draw):
     return t, m, B
 
 
+# tau = I_2 : E (x) H -> F for dim E = 1 and dim H = dim F = 2
+IDENTITY_TAU = TauMap(QQ, 1, 2, 2, ExactMatrix.identity(QQ, 2))
+# tau = (1/2, 1/3) : H -> F for dim E = dim F = 1 and dim H = 2, scaled
+# to (3, 2): an odd term and an even one
+FRACTION_TAU = TauMap(QQ, 1, 2, 1, ExactMatrix(QQ, [[Fraction(1, 2), Fraction(1, 3)]]))
+# tau = (1, 1) : H -> F over GF(2) for dim E = dim F = 1 and dim H = 2
+SUM_TAU_GF2 = TauMap(GF(2), 1, 2, 1, ExactMatrix(GF(2), [[1, 1]]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(taus_and_spans())
+# QQ, a column of even entries: the image has rank 2, its parities 1
+@example((IDENTITY_TAU, 2, ExactMatrix(QQ, [[2, 1], [0, 0], [0, 0], [0, 1]])))
+# QQ, the canonical basis of the span of (2, 1) is (1, 1/2): delta reads
+# it on the exact path, _delta reads (2, 1) mod 2
+@example((IDENTITY_TAU, 1, ExactMatrix(QQ, [[2], [1]])))
+# a tau with Fraction entries: its even term alone meets B
+@example((FRACTION_TAU, 1, ExactMatrix(QQ, [[0], [1]])))
+@example((FRACTION_TAU, 2, ExactMatrix(QQ, [[1, 0], [0, 0], [0, 0], [0, 1]])))
+# GF(2), tau(h_1 + h_2) = 0: rank 0, short of 1
+@example((SUM_TAU_GF2, 1, ExactMatrix(GF(2), [[1], [1]])))
 def test_delta_on_spans_matches_reference(case):
     t, m, B = case
     ambient = t.dim_h * m
@@ -316,13 +348,37 @@ def test_delta_on_spans_matches_reference(case):
         assert is_generic(K, t.dim_h, m) == generic
     if generic and K.dim < ambient:
         ref = reference_delta(t, K, m)
-        assert _delta(t, _tau_by_h(t), B, K.dim, m) == ref
+        assert _delta(t, _tau_m(t, m), B, K.dim, m) == ref
         assert delta(t, K, m) == ref
     for j in range(B.cols):
         u = B.submatrix(range(ambient), [j])
         U = ExactMatrix(t.field, [[u.data[x * m + tt][0] for tt in range(m)]
                                   for x in range(t.dim_h)])
         assert length(u, t.dim_h, m) == U.rank()
+
+
+def test_full_parity_image_needs_no_elimination(monkeypatch):
+    """delta over QQ whose image has parities of full rank, and any delta
+    over GF(2), is read mod 2 alone; over QQ an image whose parities fall
+    short, and a basis holding a Fraction, reach the elimination."""
+    def refuse(*args):
+        raise AssertionError("eliminated")
+
+    half = Subspace(2, ExactMatrix(QQ, [[2], [1]]))   # basis (1, 1/2)
+    t1, t2 = sigma1(QQ, 2), sigma1(GF(2), 2)
+    wit1, wit2 = witness_subspace(t1, 2), witness_subspace(t2, 2)
+    monkeypatch.setattr(exactfield, "_eliminate", refuse)
+    assert _delta(IDENTITY_TAU, _tau_m(IDENTITY_TAU, 1),
+                  ExactMatrix(QQ, [[2], [1]]), 1, 1) == 1
+    assert _delta(t1, _tau_m(t1, 2), wit1.basis, wit1.dim, 2) == Fraction(9, 5)
+    assert _delta(t2, _tau_m(t2, 2), wit2.basis, wit2.dim, 2) == Fraction(9, 5)
+    assert _delta(SUM_TAU_GF2, _tau_m(SUM_TAU_GF2, 1),
+                  ExactMatrix(GF(2), [[1], [1]]), 1, 1) == 1
+    for t, B in ((IDENTITY_TAU, half.basis),
+                 (IDENTITY_TAU, ExactMatrix(QQ, [[2], [0]])),
+                 (FRACTION_TAU, ExactMatrix(QQ, [[0], [1]]))):
+        with pytest.raises(AssertionError, match="eliminated"):
+            _delta(t, _tau_m(t, 1), B, 1, 1)
 
 
 # (which, n, m) of the searches behind C_TAU_DIGEST: sigma_0 and sigma_1

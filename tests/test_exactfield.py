@@ -892,8 +892,15 @@ def product_pairs(draw, max_dim=6):
 
 @settings(max_examples=400, deadline=None)
 @given(product_pairs())
+# empty factors whose inner dimensions differ: a shape mismatch all the same
+@example((ExactMatrix.zeros(QQ, 0, 2), ExactMatrix.zeros(QQ, 3, 0), False))
+@example((ExactMatrix.zeros(GF(2), 2, 0), ExactMatrix.zeros(GF(2), 1, 4), False))
 def test_matmul_matches_reference(case):
     A, B, cancel = case
+    if A.cols != B.rows:
+        with pytest.raises(ValueError, match="shape mismatch in product"):
+            A @ B
+        return
     C = A @ B
     assert C == reference_matmul(A, B)
     assert (C.rows, C.cols) == (A.rows, B.cols)
