@@ -84,12 +84,6 @@ class Field:
             return _quotient(num, den)
         return num * pow(den, p - 2, p) % p
 
-    def elements(self):
-        """All field elements (GF(p) only)."""
-        if self.p is None:
-            raise ValueError("the rationals are not enumerable")
-        return range(self.p)
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
 

@@ -753,7 +753,7 @@ def _entries_from_json(obj, what):
 
 
 def _tensor_dict_from_json(obj, field, what):
-    return {key: matrix_from_json(field, e["matrix"])
+    return {key: matrix_from_json(field, e["matrix"], what + " matrix")
             for key, e in _entries_from_json(obj, what)}
 
 

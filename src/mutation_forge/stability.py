@@ -1,24 +1,25 @@
 """Semistability oracles by exhaustive finite-field search.
 
-Kronecker modules f : L (x) M -> N carry the classical slope criterion
-for the GL(M) x GL(N) action; two-tier instances carry the weighted
-criterion attached to a polarization, for the reductive group (product
-of the multiplicity GL's) or for the full automorphism group (reductive
-part extended by the unipotent off-diagonal Hom blocks).  Everything is
-decided by exhaustive enumeration over a prime field, exactly, by one
-reductive core: the slope criterion is its case of a single block, and
-the full group's is its verdict along the unipotent orbit.
+Two-tier instances carry the weighted criterion attached to a
+polarization, for the reductive group (product of the multiplicity
+GL's) or for the full automorphism group (reductive part extended by
+the unipotent off-diagonal Hom blocks). A Kronecker module
+f : L (x) M -> N is the instance of a type-(1, 1) Hom system at cut
+p = 0, and its classical slope criterion is the weighted one under the
+polarization (1/m, 1/n). Everything is decided by exhaustive
+enumeration over a prime field, exactly, by one reductive core: the
+slope criterion is its case of a single block, and the full group's is
+its verdict along the unipotent orbit.
 """
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain, product
+from itertools import chain
 from math import lcm
 from operator import getitem, mul
 from weakref import ref
 
-from .exactfield import (ExactMatrix, Subspace, enumerate_subspaces,
-                         kernel_basis, packing)
+from .exactfield import ExactMatrix, Subspace, enumerate_subspaces, packing
 from .theta import MorphismPoint, in_W0
 from .homdata import (map_polarization, mutated_instance,
                       dual_point_to_mutated)
@@ -274,81 +275,6 @@ def _verdict(f, walk, dimH, m_mult, n_mult, lam, mu, budget):
             return False, False, kept
         stable = stable and st
     return True, stable, kept
-
-
-# -- Kronecker modules ------------------------------------------------
-
-class KroneckerModule:
-    """A linear map f : L (x) M -> N with dim L = q, dim M = m,
-    dim N = n >= 1, stored as an n-by-(q*m) matrix in the lexicographic
-    basis of L (x) M."""
-
-    def __init__(self, field, q, m, n, f):
-        if n < 1:
-            raise ValueError("Kronecker target dimension n must be positive")
-        if f.rows != n or f.cols != q * m:
-            raise ValueError("Kronecker map has shape %dx%d, expected %dx%d"
-                             % (f.rows, f.cols, n, q * m))
-        self.field = field
-        self.q = q
-        self.m = m
-        self.n = n
-        self.f = f
-
-    def __repr__(self):
-        return "KroneckerModule(q=%d, m=%d, n=%d)" % (self.q, self.m, self.n)
-
-
-def kronecker_semistable(k, budget=DEFAULT_BUDGET):
-    """The slope test, which is the reductive test of one block with
-    dim H = q and weights n, m: for every subspace M' of M with minimal
-    N' = f(L (x) M') proper, m * dim N' >= n * dim M' (strictly, for
-    nonzero M', when stable). The witness is ((M',), {1: N'})."""
-    _require_finite(k.field)
-    semistable, stable, kept = _verdict(k.field, [{(1, 1): k.f}], {(1, 1): k.q},
-                                        [k.m], [k.n], [k.n], [k.m], budget)
-    return StabilityVerdict(semistable, stable, None if kept is None else kept[1])
-
-
-def kronecker_mutate(k):
-    """The mutated module A(f) : L* (x) M* -> ker(f)*, the restriction
-    to ker(f) of the tautological pairing of L (x) M with its dual; in
-    the coordinate bases its matrix is the transpose of an echelon
-    kernel basis of f."""
-    if k.f.rank() != k.n:
-        raise ValueError("f must be surjective")
-    m_prime = k.q * k.m - k.n
-    if m_prime <= 0:
-        raise ValueError("mutated multiplicity q*m - n must be positive")
-    K = kernel_basis(k.f)
-    assert K.cols == m_prime
-    return KroneckerModule(k.field, k.q, k.m, m_prime, K.transpose())
-
-
-def _all_invertible(field, n, budget=DEFAULT_BUDGET):
-    p = _require_finite(field)
-    if p ** (n * n) > budget:
-        raise ValueError("GL enumeration budget exceeded")
-    out = []
-    for flat in product(range(p), repeat=n * n):
-        g = ExactMatrix.from_flat(field, n, n, flat)
-        if g.rank() == n:
-            out.append(g)
-    return out
-
-
-def kronecker_orbit_equivalent(k1, k2, budget=DEFAULT_BUDGET):
-    """Whether k2 = g_N . k1 . (I_L (x) g_M) for some pair in
-    GL(M) x GL(N), by enumerating both groups over the prime field."""
-    if (k1.q, k1.m, k1.n) != (k2.q, k2.m, k2.n):
-        return False
-    f = k1.field
-    for gm in _all_invertible(f, k1.m, budget=budget):
-        middle = k1.f.apply_leg([k1.q, k1.m], 1, gm)
-        for gn in _all_invertible(f, k1.n, budget=budget):
-            if gn @ middle == k2.f:
-                return True
-    return False
 
 
 # -- two-tier instances -----------------------------------------------

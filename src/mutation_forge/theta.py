@@ -487,9 +487,13 @@ def scalar_from_str(field, s):
 # the wrong shape is a ValueError (a usage error) and not a TypeError
 # deep inside the program.
 
-def json_object(d, what):
+def json_object(d, what, keys=()):
+    """d, a JSON object named what that holds every key of keys."""
     if not isinstance(d, dict):
         raise ValueError("%s must be a JSON object, got %.40r" % (what, d))
+    for key in keys:
+        if key not in d:
+            raise ValueError("missing key %r in %s" % (key, what))
     return d
 
 
@@ -518,13 +522,14 @@ def matrix_to_json(M):
             "entries": [text[x] for row in M.data for x in row]}
 
 
-def matrix_from_json(field, d):
-    """The matrix of a {"rows", "cols", "entries"} object: each distinct
-    entry string is parsed once into a field element, which every cell
-    that holds it shares."""
-    d = json_object(d, "matrix")
-    rows, cols = json_count(d["rows"], "rows"), json_count(d["cols"], "cols")
-    entries = json_list(d["entries"], "entries")
+def matrix_from_json(field, d, what):
+    """The matrix of a {"rows", "cols", "entries"} object named what: each
+    distinct entry string is parsed once into a field element, which
+    every cell that holds it shares."""
+    d = json_object(d, what, ("rows", "cols", "entries"))
+    rows = json_count(d["rows"], what + ".rows")
+    cols = json_count(d["cols"], what + ".cols")
+    entries = json_list(d["entries"], what + ".entries")
     if len(entries) != rows * cols:
         raise ValueError("a %dx%d matrix has %d entries, not %d"
                          % (rows, cols, rows * cols, len(entries)))
@@ -548,12 +553,12 @@ def theta_to_json(t):
 
 
 def theta_from_json(d):
-    d = json_object(d, "theta")
+    d = json_object(d, "theta", ["field", "dims"] + [name for name, _, _ in MAPS])
     field = field_from_tag(d["field"])
-    dims = json_object(d["dims"], "dims")
     # comult is dim N2 - dim M, so it is not read
+    dims = json_object(d["dims"], "dims", DIMS[:-1])
     return ThetaSpace(field, *(json_count(dims[k], "dims." + k) for k in DIMS[:-1]),
-                      *(matrix_from_json(field, d[name]) for name, _, _ in MAPS))
+                      *(matrix_from_json(field, d[name], name) for name, _, _ in MAPS))
 
 
 def point_to_json(w):
@@ -561,6 +566,6 @@ def point_to_json(w):
 
 
 def point_from_json(theta, d):
-    d = json_object(d, "point")
-    return MorphismPoint(theta, *(matrix_from_json(theta.field, d[name])
+    d = json_object(d, "point", [name for name, _, _ in POINT])
+    return MorphismPoint(theta, *(matrix_from_json(theta.field, d[name], name)
                                   for name, _, _ in POINT))

@@ -6,10 +6,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mutation_forge.exactfield import (ExactMatrix, Field, Subspace, kernel_basis,
+                                       kernel_coordinates, kernel_data,
                                        solve_linear)
-from mutation_forge.theta import MorphismPoint, ThetaSpace, in_W0
-from mutation_forge.mutation import build_dual
-from mutation_forge.homdata import (build_theta_p, mutated_instance,
+from mutation_forge.theta import MorphismPoint, ThetaSpace, act, in_W0
+from mutation_forge.mutation import build_dual, default_choice, mutate
+from mutation_forge.homdata import (Polarization, build_theta_p,
+                                    dual_point_to_mutated,
+                                    instance_left_element, mutated_instance,
                                     projective_space_hom_data)
 
 QQ = Field()
@@ -95,6 +98,49 @@ def inclusion(field, n, coords):
     """The n x len(coords) inclusion of the coordinates coords: the
     section of a quotient presented with those complement coordinates."""
     return ExactMatrix.identity(field, n).submatrix(range(n), coords)
+
+
+# -- Kronecker modules as instances -----------------------------------
+
+def kronecker_instance(field, q, m, n):
+    """The Kronecker module f : L (x) M -> N, dim L = q, dim M = m,
+    dim N = n, as an instance: the type-(1, 1) Hom system with
+    dim H_11 = q (P^(q-1) with e=(-1), f=(0); P^1 with e=(0), f=(0) for
+    q = 1) at cut p = 0, whose one family block x[(1, 1)] is f, an
+    n x (q*m) matrix in the lexicographic basis of L (x) M. Returns
+    (inst, pol) with pol the slope polarization (1/m, 1/n)."""
+    h = (projective_space_hom_data(field, q - 1, [-1], [0]) if q > 1
+         else projective_space_hom_data(field, 1, [0], [0]))
+    assert h.dimH[(1, 1)] == q
+    inst = build_theta_p(h, [m], [n], 0)
+    return inst, Polarization([Fraction(1, m)], [Fraction(1, n)], [m], [n])
+
+
+def mutated_point(inst, w):
+    """(inst_hat, z): the mutated instance of inst and the mutation of w
+    (default choice) as a point of it; p = 0 and s = 1 only."""
+    z = mutate(build_dual(inst.theta), w, default_choice(w))
+    inst_hat = mutated_instance(inst.h, inst.m_mult, inst.n_mult, inst.p)
+    return inst_hat, dual_point_to_mutated(inst, inst_hat, z)
+
+
+def assert_double_mutation_returns(inst, w):
+    """Mutate the Kronecker point w twice and certify that the result is
+    in w's GL(N) orbit by a constructed element, with no search: the
+    instance mutated twice has inst's theta, the family x'' after two
+    mutations is the transposed canonical kernel basis of the family x'
+    after one, so kernel_coordinates reads off the g with g x'' = f
+    (f = w's family), and acting by g on the double mutation gives w."""
+    inst_hat, z = mutated_point(inst, w)
+    inst_hh, zz = mutated_point(inst_hat, z)
+    assert inst_hh.theta == inst.theta
+    K, free = kernel_data(inst_hat.family_from_point(z)[(1, 1)])
+    assert zz.psi2.transpose() == K.transpose()
+    f = inst.family_from_point(w)[(1, 1)]
+    g = kernel_coordinates(K, free, f.transpose(),
+                           "f is not in the span of x''").transpose()
+    assert g.rank() == f.rows
+    assert act(instance_left_element(inst, g_m=g), zz) == w
 
 
 # -- the seeded pool of small rational instances ----------------------

@@ -23,11 +23,9 @@ from mutation_forge.homdata import (Polarization, build_theta_p,
                                     instance_right_element, map_polarization,
                                     mutated_instance,
                                     projective_space_hom_data)
-from mutation_forge.stability import (KroneckerModule, _unipotent_parameters,
-                                      compare_hypotheses, is_semistable_rs,
-                                      kronecker_mutate,
-                                      kronecker_orbit_equivalent,
-                                      kronecker_semistable)
+from mutation_forge.stability import (_unipotent_parameters,
+                                      compare_hypotheses, compare_stability,
+                                      is_semistable_rs)
 from mutation_forge.constants import (c_formula, c_tau_search, delta, sigma0,
                                       sigma1, witness_subspace)
 from mutation_forge.thresholds import (ThresholdInput, ex1_data,
@@ -35,7 +33,8 @@ from mutation_forge.thresholds import (ThresholdInput, ex1_data,
                                        singular_values_ex2,
                                        thm64_matches_thm59)
 from mutation_forge.cli import main as cli_main
-from conftest import (dual_of, full_p1_instance, pn_grid, pn_hom,
+from conftest import (assert_double_mutation_returns, dual_of,
+                      full_p1_instance, kronecker_instance, pn_grid, pn_hom,
                       pn_instance, rnd_invertible, rnd_matrix, random_w0_point,
                       theta_pool)
 
@@ -176,27 +175,34 @@ def test_criterion_03_dual_consistency():
 
 # -- criterion 4: Kronecker correspondence, exhaustive -----------------
 
-def _all_kronecker(field, q, m, n):
-    rows, cols = n, q * m
-    for bits in product(range(field.p), repeat=rows * cols):
-        f = ExactMatrix.from_flat(field, rows, cols, list(bits))
+def _all_kronecker(inst):
+    """The point of every surjective f : L (x) M -> N of a Kronecker
+    instance."""
+    field, q = inst.h.field, inst.h.dimH[(1, 1)]
+    (m,), (n,) = inst.m_mult, inst.n_mult
+    for bits in product(range(field.p), repeat=n * q * m):
+        f = ExactMatrix.from_flat(field, n, q * m, list(bits))
         if f.rank() == n:
-            yield KroneckerModule(field, q, m, n, f)
+            yield inst.point_from_family({(1, 1): f})
 
 
 def test_criterion_04_kronecker_exhaustive():
+    """For every surjective GF(2) module of three shapes: the instance
+    mutated twice has the original theta, and the double mutation of w
+    is taken back to w by a constructed invertible g in GL(N) (no search
+    of GL(M) x GL(N)); w and its mutation have the same semistability
+    verdict under the transported polarization."""
     start = time.monotonic()
     shapes = [(2, 1, 1), (3, 1, 1), (3, 1, 2)]
     total = 0
     for (q, m, n) in shapes:
-        for k in _all_kronecker(F2, q, m, n):
-            a = kronecker_mutate(k)
-            aa = kronecker_mutate(a)
-            assert kronecker_orbit_equivalent(k, aa)
-            assert (kronecker_semistable(k).semistable
-                    == kronecker_semistable(a).semistable)
+        inst, pol = kronecker_instance(F2, q, m, n)
+        for w in _all_kronecker(inst):
+            assert_double_mutation_returns(inst, w)
+            rep = compare_stability(inst, w, pol)
+            assert rep.verdict_w.semistable == rep.verdict_z.semistable
             total += 1
-    assert total > 0
+    assert total == 3 + 7 + 42
     elapsed = time.monotonic() - start
     assert elapsed < 60, "kronecker run took %.1fs" % elapsed
 

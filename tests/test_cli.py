@@ -264,7 +264,19 @@ def test_missing_key_names_itself(obj, key, tmp_path, capsys):
     d = theta_to_json(build_theta_p(h, [1, 1], [1, 1], 1).theta)
     del (d if obj is None else d[obj])[key]
     assert main(["validate", "--theta", _write(tmp_path, "theta.json", d)]) == 2
-    assert capsys.readouterr().err == "error: missing key %r\n" % key
+    err = capsys.readouterr().err
+    assert err == "error: missing key %r in %s\n" % (key, obj or "theta")
+
+
+@pytest.mark.parametrize("obj, key", [("psi2", "rows"), (None, "phi1")])
+def test_missing_point_key_names_itself(obj, key, tmp_path, capsys):
+    inst, theta_path = _p2_theta(tmp_path)
+    d = point_to_json(MorphismPoint.zero(inst.theta))
+    del (d if obj is None else d[obj])[key]
+    assert main(["mutate", "--theta", theta_path,
+                 "--point", _write(tmp_path, "point.json", d)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: missing key %r in %s\n" % (key, obj or "point")
 
 
 # entries that name no element of GF(3), each a ValueError of the reader
@@ -282,7 +294,7 @@ def test_bad_matrix_entry_is_a_usage_error(name, tmp_path, capsys):
     d = theta_to_json(build_theta_p(h, [1, 1], [1, 1], 1).theta)
     d["nu"]["entries"][len(d["nu"]["entries"]) // 2] = BAD_ENTRIES[name]
     with pytest.raises(ValueError):
-        matrix_from_json(Field(3), d["nu"])
+        matrix_from_json(Field(3), d["nu"], "nu")
     assert main(["validate", "--theta", _write(tmp_path, "theta.json", d)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -92,8 +92,9 @@ def test_callers_of_sees_nested_calls():
 
 
 def test_stability_enumerates_subspaces_in_one_place():
-    """Every semistability verdict, the Kronecker one included, is decided
-    by the one reductive core over one list of subspaces."""
+    """Every semistability verdict (Gred, G, and the slope test of a
+    Kronecker module, which is Gred on its instance) is decided by the one
+    reductive core over one list of subspaces."""
     path = Path(mutation_forge.__file__).parent / "stability.py"
     assert callers_of(path.read_text(), "enumerate_subspaces") == {"_subspace_lists"}
 

@@ -35,15 +35,12 @@ def test_field_arithmetic_rational():
     for x in (f.of(Fraction(2, 3)), f.of(Fraction(-6, 4)), f.ratio(3, -6)):
         assert type(x) is Fraction and is_canonical_scalar(f, x)
     assert not is_canonical_scalar(f, Fraction(2)) and not is_canonical_scalar(f, 2.0)
-    with pytest.raises(ValueError):
-        f.elements()
 
 
 def test_field_arithmetic_gf():
     f = GF(5)
     assert f.of(7) == 2 and f.of(-1) == 4
     assert f.of(Fraction(1, 3)) == 2   # 3 * 2 = 1 mod 5
-    assert sorted(f.elements()) == [0, 1, 2, 3, 4]
     with pytest.raises(ZeroDivisionError):
         f.of(Fraction(1, 5))
 

@@ -1,5 +1,5 @@
-"""Semistability oracles: Kronecker modules, two-tier families, the
-unipotent orbit, and the mutation comparison."""
+"""Semistability oracles: Kronecker modules as instances, two-tier
+families, the unipotent orbit, and the mutation comparison."""
 
 import random
 from fractions import Fraction
@@ -16,18 +16,17 @@ from mutation_forge.homdata import (Polarization, _on_chain, build_theta_p,
                                     projective_space_hom_data,
                                     validate_hom_data)
 from mutation_forge import stability
-from mutation_forge.stability import (DEFAULT_BUDGET, KroneckerModule,
-                                      StabilityVerdict, _instance_verdict,
+from mutation_forge.stability import (DEFAULT_BUDGET, StabilityVerdict,
+                                      _instance_verdict,
                                       _unipotent_parameters, apply_unipotent,
                                       compare_hypotheses, compare_stability,
                                       enumerate_unipotent_orbit,
                                       gred_semistable, is_semistable_rs,
-                                      kronecker_mutate,
-                                      kronecker_orbit_equivalent,
-                                      kronecker_semistable,
                                       unstable_outside_w0_bound)
-from conftest import (has_canonical_scalars, image_subspace, rnd_invertible,
-                      subspace_contains, subspace_sum)
+from conftest import (assert_double_mutation_returns, has_canonical_scalars,
+                      image_subspace, kronecker_instance, mutated_point,
+                      random_w0_point, rnd_invertible, subspace_contains,
+                      subspace_sum)
 
 F2 = Field(2)
 
@@ -38,100 +37,90 @@ def _all_f(field, rows, cols):
         yield ExactMatrix.from_flat(field, rows, cols, list(bits))
 
 
-def test_kronecker_requires_finite_field():
-    f = ExactMatrix.zeros(Field(), 1, 2)
-    with pytest.raises(ValueError):
-        kronecker_semistable(KroneckerModule(Field(), 2, 1, 1, f))
-
+# -- Kronecker modules f : L (x) M -> N as type-(1, 1) instances -------
 
 def test_kronecker_semistable_rank_one():
+    inst, pol = kronecker_instance(F2, 2, 1, 1)
     for flat in ([1, 0], [0, 1], [1, 1]):
         f = ExactMatrix.from_flat(F2, 1, 2, flat)
-        k = KroneckerModule(F2, 2, 1, 1, f)
-        v = kronecker_semistable(k)
-        assert v.semistable
-    z = KroneckerModule(F2, 2, 1, 1, ExactMatrix.zeros(F2, 1, 2))
-    assert not kronecker_semistable(z).semistable
+        assert gred_semistable(inst, {(1, 1): f}, pol).semistable
+    zero = {(1, 1): ExactMatrix.zeros(F2, 1, 2)}
+    assert not gred_semistable(inst, zero, pol).semistable
 
 
 def test_kronecker_mutate_dims():
-    f = ExactMatrix.from_flat(F2, 1, 2, [1, 0])
-    k = KroneckerModule(F2, 2, 1, 1, f)
-    a = kronecker_mutate(k)
-    assert (a.q, a.m, a.n) == (2, 1, 1)
-    assert (a.f.rows, a.f.cols) == (1, 2)
+    """The mutation of f is A(f) : L* (x) M* -> ker(f)*: the mutated
+    instance has dim H = q, multiplicities m' = m and n' = q*m - n, and
+    its family is an n' x (q*m) matrix whose rows span the kernel of f."""
+    for (q, m, n) in ((2, 1, 1), (3, 2, 2)):
+        inst, _ = kronecker_instance(F2, q, m, n)
+        f = ExactMatrix.identity(F2, q * m).submatrix(range(n), range(q * m))
+        inst_hat, z = mutated_point(inst, inst.point_from_family({(1, 1): f}))
+        assert inst_hat.h.dimH[(1, 1)] == q
+        assert (inst_hat.m_mult, inst_hat.n_mult) == ([m], [q * m - n])
+        x = inst_hat.family_from_point(z)[(1, 1)]
+        assert (x.rows, x.cols) == (q * m - n, q * m)
+        assert x.rank() == q * m - n and (x @ f.transpose()).is_zero()
 
 
 def test_kronecker_double_mutation_orbit_sample():
+    """Every surjective f of shape (2, 2, 2) over GF(2): the double
+    mutation is certified by its constructed GL(N) element, and f and its
+    mutation have the same verdict under the transported polarization."""
+    inst, pol = kronecker_instance(F2, 2, 2, 2)
     count = 0
     for f in _all_f(F2, 2, 4):
-        k = KroneckerModule(F2, 2, 2, 2, f)
         if f.rank() < 2:
             continue
-        a = kronecker_mutate(k)
-        aa = kronecker_mutate(a)
-        assert kronecker_orbit_equivalent(k, aa)
-        assert (kronecker_semistable(k).semistable
-                == kronecker_semistable(a).semistable)
+        w = inst.point_from_family({(1, 1): f})
+        assert_double_mutation_returns(inst, w)
+        rep = compare_stability(inst, w, pol)
+        assert rep.verdict_w.semistable == rep.verdict_z.semistable
         count += 1
     assert count > 0
 
 
-def test_kronecker_matches_two_tier_reduction():
-    h = projective_space_hom_data(F2, 1, [-1], [0])   # q = 2
-    q = h.dimH[(1, 1)]
-    assert q == 2
-    rng = random.Random(50)
-    for (m, n) in ((1, 1), (2, 2), (2, 3)):
-        if not 1 <= n < q * m:
-            continue
-        inst = build_theta_p(h, [m], [n], 0)
-        pol = Polarization([Fraction(1, m)], [Fraction(1, n)], [m], [n])
-        for _ in range(20):
-            flat = [rng.randint(0, 1) for _ in range(n * q * m)]
-            f = ExactMatrix.from_flat(F2, n, q * m, flat)
-            k = KroneckerModule(F2, q, m, n, f)
-            fam = {(1, 1): f}
-            vk = kronecker_semistable(k)
-            vg = gred_semistable(inst, fam, pol)
-            assert vk.semistable == vg.semistable, flat
-            assert vk.stable == vg.stable, flat
-            assert vk.witness == vg.witness, flat
+@pytest.mark.parametrize("p", [None, 3, 5])
+def test_kronecker_double_mutation_over_any_field(p):
+    """The constructed element certifies the double mutation over QQ and
+    over GF(p), p > 2, where an enumeration of GL(M) x GL(N) could not
+    run or would cost p^(m^2 + n^2) pairs."""
+    field = Field(p)
+    rng = random.Random(58)
+    for (q, m, n) in ((2, 2, 3), (3, 2, 4), (3, 3, 5), (4, 2, 3)):
+        inst, _ = kronecker_instance(field, q, m, n)
+        for _ in range(8):
+            assert_double_mutation_returns(inst, random_w0_point(inst.theta, rng))
 
 
-# -- the Kronecker oracle against its own slope loop ---------------------
+# -- the slope test against its own loop -------------------------------
 
-def reference_kronecker_semistable(k, budget=DEFAULT_BUDGET):
-    """The slope test as a loop of its own: for every nonzero subspace M'
-    of M, N' = f(L (x) M') as an image Subspace; the witness (M', N') is
-    the first family that violates the slope, none is recorded when the
-    slope is only attained."""
-    p = k.field.p
+def reference_kronecker_semistable(field, q, m, n, f, budget=DEFAULT_BUDGET):
+    """The slope test of f : L (x) M -> N (dim L = q, dim M = m,
+    dim N = n) as a loop of its own: for every nonzero subspace M' of M,
+    N' = f(L (x) M') as an image Subspace; the witness (M', N') is the
+    first family that violates the slope, none is recorded when the slope
+    is only attained."""
     semistable, stable = True, True
     witness = None
-    for d in range(1, k.m + 1):
-        for sub in enumerate_subspaces(p, k.m, d, budget=budget):
-            img = image_subspace(k.f.apply_leg([k.q, k.m], 1, sub.basis))
+    for d in range(1, m + 1):
+        for sub in enumerate_subspaces(field.p, m, d, budget=budget):
+            img = image_subspace(f.apply_leg([q, m], 1, sub.basis))
             dn = img.dim
-            if k.m * dn < k.n * d:
+            if m * dn < n * d:
                 stable = False
                 if semistable:
                     semistable = False
                     witness = (sub, img)
-            elif k.m * dn == k.n * d and (d, dn) != (k.m, k.n):
+            elif m * dn == n * d and (d, dn) != (m, n):
                 stable = False
     return StabilityVerdict(semistable, stable, witness)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_kronecker_matches_reference(data):
-    p = data.draw(st.sampled_from([2, 3]))
-    q, m, n = (data.draw(st.integers(1, 3)) for _ in range(3))
-    f = ExactMatrix.from_flat(Field(p), n, q * m, data.draw(
-        st.lists(st.integers(0, p - 1), min_size=n * q * m, max_size=n * q * m)))
-    k = KroneckerModule(Field(p), q, m, n, f)
-    v, ref = kronecker_semistable(k), reference_kronecker_semistable(k)
+def _assert_matches_reference(field, q, m, n, f):
+    inst, pol = kronecker_instance(field, q, m, n)
+    v = gred_semistable(inst, {(1, 1): f}, pol)
+    ref = reference_kronecker_semistable(field, q, m, n, f)
     assert (v.semistable, v.stable) == (ref.semistable, ref.stable)
     if not v.semistable:
         sub, img = ref.witness
@@ -140,33 +129,63 @@ def test_kronecker_matches_reference(data):
         assert v.witness is None
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kronecker_matches_reference(data):
+    """n runs from 1 to q*m - 1, the instance's 1 <= n_1 < dim N2."""
+    p = data.draw(st.sampled_from([2, 3]))
+    q = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(2 if q == 1 else 1, 3))
+    n = data.draw(st.integers(1, q * m - 1))
+    f = ExactMatrix.from_flat(Field(p), n, q * m, data.draw(
+        st.lists(st.integers(0, p - 1), min_size=n * q * m, max_size=n * q * m)))
+    _assert_matches_reference(Field(p), q, m, n, f)
+
+
+def test_kronecker_seeded_modules_match_reference():
+    """Twenty seeded GF(2) modules of q = 2 at each (m, n) in (1, 1),
+    (2, 2) and (2, 3)."""
+    rng = random.Random(50)
+    for (m, n) in ((1, 1), (2, 2), (2, 3)):
+        for _ in range(20):
+            flat = [rng.randint(0, 1) for _ in range(n * 2 * m)]
+            _assert_matches_reference(F2, 2, m, n,
+                                      ExactMatrix.from_flat(F2, n, 2 * m, flat))
+
+
 def test_kronecker_records_the_family_that_attains_the_slope():
     """A semistable module that is not stable records a nonzero M' with
     m * dim N' = n * dim M' (N' = f(L (x) M') proper)."""
+    q, m, n = 2, 2, 2
+    inst, pol = kronecker_instance(F2, q, m, n)
     seen = 0
-    for f in _all_f(F2, 2, 4):
-        k = KroneckerModule(F2, 2, 2, 2, f)
-        v = kronecker_semistable(k)
+    for f in _all_f(F2, n, q * m):
+        v = gred_semistable(inst, {(1, 1): f}, pol)
         if v.semistable and not v.stable:
             (sub,), images = v.witness
-            assert sub.dim > 0 and images[1].dim < k.n
-            assert k.m * images[1].dim == k.n * sub.dim
-            assert images[1] == image_subspace(f.apply_leg([2, 2], 1, sub.basis))
+            assert sub.dim > 0 and images[1].dim < n
+            assert m * images[1].dim == n * sub.dim
+            assert images[1] == image_subspace(f.apply_leg([q, m], 1, sub.basis))
             seen += 1
     assert seen > 0
 
 
 def test_kronecker_rejects_n_zero():
-    with pytest.raises(ValueError, match="must be positive"):
-        KroneckerModule(F2, 2, 2, 0, ExactMatrix.zeros(F2, 0, 4))
+    """A Kronecker instance needs 1 <= n < q*m, the paper's
+    1 <= n_1 < dim N2: build_theta_p refuses n = 0 and n = q*m."""
+    h = projective_space_hom_data(F2, 1, [-1], [0])   # q = 2
+    for n in (0, 4):
+        with pytest.raises(ValueError, match="need 1 <= n_1 < dim N2"):
+            build_theta_p(h, [2], [n], 0)
 
 
 def test_kronecker_budget_counts_all_subspaces():
     """GF(2)^2 has 5 subspaces (1 + 3 + 1), counted together."""
-    k = KroneckerModule(F2, 2, 2, 1, ExactMatrix.zeros(F2, 1, 4))
+    inst, pol = kronecker_instance(F2, 2, 2, 1)
+    x = {(1, 1): ExactMatrix.zeros(F2, 1, 4)}
     with pytest.raises(ValueError, match="subspace family enumeration budget"):
-        kronecker_semistable(k, budget=4)
-    assert not kronecker_semistable(k, budget=5).semistable
+        gred_semistable(inst, x, pol, budget=4)
+    assert not gred_semistable(inst, x, pol, budget=5).semistable
 
 
 def test_reduced_equals_exhaustive_family_quantifier():

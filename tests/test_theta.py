@@ -294,7 +294,7 @@ def test_matrix_from_json_coerces_each_entry_at_most_once(monkeypatch):
         M = rnd_matrix(field, rng, 3, 4)
         d = json.loads(json.dumps(matrix_to_json(M)))
         del calls[:]
-        assert matrix_from_json(field, d) == M
+        assert matrix_from_json(field, d, "matrix") == M
         assert len(calls) <= len(d["entries"])
 
 
@@ -302,14 +302,14 @@ def test_matrix_json_round_trip():
     rng = random.Random(28)
     M = rnd_matrix(QQ, rng, 3, 4)
     d = json.loads(json.dumps(matrix_to_json(M)))
-    assert matrix_from_json(QQ, d) == M
+    assert matrix_from_json(QQ, d, "matrix") == M
 
 
 def test_matrix_json_parses_each_string_to_its_value():
     """Two strings of one value give equal entries, and matrices with no
     rows or no columns round-trip."""
     M = matrix_from_json(QQ, {"rows": 2, "cols": 2,
-                              "entries": ["2/4", "1/2", "1/2", "-4/2"]})
+                              "entries": ["2/4", "1/2", "1/2", "-4/2"]}, "matrix")
     assert M.data == [[Fraction(1, 2)] * 2, [Fraction(1, 2), -2]]
     assert matrix_to_json(M)["entries"] == ["1/2", "1/2", "1/2", "-2/1"]
     for field in (QQ, GF(3)):
@@ -317,7 +317,7 @@ def test_matrix_json_parses_each_string_to_its_value():
             Z = ExactMatrix.zeros(field, rows, cols)
             d = json.loads(json.dumps(matrix_to_json(Z)))
             assert d == {"rows": rows, "cols": cols, "entries": []}
-            assert matrix_from_json(field, d) == Z
+            assert matrix_from_json(field, d, "matrix") == Z
 
 
 def test_theta_and_point_json_round_trip():
