@@ -192,7 +192,7 @@ def _instance_spec(args):
     hom data, multiplicities m and n, p, and the polarization lam, mu
     given as "num/den" strings, each checked for its shape; the hom data
     must also pass validate_hom_data."""
-    spec = json_object(_load(args.instance), "instance")
+    spec = json_object(_load(args.instance), "instance", ("hom", "m", "n", "p", "lam", "mu"))
     h = hom_data_from_json(spec["hom"])
     failed = validate_hom_data(h).failures()
     if failed:
@@ -207,7 +207,7 @@ def _instance_spec(args):
 def cmd_stability(args):
     spec, h, p, pol = _instance_spec(args)
     inst = build_theta_p(h, pol.m_mult, pol.n_mult, p)
-    w = point_from_json(inst.theta, spec["point"])
+    w = point_from_json(inst.theta, json_object(spec, "instance", ("point",))["point"])
     verdict = is_semistable_rs(inst, w, pol, group=args.group,
                                budget=args.budget_subspaces)
     witness = None

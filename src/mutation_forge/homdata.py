@@ -28,7 +28,7 @@ the polarization bookkeeping.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 
 from .exactfield import (ExactMatrix, field_from_tag, field_tag,
                          kernel_coordinates, kernel_data)
@@ -746,15 +746,23 @@ def _tensor_dict_to_json(d):
             for k, v in sorted(d.items())]
 
 
-def _entries_from_json(obj, what):
-    """The (key, entry) pairs of a list of {"key": [ints], ...} objects."""
-    entries = [json_object(e, what) for e in json_list(obj, what)]
-    return [(tuple(json_counts(e["key"], what + " key")), e) for e in entries]
+def _entries_from_json(obj, what, legs, value):
+    """The (key, value) pairs of the list what of {"key": [legs ints],
+    value: ...} objects; an entry is named what[k], k its place."""
+    pairs = []
+    for k, e in enumerate(json_list(obj, what)):
+        name = "%s[%d]" % (what, k)
+        e = json_object(e, name, ("key", value))
+        key = tuple(json_counts(e["key"], name + ".key"))
+        if len(key) != legs:
+            raise ValueError("%s.key must list %d indices, got %r" % (name, legs, list(key)))
+        pairs.append((key, e[value]))
+    return pairs
 
 
 def _tensor_dict_from_json(obj, field, what):
-    return {key: matrix_from_json(field, e["matrix"], what + " matrix")
-            for key, e in _entries_from_json(obj, what)}
+    return {key: matrix_from_json(field, e, what + " matrix")
+            for key, e in _entries_from_json(obj, what, 3, "matrix")}
 
 
 def _dim_dict_to_json(d):
@@ -762,8 +770,7 @@ def _dim_dict_to_json(d):
 
 
 def _dim_dict_from_json(obj, what):
-    return {key: json_count(e["dim"], what)
-            for key, e in _entries_from_json(obj, what)}
+    return {key: json_count(e, what) for key, e in _entries_from_json(obj, what, 2, "dim")}
 
 
 def hom_data_to_json(h):
@@ -774,7 +781,10 @@ def hom_data_to_json(h):
 
 
 def hom_data_from_json(obj):
-    obj = json_object(obj, "hom data")
+    """The HomData of a hom data object; a key that the object, one of its
+    entries or its chain of objects lacks is a ValueError that names
+    where it is missing."""
+    obj = json_object(obj, "hom data", ("field", "r", "s") + _DIM_DICTS + _COMP_DICTS)
     f = field_from_tag(obj["field"])
     r, s = json_count(obj["r"], "r"), json_count(obj["s"], "s")
     if r < 1 or s < 1:
@@ -787,6 +797,13 @@ def hom_data_from_json(obj):
     if r > len(h.dimA) or s > len(h.dimB):
         raise ValueError("hom data of type (%d, %d) lists %d spaces A and %d "
                          "spaces B" % (r, s, len(h.dimA), len(h.dimB)))
+    objs = _objects(r, s)
+    for below in chain(combinations_with_replacement(objs, 2),
+                       combinations_with_replacement(objs, 3)):
+        kinds, key = zip(*reversed(below))
+        name = _FILED["".join(kinds)]
+        if key not in getattr(h, name):
+            raise ValueError("missing key %r in %s" % (list(key), name))
     return h
 
 

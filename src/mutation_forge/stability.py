@@ -83,14 +83,16 @@ class _WalkMemo:
     and whether one of them is nonzero. tables[(l, i)] is the image table
     of the block at the current translate, and images[l - 1][i - 1] and
     keys[l - 1][i - 1] its images and their keys (ids interns each image
-    as an int); changes maps the id of each live change seen in the walk
+    as an int); spans maps each tuple of generators that an image was read
+    from to the image and its key, so equal generators are eliminated
+    once per verdict; changes maps the id of each live change seen in the walk
     to a weak reference to it and the image tables of its blocks. dims
     maps a tuple of keys in N_l to the dimension of the span, and rows
     maps the keys of every index but the first to a dict of the rows of
     _families."""
 
     __slots__ = ("ops", "n_mult", "heads", "tails", "shapes", "tables",
-                 "images", "keys", "changes", "ids", "dims", "rows")
+                 "images", "keys", "spans", "changes", "ids", "dims", "rows")
 
     def __init__(self, field, per_index, dimH, m_mult, n_mult, lam):
         self.ops = ops = packing(field)
@@ -115,6 +117,7 @@ class _WalkMemo:
         self.tables = {}
         self.images = [[None] * len(m_mult) for _ in n_mult]
         self.keys = [[None] * len(m_mult) for _ in n_mult]
+        self.spans = {}
         self.changes = {}
         self.ids = {}
         self.dims = {}
@@ -143,14 +146,24 @@ def _set_table(memo, key, table):
     """Make table the image table of the block x_key, with its images
     and their keys. The image of x_key(H (x) M') is the canonical
     echelon basis (ops.echelon) of the images of h (x) c for every basis
-    vector h of H and c of M'."""
+    vector h of H and c of M', read once per verdict for each tuple of
+    those generators (memo.spans): an image's key comes from ids on its
+    echelon basis, so generators with the same span share a key."""
     echelon, bases = memo.ops.echelon, memo.shapes[key][4]
-    images = [echelon([s[c] for s in table for c in basis]) for basis in bases]
+    spans, ids = memo.spans, memo.ids
+    images, keys = [], []
+    for basis in bases:
+        gens = tuple([s[c] for s in table for c in basis])
+        span = spans.get(gens)
+        if span is None:
+            img = echelon(gens)
+            span = spans[gens] = (img, ids.setdefault(img, len(ids)))
+        images.append(span[0])
+        keys.append(span[1])
     l, i = key
     memo.tables[key] = table
     memo.images[l - 1][i - 1] = images
-    ids = memo.ids
-    memo.keys[l - 1][i - 1] = tuple(ids.setdefault(img, len(ids)) for img in images)
+    memo.keys[l - 1][i - 1] = tuple(keys)
 
 
 def _gred_core(memo, change, mu):
@@ -405,19 +418,71 @@ def _plus(change, other):
     return out
 
 
+def _unit_change(inst, fam, key, rows, cols, entry):
+    """The change D that the unit parameter of block key (rows x cols)
+    with its 1 at the flat entry alone makes to fam, as a dict from block
+    keys to nonzero changes: apply_unipotent(inst, fam, {key: unit}) - fam,
+    read off the composition tensors. A block that fam does not name is 0.
+
+    A source unit of A_ji (x) Hom(M_i, M_j) sends basis vector x of M_i to
+    y of M_j along the a-th basis vector of A_ji, (a, y) = divmod(entry //
+    m_i, m_j): it changes only column h (x) x of each x_(l,i), by the sum
+    over h' of comp_HA[(l,j,i)][h][h' (x) a] times column h' (x) y of
+    x_(l,j), one product per l. A target unit of B_ml (x) Hom(N_l, N_m)
+    sends x of N_l to y of N_m along b, (b, y) = divmod(entry // n_l, n_m):
+    it changes only row y of each x_(m,i), to row x of x_(l,i) read as
+    H_li x M_i and contracted with comp_BH[(m,l,i)] at b, one product per
+    i."""
+    h = inst.h
+    f = h.field
+    m, n = inst.m_mult, inst.n_mult
+    out = {}
+    if key[0]:
+        _, j, i = key
+        m_j, m_i, da = m[j - 1], m[i - 1], h.dimA[(j, i)]
+        (a, y), x = divmod(entry // cols, m_j), entry % cols
+        for l in range(1, h.s + 1):
+            x_lj = fam.get((l, j))
+            if x_lj is None:
+                continue
+            d_lj, d_li = h.dimH[(l, j)], h.dimH[(l, i)]
+            along = h.comp_HA[(l, j, i)].submatrix(range(d_li), range(a, d_lj * da, da))
+            moved = (x_lj.submatrix(range(x_lj.rows), range(y, d_lj * m_j, m_j))
+                     @ along.transpose())
+            if not moved.is_zero():
+                data = [[0] * (d_li * m_i) for _ in range(moved.rows)]
+                for row, image in zip(data, moved.data):
+                    row[x::m_i] = image
+                out[(l, i)] = ExactMatrix.of_rows(f, data, d_li * m_i)
+    else:
+        _, mm, l = key
+        n_m = n[mm - 1]
+        (b, y), x = divmod(entry // cols, n_m), entry % cols
+        for i in range(1, h.r + 1):
+            x_li = fam.get((l, i))
+            if x_li is None:
+                continue
+            m_i, d_li, d_mi = m[i - 1], h.dimH[(l, i)], h.dimH[(mm, i)]
+            row = x_li.data[x]
+            moved = (h.comp_BH[(mm, l, i)].submatrix(range(d_mi), range(b * d_li, (b + 1) * d_li))
+                     @ ExactMatrix.of_rows(f, [row[g * m_i:(g + 1) * m_i] for g in range(d_li)],
+                                           m_i))
+            if not moved.is_zero():
+                data = [[0] * (d_mi * m_i) for _ in range(n_m)]
+                data[y] = list(chain.from_iterable(moved.data))
+                out[(mm, i)] = ExactMatrix.of_rows(f, data, d_mi * m_i)
+    return out
+
+
 def _carry_sums(inst, fam, units):
     """For each unit parameter k of units ((key, rows, cols, entry)), the
     change C_k = D_k + sum_{j > k} D_j of the family, D_j the change
-    that unit j alone makes (apply_unipotent on it): raising digit k and
+    that unit j alone makes (_unit_change): raising digit k and
     resetting every later one from p - 1 to 0 adds C_k, as
     -(p - 1) = 1 mod p. Each C_k maps a block key to a nonzero change."""
-    f = inst.h.field
     sums, later = [], {}
-    for key, rows, cols, entry in reversed(units):
-        unit = ExactMatrix.zeros(f, rows, cols)
-        unit.data[entry // cols][entry % cols] = 1
-        moved = apply_unipotent(inst, fam, {key: unit})
-        later = _plus(later, {k: x - fam[k] for k, x in moved.items() if x is not fam[k]})
+    for unit in reversed(units):
+        later = _plus(later, _unit_change(inst, fam, *unit))
         sums.append(later)
     return sums[::-1]
 
@@ -451,7 +516,8 @@ def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
     each mid_u the target carry sums walk the translates. The target
     change is linear in the family, so the target carry sums at
     mid_u + S are those at mid_u plus their values on S: they are built
-    once at the family and once on each source carry sum S, and updated
+    once at the family and once on each source carry sum S (a family
+    that is 0 at the blocks S does not change), and updated
     by each source step. A source step leaves the walk of the target
     digits at their top, p - 1 each, and resets them all to 0, which
     adds the first target carry sum at mid_u: its change is the source
@@ -463,8 +529,7 @@ def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
     source = [u for u in units if u[0][0]]
     target = [u for u in units if not u[0][0]]
     steps = _carry_sums(inst, fam, source)
-    zero = {k: ExactMatrix.zeros(x.field, x.rows, x.cols) for k, x in fam.items()}
-    shifts = [_carry_sums(inst, {**zero, **step}, target) for step in steps]
+    shifts = [_carry_sums(inst, step, target) for step in steps]
     sums = _carry_sums(inst, fam, target)
     yield fam
     yield from map(sums.__getitem__, _rises(len(sums), p))

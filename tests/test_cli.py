@@ -197,16 +197,21 @@ BAD_INPUTS = {
 }
 
 
-def _bad_json_argv(tmp_path, command, where, value):
-    """argv of command on a valid input file with value written at where."""
+def _input_json(command):
+    """A valid input file of command: a theta for validate, else an
+    instance with its point."""
     h = projective_space_hom_data(Field(2), 1, [-2, -1], [0])
     inst = build_theta_p(h, [1, 1], [2], 0)
     if command == "validate":
-        obj = theta_to_json(inst.theta)
-    else:
-        obj = {"hom": hom_data_to_json(h), "m": [1, 1], "n": [2], "p": 0,
-               "point": point_to_json(MorphismPoint.zero(inst.theta)),
-               "lam": ["1/2", "1/2"], "mu": ["1/2"]}
+        return theta_to_json(inst.theta)
+    return {"hom": hom_data_to_json(h), "m": [1, 1], "n": [2], "p": 0,
+            "point": point_to_json(MorphismPoint.zero(inst.theta)),
+            "lam": ["1/2", "1/2"], "mu": ["1/2"]}
+
+
+def _bad_json_argv(tmp_path, command, where, value):
+    """argv of command on a valid input file with value written at where."""
+    obj = _input_json(command)
     if where:
         node = obj
         for key in where[:-1]:
@@ -266,6 +271,48 @@ def test_missing_key_names_itself(obj, key, tmp_path, capsys):
     assert main(["validate", "--theta", _write(tmp_path, "theta.json", d)]) == 2
     err = capsys.readouterr().err
     assert err == "error: missing key %r in %s\n" % (key, obj or "theta")
+
+
+# (path into an instance file, the key left out there, the object that
+# the error names): the instance, its hom data, and an entry of a Hom
+# space and of a composition
+MISSING_INSTANCE_KEYS = [((), "lam", "instance"), ((), "point", "instance"),
+                         (("hom",), "comp_HA", "hom data"),
+                         (("hom", "dimH", 0), "dim", "dimH[0]"),
+                         (("hom", "dimH", 0), "key", "dimH[0]"),
+                         (("hom", "comp_HA", 0), "matrix", "comp_HA[0]")]
+
+
+@pytest.mark.parametrize("where, key, obj", MISSING_INSTANCE_KEYS)
+def test_missing_instance_key_names_its_object(where, key, obj, tmp_path, capsys):
+    spec = _input_json("stability")
+    node = spec
+    for step in where:
+        node = node[step]
+    del node[key]
+    argv = ["stability", "--instance", _write(tmp_path, "inst.json", spec)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: missing key %r in %s\n" % (key, obj))
+
+
+def test_hom_data_keys_name_their_entry(tmp_path, capsys):
+    """A key of the wrong length names its entry, and a Hom space or a
+    composition that the file lacks names its key and its dict, where
+    both were a bare KeyError of the chain's lookups."""
+    errors = {}
+    for name, edit in [("short", lambda hom: hom["dimH"][0].update(key=[1])),
+                       ("long", lambda hom: hom["comp_HA"][0].update(key=[1, 1, 1, 1])),
+                       ("dropped", lambda hom: hom["dimH"].pop(0))]:
+        spec = _input_json("stability")
+        edit(spec["hom"])
+        assert main(["stability", "--instance", _write(tmp_path, "inst.json", spec)]) == 2
+        out, errors[name] = capsys.readouterr()
+        assert out == ""
+    assert errors == {
+        "short": "error: dimH[0].key must list 2 indices, got [1]\n",
+        "long": "error: comp_HA[0].key must list 3 indices, got [1, 1, 1, 1]\n",
+        "dropped": "error: missing key [1, 1] in dimH\n"}
 
 
 @pytest.mark.parametrize("obj, key", [("psi2", "rows"), (None, "phi1")])

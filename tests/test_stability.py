@@ -905,8 +905,8 @@ def test_apply_unipotent_matches_reference(data):
 
 # (field p, (n, e, f) or None for _hand_built_instance, m, n, p of the
 # instance): source parameters only, target parameters only, and both
-# with the cross term, for r = 1 to 3 and s = 1 to 3; orbits of 9 to
-# 729 points
+# with the cross term, for r = 1 to 3 and s = 1 to 3, over GF(2), GF(3)
+# and GF(5); orbits of 9 to 729 points
 WALK_CASES = [
     (2, (1, (-2, -1), (0,)), (2, 2), (2,), 1),
     (2, (1, (-2,), (0, 1)), (1,), (1, 2), 0),
@@ -919,6 +919,9 @@ WALK_CASES = [
     (3, (1, (-2, -1), (0, 1)), (1, 1), (1, 1), 1),
     (3, (1, (-2, -1), (0, 1)), (1, 1), (1, 2), 0),
     (3, None, (1, 1), (1, 1), 0),
+    (5, (1, (-2, -1), (0,)), (1, 1), (2,), 0),
+    (5, (1, (-2,), (0, 1)), (1,), (1, 1), 0),
+    (5, (1, (-2, -1), (0, 1)), (1, 1), (1, 1), 1),
 ]
 
 
@@ -971,7 +974,7 @@ def test_orbit_walk_matches_reference_orbit(data):
 
 
 @pytest.mark.parametrize("kind", ["source", "target", "both"])
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_orbit_changes_are_the_steps_of_reference_orbit(p, kind, data):
@@ -1002,9 +1005,9 @@ def test_target_carry_sums_follow_the_source_steps(monkeypatch):
     """The target carry sums are built once at the family and once on
     each source carry sum, not again at every point of the source walk:
     a walk makes at most |source units| * |target units| + |units|
-    calls of apply_unipotent. On P^1 e=(-2,-1) f=(0,1), m=(2,2),
-    n=(1,1) over GF(2) there are 8 source and 2 target units, and the
-    orbit has 2^10 points."""
+    unit changes (_unit_change), and no call of apply_unipotent. On P^1
+    e=(-2,-1) f=(0,1), m=(2,2), n=(1,1) over GF(2) there are 8 source
+    and 2 target units, and the orbit has 2^10 points."""
     inst = _unipotent_instance(2, (1, (-2, -1), (0, 1)), (2, 2), (1, 1))
     h = inst.h
     rng = random.Random(21)
@@ -1014,13 +1017,86 @@ def test_target_carry_sums_follow_the_source_steps(monkeypatch):
     sizes = {src: sum(rows * cols for s, _, _, rows, cols in _unipotent_parameters(inst)[0]
                       if s == src) for src in (True, False)}
     assert sizes == {True: 8, False: 2}
-    calls = []
-    action = stability.apply_unipotent
+    calls = {"_unit_change": [], "apply_unipotent": []}
 
-    def counted(*args):
-        calls.append(args)
-        return action(*args)
+    def counted(name):
+        action = getattr(stability, name)
 
-    monkeypatch.setattr(stability, "apply_unipotent", counted)
+        def call(*args):
+            calls[name].append(args)
+            return action(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(stability, name, counted(name))
     assert sum(1 for _ in enumerate_unipotent_orbit(inst, fam)) == 2 ** 10
-    assert len(calls) <= sizes[True] * sizes[False] + sizes[True] + sizes[False]
+    assert 0 < len(calls["_unit_change"]) <= sizes[True] * sizes[False] + sizes[True] + sizes[False]
+    assert calls["apply_unipotent"] == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_unit_changes_are_the_changes_of_apply_unipotent(data):
+    """The change that one unit parameter makes, read off the composition
+    tensors by _unit_change, is apply_unipotent of that unit minus the
+    family: the same blocks, each change nonzero and in its one form,
+    over QQ and GF(2), GF(3) and GF(5), on every unipotent system and
+    for every unit of a drawn block."""
+    p = data.draw(st.sampled_from([None, 2, 3, 5]))
+    system = data.draw(st.sampled_from(UNIPOTENT_SYSTEMS))
+    r, s = len(system[1]), len(system[2])
+    m = tuple(data.draw(st.lists(st.integers(1, 3), min_size=r, max_size=r)))
+    n = tuple(data.draw(st.lists(st.integers(1, 3), min_size=s, max_size=s)))
+    inst = _unipotent_instance(p, system, m, n)
+    h, f = inst.h, inst.h.field
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    fam = {(l, i): ExactMatrix(f, [[rng.randint(-3, 3) for _ in range(h.dimH[(l, i)] * m[i - 1])]
+                                   for _ in range(n[l - 1])])
+           for l in range(1, s + 1) for i in range(1, r + 1)}
+    shapes = {(True, j, i): (h.dimA[(j, i)] * m[j - 1], m[i - 1])
+              for i in range(1, r + 1) for j in range(i + 1, r + 1)}
+    shapes.update({(False, mm, l): (h.dimB[(mm, l)] * n[mm - 1], n[l - 1])
+                   for l in range(1, s + 1) for mm in range(l + 1, s + 1)})
+    key = data.draw(st.sampled_from(sorted(k for k, (rows, cols) in shapes.items()
+                                           if rows * cols)))
+    rows, cols = shapes[key]
+    for entry in range(rows * cols):
+        unit = ExactMatrix.zeros(f, rows, cols)
+        unit.data[entry // cols][entry % cols] = 1
+        moved = apply_unipotent(inst, fam, {key: unit})
+        change = stability._unit_change(inst, fam, key, rows, cols, entry)
+        assert change == {k: x - fam[k] for k, x in moved.items() if x != fam[k]}, entry
+        assert all(has_canonical_scalars(x) for x in change.values())
+
+
+def test_equal_spans_share_an_image_key(monkeypatch):
+    """A verdict's memo reads each image once per tuple of generators, and
+    keys it by its echelon basis: on P^1 e=(-2,-1) f=(0), m=(1,1), n=(2)
+    over GF(2), the blocks x_(1,1) with columns (e_1, e_2, 0) and
+    (e_1, e_1 + e_2, 0) give M_1 different generators with the span
+    GF(2)^2, which get the same key, and setting a table again reads no
+    image afresh."""
+    inst = _oracle_instance(ORACLE_CASES[0])
+    h = inst.h
+    per_index = stability._subspace_lists(2, inst.m_mult, DEFAULT_BUDGET)
+    memo = stability._WalkMemo(h.field, per_index, h.dimH, inst.m_mult, inst.n_mult, [1, 1])
+    echelons = []
+    echelon = memo.ops.echelon
+
+    def counted(vectors):
+        echelons.append(vectors)
+        return echelon(vectors)
+
+    monkeypatch.setattr(memo.ops, "echelon", counted)
+    keys = []
+    for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 1, 0], [0, 1, 0]]):
+        stability._set_table(memo, (1, 1), stability._image_table(
+            memo, (1, 1), ExactMatrix(h.field, rows)))
+        keys.append(memo.keys[0][0])
+    gens = [vectors for vectors in echelons if len(vectors) == 3]
+    assert len(gens) == 2 and gens[0] != gens[1]
+    assert keys[0][-1] == keys[1][-1]
+    assert memo.images[0][0][-1] == memo.ops.echelon(gens[0])
+    seen = len(echelons)
+    stability._set_table(memo, (1, 1), memo.tables[(1, 1)])
+    assert len(echelons) == seen and memo.keys[0][0] == keys[1]
