@@ -464,9 +464,9 @@ def _unit_change(inst, fam, key, rows, cols, entry):
                 continue
             m_i, d_li, d_mi = m[i - 1], h.dimH[(l, i)], h.dimH[(mm, i)]
             row = x_li.data[x]
-            moved = (h.comp_BH[(mm, l, i)].submatrix(range(d_mi), range(b * d_li, (b + 1) * d_li))
-                     @ ExactMatrix.of_rows(f, [row[g * m_i:(g + 1) * m_i] for g in range(d_li)],
-                                           m_i))
+            along = h.comp_BH[(mm, l, i)].submatrix(range(d_mi), range(b * d_li, (b + 1) * d_li))
+            moved = along @ ExactMatrix.of_rows(
+                f, [row[g * m_i:(g + 1) * m_i] for g in range(d_li)], m_i)
             if not moved.is_zero():
                 data = [[0] * (d_mi * m_i) for _ in range(n_m)]
                 data[y] = list(chain.from_iterable(moved.data))

@@ -298,8 +298,7 @@ def test_missing_instance_key_names_its_object(where, key, obj, tmp_path, capsys
 
 def test_hom_data_keys_name_their_entry(tmp_path, capsys):
     """A key of the wrong length names its entry, and a Hom space or a
-    composition that the file lacks names its key and its dict, where
-    both were a bare KeyError of the chain's lookups."""
+    composition that the file lacks names its key and its dict."""
     errors = {}
     for name, edit in [("short", lambda hom: hom["dimH"][0].update(key=[1])),
                        ("long", lambda hom: hom["comp_HA"][0].update(key=[1, 1, 1, 1])),

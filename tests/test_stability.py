@@ -1030,7 +1030,8 @@ def test_target_carry_sums_follow_the_source_steps(monkeypatch):
     for name in calls:
         monkeypatch.setattr(stability, name, counted(name))
     assert sum(1 for _ in enumerate_unipotent_orbit(inst, fam)) == 2 ** 10
-    assert 0 < len(calls["_unit_change"]) <= sizes[True] * sizes[False] + sizes[True] + sizes[False]
+    bound = sizes[True] * sizes[False] + sizes[True] + sizes[False]
+    assert 0 < len(calls["_unit_change"]) <= bound
     assert calls["apply_unipotent"] == []
 
 
