@@ -575,8 +575,8 @@ class _Bits:
 
     def columns(self, vectors, n):
         """The matrix with n rows whose columns are the packed vectors."""
-        return ExactMatrix.of_rows(self.field, [[v >> s & 1 for s in range(n - 1, -1, -1)]
-                                                for v in vectors], n).transpose()
+        return ExactMatrix.of_rows(self.field, [[v >> s & 1 for v in vectors]
+                                                for s in range(n - 1, -1, -1)], len(vectors))
 
     def add(self, us, vs):
         """The sums of us and vs, vector by vector."""
@@ -622,7 +622,8 @@ class _Residues:
         return list(zip(*A.data)) or [()] * A.cols
 
     def columns(self, vectors, n):
-        return ExactMatrix.of_rows(self.field, list(map(list, vectors)), n).transpose()
+        return ExactMatrix.of_rows(self.field, [[v[r] for v in vectors] for r in range(n)],
+                                   len(vectors))
 
     def add(self, us, vs):
         p = self.field.p
@@ -778,29 +779,41 @@ def gaussian_binomial(q, n, d):
     return num // den
 
 
-def enumerate_subspaces(q, n, d, budget=10 ** 6):
-    """All d-dimensional subspaces of GF(q)^n, one canonical representative
-    each. Each basis is written directly in reduced column echelon form,
-    the canonical form, so no elimination is run. Raises when the count
-    exceeds the budget."""
-    field = GF(q)
+def subspace_count(q, n, d, budget):
+    """gaussian_binomial(q, n, d); a ValueError when it exceeds the budget."""
     count = gaussian_binomial(q, n, d)
     if count > budget:
         raise ValueError("subspace enumeration budget exceeded: %d > %d"
                          % (count, budget))
-    out = []
+    return count
+
+
+def subspace_bases(field, n, d):
+    """The canonical basis of every d-dimensional subspace of field^n, a
+    prime field, packed (packing) as the tuple of the columns of its
+    reduced column echelon form, written from its pivot rows: by pivot
+    rows, then by the entries below a pivot in no pivot row, column by
+    column and top down, the first slowest."""
+    q, pack = field.p, packing(field).pack_columns
     for pivots in combinations(range(n), d):
-        # free positions (row, column) of the n-by-d reduced column echelon
-        # form with these pivot rows
-        free = [(r, c) for c in range(d) for r in range(n)
-                if r > pivots[c] and r not in pivots]
-        for values in product(range(q), repeat=len(free)):
-            B = ExactMatrix.zeros(field, n, d)
-            for c, r in enumerate(pivots):
-                B.data[r][c] = 1
-            for (r, c), v in zip(free, values):
-                B.data[r][c] = v
-            out.append(Subspace._from_canonical(B))
-    assert len(out) == count
-    return out
+        columns = []
+        for top in pivots:
+            rows, k = [[int(r == top)] for r in range(n)], 1
+            for r in range(top + 1, n):
+                if r not in pivots:   # every column so far, with each value at r
+                    rows = [[x for x in row for _ in range(q)] for row in rows]
+                    rows[r] = list(range(q)) * k
+                    k *= q
+            columns.append(pack(ExactMatrix.of_rows(field, rows, k)))
+        yield from product(*columns)
+
+
+def enumerate_subspaces(q, n, d, budget=10 ** 6):
+    """All d-dimensional subspaces of GF(q)^n, one canonical representative
+    each, in the order of subspace_bases. Raises when the count exceeds the
+    budget."""
+    subspace_count(q, n, d, budget)
+    field = GF(q)
+    columns = packing(field).columns
+    return [Subspace._from_canonical(columns(basis, n)) for basis in subspace_bases(field, n, d)]
 

@@ -747,22 +747,24 @@ def _tensor_dict_to_json(d):
 
 
 def _entries_from_json(obj, what, legs, value):
-    """The (key, value) pairs of the list what of {"key": [legs ints],
-    value: ...} objects; an entry is named what[k], k its place."""
-    pairs = []
+    """The dict from key to value of the list what of {"key": [legs ints],
+    value: ...} objects, each key once; an entry is named what[k]."""
+    pairs = {}
     for k, e in enumerate(json_list(obj, what)):
         name = "%s[%d]" % (what, k)
         e = json_object(e, name, ("key", value))
         key = tuple(json_counts(e["key"], name + ".key"))
         if len(key) != legs:
             raise ValueError("%s.key must list %d indices, got %r" % (name, legs, list(key)))
-        pairs.append((key, e[value]))
+        if key in pairs:
+            raise ValueError("key %r is listed twice in %s" % (list(key), what))
+        pairs[key] = e[value]
     return pairs
 
 
 def _tensor_dict_from_json(obj, field, what):
     return {key: matrix_from_json(field, e, what + " matrix")
-            for key, e in _entries_from_json(obj, what, 3, "matrix")}
+            for key, e in _entries_from_json(obj, what, 3, "matrix").items()}
 
 
 def _dim_dict_to_json(d):
@@ -770,7 +772,7 @@ def _dim_dict_to_json(d):
 
 
 def _dim_dict_from_json(obj, what):
-    return {key: json_count(e, what) for key, e in _entries_from_json(obj, what, 2, "dim")}
+    return {key: json_count(e, what) for key, e in _entries_from_json(obj, what, 2, "dim").items()}
 
 
 def hom_data_to_json(h):
@@ -781,9 +783,9 @@ def hom_data_to_json(h):
 
 
 def hom_data_from_json(obj):
-    """The HomData of a hom data object; a key that the object, one of its
-    entries or its chain of objects lacks is a ValueError that names
-    where it is missing."""
+    """The HomData of a hom data object; a key that the object, an entry
+    or the chain of objects lacks, or that is listed twice or names no
+    chain, is a ValueError that names the key and where it is."""
     obj = json_object(obj, "hom data", ("field", "r", "s") + _DIM_DICTS + _COMP_DICTS)
     f = field_from_tag(obj["field"])
     r, s = json_count(obj["r"], "r"), json_count(obj["s"], "s")
@@ -798,12 +800,17 @@ def hom_data_from_json(obj):
         raise ValueError("hom data of type (%d, %d) lists %d spaces A and %d "
                          "spaces B" % (r, s, len(h.dimA), len(h.dimB)))
     objs = _objects(r, s)
+    chains = {name: set() for name in _DIM_DICTS + _COMP_DICTS}
     for below in chain(combinations_with_replacement(objs, 2),
                        combinations_with_replacement(objs, 3)):
         kinds, key = zip(*reversed(below))
-        name = _FILED["".join(kinds)]
-        if key not in getattr(h, name):
-            raise ValueError("missing key %r in %s" % (list(key), name))
+        chains[_FILED["".join(kinds)]].add(key)
+    for name, keys in chains.items():
+        filed = getattr(h, name).keys()
+        for wrong, message in ((keys - filed, "missing key %r in %s"),
+                               (filed - keys, "key %r in %s names no chain of objects")):
+            if wrong:
+                raise ValueError(message % (list(min(wrong)), name))
     return h
 
 

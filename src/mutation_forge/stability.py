@@ -19,7 +19,7 @@ from math import lcm
 from operator import getitem, mul
 from weakref import ref
 
-from .exactfield import ExactMatrix, Subspace, enumerate_subspaces, packing
+from .exactfield import ExactMatrix, Subspace, packing, subspace_bases, subspace_count
 from .theta import MorphismPoint, in_W0
 from .homdata import (map_polarization, mutated_instance,
                       dual_point_to_mutated)
@@ -53,65 +53,66 @@ class StabilityVerdict:
 
 # -- the reductive core -----------------------------------------------
 
-def _subspace_lists(p, m_mult, budget):
-    """For each first-tier index i, every subspace of GF(p)^(m_i), by
-    dimension; raises when the families they make exceed the budget."""
-    per_index = []
-    total = 1
+def _subspace_lists(field, m_mult, budget):
+    """For each first-tier index i, the packed canonical bases
+    (subspace_bases) of the subspaces of GF(p)^(m_i), by dimension, one
+    list for equal m_i; raises, before a basis is written, when those of
+    one dimension or then the families so far exceed the budget."""
+    per_index, lists, total = [], {}, 1
     for m in m_mult:
-        subs = []
-        for d in range(0, m + 1):
-            subs.extend(enumerate_subspaces(p, m, d, budget=budget))
-        per_index.append(subs)
-        total *= len(subs)
+        total *= sum(subspace_count(field.p, m, d, budget) for d in range(m + 1))
         if total > budget:
             raise ValueError("subspace family enumeration budget exceeded")
+        if m not in lists:
+            lists[m] = [basis for d in range(m + 1) for basis in subspace_bases(field, m, d)]
+        per_index.append(lists[m])
     return per_index
 
 
 class _WalkMemo:
     """What the translates of one verdict share; it lives as long as the
-    verdict. ops packs vectors (exactfield.packing). shapes[(l, i)] is
+    verdict. ops packs vectors (exactfield.packing), and per_index holds
+    the packed canonical bases of _subspace_lists. shapes[(l, i)] is
     (dim N_l, dim H_li, dim M_i, vectors, bases) for the block x_(l,i):
-    vectors lists the distinct basis vectors of the subspaces of M_i,
-    packed, and bases each subspace's basis as indices into vectors, the
-    last being M_i itself, whose canonical basis is the identity. An image
-    table of x_(l,i) holds, for each basis vector h of H_li, the packed
-    x_(l,i)(h (x) c) for c in vectors. heads[k] is the lam-weight and the
-    dimension of the k-th subspace of M_1, and tails lists each choice of
-    subspaces of the other indices, in product order, with its lam-weight
-    and whether one of them is nonzero. tables[(l, i)] is the image table
-    of the block at the current translate, and images[l - 1][i - 1] and
-    keys[l - 1][i - 1] its images and their keys (ids interns each image
-    as an int); spans maps each tuple of generators that an image was read
-    from to the image and its key, so equal generators are eliminated
-    once per verdict; changes maps the id of each live change seen in the walk
-    to a weak reference to it and the image tables of its blocks. dims
-    maps a tuple of keys in N_l to the dimension of the span, and rows
-    maps the keys of every index but the first to a dict of the rows of
-    _families."""
+    vectors lists the distinct basis vectors of the subspaces of M_i, and
+    bases each subspace's basis as indices into vectors, the last being
+    M_i itself, whose canonical basis is the identity; indices with equal
+    m_i share one list, indexed once. An image table of x_(l,i) holds, for
+    each basis vector h of H_li, the packed x_(l,i)(h (x) c) for c in
+    vectors. heads[k] is the lam-weight and the dimension of the k-th
+    subspace of M_1, and tails lists each choice of subspaces of the other
+    indices, in product order, with its lam-weight and whether one of them
+    is nonzero. tables[(l, i)] is the image table of the block at the
+    current translate, and images[l - 1][i - 1] and keys[l - 1][i - 1] its
+    images and their keys (ids interns each image as an int); spans maps
+    each tuple of generators that an image was read from to the image and
+    its key, so equal generators are eliminated once per verdict; changes
+    maps the id of each live change seen in the walk to a weak reference
+    to it and the image tables of its blocks. dims maps a tuple of keys in
+    N_l to the dimension of the span, and rows maps the keys of every
+    index but the first to a dict of the rows of _families."""
 
-    __slots__ = ("ops", "n_mult", "heads", "tails", "shapes", "tables",
-                 "images", "keys", "spans", "changes", "ids", "dims", "rows")
+    __slots__ = ("ops", "per_index", "m_mult", "n_mult", "heads", "tails", "shapes",
+                 "tables", "images", "keys", "spans", "changes", "ids", "dims", "rows")
 
     def __init__(self, field, per_index, dimH, m_mult, n_mult, lam):
-        self.ops = ops = packing(field)
-        self.n_mult = n_mult
-        indexed = []
-        for subs in per_index:
-            packed = [ops.pack_columns(sub.basis) for sub in subs]
-            vectors = list(dict.fromkeys(chain.from_iterable(packed)))
-            position = {c: k for k, c in enumerate(vectors)}
-            indexed.append((vectors, [tuple(map(position.get, basis)) for basis in packed]))
-        weights = [[(lam_i * sub.dim, sub.dim) for sub in subs]
-                   for lam_i, subs in zip(lam, per_index)]
+        self.ops = packing(field)
+        self.per_index, self.m_mult, self.n_mult = per_index, m_mult, n_mult
+        indexed = {}
+        for m, bases in zip(m_mult, per_index):
+            if m not in indexed:
+                vectors = list(dict.fromkeys(chain.from_iterable(bases)))
+                position = {c: k for k, c in enumerate(vectors)}
+                indexed[m] = (vectors, [tuple(map(position.get, b)) for b in bases])
+        weights = [[(lam_i * len(b), len(b)) for b in bases]
+                   for lam_i, bases in zip(lam, per_index)]
         self.heads = weights[0]
         self.tails = [((), 0, False)]
         for index in weights[1:]:
             self.tails = [(tail + (k,), w + w_k, nonzero or d_k > 0)
                           for tail, w, nonzero in self.tails
                           for k, (w_k, d_k) in enumerate(index)]
-        self.shapes = {(l, i): (n, dimH[(l, i)], m) + indexed[i - 1]
+        self.shapes = {(l, i): (n, dimH[(l, i)], m) + indexed[m]
                        for l, n in enumerate(n_mult, 1)
                        for i, m in enumerate(m_mult, 1)}
         self.tables = {}
@@ -248,14 +249,17 @@ def _row(memo, k1, mu):
     return None, tie
 
 
-def _witness(memo, per_index, ks):
-    """The family ks of subspaces M'_i and its minimal N'_l: the echelon
-    rows of its block images in N_l, stacked, as a Subspace."""
+def _witness(memo, ks):
+    """The family ks of subspaces M'_i and its minimal N'_l, the canonical
+    echelon basis (ops.echelon) of its block images in N_l, stacked, as
+    Subspaces built from their canonical bases."""
+    columns = memo.ops.columns
     spans = {}
     for l, (n, row) in enumerate(zip(memo.n_mult, memo.images), 1):
         stacked = [v for col, k in zip(row, ks) for v in col[k]]
-        spans[l] = Subspace(n, memo.ops.columns(stacked, n))
-    return tuple(subs[k] for subs, k in zip(per_index, ks)), spans
+        spans[l] = Subspace._from_canonical(columns(memo.ops.echelon(stacked), n))
+    return tuple(Subspace._from_canonical(columns(bases[k], m))
+                 for bases, m, k in zip(memo.per_index, memo.m_mult, ks)), spans
 
 
 def _verdict(f, walk, dimH, m_mult, n_mult, lam, mu, budget):
@@ -269,8 +273,7 @@ def _verdict(f, walk, dimH, m_mult, n_mult, lam, mu, budget):
     not stable, or None; the walk stops at the first that is not
     semistable. A kept translate is read back from the image tables of
     the blocks that the walk changed."""
-    per_index = _subspace_lists(f.p, m_mult, budget)
-    memo = _WalkMemo(f, per_index, dimH, m_mult, n_mult, lam)
+    memo = _WalkMemo(f, _subspace_lists(f, m_mult, budget), dimH, m_mult, n_mult, lam)
     walk = iter(walk)
     fam = next(walk)
     for key in memo.shapes:
@@ -283,7 +286,7 @@ def _verdict(f, walk, dimH, m_mult, n_mult, lam, mu, budget):
         if not st and (kept is None or not ss):
             moved = {key: _table_block(memo, key, table)
                      for key, table in memo.tables.items() if table is not first[key]}
-            kept = ({**fam, **moved}, _witness(memo, per_index, ks))
+            kept = ({**fam, **moved}, _witness(memo, ks))
         if not ss:
             return False, False, kept
         stable = stable and st
@@ -308,9 +311,9 @@ def _check_polarization(inst, pol):
 def _instance_verdict(inst, walk, pol, budget):
     """_verdict of a walk of the instance's families under pol, its
     weights cleared of their common denominator."""
-    den = lcm(*(Fraction(x).denominator for x in chain(pol.lam, pol.mu)))
-    lam = [(Fraction(x) * den).numerator for x in pol.lam]
-    mu = [(Fraction(x) * den).numerator for x in pol.mu]
+    den = lcm(*(x.denominator for x in chain(pol.lam, pol.mu)))
+    lam = [x.numerator * (den // x.denominator) for x in pol.lam]
+    mu = [x.numerator * (den // x.denominator) for x in pol.mu]
     return _verdict(inst.h.field, walk, inst.h.dimH, inst.m_mult,
                     inst.n_mult, lam, mu, budget)
 
@@ -521,17 +524,19 @@ def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
     by each source step. A source step leaves the walk of the target
     digits at their top, p - 1 each, and resets them all to 0, which
     adds the first target carry sum at mid_u: its change is the source
-    carry sum plus that."""
+    carry sum plus that. The carry sums are built when the walk takes its
+    first step, so a walk that stops at the family builds none; the
+    budget is checked before the family is yielded."""
     p = _require_finite(inst.h.field)
     shapes, _ = _unipotent_parameters(inst, budget=budget)
     units = [((src, a, b), rows, cols, entry) for src, a, b, rows, cols in shapes
              for entry in range(rows * cols)]
     source = [u for u in units if u[0][0]]
     target = [u for u in units if not u[0][0]]
+    yield fam
     steps = _carry_sums(inst, fam, source)
     shifts = [_carry_sums(inst, step, target) for step in steps]
     sums = _carry_sums(inst, fam, target)
-    yield fam
     yield from map(sums.__getitem__, _rises(len(sums), p))
     for k in _rises(len(steps), p):
         yield _plus(steps[k], sums[0]) if sums else steps[k]

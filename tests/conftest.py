@@ -13,7 +13,8 @@ from mutation_forge.mutation import build_dual, default_choice, mutate
 from mutation_forge.homdata import (Polarization, build_theta_p,
                                     dual_point_to_mutated,
                                     instance_left_element, mutated_instance,
-                                    projective_space_hom_data)
+                                    projective_space_hom_data,
+                                    transpose_hom_data)
 
 QQ = Field()
 
@@ -114,6 +115,20 @@ def kronecker_instance(field, q, m, n):
     assert h.dimH[(1, 1)] == q
     inst = build_theta_p(h, [m], [n], 0)
     return inst, Polarization([Fraction(1, m)], [Fraction(1, n)], [m], [n])
+
+
+def transposed_family(inst, fam):
+    """(inst_t, fam_t): the transposed instance, of transpose_hom_data(h)
+    with multiplicities (n reversed, m reversed) at cut 0, and the
+    transpose of the family, whose block at (r + 1 - i, s + 1 - l) is
+    x_(l,i) : H_li (x) M_i -> N_l read as H_li (x) N_l* -> M_i*, regrouped
+    from [n_l] x [H_li, m_i] to [m_i] x [H_li, n_l]. Multiplicities with no
+    instance at cut 0 are a ValueError of build_theta_p."""
+    h = inst.h
+    inst_t = build_theta_p(transpose_hom_data(h), inst.n_mult[::-1], inst.m_mult[::-1], 0)
+    return inst_t, {(h.r + 1 - i, h.s + 1 - l): x.regroup(
+        [inst.n_mult[l - 1]], [h.dimH[(l, i)], inst.m_mult[i - 1]], [2], [1, 0])
+        for (l, i), x in fam.items()}
 
 
 def mutated_point(inst, w):

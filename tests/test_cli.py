@@ -314,6 +314,27 @@ def test_hom_data_keys_name_their_entry(tmp_path, capsys):
         "dropped": "error: missing key [1, 1] in dimH\n"}
 
 
+@pytest.mark.parametrize("command", ["stability", "polarization"])
+def test_hom_data_key_of_no_chain_is_a_usage_error(command, tmp_path, capsys):
+    """Each command that reads an instance refuses a Hom space that no
+    chain of objects names, with one error line that names its key and
+    dict, where a stray entry was once kept unread."""
+    spec = _input_json("stability")
+    spec["hom"]["dimH"].append({"key": [9, 9], "dim": 4})
+    assert main([command, "--instance", _write(tmp_path, "inst.json", spec)]) == 2
+    assert capsys.readouterr() == ("", "error: key [9, 9] in dimH names no chain of objects\n")
+
+
+@pytest.mark.parametrize("command", ["stability", "polarization"])
+def test_repeated_hom_data_key_is_a_usage_error(command, tmp_path, capsys):
+    """A second copy of a Hom space's entry is refused with one error line
+    that names its key and dict, where it once overwrote the first."""
+    spec = _input_json("stability")
+    spec["hom"]["dimH"].append(dict(spec["hom"]["dimH"][0]))
+    assert main([command, "--instance", _write(tmp_path, "inst.json", spec)]) == 2
+    assert capsys.readouterr() == ("", "error: key [1, 1] is listed twice in dimH\n")
+
+
 @pytest.mark.parametrize("obj, key", [("psi2", "rows"), (None, "phi1")])
 def test_missing_point_key_names_itself(obj, key, tmp_path, capsys):
     inst, theta_path = _p2_theta(tmp_path)

@@ -96,7 +96,7 @@ def test_stability_enumerates_subspaces_in_one_place():
     Kronecker module, which is Gred on its instance) is decided by the one
     reductive core over one list of subspaces."""
     path = Path(mutation_forge.__file__).parent / "stability.py"
-    assert callers_of(path.read_text(), "enumerate_subspaces") == {"_subspace_lists"}
+    assert callers_of(path.read_text(), "subspace_bases") == {"_subspace_lists"}
 
 
 def test_every_hom_system_is_built_on_its_chain():

@@ -413,6 +413,32 @@ def test_hom_data_json_round_trip_byte_identical():
         assert s1 == s2
 
 
+@pytest.mark.parametrize("what, entry", [("dimH", {"key": [9, 9], "dim": 4}),
+                                         ("comp_HA", {"key": [1, 2, 3], "matrix": {
+                                             "rows": 1, "cols": 1, "entries": ["1/1"]}})])
+def test_hom_data_reader_refuses_a_key_of_no_chain(what, entry):
+    """An entry whose key names no chain of objects of the type is an
+    error that names its key and dict."""
+    d = hom_data_to_json(projective_space_hom_data(Field(2), 1, [-2, -1], [0]))
+    d[what].append(entry)
+    key = entry["key"]
+    with pytest.raises(ValueError, match=r"^key \[%s\] in %s names no chain of objects$"
+                       % (", ".join(map(str, key)), what)):
+        hom_data_from_json(d)
+
+
+@pytest.mark.parametrize("what", ["dimA", "comp_BH"])
+def test_hom_data_reader_refuses_a_repeated_key(what):
+    """A key listed twice is an error that names it and its dict, even
+    when both entries agree, and however far apart they are."""
+    d = hom_data_to_json(projective_space_hom_data(Field(2), 1, [-2, -1], [0, 1]))
+    d[what].append(dict(d[what][0]))
+    key = d[what][0]["key"]
+    with pytest.raises(ValueError, match=r"^key \[%s\] is listed twice in %s$"
+                       % (", ".join(map(str, key)), what)):
+        hom_data_from_json(d)
+
+
 def test_family_point_round_trip():
     rng = random.Random(45)
     inst = full_p1_instance()

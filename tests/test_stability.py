@@ -4,13 +4,14 @@ families, the unipotent orbit, and the mutation comparison."""
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mutation_forge.exactfield import (ExactMatrix, Field, Subspace,
-                                       enumerate_subspaces)
+                                       enumerate_subspaces, gaussian_binomial,
+                                       packing, subspace_bases)
 from mutation_forge.theta import MorphismPoint, in_W0
 from mutation_forge.homdata import (Polarization, _on_chain, build_theta_p,
                                     projective_space_hom_data,
@@ -26,7 +27,7 @@ from mutation_forge.stability import (DEFAULT_BUDGET, StabilityVerdict,
 from conftest import (assert_double_mutation_returns, has_canonical_scalars,
                       image_subspace, kronecker_instance, mutated_point,
                       random_w0_point, rnd_invertible, subspace_contains,
-                      subspace_sum)
+                      subspace_sum, transposed_family)
 
 F2 = Field(2)
 
@@ -527,6 +528,55 @@ ORACLE_CASES = [
 ]
 
 
+def reference_subspaces(q, n, d):
+    """The canonical bases of the d-dimensional subspaces of GF(q)^n as
+    dense matrices, written entry by entry: 1 at each pivot row and every
+    value at each free position (below its pivot, in no pivot row), by
+    pivot rows and then by the values at the free positions, column by
+    column and top down, the first slowest."""
+    field = Field(q)
+    out = []
+    for pivots in combinations(range(n), d):
+        free = [(r, c) for c in range(d) for r in range(n)
+                if r > pivots[c] and r not in pivots]
+        for values in product(range(q), repeat=len(free)):
+            B = ExactMatrix.zeros(field, n, d)
+            for c, r in enumerate(pivots):
+                B.data[r][c] = 1
+            for (r, c), v in zip(free, values):
+                B.data[r][c] = v
+            out.append(B)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_packed_subspace_lists_match_dense_reference(data):
+    """A verdict's subspace lists (_subspace_lists) are the packed bases
+    of exactfield.subspace_bases, dimension by dimension: each is the
+    packed columns of the enumerate_subspaces entry at the same place,
+    whose basis is reference_subspaces' dense one, and there are
+    gaussian_binomial of them; indices with equal m_i share one list."""
+    p = data.draw(st.sampled_from([2, 3, 5, 65521]))
+    m_mult = data.draw(st.lists(st.integers(1, 2 if p == 65521 else 4), min_size=1, max_size=3))
+    field = Field(p)
+    pack = packing(field).pack_columns
+    per_index = stability._subspace_lists(field, m_mult, 10 ** 15)
+    for m, bases in dict(zip(m_mult, per_index)).items():
+        at = 0
+        for d in range(m + 1):
+            subs = enumerate_subspaces(p, m, d)
+            assert len(subs) == gaussian_binomial(p, m, d)
+            assert [S.basis for S in subs] == reference_subspaces(p, m, d)
+            packed = [tuple(pack(S.basis)) for S in subs]
+            assert list(subspace_bases(field, m, d)) == packed
+            assert bases[at:at + len(subs)] == packed
+            at += len(subs)
+        assert at == len(bases)
+    assert all((a is b) == (m == k) for m, a in zip(m_mult, per_index)
+               for k, b in zip(m_mult, per_index))
+
+
 @lru_cache(maxsize=None)
 def _oracle_instance(case):
     p, e, f, m, n, _ = case
@@ -973,6 +1023,50 @@ def test_orbit_walk_matches_reference_orbit(data):
         assert all(has_canonical_scalars(x) for x in moved.values())
 
 
+@lru_cache(maxsize=None)
+def _duality_cases():
+    """(instance, its transpose, whether to walk G) for every case of
+    ORACLE_CASES and WALK_CASES whose transpose has an instance at cut 0
+    (transposed_family), all but the GF(3) walk of m=(1,2), n=(1), whose
+    transpose would have n'_1 = 2 = dim N2'; and but GF(65521), whose
+    transposed Gred verdict scans the 65 524 subspaces of GF(65521)^2,
+    about 2 s a draw."""
+    out = []
+    for inst, walk in ([(_oracle_instance(case), case[-1]) for case in ORACLE_CASES
+                        if case[0] != 65521]
+                       + [(_walk_instance(case), True) for case in WALK_CASES]):
+        try:
+            out.append((inst, transposed_family(inst, {})[0], walk))
+        except ValueError:
+            pass
+    assert len(out) == len(ORACLE_CASES) + len(WALK_CASES) - 2
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_transposed_point_has_the_same_verdict(data):
+    """King's duality: a family x and its transpose x^T
+    (transposed_family) get the same (semistable, stable) under pol and
+    pol.transpose(), for Gred and, where the case walks, for G. Each side
+    records the first family in its own order, so witnesses are not
+    compared. The transpose of an s = 1 instance has r = 1, so its G walk
+    has target units only where x's has source units only: each side of
+    the walk is checked against the other."""
+    inst, inst_t, walk = data.draw(st.sampled_from(_duality_cases()))
+    m, n = inst.m_mult, inst.n_mult
+    fam = _random_family(inst, data)
+    _, fam_t = transposed_family(inst, fam)
+    weights = [data.draw(st.lists(st.integers(1, 3), min_size=len(d), max_size=len(d)))
+               for d in (m, n)]
+    pol = Polarization(*[[Fraction(x, sum(y * k for y, k in zip(w, d))) for x in w]
+                         for w, d in zip(weights, (m, n))], m, n)
+    for group in ("Gred", "G") if walk else ("Gred",):
+        v = is_semistable_rs(inst, fam, pol, group=group)
+        v_t = is_semistable_rs(inst_t, fam_t, pol.transpose(), group=group)
+        assert (v.semistable, v.stable) == (v_t.semistable, v_t.stable), group
+
+
 @pytest.mark.parametrize("kind", ["source", "target", "both"])
 @pytest.mark.parametrize("p", [2, 3, 5])
 @settings(max_examples=12, deadline=None)
@@ -1035,6 +1129,44 @@ def test_target_carry_sums_follow_the_source_steps(monkeypatch):
     assert calls["apply_unipotent"] == []
 
 
+# psi2 of a Gred-unstable point of P^1 e=(-2,-1) f=(0), m=(2,3), n=(4)
+# over GF(2) under lam = (1/5, 1/5), mu = (1/4): perfbench's B_UNSTABLE,
+# pinned through the console script in CI
+B_UNSTABLE = "001101001101100111100000101110100111110001001010"
+
+
+def test_carry_sums_wait_for_the_first_step(monkeypatch):
+    """The walk builds its carry sums when it takes its first step. A G
+    verdict on the Gred-unstable point B_UNSTABLE stops at its first
+    translate and makes no unit change (_unit_change); a walk that goes
+    to its end makes one per unit of each carry sum, |source| +
+    |source| * |target| + |target| = 8 + 16 + 2 on P^1 e=(-2,-1) f=(0,1),
+    m=(2,2), n=(1,1), where zero weights keep every translate
+    semistable."""
+    calls = []
+    unit_change = stability._unit_change
+    monkeypatch.setattr(stability, "_unit_change",
+                        lambda *args: calls.append(args) or unit_change(*args))
+    inst = _unipotent_instance(2, (1, (-2, -1), (0,)), (2, 3), (4,))
+    t = inst.theta
+    w = MorphismPoint(t, ExactMatrix.zeros(F2, 0, 4),
+                      ExactMatrix.from_flat(F2, 12, 4, [int(c) for c in B_UNSTABLE]),
+                      ExactMatrix.zeros(F2, 0, 1), ExactMatrix.zeros(F2, 0, 1))
+    pol = Polarization([Fraction(1, 5)] * 2, [Fraction(1, 4)], [2, 3], [4])
+    assert not is_semistable_rs(inst, w, pol, group="Gred").semistable
+    assert not is_semistable_rs(inst, w, pol, group="G").semistable
+    assert calls == []
+    inst = _unipotent_instance(2, (1, (-2, -1), (0, 1)), (2, 2), (1, 1))
+    h = inst.h
+    rng = random.Random(21)
+    fam = {(l, i): ExactMatrix.from_flat(h.field, 1, 2 * h.dimH[(l, i)],
+                                         [rng.randrange(2) for _ in range(2 * h.dimH[(l, i)])])
+           for l in (1, 2) for i in (1, 2)}
+    ss, _, _ = stability._verdict(h.field, enumerate_unipotent_orbit(inst, fam), h.dimH,
+                                  inst.m_mult, inst.n_mult, [0, 0], [0, 0], DEFAULT_BUDGET)
+    assert ss and len(calls) == 8 + 8 * 2 + 2
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_unit_changes_are_the_changes_of_apply_unipotent(data):
@@ -1079,7 +1211,7 @@ def test_equal_spans_share_an_image_key(monkeypatch):
     image afresh."""
     inst = _oracle_instance(ORACLE_CASES[0])
     h = inst.h
-    per_index = stability._subspace_lists(2, inst.m_mult, DEFAULT_BUDGET)
+    per_index = stability._subspace_lists(h.field, inst.m_mult, DEFAULT_BUDGET)
     memo = stability._WalkMemo(h.field, per_index, h.dimH, inst.m_mult, inst.n_mult, [1, 1])
     echelons = []
     echelon = memo.ops.echelon
