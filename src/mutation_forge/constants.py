@@ -22,7 +22,7 @@ from math import lcm
 from operator import xor
 
 from .exactfield import (ExactMatrix, Subspace, _forward_rank, _parity_rows,
-                         enumerate_subspaces, gaussian_binomial, xor_rank)
+                         gaussian_binomial, packing, subspace_bases, xor_rank)
 from .homdata import _monomials
 from .theta import scalar_to_str, vec_row_major
 
@@ -307,9 +307,10 @@ def c_tau_search(t, m, budget=10 ** 5, seed=0, samples=1000, reference=None):
             raise ValueError("exhaustive scan budget exceeded: more than %d subspaces"
                              % budget)
         mode = "exhaustive-gf%d" % p
-        spans = ((S.basis, d) for d in range(1, ambient)
-                 for S in enumerate_subspaces(p, ambient, d, budget=budget)
-                 if _spans_m(S.basis, t.dim_h, m))
+        columns = packing(t.field).columns
+        bases = (columns(basis, ambient) for d in range(1, ambient)
+                 for basis in subspace_bases(t.field, ambient, d))
+        spans = ((B, B.cols) for B in bases if _spans_m(B, t.dim_h, m))
     else:
         if ambient * (ambient - 1) > TAU_CELLS:   # refused before any draw
             raise ValueError("random draws in H (x) M of dim %d may have %d cells, "

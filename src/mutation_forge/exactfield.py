@@ -635,7 +635,8 @@ class _Residues:
         return tuple(map(tuple, rows[:len(pivots)]))
 
     def rank(self, vectors):
-        return len(self.echelon(vectors))
+        rows = list(vectors)
+        return _forward_rank(self.field, rows, len(rows[0]) if rows else 0)
 
     def images(self, x, dim_h, m, coefficients):
         """One product of the stacked coefficients with x regrouped to

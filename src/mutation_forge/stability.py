@@ -83,17 +83,16 @@ class _WalkMemo:
     subspace of M_1, and tails lists each choice of subspaces of the other
     indices, in product order, with its lam-weight and whether one of them
     is nonzero. tables[(l, i)] is the image table of the block at the
-    current translate, and images[l - 1][i - 1] and keys[l - 1][i - 1] its
-    images and their keys (ids interns each image as an int); spans maps
-    each tuple of generators that an image was read from to the image and
-    its key, so equal generators are eliminated once per verdict; changes
-    maps the id of each live change seen in the walk to a weak reference
-    to it and the image tables of its blocks. dims maps a tuple of keys in
-    N_l to the dimension of the span, and rows maps the keys of every
-    index but the first to a dict of the rows of _families."""
+    current translate, and images[l - 1][i - 1] the tuple of its images,
+    one canonical echelon basis per subspace of M_i; spans maps each tuple
+    of generators that an image was read from to the image, so equal
+    generators are eliminated once per verdict; changes maps the id of
+    each live change seen in the walk to a weak reference to it and the
+    image tables of its blocks. rows maps the images of every index but
+    the first to a dict of the rows of _families."""
 
     __slots__ = ("ops", "per_index", "m_mult", "n_mult", "heads", "tails", "shapes",
-                 "tables", "images", "keys", "spans", "changes", "ids", "dims", "rows")
+                 "tables", "images", "spans", "changes", "rows")
 
     def __init__(self, field, per_index, dimH, m_mult, n_mult, lam):
         self.ops = packing(field)
@@ -117,11 +116,8 @@ class _WalkMemo:
                        for i, m in enumerate(m_mult, 1)}
         self.tables = {}
         self.images = [[None] * len(m_mult) for _ in n_mult]
-        self.keys = [[None] * len(m_mult) for _ in n_mult]
         self.spans = {}
         self.changes = {}
-        self.ids = {}
-        self.dims = {}
         self.rows = {}
 
 
@@ -144,27 +140,23 @@ def _table_block(memo, key, table):
 
 
 def _set_table(memo, key, table):
-    """Make table the image table of the block x_key, with its images
-    and their keys. The image of x_key(H (x) M') is the canonical
-    echelon basis (ops.echelon) of the images of h (x) c for every basis
-    vector h of H and c of M', read once per verdict for each tuple of
-    those generators (memo.spans): an image's key comes from ids on its
-    echelon basis, so generators with the same span share a key."""
-    echelon, bases = memo.ops.echelon, memo.shapes[key][4]
-    spans, ids = memo.spans, memo.ids
-    images, keys = [], []
-    for basis in bases:
+    """Make table the image table of the block x_key, with its images.
+    The image of x_key(H (x) M') is the canonical echelon basis
+    (ops.echelon) of the images of h (x) c for every basis vector h of H
+    and c of M', read once per verdict for each tuple of those generators
+    (memo.spans); equal spans have equal echelon bases, so the image is
+    its own key."""
+    echelon, spans = memo.ops.echelon, memo.spans
+    images = []
+    for basis in memo.shapes[key][4]:
         gens = tuple([s[c] for s in table for c in basis])
-        span = spans.get(gens)
-        if span is None:
-            img = echelon(gens)
-            span = spans[gens] = (img, ids.setdefault(img, len(ids)))
-        images.append(span[0])
-        keys.append(span[1])
+        img = spans.get(gens)
+        if img is None:
+            img = spans[gens] = echelon(gens)
+        images.append(img)
     l, i = key
     memo.tables[key] = table
-    memo.images[l - 1][i - 1] = images
-    memo.keys[l - 1][i - 1] = tuple(keys)
+    memo.images[l - 1][i - 1] = tuple(images)
 
 
 def _gred_core(memo, change, mu):
@@ -175,7 +167,7 @@ def _gred_core(memo, change, mu):
     once per verdict, as the walk yields the same changes again and
     again; the memo keeps them while the change lives, so it holds no
     more tables than the walk holds changes. A block's images are read
-    off its table again only when it changes, a family costs one lookup
+    off its table again only when it changes, a family costs one rank
     per l, and a row of families seen before (_families) costs one
     lookup. Returns (semistable, stable, ks): ks indexes the recorded
     family in the subspace lists, or is None."""
@@ -194,21 +186,19 @@ def _gred_core(memo, change, mu):
 
 def _families(memo, mu):
     """The family loop of _gred_core: (semistable, stable, ks) from the
-    images of memo and their keys, row by row. A row is every family
-    with one subspace M'_1, and families come in product order, so the
-    first violating family is the first violation of the first row that
-    has one, and the first tie (a nonzero family on the line, recorded
-    when no family violates) is the first tie of the first row that has
-    one.
-    A row's outcome depends on M'_1 only through its dimension and the
-    keys of its images, and otherwise on the keys of the other indices
-    alone: each distinct row is scanned once per verdict."""
-    keys = memo.keys
-    rows = memo.rows.setdefault(tuple(chain.from_iterable(key_row[1:] for key_row in keys)),
-                                {})
+    images of memo, row by row. A row is every family with one subspace
+    M'_1, and families come in product order, so the first violating
+    family is the first violation of the first row that has one, and the
+    first tie (a nonzero family on the line, recorded when no family
+    violates) is the first tie of the first row that has one.
+    A row's outcome depends on M'_1 only through its dimension and its
+    images, and otherwise on the images of the other indices alone: each
+    distinct row is scanned once per verdict."""
+    images = memo.images
+    rows = memo.rows.setdefault(tuple(chain.from_iterable(row[1:] for row in images)), {})
     tie = None
     for k1, (_, d1) in enumerate(memo.heads):
-        head = (d1,) + tuple(key_row[0][k1] for key_row in keys)
+        head = (d1,) + tuple(row[0][k1] for row in images)
         row = rows.get(head)
         if row is None:
             row = rows[head] = _row(memo, k1, mu)
@@ -226,18 +216,12 @@ def _row(memo, k1, mu):
     subspace: (the first violating choice of the other indices or None,
     the first tie before it or None). A family with every N'_l = N_l is
     neither."""
-    dims, n_mult, rank = memo.dims, memo.n_mult, memo.ops.rank
+    n_mult, rank = memo.n_mult, memo.ops.rank
     w1, d1 = memo.heads[k1]
     tie = None
     for tail, w, nonzero in memo.tails:
         ks = (k1,) + tail
-        dims_n = []
-        for row, key_row in zip(memo.images, memo.keys):
-            key = tuple(map(getitem, key_row, ks))
-            d = dims.get(key)
-            if d is None:
-                d = dims[key] = rank(chain.from_iterable(map(getitem, row, ks)))
-            dims_n.append(d)
+        dims_n = [rank(chain.from_iterable(map(getitem, row, ks))) for row in memo.images]
         if dims_n == n_mult:
             continue
         lhs = w1 + w
@@ -612,18 +596,6 @@ def compare_hypotheses(pol, p):
     hyp_forward = head <= Fraction(pol.mu[0])
     hyp_backward = Fraction(pol.mu[0]) >= Fraction(1, pol.n_mult[0] + 1)
     return hyp_forward, hyp_backward
-
-
-def unstable_outside_w0_bound(pol, p):
-    """The slope bound under which points outside the open locus cannot
-    be semistable: mu_1 < (sum_{j>p} lam_j m_j) / (n_1 - 1); for
-    n_1 = 1 the bound is vacuous (treated as +infinity, always true)."""
-    tail = sum(Fraction(pol.lam[j]) * pol.m_mult[j]
-               for j in range(p, len(pol.lam)))
-    n1 = pol.n_mult[0]
-    if n1 <= 1:
-        return True
-    return Fraction(pol.mu[0]) < tail / (n1 - 1)
 
 
 def compare_stability(inst, w, pol, group="G", budget=DEFAULT_BUDGET):

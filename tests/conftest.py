@@ -8,9 +8,9 @@ from functools import lru_cache
 from mutation_forge.exactfield import (ExactMatrix, Field, Subspace, kernel_basis,
                                        kernel_coordinates, kernel_data,
                                        solve_linear)
-from mutation_forge.theta import MorphismPoint, ThetaSpace, act, in_W0
+from mutation_forge.theta import MAPS, MorphismPoint, ThetaSpace, act, in_W0
 from mutation_forge.mutation import build_dual, default_choice, mutate
-from mutation_forge.homdata import (Polarization, build_theta_p,
+from mutation_forge.homdata import (HomData, Polarization, build_theta_p,
                                     dual_point_to_mutated,
                                     instance_left_element, mutated_instance,
                                     projective_space_hom_data,
@@ -65,6 +65,27 @@ def random_w0_point(theta, rng, tries=200, lo=-2, hi=2):
         if in_W0(w):
             return w
     raise RuntimeError("no point of W0 found")
+
+
+def reduce_mod(obj, field):
+    """A rational ExactMatrix, HomData, ThetaSpace or MorphismPoint
+    reduced into the prime field, entry by entry (field.of); a
+    denominator that p divides is a NotInField error."""
+    if isinstance(obj, ExactMatrix):
+        return ExactMatrix.of_rows(field, [list(map(field.of, row)) for row in obj.data],
+                                   obj.cols)
+    if isinstance(obj, HomData):
+        return HomData(field, obj.r, obj.s, obj.dimH, obj.dimA, obj.dimB,
+                       *({k: reduce_mod(x, field) for k, x in comps.items()}
+                         for comps in (obj.comp_HA, obj.comp_BH, obj.comp_AA, obj.comp_BB)))
+    if isinstance(obj, ThetaSpace):
+        # every dimension but dim N, which the constructor derives
+        return ThetaSpace(field, *obj.dims()[:-1],
+                          *(reduce_mod(getattr(obj, name), field) for name, _, _ in MAPS))
+    if isinstance(obj, MorphismPoint):
+        return MorphismPoint(reduce_mod(obj.theta, field),
+                             *(reduce_mod(x, field) for x in obj.parts()))
+    raise TypeError("cannot reduce %r" % (obj,))
 
 
 # -- the subspace lattice, as references -------------------------------

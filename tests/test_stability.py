@@ -22,8 +22,8 @@ from mutation_forge.stability import (DEFAULT_BUDGET, StabilityVerdict,
                                       _unipotent_parameters, apply_unipotent,
                                       compare_hypotheses, compare_stability,
                                       enumerate_unipotent_orbit,
-                                      gred_semistable, is_semistable_rs,
-                                      unstable_outside_w0_bound)
+                                      gred_semistable, is_semistable_rs)
+from mutation_forge.thresholds import thm56_range
 from conftest import (assert_double_mutation_returns, has_canonical_scalars,
                       image_subspace, kronecker_instance, mutated_point,
                       random_w0_point, rnd_invertible, subspace_contains,
@@ -321,7 +321,8 @@ def test_console_script_g_verdicts_keep_their_translate_and_witness(p):
 
 def test_points_outside_w0_unstable_under_slope_bound():
     inst, pol = _ac5_instance()
-    assert unstable_outside_w0_bound(pol, inst.p)
+    conditions = dict(thm56_range(pol.lam, pol.mu, pol.m_mult, pol.n_mult, inst.p).conditions)
+    assert conditions["right"]
     for w in _all_points(inst):
         if in_W0(w):
             continue
@@ -654,8 +655,8 @@ SPLIT_WALKS = [(0, 6), (6, 0), (0, 7), (7, 0), (0, 8), (8, 0)]
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_verdict_memo_matches_memo_free_walk(data):
-    """_verdict shares image tables, block images, span dimensions and
-    the rows of families between the translates of a walk, which it is
+    """_verdict shares image tables, block images and the rows of
+    families between the translates of a walk, which it is
     given as its first family and then the change to each next one; its
     verdict and witness, the kept translate included, equal
     reference_gred run afresh at every translate. A step between two
@@ -1225,11 +1226,11 @@ def test_equal_spans_share_an_image_key(monkeypatch):
     for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 1, 0], [0, 1, 0]]):
         stability._set_table(memo, (1, 1), stability._image_table(
             memo, (1, 1), ExactMatrix(h.field, rows)))
-        keys.append(memo.keys[0][0])
+        keys.append(memo.images[0][0])
     gens = [vectors for vectors in echelons if len(vectors) == 3]
     assert len(gens) == 2 and gens[0] != gens[1]
     assert keys[0][-1] == keys[1][-1]
     assert memo.images[0][0][-1] == memo.ops.echelon(gens[0])
     seen = len(echelons)
     stability._set_table(memo, (1, 1), memo.tables[(1, 1)])
-    assert len(echelons) == seen and memo.keys[0][0] == keys[1]
+    assert len(echelons) == seen and memo.images[0][0] == keys[1]
