@@ -326,10 +326,17 @@ def c_tau_search(t, m, budget=10 ** 5, seed=0, samples=1000, reference=None):
         # generic by construction (m <= dim H), so only properness is checked
         _require_proper(wit.dim, ambient)
         witness_value = _delta(t, tau_m, wit.basis, wit.dim, m)
-    values = [_delta(t, tau_m, B, d, m) for B, d in spans]
-    empty = not values and witness_value is None
-    max_found = Fraction(0) if empty else max(values, default=None)
-    return SearchReport(witness_value, max_found, mode, len(values), seed,
+    # a running count and maximum: the scan keeps no delta
+    scored, max_found = 0, None
+    for B, d in spans:
+        value = _delta(t, tau_m, B, d, m)
+        scored += 1
+        if max_found is None or value > max_found:
+            max_found = value
+    empty = not scored and witness_value is None
+    if empty:
+        max_found = Fraction(0)
+    return SearchReport(witness_value, max_found, mode, scored, seed,
                         empty_sup=empty, reference=reference)
 
 

@@ -180,9 +180,18 @@ def projective_space_hom_data(field, n, e, f_list):
         # Hom(O(a), O(b)) = Sym^(b - a)
         return twist[b[0]][b[1] - 1] - twist[a[0]][a[1] - 1]
 
+    tensors = {}
+
+    def comp(c, b, a):
+        # chains with equal degrees share one tensor, built once per call;
+        # no caller writes into a composition tensor
+        degs = (deg(c, b), deg(b, a))
+        if degs not in tensors:
+            tensors[degs] = _sym_mult(field, n + 1, *degs)
+        return tensors[degs]
+
     return _on_chain(field, len(e), len(f_list),
-                     lambda b, a: len(_monomials(n + 1, deg(b, a))),
-                     lambda c, b, a: _sym_mult(field, n + 1, deg(c, b), deg(b, a)))
+                     lambda b, a: len(_monomials(n + 1, deg(b, a))), comp)
 
 
 # -- Theta instances of a splitting -----------------------------------

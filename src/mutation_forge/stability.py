@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import lcm
-from operator import getitem, mul
+from operator import getitem, itemgetter, mul
 from weakref import ref
 
 from .exactfield import ExactMatrix, Subspace, packing, subspace_bases, subspace_count
@@ -77,22 +77,29 @@ class _WalkMemo:
     vectors lists the distinct basis vectors of the subspaces of M_i, and
     bases each subspace's basis as indices into vectors, the last being
     M_i itself, whose canonical basis is the identity; indices with equal
-    m_i share one list, indexed once. An image table of x_(l,i) holds, for
-    each basis vector h of H_li, the packed x_(l,i)(h (x) c) for c in
-    vectors. heads[k] is the lam-weight and the dimension of the k-th
-    subspace of M_1, and tails lists each choice of subspaces of the other
-    indices, in product order, with its lam-weight and whether one of them
-    is nonzero. tables[(l, i)] is the image table of the block at the
-    current translate, and images[l - 1][i - 1] the tuple of its images,
-    one canonical echelon basis per subspace of M_i; spans maps each tuple
-    of generators that an image was read from to the image, so equal
-    generators are eliminated once per verdict; changes maps the id of
+    m_i share one list, indexed once. An image table of x_(l,i) is one
+    flat list that holds, for each basis vector h of H_li in turn, the
+    packed x_(l,i)(h (x) c) for c in vectors: x_(l,i)(h (x) c) is at
+    h * len(vectors) + c. heads[k] is the lam-weight and the dimension of
+    the k-th subspace of M_1, and head_dims those dimensions alone; tails
+    lists each choice of subspaces of the other indices, in product
+    order, with its lam-weight and whether one of them is nonzero.
+    tables[(l, i)] is the image table of the block at the current
+    translate, and images[l - 1][i - 1] the tuple of its images, one
+    canonical echelon basis per subspace of M_i; spans maps each tuple of
+    generators that an image was read from to the image, so equal
+    generators are eliminated once per verdict; getters[(l, i)] holds,
+    for a block that the walk changes, one reader per subspace of M_i of
+    its generators in an image table (_getters); changes maps the id of
     each live change seen in the walk to a weak reference to it and the
     image tables of its blocks. rows maps the images of every index but
-    the first to a dict of the rows of _families."""
+    the first to a dict of the rows of _families, and tail_rows is that
+    dict for the current images, or None once a block x_(l,i) with
+    i > 1 has been set since it was looked up."""
 
-    __slots__ = ("ops", "per_index", "m_mult", "n_mult", "heads", "tails", "shapes",
-                 "tables", "images", "spans", "changes", "rows")
+    __slots__ = ("ops", "per_index", "m_mult", "n_mult", "heads", "head_dims", "tails",
+                 "shapes", "tables", "images", "spans", "getters", "changes", "rows",
+                 "tail_rows")
 
     def __init__(self, field, per_index, dimH, m_mult, n_mult, lam):
         self.ops = packing(field)
@@ -106,6 +113,7 @@ class _WalkMemo:
         weights = [[(lam_i * len(b), len(b)) for b in bases]
                    for lam_i, bases in zip(lam, per_index)]
         self.heads = weights[0]
+        self.head_dims = [d for _, d in self.heads]
         self.tails = [((), 0, False)]
         for index in weights[1:]:
             self.tails = [(tail + (k,), w + w_k, nonzero or d_k > 0)
@@ -117,18 +125,28 @@ class _WalkMemo:
         self.tables = {}
         self.images = [[None] * len(m_mult) for _ in n_mult]
         self.spans = {}
+        self.getters = {}
         self.changes = {}
         self.rows = {}
+        self.tail_rows = None
+
+
+def _per_h(memo, key, table):
+    """The image table of x_key cut into one list for each basis vector h
+    of H_li, of x_key(h (x) c) for c in vectors."""
+    _, dim_h, _, vectors, _ = memo.shapes[key]
+    v = len(vectors)
+    return [table[h * v:(h + 1) * v] for h in range(dim_h)]
 
 
 def _image_table(memo, key, x):
-    """The image table of x as a block, or a change to the block, x_key;
-    it is linear in x."""
+    """The image table of x as a block, or a change to the block, x_key,
+    flattened from ops.images; it is linear in x."""
     n, dim_h, m, vectors, _ = memo.shapes[key]
     if (x.rows, x.cols) != (n, dim_h * m):
         raise ValueError("block %r is %dx%d, expected %dx%d"
                          % (key, x.rows, x.cols, n, dim_h * m))
-    return memo.ops.images(x, dim_h, m, vectors)
+    return list(chain.from_iterable(memo.ops.images(x, dim_h, m, vectors)))
 
 
 def _table_block(memo, key, table):
@@ -136,7 +154,27 @@ def _table_block(memo, key, table):
     h (x) (basis vector j) is the image of the j-th basis vector of M_i
     itself."""
     n, _, _, _, bases = memo.shapes[key]
-    return memo.ops.columns([s[c] for s in table for c in bases[-1]], n)
+    return memo.ops.columns([s[c] for s in _per_h(memo, key, table) for c in bases[-1]], n)
+
+
+def _getters(memo, key):
+    """For each subspace of M_i, a function of an image table of x_key
+    that gives the tuple of the images of h (x) c for every basis vector
+    h of H_li and c of the subspace, h major: an itemgetter over their
+    flat indices when there are two or more (over one it would give the
+    entry itself, not a tuple)."""
+    _, dim_h, _, vectors, bases = memo.shapes[key]
+    offsets = [h * len(vectors) for h in range(dim_h)]
+    out = []
+    for basis in bases:
+        flat = [o + c for o in offsets for c in basis]
+        if len(flat) > 1:
+            out.append(itemgetter(*flat))
+        elif flat:
+            out.append(lambda table, k=flat[0]: (table[k],))
+        else:
+            out.append(lambda table: ())
+    return out
 
 
 def _set_table(memo, key, table):
@@ -145,32 +183,43 @@ def _set_table(memo, key, table):
     (ops.echelon) of the images of h (x) c for every basis vector h of H
     and c of M', read once per verdict for each tuple of those generators
     (memo.spans); equal spans have equal echelon bases, so the image is
-    its own key."""
+    its own key. The generators are read by the block's getters when the
+    walk changes it (_getters), and otherwise off its lists per h
+    (_per_h). Setting a block x_(l,i) with i > 1 drops memo.tail_rows."""
+    getters = memo.getters.get(key)
+    if getters is None:
+        per_h = _per_h(memo, key, table)
+        # read one at a time: a Gred verdict passes here for every subspace
+        gens = (tuple([s[c] for s in per_h for c in basis]) for basis in memo.shapes[key][4])
+    else:
+        gens = [get(table) for get in getters]
     echelon, spans = memo.ops.echelon, memo.spans
     images = []
-    for basis in memo.shapes[key][4]:
-        gens = tuple([s[c] for s in table for c in basis])
-        img = spans.get(gens)
+    for g in gens:
+        img = spans.get(g)
         if img is None:
-            img = spans[gens] = echelon(gens)
+            img = spans[g] = echelon(g)
         images.append(img)
     l, i = key
     memo.tables[key] = table
     memo.images[l - 1][i - 1] = tuple(images)
+    if i > 1:
+        memo.tail_rows = None
 
 
 def _gred_core(memo, change, mu):
     """The reductive verdict at the next translate of the walk, which the
     change (a _Change, or empty) makes from the previous one, under the
     integer weights of memo and mu. Each changed block's image table
-    gains the table of its change. The tables of a change are computed
-    once per verdict, as the walk yields the same changes again and
-    again; the memo keeps them while the change lives, so it holds no
-    more tables than the walk holds changes. A block's images are read
-    off its table again only when it changes, a family costs one rank
-    per l, and a row of families seen before (_families) costs one
-    lookup. Returns (semistable, stable, ks): ks indexes the recorded
-    family in the subspace lists, or is None."""
+    gains the table of its change, by one ops.add. The tables of a change
+    are computed once per verdict, as the walk yields the same changes
+    again and again, and its blocks get their getters then; the memo
+    keeps the tables while the change lives, so it holds no more tables
+    than the walk holds changes. A block's images are read off its table
+    again only when it changes, a family costs one rank per l, and a row
+    of families seen before (_families) costs one lookup. Returns
+    (semistable, stable, ks): ks indexes the recorded family in the
+    subspace lists, or is None."""
     if change:
         cell = memo.changes.get(id(change))
         if cell is None:
@@ -178,9 +227,12 @@ def _gred_core(memo, change, mu):
             cell = memo.changes[id(change)] = (
                 ref(change, partial(memo.changes.pop, id(change))),
                 [(key, _image_table(memo, key, x)) for key, x in change.items()])
+            for key in change:
+                if key not in memo.getters:
+                    memo.getters[key] = _getters(memo, key)
         add = memo.ops.add
         for key, table in cell[1]:
-            _set_table(memo, key, list(map(add, memo.tables[key], table)))
+            _set_table(memo, key, add(memo.tables[key], table))
     return _families(memo, mu)
 
 
@@ -193,12 +245,17 @@ def _families(memo, mu):
     violates) is the first tie of the first row that has one.
     A row's outcome depends on M'_1 only through its dimension and its
     images, and otherwise on the images of the other indices alone: each
-    distinct row is scanned once per verdict."""
+    distinct row is scanned once per verdict. The rows of the current
+    images of the other indices (memo.tail_rows) are looked up again
+    only after one of those images has been set, and a row is keyed by
+    (dim M'_1, its image in N_1, ...)."""
     images = memo.images
-    rows = memo.rows.setdefault(tuple(chain.from_iterable(row[1:] for row in images)), {})
+    rows = memo.tail_rows
+    if rows is None:
+        rows = memo.tail_rows = memo.rows.setdefault(
+            tuple(chain.from_iterable(row[1:] for row in images)), {})
     tie = None
-    for k1, (_, d1) in enumerate(memo.heads):
-        head = (d1,) + tuple(row[0][k1] for row in images)
+    for k1, head in enumerate(zip(memo.head_dims, *[row[0] for row in images])):
         row = rows.get(head)
         if row is None:
             row = rows[head] = _row(memo, k1, mu)
@@ -508,8 +565,9 @@ def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
     by each source step. A source step leaves the walk of the target
     digits at their top, p - 1 each, and resets them all to 0, which
     adds the first target carry sum at mid_u: its change is the source
-    carry sum plus that. The carry sums are built when the walk takes its
-    first step, so a walk that stops at the family builds none; the
+    carry sum plus that. With no target parameters the source carry sums
+    are the walk's steps. The carry sums are built when the walk takes
+    its first step, so a walk that stops at the family builds none; the
     budget is checked before the family is yielded."""
     p = _require_finite(inst.h.field)
     shapes, _ = _unipotent_parameters(inst, budget=budget)
@@ -519,11 +577,14 @@ def enumerate_unipotent_orbit(inst, fam, budget=DEFAULT_BUDGET):
     target = [u for u in units if not u[0][0]]
     yield fam
     steps = _carry_sums(inst, fam, source)
+    if not target:
+        yield from map(steps.__getitem__, _rises(len(steps), p))
+        return
     shifts = [_carry_sums(inst, step, target) for step in steps]
     sums = _carry_sums(inst, fam, target)
     yield from map(sums.__getitem__, _rises(len(sums), p))
     for k in _rises(len(steps), p):
-        yield _plus(steps[k], sums[0]) if sums else steps[k]
+        yield _plus(steps[k], sums[0])
         sums = [_plus(t, d) for t, d in zip(sums, shifts[k])]
         yield from map(sums.__getitem__, _rises(len(sums), p))
 

@@ -158,6 +158,17 @@ def test_c_tau_rs_empty_sup():
     assert rep.max_found == 0
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ])
+def test_search_with_no_generic_subspace_is_empty(field):
+    """With dim H = 1 and m = 2 no proper subspace of H (x) M is generic
+    (each of its vectors spans at most a line of M) and m > dim H gives
+    no witness: every scan, exhaustive or seeded, scores nothing, and the
+    report is the empty supremum 0, flagged."""
+    t = TauMap(field, 1, 1, 1, ExactMatrix.identity(field, 1))
+    rep = c_tau_search(t, 2, samples=5)
+    assert (rep.empty_sup, rep.max_found, rep.samples, rep.witness_value) == (True, 0, 0, None)
+
+
 def test_search_rational_scan_below_closed_form():
     for which, build in ((0, sigma0), (1, sigma1)):
         t = build(QQ, 2)
